@@ -39,12 +39,17 @@ CONTAINMENT_RATIO = 0.9
 
 @dataclass
 class IterationState:
-    """Everything one iteration hands to the next: tubes, regions, saliencies."""
+    """Everything one iteration hands to the next: tubes, regions, saliencies.
+
+    ``contained[vid][kf]`` marks the proposals of a key frame that lie inside
+    its localized ``boxes[vid][kf]``; both retrieval and relocalization read it.
+    """
 
     iteration: int
     tubes: dict[str, list[TubeSolution]] = field(default_factory=dict)
     boxes: dict[str, dict[int, list[Box]]] = field(default_factory=dict)
     saliency: dict[str, dict[int, dict[int, float]]] = field(default_factory=dict)
+    contained: dict[str, dict[int, np.ndarray]] = field(default_factory=dict)
     graph: NeighborGraph | None = None
 
 
@@ -60,12 +65,14 @@ def initialize_state(collection: Collection, config: Config) -> IterationState:
     if not collection.videos:
         raise ValidationError("collection has no videos")
     boxes: dict[str, dict[int, list[Box]]] = {}
+    contained: dict[str, dict[int, np.ndarray]] = {}
     for vid, video in collection.videos.items():
         boxes[vid] = {
             kf: [video.frames[kf].bounds_box()]
             for kf in key_frames(video, config.keyframe_stride)
         }
-    return IterationState(iteration=0, boxes=boxes)
+        contained[vid] = containment_masks(video, boxes[vid])
+    return IterationState(iteration=0, boxes=boxes, contained=contained)
 
 
 def box_area_in_regions(box: Box, regions: list[Box]) -> float:
@@ -87,6 +94,20 @@ def box_area_in_regions(box: Box, regions: list[Box]) -> float:
 
 def region_contained(box: Box, regions: list[Box], ratio: float = CONTAINMENT_RATIO) -> bool:
     return box_area_in_regions(box, regions) >= ratio * box.area
+
+
+def containment_mask(frame: Frame, regions: list[Box]) -> np.ndarray:
+    """Which proposals of ``frame`` lie inside the localized ``regions``."""
+    return np.array([region_contained(p.box, regions) for p in frame.proposals], dtype=bool)
+
+
+def containment_masks(video: Video, boxes_by_kf: dict[int, list[Box]]) -> dict[int, np.ndarray]:
+    return {kf: containment_mask(video.frames[kf], regions)
+            for kf, regions in boxes_by_kf.items()}
+
+
+def _masked(frame: Frame, mask: np.ndarray) -> list[Proposal]:
+    return [p for p, inside in zip(frame.proposals, mask) if inside]
 
 
 def bootstrap_neighbors(collection: Collection, k: int, stride: int) -> NeighborGraph:
@@ -123,9 +144,15 @@ def bootstrap_neighbors(collection: Collection, k: int, stride: int) -> Neighbor
 
 
 def retrieval_pool(frame: Frame, localized: list[Box], saliency_map: dict[int, float],
-                   limit: int) -> list[Proposal]:
-    """Most salient proposals contained in the frame's localized regions."""
-    contained = [p for p in frame.proposals if region_contained(p.box, localized)]
+                   limit: int, mask: np.ndarray | None = None) -> list[Proposal]:
+    """Most salient proposals contained in the frame's localized regions.
+
+    ``mask`` is the frame's ``containment_mask`` for ``localized`` when the
+    caller already holds it.
+    """
+    if mask is None:
+        mask = containment_mask(frame, localized)
+    contained = _masked(frame, mask)
     contained.sort(key=lambda p: (-saliency_map.get(p.id, 0.0), p.id))
     return contained[:limit]
 
@@ -170,6 +197,7 @@ def update_network(state: IterationState, collection: Collection, config: Config
             state.boxes[vid][kf],
             state.saliency[vid][kf],
             config.retrieval_proposals,
+            state.contained[vid][kf],
         )
         for vid, kf in refs
     }
@@ -191,15 +219,32 @@ def update_network(state: IterationState, collection: Collection, config: Config
     return NeighborGraph(dict(zip(refs, results)))
 
 
+def motion_scores(video: Video, kfs: list[int]) -> dict[int, np.ndarray]:
+    """Motion coherence of every proposal of the given key frames.
+
+    Boxes and tracks never change during a run, so this is computed once per
+    video and handed to every ``build_video_trellis`` call.
+    """
+    track_index = VideoTrackIndex(video)
+    return {
+        kf: motion_coherence_many([p.box for p in video.frames[kf].proposals],
+                                  track_index.at(kf))
+        for kf in kfs
+    }
+
+
 def build_video_trellis(video: Video, pools_by_kf: dict[int, list[tuple[Frame, list[Proposal]]]],
-                        config: Config) -> tuple[Trellis, dict[int, dict[int, float]]]:
+                        config: Config, motion: dict[int, np.ndarray] | None = None
+                        ) -> tuple[Trellis, dict[int, dict[int, float]]]:
     """Score all proposals of a video's key frames and assemble the DP trellis.
 
-    Returns the trellis plus the per-frame raw saliency maps needed by the
-    next retrieval round.
+    ``motion`` holds the ``motion_scores`` of the key frames; it is computed
+    here when not given. Returns the trellis plus the per-frame raw saliency
+    maps needed by the next retrieval round.
     """
     kfs = sorted(pools_by_kf)
-    track_index = VideoTrackIndex(video)
+    if motion is None:
+        motion = motion_scores(video, kfs)
     ids_per_frame: list[list[int]] = []
     scores_per_frame: list[list[float]] = []
     saliency_maps: dict[int, dict[int, float]] = {}
@@ -208,8 +253,7 @@ def build_video_trellis(video: Video, pools_by_kf: dict[int, list[tuple[Frame, l
         if not frame.proposals:
             raise ValidationError(f"key frame {kf} of video {video.video_id} has no proposals")
         phi_a, saliency = appearance_confidence(frame, pools_by_kf[kf], config)
-        phi_m = motion_coherence_many([p.box for p in frame.proposals], track_index.at(kf))
-        phi = phi_a + config.alpha * phi_m
+        phi = phi_a + config.alpha * motion[kf]
         ids_per_frame.append([p.id for p in frame.proposals])
         scores_per_frame.append(list(phi))
         saliency_maps[kf] = {p.id: float(saliency[i]) for i, p in enumerate(frame.proposals)}
@@ -243,23 +287,27 @@ def build_video_trellis(video: Video, pools_by_kf: dict[int, list[tuple[Frame, l
 
 
 def relocalize_video(video: Video, graph: NeighborGraph, state: IterationState,
-                     collection: Collection, config: Config, num_tubes: int
+                     collection: Collection, config: Config, num_tubes: int,
+                     motion: dict[int, np.ndarray]
                      ) -> tuple[list[TubeSolution], dict[int, dict[int, float]],
-                                dict[int, list[Box]]]:
-    """Optimize one video against its neighbors' currently localized regions."""
+                                dict[int, list[Box]], dict[int, np.ndarray]]:
+    """Optimize one video against its neighbors' currently localized regions.
+
+    Returns the tubes, the saliency maps, the new localized boxes per key
+    frame and their containment masks for the next iteration.
+    """
     kfs = key_frames(video, config.keyframe_stride)
     pools_by_kf: dict[int, list[tuple[Frame, list[Proposal]]]] = {}
     for kf in kfs:
         pools = []
         for (nvid, nkf), _sim in graph.neighbors.get((video.video_id, kf), []):
             neighbor_frame = collection.videos[nvid].frames[nkf]
-            regions = state.boxes[nvid][nkf]
-            pool = [p for p in neighbor_frame.proposals if region_contained(p.box, regions)]
+            pool = _masked(neighbor_frame, state.contained[nvid][nkf])
             if pool:
                 pools.append((neighbor_frame, pool))
         pools_by_kf[kf] = pools
 
-    trellis, saliency_maps = build_video_trellis(video, pools_by_kf, config)
+    trellis, saliency_maps = build_video_trellis(video, pools_by_kf, config, motion)
     solutions = solve_p_best(trellis, num_tubes, config.lambda_)
     boxes_by_kf = {
         kf: [
@@ -268,7 +316,7 @@ def relocalize_video(video: Video, graph: NeighborGraph, state: IterationState,
         ]
         for kf in kfs
     }
-    return solutions, saliency_maps, boxes_by_kf
+    return solutions, saliency_maps, boxes_by_kf, containment_masks(video, boxes_by_kf)
 
 
 def run_discovery(collection: Collection, config: Config, threads: int | None = None
@@ -288,6 +336,12 @@ def run_discovery(collection: Collection, config: Config, threads: int | None = 
             if kf not in video.frames or not video.frames[kf].proposals:
                 raise ValidationError(f"key frame {kf} of video {vid} has no proposals")
 
+    def video_motion(vid: str):
+        video = collection.videos[vid]
+        return motion_scores(video, key_frames(video, config.keyframe_stride))
+
+    video_ids = list(collection.videos)
+    motion = dict(zip(video_ids, _map_ordered(video_motion, video_ids, threads)))
     state = initialize_state(collection, config)
     snapshots: list[IterationState] = []
     for iteration in range(1, config.iterations + 1):
@@ -296,15 +350,15 @@ def run_discovery(collection: Collection, config: Config, threads: int | None = 
 
         def relocalize(vid: str):
             return relocalize_video(collection.videos[vid], graph, state, collection,
-                                    config, num_tubes)
+                                    config, num_tubes, motion[vid])
 
-        video_ids = list(collection.videos)
         results = _map_ordered(relocalize, video_ids, threads)
         state = IterationState(
             iteration=iteration,
             tubes={vid: res[0] for vid, res in zip(video_ids, results)},
             saliency={vid: res[1] for vid, res in zip(video_ids, results)},
             boxes={vid: res[2] for vid, res in zip(video_ids, results)},
+            contained={vid: res[3] for vid, res in zip(video_ids, results)},
             graph=graph,
         )
         snapshots.append(state)

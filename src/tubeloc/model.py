@@ -8,6 +8,7 @@ without locking.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -242,6 +243,7 @@ class Config:
     rng_seed: int = 0
 
     def validate(self):
+        self._check_types()
         if self.alpha < 0:
             raise ValidationError("alpha must be >= 0")
         if self.lambda_ < 0:
@@ -264,6 +266,19 @@ class Config:
             raise ValidationError("affinity_gamma must be >= 0")
         if self.hough_translation_bins < 1 or self.hough_scale_bins < 1:
             raise ValidationError("offset grid needs at least one bin per axis")
+
+    def _check_types(self):
+        """Counts must be integers; the other fields finite real numbers."""
+        for name, spec in self.__dataclass_fields__.items():
+            key = "lambda" if name == "lambda_" else name
+            value = getattr(self, name)
+            if isinstance(spec.default, int):
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ValidationError(f"{key} must be an integer, got {value!r}")
+            elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValidationError(f"{key} must be a number, got {value!r}")
+            elif not math.isfinite(value):
+                raise ValidationError(f"{key} must be finite, got {value!r}")
 
     def to_dict(self) -> dict:
         out = {}

@@ -111,6 +111,27 @@ class TestRunCommand:
         assert code == 1
         assert "theta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--theta", "nan"), ("--lambda", "inf")])
+    def test_non_finite_flag_exits_one(self, tiny_collection, tmp_path, capsys, flag, value):
+        code = main(["run", "--collection", str(tiny_collection / "manifest.jsonl"),
+                     "--out", str(tmp_path / "o"), flag, value])
+        assert code == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("data,message", [
+        ({"alpha": "0.5"}, "alpha must be a number"),
+        ({"k_neighbors": 2.5}, "k_neighbors must be an integer"),
+    ])
+    def test_mistyped_config_file_exits_one(self, tiny_collection, tmp_path, capsys,
+                                            data, message):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(data))
+        code = main(["run", "--collection", str(tiny_collection / "manifest.jsonl"),
+                     "--out", str(tmp_path / "o"), "--config", str(config_path)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
     def test_config_file_with_flag_override(self, tiny_collection, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"iterations": 1, "k_neighbors": 2, "lambda": 1.0}))

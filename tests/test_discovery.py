@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tubeloc.discovery as discovery
 from helpers import basis_vec, make_frame
 from tubeloc.discovery import (
     bootstrap_neighbors,
@@ -24,6 +25,7 @@ from tubeloc.model import (
     Video,
     key_frames,
 )
+from tubeloc.synth import SynthSpec, generate_collection
 
 
 def _collection_of_frames(frames_by_video: dict[str, list[Frame]], sig_dim=4,
@@ -277,3 +279,60 @@ class TestRunDiscovery:
                 result_threads.tubes[vid].tube.regions
             assert result_serial.tubes[vid].objective == result_threads.tubes[vid].objective
         assert result_serial.graph.neighbors == result_threads.graph.neighbors
+
+
+class TestComputeOnce:
+    """Per-run and per-iteration work is not repeated across its readers."""
+
+    @pytest.fixture
+    def small(self):
+        spec = SynthSpec(num_classes=2, videos_per_class=2, frames_per_video=40,
+                         num_distractors=3, seed=11)
+        collection, _, _ = generate_collection(spec)
+        config = Config(iterations=3, k_neighbors=4, p_tubes=2)
+        proposals = sum(len(video.frames[kf].proposals)
+                        for video in collection.videos.values()
+                        for kf in key_frames(video, config.keyframe_stride))
+        return collection, config, proposals
+
+    @staticmethod
+    def _count_calls(monkeypatch, name: str, counts: dict):
+        original = getattr(discovery, name)
+
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(discovery, name, counted)
+
+    def test_containment_once_per_iteration_and_frame(self, small, monkeypatch):
+        collection, config, proposals = small
+        counts: dict = {}
+        self._count_calls(monkeypatch, "region_contained", counts)
+        run_discovery(collection, config, threads=1)
+        assert counts["region_contained"] <= (config.iterations + 1) * proposals
+
+    def test_motion_once_per_run(self, small, monkeypatch):
+        collection, config, _ = small
+        counts: dict = {}
+        self._count_calls(monkeypatch, "VideoTrackIndex", counts)
+        self._count_calls(monkeypatch, "motion_coherence_many", counts)
+        run_discovery(collection, config, threads=1)
+        key_frame_count = sum(len(key_frames(video, config.keyframe_stride))
+                              for video in collection.videos.values())
+        assert counts["VideoTrackIndex"] == len(collection.videos)
+        assert counts["motion_coherence_many"] == key_frame_count
+
+    def test_precomputed_motion_gives_the_same_trellis(self, small):
+        collection, config, _ = small
+        video = next(iter(collection.videos.values()))
+        kfs = key_frames(video, config.keyframe_stride)
+        neighbor = collection.videos[list(collection.videos)[-1]]
+        pools_by_kf = {kf: [(neighbor.frames[0], list(neighbor.frames[0].proposals))]
+                       for kf in kfs}
+        fresh, _ = build_video_trellis(video, pools_by_kf, config)
+        reused, _ = build_video_trellis(video, pools_by_kf, config,
+                                        discovery.motion_scores(video, kfs))
+        for t in range(fresh.num_frames):
+            assert np.array_equal(fresh.candidate_ids[t], reused.candidate_ids[t])
+            assert np.array_equal(fresh.unary[t], reused.unary[t])

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import basis_vec, make_frame, rand_frame, rand_unit
 from tubeloc.matching import (
+    PAIR_BLOCK,
     Offset,
     OffsetGrid,
     appearance_affinity,
@@ -22,6 +27,7 @@ from tubeloc.matching import (
     strictly_contains,
 )
 from tubeloc.model import Box, Config, Proposal
+from tubeloc.synth import brute_force_matching
 
 CFG = Config()
 
@@ -279,8 +285,6 @@ class TestStandout:
 
 class TestOracleEquivalenceToy:
     def test_two_by_two_matches_naive_double_loop(self):
-        from tubeloc.synth import brute_force_matching
-
         rng = np.random.default_rng(13)
         a, b = rand_frame(rng, "a", 2), rand_frame(rng, "b", 2)
         votes, scores = brute_force_matching(a.proposals, b.proposals, a, b, CFG)
@@ -288,3 +292,61 @@ class TestOracleEquivalenceToy:
         table, _ = match_confidences(a.proposals, b.proposals, a, b, CFG)
         np.testing.assert_allclose(hg.votes, votes, rtol=1e-12, atol=1e-280)
         np.testing.assert_allclose(table.scores, scores, rtol=1e-12, atol=1e-280)
+
+
+def _assert_matches_oracle(a, b, cfg=CFG):
+    votes, scores = brute_force_matching(a.proposals, b.proposals, a, b, cfg)
+    hg = hough_votes(a.proposals, b.proposals, a, b, cfg)
+    table, table_hg = match_confidences(a.proposals, b.proposals, a, b, cfg)
+    np.testing.assert_allclose(hg.votes, votes, rtol=1e-12, atol=1e-280)
+    np.testing.assert_allclose(table_hg.votes, votes, rtol=1e-12, atol=1e-280)
+    np.testing.assert_allclose(table.scores, scores, rtol=1e-12, atol=1e-280)
+
+
+class TestBlockedKernel:
+    """The vote GEMMs run over blocks of PAIR_BLOCK proposal pairs."""
+
+    def test_one_by_one(self):
+        rng = np.random.default_rng(20)
+        _assert_matches_oracle(rand_frame(rng, "a", 1), rand_frame(rng, "b", 1))
+
+    @pytest.mark.parametrize("shape", [(1, PAIR_BLOCK - 1), (PAIR_BLOCK // 16, 16),
+                                       (PAIR_BLOCK + 1, 1)])
+    def test_pair_counts_around_one_block(self, shape):
+        rng = np.random.default_rng(21)
+        a, b = rand_frame(rng, "a", shape[0]), rand_frame(rng, "b", shape[1])
+        assert len(a.proposals) * len(b.proposals) - PAIR_BLOCK in (-1, 0, 1)
+        _assert_matches_oracle(a, b)
+
+    def test_pair_spanning_several_blocks(self):
+        rng = np.random.default_rng(22)
+        a, b = rand_frame(rng, "a", 23), rand_frame(rng, "b", 19)
+        assert len(a.proposals) * len(b.proposals) > 3 * PAIR_BLOCK
+        _assert_matches_oracle(a, b)
+
+
+_THREADED_MATCH = """
+import hashlib
+import numpy as np
+from helpers import rand_frame
+from tubeloc.matching import match_confidences
+from tubeloc.model import Config
+
+rng = np.random.default_rng(23)
+a, b = rand_frame(rng, "a", 40, dim=32), rand_frame(rng, "b", 60, dim=32)
+table, hough = match_confidences(a.proposals, b.proposals, a, b, Config())
+print(hashlib.sha256(table.scores.tobytes() + hough.votes.tobytes()).hexdigest())
+"""
+
+
+def test_identical_bytes_across_blas_thread_counts():
+    tests_dir = Path(__file__).resolve().parent
+    path = [str(tests_dir), str(tests_dir.parent / "src")] + sys.path
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(path))
+        run = subprocess.run([sys.executable, "-c", _THREADED_MATCH], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(run.stdout.strip())
+    assert digests[0] == digests[1]

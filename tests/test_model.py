@@ -126,6 +126,16 @@ class TestConfig:
             ("k_neighbors", 0),
             ("p_tubes", 0),
             ("keyframe_stride", 0),
+            ("alpha", float("nan")),
+            ("theta", float("nan")),
+            ("lambda_", float("inf")),
+            ("theta", float("-inf")),
+            ("alpha", "0.5"),
+            ("affinity_gamma", None),
+            ("k_neighbors", 2.5),
+            ("iterations", 3.0),
+            ("top_candidates", "10"),
+            ("p_tubes", True),
         ],
     )
     def test_invalid_values(self, field, value):
@@ -133,6 +143,9 @@ class TestConfig:
         setattr(config, field, value)
         with pytest.raises(ValidationError):
             config.validate()
+
+    def test_integers_accepted_for_real_fields(self):
+        Config(alpha=1, lambda_=2, theta=-3, affinity_gamma=0).validate()
 
     def test_dict_round_trip_uses_lambda_key(self):
         config = Config(lambda_=3.5, k_neighbors=4)
