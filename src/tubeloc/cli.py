@@ -88,14 +88,16 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(flag, dest=dest, type=kind, default=None, help=help_text)
 
 
+def _read_object(path: str | None, what: str) -> dict:
+    """The JSON object in ``path``, or an empty one when no file is given."""
+    raw = json.loads(Path(path).read_text(encoding="utf-8")) if path else {}
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{what} file {path} must hold a JSON object")
+    return raw
+
+
 def _resolve_config(args) -> Config:
-    data: dict = {}
-    if args.config:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if not isinstance(raw, dict):
-            raise ValidationError(f"config file {args.config} must hold a JSON object")
-        data.update(raw)
-    config = Config.from_dict(data)
+    config = Config.from_dict(_read_object(args.config, "config"))
     for _flag, dest, _kind, _help in _CONFIG_FLAGS:
         value = getattr(args, dest)
         if value is not None:
@@ -148,13 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_synth(args) -> int:
-    data: dict = {}
-    if args.spec:
-        raw = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        if not isinstance(raw, dict):
-            raise ValidationError(f"spec file {args.spec} must hold a JSON object")
-        data.update(raw)
-    spec = SynthSpec.from_dict(data)
+    spec = SynthSpec.from_dict(_read_object(args.spec, "spec"))
     for name in SynthSpec.__dataclass_fields__:
         value = getattr(args, f"spec_{name}")
         if value is not None:

@@ -11,12 +11,6 @@ from .matching import rescale_unit
 _TRACK_CHUNK = 256
 
 
-def to_unit_square(point, box: Box) -> tuple[float, float]:
-    """Map a point inside a box to the unit square."""
-    x, y = point
-    return ((x - box.x_min) / box.width, (y - box.y_min) / box.height)
-
-
 def appearance_consistency_matrix(descs_a: np.ndarray, descs_b: np.ndarray) -> np.ndarray:
     """Negative descriptor distance, min-max rescaled to [0, 1] over all pairs.
 
@@ -30,14 +24,11 @@ def appearance_consistency_matrix(descs_a: np.ndarray, descs_b: np.ndarray) -> n
     return rescale_unit(raw)
 
 
-def _inside_and_unit(points: np.ndarray, boxes: list[Box]):
-    """Inclusive inside masks and unit-square coordinates, tracks x boxes."""
+def _inside_and_unit(points: np.ndarray, boxes: np.ndarray):
+    """Inclusive inside masks and unit-square coordinates, tracks x box rows."""
     x = points[:, 0][:, None]
     y = points[:, 1][:, None]
-    x_min = np.array([b.x_min for b in boxes])[None, :]
-    y_min = np.array([b.y_min for b in boxes])[None, :]
-    width = np.array([b.width for b in boxes])[None, :]
-    height = np.array([b.height for b in boxes])[None, :]
+    x_min, y_min, width, height = (column[None, :] for column in boxes.T)
     inside = (x >= x_min) & (x <= x_min + width) & (y >= y_min) & (y <= y_min + height)
     return inside, (x - x_min) / width, (y - y_min) / height
 
@@ -67,9 +58,12 @@ def motion_consistency(box_a: Box, box_b: Box, points_a: np.ndarray, points_b: n
     return float(-drift.sum() / (2.0 * count))
 
 
-def motion_consistency_matrix(boxes_a: list[Box], boxes_b: list[Box], points_a: np.ndarray,
+def motion_consistency_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray, points_a: np.ndarray,
                               points_b: np.ndarray, theta: float) -> np.ndarray:
-    """Pairwise motion consistency for all candidate box pairs of one transition."""
+    """Pairwise motion consistency for all candidate box pairs of one transition.
+
+    ``boxes_a`` and ``boxes_b`` hold (n, 4) rows [x_min, y_min, width, height].
+    """
     n, m = len(boxes_a), len(boxes_b)
     points_a = np.asarray(points_a, dtype=float).reshape(-1, 2)
     points_b = np.asarray(points_b, dtype=float).reshape(-1, 2)
@@ -93,8 +87,8 @@ def motion_consistency_matrix(boxes_a: list[Box], boxes_b: list[Box], points_a: 
     return np.where(counts > 0, -drift / (2.0 * safe), float(theta))
 
 
-def consistency_matrix(descs_a: np.ndarray, descs_b: np.ndarray, boxes_a: list[Box],
-                       boxes_b: list[Box], points_a: np.ndarray, points_b: np.ndarray,
+def consistency_matrix(descs_a: np.ndarray, descs_b: np.ndarray, boxes_a: np.ndarray,
+                       boxes_b: np.ndarray, points_a: np.ndarray, points_b: np.ndarray,
                        theta: float) -> np.ndarray:
     """Combined appearance + motion consistency for one key-frame transition."""
     return (

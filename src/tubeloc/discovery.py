@@ -164,10 +164,10 @@ def frame_similarity(query_frame: Frame, query_pool: list[Proposal],
 
     Either side having no usable proposals yields similarity 0.
     """
-    if not query_pool or not cand_pool:
+    if len(query_pool) == 0 or len(cand_pool) == 0:
         return 0.0
-    table, _ = match_confidences(query_pool, cand_pool, query_frame, cand_frame, config)
-    return float(table.scores.max(axis=1).sum())
+    scores = match_confidences(query_pool, cand_pool, query_frame, cand_frame, config)
+    return float(scores.max(axis=1).sum())
 
 
 def _map_ordered(fn, items, threads: int):
@@ -254,28 +254,26 @@ def build_video_trellis(video: Video, pools_by_kf: dict[int, list[tuple[Frame, l
             raise ValidationError(f"key frame {kf} of video {video.video_id} has no proposals")
         phi_a, saliency = appearance_confidence(frame, pools_by_kf[kf], config)
         phi = phi_a + config.alpha * motion[kf]
-        ids_per_frame.append([p.id for p in frame.proposals])
+        ids_per_frame.append(frame.ids.tolist())
         scores_per_frame.append(list(phi))
-        saliency_maps[kf] = {p.id: float(saliency[i]) for i, p in enumerate(frame.proposals)}
+        saliency_maps[kf] = dict(zip(frame.ids.tolist(), saliency.tolist()))
 
     def pairwise(step: int, ids_a: np.ndarray, ids_b: np.ndarray) -> np.ndarray:
         frame_a = video.frames[kfs[step]]
         frame_b = video.frames[kfs[step + 1]]
-        props_a = [frame_a.proposal_by_id(int(i)) for i in ids_a]
-        props_b = [frame_b.proposal_by_id(int(i)) for i in ids_b]
+        rows_a = frame_a.rows(ids_a)
+        rows_b = frame_b.rows(ids_b)
         shared = [
             tr for tr in video.tracks
             if tr.alive_at(kfs[step]) and tr.alive_at(kfs[step + 1])
         ]
-        points_a = (np.stack([tr.point_at(kfs[step]) for tr in shared])
-                    if shared else np.empty((0, 2)))
-        points_b = (np.stack([tr.point_at(kfs[step + 1]) for tr in shared])
-                    if shared else np.empty((0, 2)))
+        points_a = np.array([tr.point_at(kfs[step]) for tr in shared]).reshape(-1, 2)
+        points_b = np.array([tr.point_at(kfs[step + 1]) for tr in shared]).reshape(-1, 2)
         return consistency_matrix(
-            np.stack([p.descriptor for p in props_a]),
-            np.stack([p.descriptor for p in props_b]),
-            [p.box for p in props_a],
-            [p.box for p in props_b],
+            frame_a.descriptors[rows_a],
+            frame_b.descriptors[rows_b],
+            frame_a.boxes[rows_a],
+            frame_b.boxes[rows_b],
             points_a,
             points_b,
             config.theta,

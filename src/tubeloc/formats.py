@@ -12,9 +12,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import re
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -68,10 +70,24 @@ def _box_from_record(value, locus: str) -> Box:
         raise ValidationError(str(exc), locus=locus) from None
 
 
-def write_jsonl(path: Path, records: Iterable[dict]) -> None:
+@contextmanager
+def _replacing(path: Path) -> Iterator[TextIO]:
+    """Write a temp file beside ``path`` that replaces it when the block ends;
+    if the block raises, the temp file goes and any earlier ``path`` stays."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_jsonl(path: Path, records: Iterable[dict]) -> None:
+    with _replacing(path) as fh:
         for record in records:
             fh.write(json.dumps(record, ensure_ascii=False, allow_nan=False))
             fh.write("\n")
@@ -494,6 +510,5 @@ def save_run_manifest(path: Path, *, version: str, config_dict: dict, input_hash
         "started_utc": started_utc,
         "finished_utc": finished_utc,
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    with _replacing(path) as fh:
+        fh.write(json.dumps(payload, indent=2, ensure_ascii=False) + "\n")

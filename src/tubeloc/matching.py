@@ -1,6 +1,11 @@
 """Cross-frame region matching: affinity, offset voting, saliency, standout.
 
 All functions are pure; frame pairs can be matched fully in parallel.
+Proposal lists are resolved by id to rows of each frame's array view
+(``Frame.rows``), and descriptors and box locations are gathered from it.
+``match_confidences`` returns the (len(props_t), len(props_u)) score matrix
+and ``hough_votes`` the (u, v, s) vote array on ``OffsetGrid.from_config``,
+which is built once per pair of bin counts.
 
 Probabilistic Hough matching of a frame pair runs over proposal pairs
 m = (i, j). Each pair has an appearance affinity a(m) and an offset between
@@ -23,6 +28,7 @@ scores (within 1e-12 relative).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,49 +65,27 @@ class OffsetGrid:
 
     @classmethod
     def from_config(cls, config: Config) -> "OffsetGrid":
-        nt = config.hough_translation_bins
-        ns = config.hough_scale_bins
-        t_lo, t_hi = TRANSLATION_RANGE
-        s_lo, s_hi = LOG_SCALE_RANGE
-        return cls(
-            _bin_centers(t_lo, t_hi, nt),
-            _bin_centers(t_lo, t_hi, nt),
-            _bin_centers(s_lo, s_hi, ns),
-            ((t_hi - t_lo) / nt, (t_hi - t_lo) / nt, (s_hi - s_lo) / ns),
-        )
+        return _offset_grid(config.hough_translation_bins, config.hough_scale_bins)
 
     @property
     def shape(self) -> tuple[int, int, int]:
         return (self.du_centers.size, self.dv_centers.size, self.ds_centers.size)
 
 
-@dataclass(frozen=True)
-class Offset:
-    """Translation (frame-normalized) plus log-scale displacement between regions."""
-
-    du: float
-    dv: float
-    ds: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.du, self.dv, self.ds])
-
-
-@dataclass(eq=False)
-class HoughGrid:
-    """Accumulated, nonnegative votes over the offset grid for one frame pair."""
-
-    grid: OffsetGrid
-    votes: np.ndarray
-
-
-@dataclass(eq=False)
-class MatchTable:
-    """Nonnegative match confidences for every proposal pair of a frame pair."""
-
-    query_ids: np.ndarray
-    neighbor_ids: np.ndarray
-    scores: np.ndarray  # (len(query_ids), len(neighbor_ids))
+@functools.lru_cache(maxsize=None)
+def _offset_grid(nt: int, ns: int) -> OffsetGrid:
+    """The grid of one pair of bin counts, built once and shared read-only."""
+    t_lo, t_hi = TRANSLATION_RANGE
+    s_lo, s_hi = LOG_SCALE_RANGE
+    grid = OffsetGrid(
+        _bin_centers(t_lo, t_hi, nt),
+        _bin_centers(t_lo, t_hi, nt),
+        _bin_centers(s_lo, s_hi, ns),
+        ((t_hi - t_lo) / nt, (t_hi - t_lo) / nt, (s_hi - s_lo) / ns),
+    )
+    for centers in (grid.du_centers, grid.dv_centers, grid.ds_centers):
+        centers.setflags(write=False)
+    return grid
 
 
 def box_location(box: Box, frame_width: float, frame_height: float) -> np.ndarray:
@@ -109,11 +93,6 @@ def box_location(box: Box, frame_width: float, frame_height: float) -> np.ndarra
     cx, cy = box.center
     scale = 0.5 * math.log(box.area / (frame_width * frame_height))
     return np.array([cx / frame_width, cy / frame_height, scale])
-
-
-def offset_between(location_t: np.ndarray, location_u: np.ndarray) -> Offset:
-    d = np.asarray(location_t, dtype=float) - np.asarray(location_u, dtype=float)
-    return Offset(float(d[0]), float(d[1]), float(d[2]))
 
 
 def appearance_affinity(f1, f2, gamma: float) -> float:
@@ -138,8 +117,6 @@ def affinity_matrix(descs_a: np.ndarray, descs_b: np.ndarray, gamma: float) -> n
 
 def geometry_likelihood(offset, center, bandwidths) -> float:
     """Unnormalized diagonal Gaussian; 1.0 when the offset sits on the center."""
-    if isinstance(offset, Offset):
-        offset = offset.as_array()
     off = np.asarray(offset, dtype=float)
     ctr = np.asarray(center, dtype=float)
     value = 1.0
@@ -154,41 +131,28 @@ def _axis_kernel(values: np.ndarray, centers: np.ndarray, bandwidth: float) -> n
     return np.exp(-0.5 * z * z)
 
 
-def _locations(props, frame: Frame) -> np.ndarray:
-    """``box_location`` of every proposal as an (n, 3) array."""
-    x, y, w, h = np.array([(p.box.x_min, p.box.y_min, p.box.width, p.box.height)
-                           for p in props]).T
-    return np.column_stack([
-        (x + 0.5 * w) / frame.width,
-        (y + 0.5 * h) / frame.height,
-        0.5 * np.log(w * h / (frame.width * frame.height)),
-    ])
-
-
-def _check_pair(props_t, props_u):
-    if not props_t or not props_u:
-        raise ValueError("proposal sets must be non-empty")
-
-
 def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise outer product: out[m, i * b.shape[1] + j] = a[m, i] * b[m, j]."""
     return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1)
 
 
 def _vote_kernel(props_t, props_u, frame_t: Frame, frame_u: Frame, config: Config,
-                 with_scores: bool) -> tuple[HoughGrid, np.ndarray | None]:
-    """Offset votes of a frame pair and, optionally, the score of every pair.
+                 with_scores: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Offset votes (u, v, s) of a frame pair and, optionally, the score table.
 
-    Pairs m = (i, j) run over ``props_t`` x ``props_u`` in row-major order;
-    the blocked products are described in the module docstring.
+    The proposals are looked up by id in each frame's array view. Pairs
+    m = (i, j) run over ``props_t`` x ``props_u`` in row-major order; the
+    blocked products are described in the module docstring.
     """
-    _check_pair(props_t, props_u)
+    if len(props_t) == 0 or len(props_u) == 0:
+        raise ValueError("proposal sets must be non-empty")
+    rows_t = frame_t.rows([p.id for p in props_t])
+    rows_u = frame_u.rows([p.id for p in props_u])
     grid = OffsetGrid.from_config(config)
-    aff = affinity_matrix(np.stack([p.descriptor for p in props_t]),
-                          np.stack([p.descriptor for p in props_u]),
+    aff = affinity_matrix(frame_t.descriptors[rows_t], frame_u.descriptors[rows_u],
                           config.affinity_gamma)
-    offsets = (_locations(props_t, frame_t)[:, None, :]
-               - _locations(props_u, frame_u)[None, :, :]).reshape(-1, 3)
+    offsets = (frame_t.locations[rows_t][:, None, :]
+               - frame_u.locations[rows_u][None, :, :]).reshape(-1, 3)
     gu = _axis_kernel(offsets[:, 0], grid.du_centers, grid.bandwidths[0])
     gv = _axis_kernel(offsets[:, 1], grid.dv_centers, grid.bandwidths[1])
     gs = _axis_kernel(offsets[:, 2], grid.ds_centers, grid.bandwidths[2])
@@ -199,33 +163,28 @@ def _vote_kernel(props_t, props_u, frame_t: Frame, frame_u: Frame, config: Confi
     votes = np.zeros((nu * ns, nv))
     for b in blocks:
         votes += (_outer_rows(gu[b], gs[b]) * weights[b, None]).T @ gv[b]
-    hough = HoughGrid(grid, votes.reshape(nu, ns, nv).transpose(0, 2, 1))
+    grid_votes = votes.reshape(nu, ns, nv).transpose(0, 2, 1)
     if not with_scores:
-        return hough, None
+        return grid_votes, None
 
     support = np.empty(weights.size)
     for b in blocks:
         support[b] = ((gv[b] @ votes.T) * _outer_rows(gu[b], gs[b])).sum(axis=1)
-    return hough, aff * support.reshape(aff.shape)
+    return grid_votes, aff * support.reshape(aff.shape)
 
 
 def hough_votes(props_t: list[Proposal], props_u: list[Proposal], frame_t: Frame,
-                frame_u: Frame, config: Config) -> HoughGrid:
+                frame_u: Frame, config: Config) -> np.ndarray:
     """Accumulate affinity-weighted geometry likelihoods over all proposal pairs."""
-    hough, _ = _vote_kernel(props_t, props_u, frame_t, frame_u, config, with_scores=False)
-    return hough
+    votes, _ = _vote_kernel(props_t, props_u, frame_t, frame_u, config, with_scores=False)
+    return votes
 
 
 def match_confidences(props_t: list[Proposal], props_u: list[Proposal], frame_t: Frame,
-                      frame_u: Frame, config: Config) -> tuple[MatchTable, HoughGrid]:
+                      frame_u: Frame, config: Config) -> np.ndarray:
     """Score every proposal pair by appearance affinity times its vote support."""
-    hough, scores = _vote_kernel(props_t, props_u, frame_t, frame_u, config, with_scores=True)
-    table = MatchTable(
-        np.array([p.id for p in props_t]),
-        np.array([p.id for p in props_u]),
-        scores,
-    )
-    return table, hough
+    _, scores = _vote_kernel(props_t, props_u, frame_t, frame_u, config, with_scores=True)
+    return scores
 
 
 def frame_saliencies(frame: Frame, neighbor_pools, config: Config) -> np.ndarray:
@@ -234,47 +193,38 @@ def frame_saliencies(frame: Frame, neighbor_pools, config: Config) -> np.ndarray
     ``neighbor_pools`` is a list of (neighbor frame, allowed proposals); every
     pool must be non-empty and the list itself must not be empty.
     """
-    if not neighbor_pools:
+    if len(neighbor_pools) == 0:
         raise ValueError("neighbor pool list is empty")
     saliency = np.zeros(len(frame.proposals))
     for neighbor_frame, pool in neighbor_pools:
-        if not pool:
+        if len(pool) == 0:
             raise ValueError("neighbor proposal pool is empty")
-        table, _ = match_confidences(frame.proposals, list(pool), frame, neighbor_frame, config)
-        saliency += table.scores.max(axis=1)
+        saliency += match_confidences(frame.proposals, pool, frame, neighbor_frame,
+                                      config).max(axis=1)
     return saliency
 
 
-def region_saliency(proposal: Proposal, frame: Frame, neighbor_pools, config: Config) -> float:
-    for idx, candidate in enumerate(frame.proposals):
-        if candidate.id == proposal.id:
-            return float(frame_saliencies(frame, neighbor_pools, config)[idx])
-    raise ValueError(f"proposal {proposal.id} does not belong to the frame")
+def strict_containers(boxes: np.ndarray) -> np.ndarray:
+    """contains[i, j]: box j strictly contains box i, for (n, 4) box rows.
+
+    The container must cover at least ``CONTAIN_AREA_RATIO`` of box i and
+    exceed its area by more than ``CONTAIN_GROWTH``, so no box contains itself.
+    """
+    x0, y0, w, h = np.asarray(boxes, dtype=float).reshape(-1, 4).T
+    x1, y1 = x0 + w, y0 + h
+    area = w * h
+    iw = np.minimum.outer(x1, x1) - np.maximum.outer(x0, x0)
+    ih = np.minimum.outer(y1, y1) - np.maximum.outer(y0, y0)
+    inter = np.where((iw > 0) & (ih > 0), iw * ih, 0.0)
+    return ((inter >= CONTAIN_AREA_RATIO * area[:, None])
+            & (area[None, :] > area[:, None] * CONTAIN_GROWTH))
 
 
-def strictly_contains(outer: Box, inner: Box) -> bool:
-    return (
-        inner.intersection_area(outer) >= CONTAIN_AREA_RATIO * inner.area
-        and outer.area > inner.area * CONTAIN_GROWTH
-    )
-
-
-def strict_containers(boxes: list[Box]) -> list[list[int]]:
-    """For each box, indices of the other boxes strictly containing it."""
-    out = []
-    for i, inner in enumerate(boxes):
-        out.append([j for j, outer in enumerate(boxes) if j != i and strictly_contains(outer, inner)])
-    return out
-
-
-def standout_scores(boxes: list[Box], saliencies: np.ndarray) -> np.ndarray:
+def standout_scores(boxes: np.ndarray, saliencies: np.ndarray) -> np.ndarray:
     """Saliency minus the best saliency among strict containers (0 when none)."""
-    containers = strict_containers(boxes)
-    raw = np.empty(len(boxes))
-    for i, js in enumerate(containers):
-        background = max((saliencies[j] for j in js), default=0.0)
-        raw[i] = saliencies[i] - background
-    return raw
+    contains = strict_containers(boxes)
+    background = np.where(contains, saliencies[None, :], -np.inf).max(axis=1, initial=-np.inf)
+    return saliencies - np.where(contains.any(axis=1), background, 0.0)
 
 
 def rescale_unit(values: np.ndarray) -> np.ndarray:
@@ -298,5 +248,5 @@ def appearance_confidence(frame: Frame, neighbor_pools, config: Config
         saliency = frame_saliencies(frame, neighbor_pools, config)
     else:
         saliency = np.zeros(len(frame.proposals))
-    raw = standout_scores([p.box for p in frame.proposals], saliency)
+    raw = standout_scores(frame.boxes, saliency)
     return rescale_unit(raw), saliency

@@ -3,6 +3,12 @@
 All structures are plain dataclasses and are treated as immutable once a
 collection has been loaded; every scoring stage reads them concurrently
 without locking.
+
+A ``Frame`` keeps its proposals as records (``proposals``) for loading,
+generation and saving, and gives the scorers one array view of them: ``ids``,
+``boxes`` as (n, 4) rows ``[x_min, y_min, width, height]``, ``descriptors``,
+``locations`` (offset-space position of each box) and ``rows``, the id -> row
+lookup. Scorers gather rows from this view instead of restacking proposals.
 """
 
 from __future__ import annotations
@@ -94,9 +100,25 @@ class Proposal:
     descriptor: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class ProposalArrays:
+    """A frame's proposals as columns, one row per proposal in list order."""
+
+    source: list[Proposal]  # the list the columns were built from
+    ids: np.ndarray  # (n,)
+    boxes: np.ndarray  # (n, 4) rows [x_min, y_min, width, height]
+    descriptors: np.ndarray  # (n, D)
+    locations: np.ndarray  # (n, 3) normalized center, log sqrt of box/frame area
+    row: dict[int, int]  # proposal id -> row
+
+
 @dataclass(eq=False)
 class Frame:
-    """One video frame carrying its proposal set and a frame-level signature."""
+    """One video frame carrying its proposal set and a frame-level signature.
+
+    The array view is built from ``proposals`` on first use and again
+    whenever the list is replaced.
+    """
 
     video_id: str
     frame_index: int
@@ -108,17 +130,59 @@ class Frame:
     def bounds_box(self) -> Box:
         return Box(0.0, 0.0, self.width, self.height)
 
-    def proposal_by_id(self, proposal_id: int) -> Proposal:
-        by_id = getattr(self, "_by_id", None)
-        if by_id is None:
-            by_id = {p.id: p for p in self.proposals}
-            self._by_id = by_id
+    def _arrays(self) -> ProposalArrays:
+        view = self.__dict__.get("_view")
+        if view is None or view.source is not self.proposals:
+            props = self.proposals
+            boxes = np.array([p.box.as_list() for p in props], dtype=float).reshape(-1, 4)
+            x, y, w, h = boxes.T
+            view = ProposalArrays(
+                props,
+                np.array([p.id for p in props], dtype=int),
+                boxes,
+                np.array([p.descriptor for p in props], dtype=float) if props
+                else np.empty((0, 0)),
+                np.column_stack([
+                    (x + 0.5 * w) / self.width,
+                    (y + 0.5 * h) / self.height,
+                    0.5 * np.log(w * h / (self.width * self.height)),
+                ]),
+                {p.id: i for i, p in enumerate(props)},
+            )
+            for column in (view.ids, view.boxes, view.descriptors, view.locations):
+                column.setflags(write=False)  # shared by every scorer and thread
+            self._view = view  # one assignment: concurrent readers see old or new
+        return view
+
+    @property
+    def ids(self) -> np.ndarray:
+        return self._arrays().ids
+
+    @property
+    def boxes(self) -> np.ndarray:
+        return self._arrays().boxes
+
+    @property
+    def descriptors(self) -> np.ndarray:
+        return self._arrays().descriptors
+
+    @property
+    def locations(self) -> np.ndarray:
+        """Per row: box center over frame size, and half the log area ratio."""
+        return self._arrays().locations
+
+    def rows(self, proposal_ids) -> np.ndarray:
+        """Array-view row of each proposal id; an id the frame lacks raises."""
+        row = self._arrays().row
         try:
-            return by_id[proposal_id]
-        except KeyError:
+            return np.array([row[pid] for pid in proposal_ids], dtype=np.intp)
+        except KeyError as exc:
             raise ValidationError(
-                f"frame {self.video_id}:{self.frame_index} has no proposal {proposal_id}"
+                f"frame {self.video_id}:{self.frame_index} has no proposal {exc.args[0]}"
             ) from None
+
+    def proposal_by_id(self, proposal_id: int) -> Proposal:
+        return self.proposals[self.rows([proposal_id])[0]]
 
 
 @dataclass(eq=False)
@@ -198,9 +262,6 @@ class Collection:
     videos: dict[str, Video] = field(default_factory=dict)
     ground_truths: dict[str, GroundTruth] = field(default_factory=dict)
 
-    def video_ids(self) -> list[str]:
-        return list(self.videos)
-
 
 FrameRef = tuple[str, int]  # (video_id, frame_index)
 
@@ -218,6 +279,21 @@ class NeighborGraph:
                     raise ValidationError(
                         f"neighbor list for video {vid} contains a same-video frame"
                     )
+
+
+def check_field_types(params) -> None:
+    """Dataclass fields with an integer default must hold integers, the others
+    finite reals. Messages drop a trailing underscore (``lambda_``)."""
+    for name, spec in params.__dataclass_fields__.items():
+        key = name.rstrip("_")
+        value = getattr(params, name)
+        if isinstance(spec.default, int):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{key} must be an integer, got {value!r}")
+        elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValidationError(f"{key} must be a number, got {value!r}")
+        elif not math.isfinite(value):
+            raise ValidationError(f"{key} must be finite, got {value!r}")
 
 
 @dataclass
@@ -243,42 +319,18 @@ class Config:
     rng_seed: int = 0
 
     def validate(self):
-        self._check_types()
-        if self.alpha < 0:
-            raise ValidationError("alpha must be >= 0")
-        if self.lambda_ < 0:
-            raise ValidationError("lambda must be >= 0")
+        check_field_types(self)
+        for name in ("alpha", "lambda_", "affinity_gamma"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name.rstrip('_')} must be >= 0")
         if self.theta >= -1:
             raise ValidationError("theta must be < -1")
-        if self.k_neighbors < 1:
-            raise ValidationError("k_neighbors must be >= 1")
-        if self.p_tubes < 1:
-            raise ValidationError("p_tubes must be >= 1")
-        if self.iterations < 1:
-            raise ValidationError("iterations must be >= 1")
-        if self.keyframe_stride < 1:
-            raise ValidationError("keyframe_stride must be >= 1")
-        if self.top_candidates < 1:
-            raise ValidationError("top_candidates must be >= 1")
-        if self.retrieval_proposals < 1:
-            raise ValidationError("retrieval_proposals must be >= 1")
-        if self.affinity_gamma < 0:
-            raise ValidationError("affinity_gamma must be >= 0")
+        for name in ("k_neighbors", "p_tubes", "iterations", "keyframe_stride",
+                     "top_candidates", "retrieval_proposals"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1")
         if self.hough_translation_bins < 1 or self.hough_scale_bins < 1:
             raise ValidationError("offset grid needs at least one bin per axis")
-
-    def _check_types(self):
-        """Counts must be integers; the other fields finite real numbers."""
-        for name, spec in self.__dataclass_fields__.items():
-            key = "lambda" if name == "lambda_" else name
-            value = getattr(self, name)
-            if isinstance(spec.default, int):
-                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                    raise ValidationError(f"{key} must be an integer, got {value!r}")
-            elif isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValidationError(f"{key} must be a number, got {value!r}")
-            elif not math.isfinite(value):
-                raise ValidationError(f"{key} must be finite, got {value!r}")
 
     def to_dict(self) -> dict:
         out = {}

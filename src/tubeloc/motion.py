@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,10 +47,7 @@ class VideoTrackIndex:
             ids = np.array([r[0] for r in rows], dtype=int)
             labels = np.array([r[1] for r in rows], dtype=int)
             xy = np.array([[r[2], r[3]] for r in rows])
-            totals: dict[int, int] = {}
-            for label in labels:
-                totals[int(label)] = totals.get(int(label), 0) + 1
-            self._frames[t] = FrameTracks(ids, labels, xy, totals)
+            self._frames[t] = FrameTracks(ids, labels, xy, dict(Counter(labels.tolist())))
 
     def at(self, frame_index: int) -> FrameTracks:
         return self._frames.get(frame_index, FrameTracks.empty())
@@ -64,18 +62,6 @@ def _cell_indices(box: Box, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return inside, rows, cols
 
 
-def _perimeter_cells() -> list[tuple[int, int]]:
-    last = GRID_CELLS - 1
-    cells = []
-    for i in range(GRID_CELLS):
-        for j in range(GRID_CELLS):
-            if i in (0, last) or j in (0, last):
-                cells.append((i, j))
-    return cells
-
-
-_PERIMETER = _perimeter_cells()
-
 # Corner cells are listed on both adjacent edges; sharing is harmless under
 # per-edge max pooling.
 _EDGE_CELLS = {
@@ -84,6 +70,8 @@ _EDGE_CELLS = {
     "L": [(i, 0) for i in range(GRID_CELLS)],
     "R": [(i, GRID_CELLS - 1) for i in range(GRID_CELLS)],
 }
+
+_PERIMETER = sorted({cell for cells in _EDGE_CELLS.values() for cell in cells})
 
 
 @dataclass(eq=False)

@@ -29,6 +29,7 @@ from .model import (
     Tube,
     ValidationError,
     Video,
+    check_field_types,
     key_frames,
     unit_normalized,
 )
@@ -78,6 +79,7 @@ class SynthSpec:
     object_scale: float = 0.3
 
     def validate(self):
+        check_field_types(self)
         for name in ("num_classes", "videos_per_class", "frames_per_video",
                      "keyframe_stride", "descriptor_dim", "signature_dim"):
             if getattr(self, name) < 1:

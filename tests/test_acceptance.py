@@ -112,10 +112,10 @@ def test_criterion_3_matching_oracle_equivalence():
             a = rand_frame(rng, "a", int(rng.integers(1, 21)))
             b = rand_frame(rng, "b", int(rng.integers(1, 21)))
             votes, scores = brute_force_matching(a.proposals, b.proposals, a, b, cfg)
-            hg = hough_votes(a.proposals, b.proposals, a, b, cfg)
-            table, _ = match_confidences(a.proposals, b.proposals, a, b, cfg)
-            np.testing.assert_allclose(hg.votes, votes, rtol=1e-12, atol=1e-280)
-            np.testing.assert_allclose(table.scores, scores, rtol=1e-12, atol=1e-280)
+            np.testing.assert_allclose(hough_votes(a.proposals, b.proposals, a, b, cfg),
+                                       votes, rtol=1e-12, atol=1e-280)
+            np.testing.assert_allclose(match_confidences(a.proposals, b.proposals, a, b, cfg),
+                                       scores, rtol=1e-12, atol=1e-280)
 
 
 def _bootstrap_pools(collection, config):
@@ -164,7 +164,7 @@ def test_criterion_4_score_range_invariants(noise_free_bundle):
                     pts_a = np.stack([tr.point_at(a) for tr in shared])
                     pts_b = np.stack([tr.point_at(b) for tr in shared])
                     psi_m = motion_consistency_matrix(
-                        [p.box for p in props_a], [p.box for p in props_b],
+                        video.frames[a].boxes, video.frames[b].boxes,
                         pts_a, pts_b, cfg.theta)
                     in_unit = (psi_m >= -1.0) & (psi_m <= 0.0)
                     assert np.all(in_unit | (psi_m == cfg.theta))

@@ -44,6 +44,19 @@ class TestSynthCommand:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"videos_per_class": 2.5}', "videos_per_class must be an integer"),
+        ('{"frame_width": "320"}', "frame_width must be a number"),
+        ('{"object_scale": NaN}', "object_scale must be finite"),
+    ])
+    def test_mistyped_spec_file_exits_one(self, tmp_path, capsys, text, message):
+        spec_path = tmp_path / "s.json"
+        spec_path.write_text(text)
+        code = main(["synth", "--out", str(tmp_path / "o"), "--spec", str(spec_path)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_out_exits_one(self, monkeypatch, capsys):
         monkeypatch.delenv("TUBELOC_OUT", raising=False)
         assert main(["synth"]) == 1

@@ -7,22 +7,14 @@ from tubeloc.consistency import (
     consistency_matrix,
     motion_consistency,
     motion_consistency_matrix,
-    to_unit_square,
 )
 from tubeloc.model import Box
 
 THETA = -2.0
 
 
-class TestToUnitSquare:
-    def test_corner_maps_to_origin(self):
-        assert to_unit_square((3.0, 4.0), Box(3, 4, 10, 20)) == (0.0, 0.0)
-
-    def test_center(self):
-        assert to_unit_square((8.0, 14.0), Box(3, 4, 10, 20)) == (0.5, 0.5)
-
-    def test_opposite_corner(self):
-        assert to_unit_square((13.0, 24.0), Box(3, 4, 10, 20)) == (1.0, 1.0)
+def _rows(boxes) -> np.ndarray:
+    return np.array([b.as_list() for b in boxes])
 
 
 class TestAppearanceConsistency:
@@ -123,7 +115,7 @@ class TestMotionConsistencyMatrix:
                        rng.uniform(10, 50)) for _ in range(5)]
         pts_a = np.column_stack([rng.uniform(0, 90, 30), rng.uniform(0, 90, 30)])
         pts_b = pts_a + rng.normal(0, 3, size=pts_a.shape)
-        matrix = motion_consistency_matrix(boxes_a, boxes_b, pts_a, pts_b, THETA)
+        matrix = motion_consistency_matrix(_rows(boxes_a), _rows(boxes_b), pts_a, pts_b, THETA)
         for i, a in enumerate(boxes_a):
             for j, b in enumerate(boxes_b):
                 assert matrix[i, j] == pytest.approx(
@@ -132,7 +124,7 @@ class TestMotionConsistencyMatrix:
 
     def test_no_tracks_full_theta(self):
         matrix = motion_consistency_matrix(
-            [Box(0, 0, 1, 1)], [Box(0, 0, 1, 1), Box(2, 2, 1, 1)],
+            _rows([Box(0, 0, 1, 1)]), _rows([Box(0, 0, 1, 1), Box(2, 2, 1, 1)]),
             np.empty((0, 2)), np.empty((0, 2)), THETA)
         np.testing.assert_array_equal(matrix, np.full((1, 2), THETA))
 
@@ -140,8 +132,8 @@ class TestMotionConsistencyMatrix:
 class TestCombined:
     def test_sum_of_terms(self):
         rng = np.random.default_rng(7)
-        boxes_a = [Box(0, 0, 10, 10), Box(5, 5, 10, 10)]
-        boxes_b = [Box(0, 0, 10, 10)]
+        boxes_a = _rows([Box(0, 0, 10, 10), Box(5, 5, 10, 10)])
+        boxes_b = _rows([Box(0, 0, 10, 10)])
         descs_a = np.stack([rand_unit(rng, 6) for _ in range(2)])
         descs_b = np.stack([rand_unit(rng, 6)])
         pts = np.array([[2.0, 2.0], [8.0, 8.0]])

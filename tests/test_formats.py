@@ -11,7 +11,9 @@ from tubeloc.formats import (
     save_collection,
     save_neighbor_graph,
     save_results,
+    save_run_manifest,
     save_tubes,
+    write_jsonl,
 )
 from tubeloc.model import NeighborGraph, Tube, ValidationError
 from tubeloc.synth import SynthSpec, generate_collection
@@ -226,3 +228,38 @@ class TestResults:
         save_results(tubes, graph, collection, b)
         for name in ("tubes.jsonl", "neighbors.jsonl"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+class TestAtomicWrites:
+    def test_failed_jsonl_write_keeps_earlier_file(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        write_jsonl(path, [{"type": "a", "n": 1}])
+        before = path.read_bytes()
+
+        def records():
+            yield {"type": "a", "n": 2}
+            raise RuntimeError("producer failed")
+
+        with pytest.raises(RuntimeError):
+            write_jsonl(path, records())
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl"]
+
+    def test_failed_first_write_leaves_nothing(self, tmp_path):
+        def records():
+            raise RuntimeError("producer failed")
+            yield
+
+        with pytest.raises(RuntimeError):
+            write_jsonl(tmp_path / "out" / "records.jsonl", records())
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_failed_manifest_write_keeps_earlier_file(self, tmp_path):
+        path = tmp_path / "run_manifest.json"
+        fields = dict(version="1", input_hash="sha256:0", started_utc="t0", finished_utc="t1")
+        save_run_manifest(path, config_dict={"alpha": 0.5}, **fields)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            save_run_manifest(path, config_dict={"alpha": object()}, **fields)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run_manifest.json"]

@@ -10,7 +10,6 @@ import pytest
 from helpers import basis_vec, make_frame, rand_frame, rand_unit
 from tubeloc.matching import (
     PAIR_BLOCK,
-    Offset,
     OffsetGrid,
     appearance_affinity,
     appearance_confidence,
@@ -19,12 +18,9 @@ from tubeloc.matching import (
     geometry_likelihood,
     hough_votes,
     match_confidences,
-    offset_between,
-    region_saliency,
     rescale_unit,
     standout_scores,
     strict_containers,
-    strictly_contains,
 )
 from tubeloc.model import Box, Config, Proposal
 from tubeloc.synth import brute_force_matching
@@ -82,23 +78,13 @@ class TestBoxLocation:
         loc = box_location(Box(0, 0, 160, 120), 320.0, 240.0)
         assert loc[2] == pytest.approx(0.5 * math.log(0.25), abs=1e-12)
 
-    def test_offset_between_locations(self):
-        a = box_location(Box(0, 0, 160, 120), 320.0, 240.0)
-        b = box_location(Box(160, 120, 160, 120), 320.0, 240.0)
-        offset = offset_between(a, b)
-        assert isinstance(offset, Offset)
-        assert (offset.du, offset.dv, offset.ds) == (-0.5, -0.5, 0.0)
-        grid = OffsetGrid.from_config(CFG)
-        direct = geometry_likelihood(offset.as_array(), (0.0, 0.0, 0.0), grid.bandwidths)
-        assert geometry_likelihood(offset, (0.0, 0.0, 0.0), grid.bandwidths) == direct
-
 
 class TestHoughVotes:
     def test_identical_frames_peak_near_zero_offset(self):
         frame = make_frame(proposals=[_proposal(0, Box(50, 60, 80, 40), basis_vec(4, 0))])
-        hg = hough_votes(frame.proposals, frame.proposals, frame, frame, CFG)
-        grid = hg.grid
-        iu, iv, isc = np.unravel_index(np.argmax(hg.votes), hg.votes.shape)
+        votes = hough_votes(frame.proposals, frame.proposals, frame, frame, CFG)
+        grid = OffsetGrid.from_config(CFG)
+        iu, iv, isc = np.unravel_index(np.argmax(votes), votes.shape)
         # zero lies on a shared bin edge of the even translation axes, so the
         # peak must sit in a bin whose center is nearest to zero
         assert abs(grid.du_centers[iu]) == np.min(np.abs(grid.du_centers))
@@ -109,8 +95,8 @@ class TestHoughVotes:
         a = make_frame(proposals=[_proposal(0, Box(10, 10, 30, 30), basis_vec(4, 0))])
         b = make_frame(proposals=[_proposal(0, Box(10, 10, 30, 30), basis_vec(4, 1))])
         cfg = Config(affinity_gamma=500.0)
-        hg = hough_votes(a.proposals, b.proposals, a, b, cfg)
-        assert hg.votes.max() < 1e-200
+        votes = hough_votes(a.proposals, b.proposals, a, b, cfg)
+        assert votes.max() < 1e-200
 
     def test_empty_set_rejected(self):
         frame = make_frame(proposals=[_proposal(0, Box(0, 0, 10, 10), basis_vec(4, 0))])
@@ -120,8 +106,8 @@ class TestHoughVotes:
     def test_votes_nonnegative(self):
         rng = np.random.default_rng(7)
         a, b = rand_frame(rng, "a", 5), rand_frame(rng, "b", 4)
-        hg = hough_votes(a.proposals, b.proposals, a, b, CFG)
-        assert np.all(hg.votes >= 0)
+        votes = hough_votes(a.proposals, b.proposals, a, b, CFG)
+        assert np.all(votes >= 0)
 
 
 class TestMatchConfidences:
@@ -129,26 +115,26 @@ class TestMatchConfidences:
         rng = np.random.default_rng(2)
         a = make_frame("a", proposals=[_proposal(0, Box(20, 30, 60, 50), rand_unit(rng, 8))])
         b = make_frame("b", proposals=[_proposal(0, Box(90, 40, 70, 45), rand_unit(rng, 8))])
-        table, hg = match_confidences(a.proposals, b.proposals, a, b, CFG)
+        scores = match_confidences(a.proposals, b.proposals, a, b, CFG)
 
         # independent evaluation: c = affinity^2 * sum_x likelihood(x)^2
         affinity = appearance_affinity(a.proposals[0].descriptor, b.proposals[0].descriptor, 1.0)
         offset = box_location(a.proposals[0].box, a.width, a.height) - box_location(
             b.proposals[0].box, b.width, b.height)
         total = 0.0
-        grid = hg.grid
+        grid = OffsetGrid.from_config(CFG)
         for cu in grid.du_centers:
             for cv in grid.dv_centers:
                 for cs in grid.ds_centers:
                     total += geometry_likelihood(offset, (cu, cv, cs), grid.bandwidths) ** 2
         expected = affinity**2 * total
-        assert table.scores[0, 0] == pytest.approx(expected, rel=1e-10)
+        assert scores[0, 0] == pytest.approx(expected, rel=1e-10)
 
     def test_identical_frames_self_match_maximizes_row(self):
         rng = np.random.default_rng(3)
         frame = rand_frame(rng, "a", 6)
-        table, _ = match_confidences(frame.proposals, frame.proposals, frame, frame, CFG)
-        assert np.array_equal(np.argmax(table.scores, axis=1), np.arange(6))
+        scores = match_confidences(frame.proposals, frame.proposals, frame, frame, CFG)
+        assert np.array_equal(np.argmax(scores, axis=1), np.arange(6))
 
     def test_zero_affinity_zero_confidence(self):
         a = make_frame("a", proposals=[
@@ -160,17 +146,17 @@ class TestMatchConfidences:
             _proposal(1, Box(60, 60, 30, 30), basis_vec(4, 1)),
         ])
         cfg = Config(affinity_gamma=400.0)
-        table, _ = match_confidences(a.proposals, b.proposals, a, b, cfg)
+        scores = match_confidences(a.proposals, b.proposals, a, b, cfg)
         # the orthogonal descriptor pair carries an exp(-800) affinity factor
-        assert table.scores[1, 1] < 1e-300
-        assert table.scores[0, 0] > 0
+        assert scores[1, 1] < 1e-300
+        assert scores[0, 0] > 0
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(4)
         a, b = rand_frame(rng, "a", 5), rand_frame(rng, "b", 7)
-        t_ab, _ = match_confidences(a.proposals, b.proposals, a, b, CFG)
-        t_ba, _ = match_confidences(b.proposals, a.proposals, b, a, CFG)
-        np.testing.assert_allclose(t_ab.scores, t_ba.scores.T, rtol=1e-12, atol=1e-280)
+        s_ab = match_confidences(a.proposals, b.proposals, a, b, CFG)
+        s_ba = match_confidences(b.proposals, a.proposals, b, a, CFG)
+        np.testing.assert_allclose(s_ab, s_ba.T, rtol=1e-12, atol=1e-280)
 
 
 class TestSaliency:
@@ -179,9 +165,9 @@ class TestSaliency:
         frame = rand_frame(rng, "a", 3)
         neighbor = rand_frame(rng, "b", 4)
         pool = [neighbor.proposals[2]]
-        table, _ = match_confidences(frame.proposals, pool, frame, neighbor, CFG)
+        scores = match_confidences(frame.proposals, pool, frame, neighbor, CFG)
         g = frame_saliencies(frame, [(neighbor, pool)], CFG)
-        np.testing.assert_allclose(g, table.scores[:, 0], rtol=1e-15)
+        np.testing.assert_allclose(g, scores[:, 0], rtol=1e-15)
 
     def test_duplicated_neighbor_doubles(self):
         rng = np.random.default_rng(6)
@@ -199,9 +185,9 @@ class TestSaliency:
         pools = [(fr, fr.proposals) for fr, _ in pools]
         expected = np.zeros(4)
         for neighbor, pool in pools:
-            table, _ = match_confidences(frame.proposals, pool, frame, neighbor, CFG)
+            scores = match_confidences(frame.proposals, pool, frame, neighbor, CFG)
             for i in range(4):
-                expected[i] += max(table.scores[i, j] for j in range(len(pool)))
+                expected[i] += max(scores[i, j] for j in range(len(pool)))
         np.testing.assert_allclose(frame_saliencies(frame, pools, CFG), expected, rtol=1e-12)
 
     def test_monotone_in_neighbors(self):
@@ -213,14 +199,6 @@ class TestSaliency:
         g3 = frame_saliencies(frame, pools, CFG)
         assert np.all(g3 >= g2)
 
-    def test_region_saliency_matches_bulk(self):
-        rng = np.random.default_rng(9)
-        frame = rand_frame(rng, "a", 4)
-        neighbor = rand_frame(rng, "b", 4)
-        pools = [(neighbor, neighbor.proposals)]
-        bulk = frame_saliencies(frame, pools, CFG)
-        assert region_saliency(frame.proposals[2], frame, pools, CFG) == bulk[2]
-
     def test_empty_neighbor_list_rejected(self):
         rng = np.random.default_rng(10)
         frame = rand_frame(rng, "a", 2)
@@ -228,37 +206,64 @@ class TestSaliency:
             frame_saliencies(frame, [], CFG)
 
 
+def _rows(boxes) -> np.ndarray:
+    return np.array([b.as_list() for b in boxes])
+
+
 class TestContainment:
+    """Each case is an input to the n x n ``strict_containers`` matrix."""
+
     def test_strict_containment_excludes_self(self):
         box = Box(0, 0, 10, 10)
-        assert not strictly_contains(box, box)
+        assert not strict_containers(_rows([box, box])).any()
 
     def test_nested_box_contained(self):
-        assert strictly_contains(Box(0, 0, 100, 100), Box(10, 10, 20, 20))
+        contains = strict_containers(_rows([Box(10, 10, 20, 20), Box(0, 0, 100, 100)]))
+        np.testing.assert_array_equal(contains, [[False, True], [False, False]])
 
     def test_tolerant_boundary(self):
         inner = Box(0, 0, 100, 100)
         almost = Box(0.5, 0.5, 100, 100)  # covers 99.0025% of inner but barely larger
-        assert not strictly_contains(almost, inner)  # fails the 1% growth test
         bigger = Box(-2, -2, 104, 104)
-        assert strictly_contains(bigger, inner)
+        contains = strict_containers(_rows([inner, almost, bigger]))
+        assert not contains[0, 1]  # fails the 1% growth test
+        assert contains[0, 2]
+
+    def test_matches_pairwise_loop(self):
+        rng = np.random.default_rng(14)
+        frame = rand_frame(rng, "a", 30)
+        boxes = [p.box for p in frame.proposals]
+        # nested copies make containment common
+        boxes += [Box(b.x_min + 1, b.y_min + 1, 0.5 * b.width, 0.5 * b.height) for b in boxes]
+        contains = strict_containers(_rows(boxes))
+        for i, inner in enumerate(boxes):
+            for j, outer in enumerate(boxes):
+                expected = (j != i
+                            and inner.intersection_area(outer) >= 0.99 * inner.area
+                            and outer.area > inner.area * 1.01)
+                assert contains[i, j] == expected
+        saliency = rng.uniform(0.0, 5.0, len(boxes))
+        raw = standout_scores(_rows(boxes), saliency)
+        for i in range(len(boxes)):
+            background = max((saliency[j] for j in np.flatnonzero(contains[i])), default=0.0)
+            assert raw[i] == saliency[i] - background
 
     def test_containers_matrix(self):
         boxes = [Box(0, 0, 100, 100), Box(10, 10, 20, 20), Box(12, 12, 10, 10)]
-        containers = strict_containers(boxes)
-        assert containers[0] == []
-        assert containers[1] == [0]
-        assert containers[2] == [0, 1]
+        contains = strict_containers(_rows(boxes))
+        assert np.flatnonzero(contains[0]).tolist() == []
+        assert np.flatnonzero(contains[1]).tolist() == [0]
+        assert np.flatnonzero(contains[2]).tolist() == [0, 1]
 
 
 class TestStandout:
     def test_no_container_keeps_saliency(self):
-        boxes = [Box(0, 0, 10, 10), Box(50, 50, 10, 10)]
+        boxes = _rows([Box(0, 0, 10, 10), Box(50, 50, 10, 10)])
         raw = standout_scores(boxes, np.array([3.0, 1.5]))
         np.testing.assert_allclose(raw, [3.0, 1.5])
 
     def test_container_can_push_negative(self):
-        boxes = [Box(0, 0, 100, 100), Box(10, 10, 20, 20)]
+        boxes = _rows([Box(0, 0, 100, 100), Box(10, 10, 20, 20)])
         raw = standout_scores(boxes, np.array([5.0, 2.0]))
         assert raw[1] == -3.0
         assert raw[0] == 5.0
@@ -288,19 +293,18 @@ class TestOracleEquivalenceToy:
         rng = np.random.default_rng(13)
         a, b = rand_frame(rng, "a", 2), rand_frame(rng, "b", 2)
         votes, scores = brute_force_matching(a.proposals, b.proposals, a, b, CFG)
-        hg = hough_votes(a.proposals, b.proposals, a, b, CFG)
-        table, _ = match_confidences(a.proposals, b.proposals, a, b, CFG)
-        np.testing.assert_allclose(hg.votes, votes, rtol=1e-12, atol=1e-280)
-        np.testing.assert_allclose(table.scores, scores, rtol=1e-12, atol=1e-280)
+        np.testing.assert_allclose(hough_votes(a.proposals, b.proposals, a, b, CFG), votes,
+                                   rtol=1e-12, atol=1e-280)
+        np.testing.assert_allclose(match_confidences(a.proposals, b.proposals, a, b, CFG),
+                                   scores, rtol=1e-12, atol=1e-280)
 
 
 def _assert_matches_oracle(a, b, cfg=CFG):
     votes, scores = brute_force_matching(a.proposals, b.proposals, a, b, cfg)
-    hg = hough_votes(a.proposals, b.proposals, a, b, cfg)
-    table, table_hg = match_confidences(a.proposals, b.proposals, a, b, cfg)
-    np.testing.assert_allclose(hg.votes, votes, rtol=1e-12, atol=1e-280)
-    np.testing.assert_allclose(table_hg.votes, votes, rtol=1e-12, atol=1e-280)
-    np.testing.assert_allclose(table.scores, scores, rtol=1e-12, atol=1e-280)
+    np.testing.assert_allclose(hough_votes(a.proposals, b.proposals, a, b, cfg), votes,
+                               rtol=1e-12, atol=1e-280)
+    np.testing.assert_allclose(match_confidences(a.proposals, b.proposals, a, b, cfg),
+                               scores, rtol=1e-12, atol=1e-280)
 
 
 class TestBlockedKernel:
@@ -329,13 +333,14 @@ _THREADED_MATCH = """
 import hashlib
 import numpy as np
 from helpers import rand_frame
-from tubeloc.matching import match_confidences
+from tubeloc.matching import hough_votes, match_confidences
 from tubeloc.model import Config
 
 rng = np.random.default_rng(23)
 a, b = rand_frame(rng, "a", 40, dim=32), rand_frame(rng, "b", 60, dim=32)
-table, hough = match_confidences(a.proposals, b.proposals, a, b, Config())
-print(hashlib.sha256(table.scores.tobytes() + hough.votes.tobytes()).hexdigest())
+scores = match_confidences(a.proposals, b.proposals, a, b, Config())
+votes = hough_votes(a.proposals, b.proposals, a, b, Config())
+print(hashlib.sha256(scores.tobytes() + votes.tobytes()).hexdigest())
 """
 
 
