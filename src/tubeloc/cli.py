@@ -79,7 +79,6 @@ _CONFIG_FLAGS = [
     ("--affinity-gamma", "affinity_gamma", float, "appearance affinity bandwidth"),
     ("--hough-translation-bins", "hough_translation_bins", int, "offset grid translation bins"),
     ("--hough-scale-bins", "hough_scale_bins", int, "offset grid log-scale bins"),
-    ("--rng-seed", "rng_seed", int, "seed recorded with the run"),
 ]
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Box
 from .matching import rescale_unit
 
 # Chunk size for the track axis when broadcasting pairwise distances.
@@ -31,31 +30,6 @@ def _inside_and_unit(points: np.ndarray, boxes: np.ndarray):
     x_min, y_min, width, height = (column[None, :] for column in boxes.T)
     inside = (x >= x_min) & (x <= x_min + width) & (y >= y_min) & (y <= y_min + height)
     return inside, (x - x_min) / width, (y - y_min) / height
-
-
-def motion_consistency(box_a: Box, box_b: Box, points_a: np.ndarray, points_b: np.ndarray,
-                       theta: float) -> float:
-    """Average unit-square L1 drift of shared tracks, negated; theta when none.
-
-    Rows of ``points_a``/``points_b`` are the same track's coordinates at the
-    two frames; a track is shared only when it lies inside both boxes.
-    """
-    points_a = np.asarray(points_a, dtype=float).reshape(-1, 2)
-    points_b = np.asarray(points_b, dtype=float).reshape(-1, 2)
-    if points_a.shape != points_b.shape:
-        raise ValueError("point arrays must pair up row by row")
-    in_a = np.array([box_a.contains_point(x, y) for x, y in points_a], dtype=bool)
-    in_b = np.array([box_b.contains_point(x, y) for x, y in points_b], dtype=bool)
-    shared = in_a & in_b
-    count = int(shared.sum())
-    if count == 0:
-        return float(theta)
-    ua = (points_a[shared, 0] - box_a.x_min) / box_a.width
-    va = (points_a[shared, 1] - box_a.y_min) / box_a.height
-    ub = (points_b[shared, 0] - box_b.x_min) / box_b.width
-    vb = (points_b[shared, 1] - box_b.y_min) / box_b.height
-    drift = np.abs(ua - ub) + np.abs(va - vb)
-    return float(-drift.sum() / (2.0 * count))
 
 
 def motion_consistency_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray, points_a: np.ndarray,

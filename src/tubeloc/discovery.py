@@ -11,7 +11,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -39,17 +38,12 @@ CONTAINMENT_RATIO = 0.9
 
 @dataclass
 class IterationState:
-    """Everything one iteration hands to the next: tubes, regions, saliencies.
-
-    ``contained[vid][kf]`` marks the proposals of a key frame that lie inside
-    its localized ``boxes[vid][kf]``; both retrieval and relocalization read it.
-    """
+    """Everything one iteration hands to the next: tubes, regions, saliencies."""
 
     iteration: int
     tubes: dict[str, list[TubeSolution]] = field(default_factory=dict)
     boxes: dict[str, dict[int, list[Box]]] = field(default_factory=dict)
     saliency: dict[str, dict[int, dict[int, float]]] = field(default_factory=dict)
-    contained: dict[str, dict[int, np.ndarray]] = field(default_factory=dict)
     graph: NeighborGraph | None = None
 
 
@@ -64,46 +58,35 @@ def initialize_state(collection: Collection, config: Config) -> IterationState:
     """Start every video from a whole-frame localization at each key frame."""
     if not collection.videos:
         raise ValidationError("collection has no videos")
-    boxes: dict[str, dict[int, list[Box]]] = {}
-    contained: dict[str, dict[int, np.ndarray]] = {}
-    for vid, video in collection.videos.items():
-        boxes[vid] = {
-            kf: [video.frames[kf].bounds_box()]
-            for kf in key_frames(video, config.keyframe_stride)
-        }
-        contained[vid] = containment_masks(video, boxes[vid])
-    return IterationState(iteration=0, boxes=boxes, contained=contained)
+    boxes = {
+        vid: {kf: [video.frames[kf].bounds_box()]
+              for kf in key_frames(video, config.keyframe_stride)}
+        for vid, video in collection.videos.items()
+    }
+    return IterationState(iteration=0, boxes=boxes)
 
 
-def box_area_in_regions(box: Box, regions: list[Box]) -> float:
-    """Area of ``box`` covered by the union of ``regions`` (inclusion-exclusion)."""
-    pieces = [p for p in (box.intersect(r) for r in regions) if p is not None]
-    area = 0.0
-    for size in range(1, len(pieces) + 1):
-        sign = 1.0 if size % 2 == 1 else -1.0
-        for combo in combinations(pieces, size):
-            inter = combo[0]
-            for other in combo[1:]:
-                inter = inter.intersect(other)
-                if inter is None:
-                    break
-            if inter is not None:
-                area += sign * inter.area
-    return area
+def region_contained(frame: Frame, regions: list[Box]) -> np.ndarray:
+    """Which proposals of ``frame`` have at least ``CONTAINMENT_RATIO`` of their
+    area inside the union of ``regions``.
 
-
-def region_contained(box: Box, regions: list[Box], ratio: float = CONTAINMENT_RATIO) -> bool:
-    return box_area_in_regions(box, regions) >= ratio * box.area
-
-
-def containment_mask(frame: Frame, regions: list[Box]) -> np.ndarray:
-    """Which proposals of ``frame`` lie inside the localized ``regions``."""
-    return np.array([region_contained(p.box, regions) for p in frame.proposals], dtype=bool)
-
-
-def containment_masks(video: Video, boxes_by_kf: dict[int, list[Box]]) -> dict[int, np.ndarray]:
-    return {kf: containment_mask(video.frames[kf], regions)
-            for kf, regions in boxes_by_kf.items()}
+    The union area is exact (coordinate compression): the regions clipped to a
+    proposal cut it at their sorted x and y edges into cells, and a cell counts
+    when a clipped region covers it. A region missing the proposal clips to an
+    empty interval, which covers only cells of zero width or height.
+    """
+    x, y, w, h = (column[:, None] for column in frame.boxes.T)  # (n, 1) each
+    r = np.array([b.as_list() for b in regions], dtype=float).reshape(-1, 4)
+    x0, x1 = np.maximum(x, r[:, 0]), np.minimum(x + w, r[:, 0] + r[:, 2])  # (n, p)
+    y0, y1 = np.maximum(y, r[:, 1]), np.minimum(y + h, r[:, 1] + r[:, 3])
+    xs = np.sort(np.concatenate([x0, x1], axis=1), axis=1)  # (n, 2p) cell edges
+    ys = np.sort(np.concatenate([y0, y1], axis=1), axis=1)
+    in_x = (x0[:, None, :] <= xs[:, :-1, None]) & (xs[:, 1:, None] <= x1[:, None, :])
+    in_y = (y0[:, None, :] <= ys[:, :-1, None]) & (ys[:, 1:, None] <= y1[:, None, :])
+    covered = (in_x[:, :, None, :] & in_y[:, None, :, :]).any(axis=3)  # (n, cx, cy)
+    cells = np.diff(xs, axis=1)[:, :, None] * np.diff(ys, axis=1)[:, None, :]
+    area = np.where(covered, cells, 0.0).sum(axis=(1, 2))
+    return area >= CONTAINMENT_RATIO * (w * h)[:, 0]
 
 
 def _masked(frame: Frame, mask: np.ndarray) -> list[Proposal]:
@@ -143,15 +126,10 @@ def bootstrap_neighbors(collection: Collection, k: int, stride: int) -> Neighbor
     return graph
 
 
-def retrieval_pool(frame: Frame, localized: list[Box], saliency_map: dict[int, float],
-                   limit: int, mask: np.ndarray | None = None) -> list[Proposal]:
-    """Most salient proposals contained in the frame's localized regions.
-
-    ``mask`` is the frame's ``containment_mask`` for ``localized`` when the
-    caller already holds it.
-    """
-    if mask is None:
-        mask = containment_mask(frame, localized)
+def retrieval_pool(frame: Frame, mask: np.ndarray, saliency_map: dict[int, float],
+                   limit: int) -> list[Proposal]:
+    """Most salient proposals among those ``mask`` (from ``region_contained``)
+    marks as inside the frame's localized regions."""
     contained = _masked(frame, mask)
     contained.sort(key=lambda p: (-saliency_map.get(p.id, 0.0), p.id))
     return contained[:limit]
@@ -177,12 +155,14 @@ def _map_ordered(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
-def update_network(state: IterationState, collection: Collection, config: Config,
-                   threads: int = 1) -> NeighborGraph:
+def update_network(state: IterationState, contained: dict[FrameRef, np.ndarray],
+                   collection: Collection, config: Config, threads: int = 1) -> NeighborGraph:
     """Re-rank each key frame's k matching neighbors among other videos.
 
     Iteration 0 falls back to signature-based bootstrap retrieval; later
-    iterations match the localized-region proposal pools of frame pairs.
+    iterations match the localized-region proposal pools of frame pairs, which
+    ``contained`` (the ``region_contained`` mask of each key frame for
+    ``state.boxes``) selects.
     """
     if state.iteration == 0:
         return bootstrap_neighbors(collection, config.k_neighbors, config.keyframe_stride)
@@ -194,10 +174,9 @@ def update_network(state: IterationState, collection: Collection, config: Config
     pools = {
         (vid, kf): retrieval_pool(
             collection.videos[vid].frames[kf],
-            state.boxes[vid][kf],
+            contained[vid, kf],
             state.saliency[vid][kf],
             config.retrieval_proposals,
-            state.contained[vid][kf],
         )
         for vid, kf in refs
     }
@@ -284,15 +263,16 @@ def build_video_trellis(video: Video, pools_by_kf: dict[int, list[tuple[Frame, l
     return trellis, saliency_maps
 
 
-def relocalize_video(video: Video, graph: NeighborGraph, state: IterationState,
-                     collection: Collection, config: Config, num_tubes: int,
-                     motion: dict[int, np.ndarray]
+def relocalize_video(video: Video, graph: NeighborGraph,
+                     contained: dict[FrameRef, np.ndarray], collection: Collection,
+                     config: Config, num_tubes: int, motion: dict[int, np.ndarray]
                      ) -> tuple[list[TubeSolution], dict[int, dict[int, float]],
-                                dict[int, list[Box]], dict[int, np.ndarray]]:
-    """Optimize one video against its neighbors' currently localized regions.
+                                dict[int, list[Box]]]:
+    """Optimize one video against its neighbors' currently localized regions,
+    whose proposals ``contained`` marks per key frame.
 
-    Returns the tubes, the saliency maps, the new localized boxes per key
-    frame and their containment masks for the next iteration.
+    Returns the tubes, the saliency maps and the new localized boxes per key
+    frame.
     """
     kfs = key_frames(video, config.keyframe_stride)
     pools_by_kf: dict[int, list[tuple[Frame, list[Proposal]]]] = {}
@@ -300,7 +280,7 @@ def relocalize_video(video: Video, graph: NeighborGraph, state: IterationState,
         pools = []
         for (nvid, nkf), _sim in graph.neighbors.get((video.video_id, kf), []):
             neighbor_frame = collection.videos[nvid].frames[nkf]
-            pool = _masked(neighbor_frame, state.contained[nvid][nkf])
+            pool = _masked(neighbor_frame, contained[nvid, nkf])
             if pool:
                 pools.append((neighbor_frame, pool))
         pools_by_kf[kf] = pools
@@ -314,7 +294,7 @@ def relocalize_video(video: Video, graph: NeighborGraph, state: IterationState,
         ]
         for kf in kfs
     }
-    return solutions, saliency_maps, boxes_by_kf, containment_masks(video, boxes_by_kf)
+    return solutions, saliency_maps, boxes_by_kf
 
 
 def run_discovery(collection: Collection, config: Config, threads: int | None = None
@@ -326,7 +306,10 @@ def run_discovery(collection: Collection, config: Config, threads: int | None = 
     (collection, config) regardless of the thread count.
     """
     config.validate()
-    threads = threads if threads and threads > 0 else (os.cpu_count() or 1)
+    if threads is None:
+        threads = os.cpu_count() or 1
+    elif threads < 1:
+        raise ValidationError(f"threads must be >= 1, got {threads}")
     if not collection.videos:
         raise ValidationError("collection has no videos")
     for vid, video in collection.videos.items():
@@ -343,11 +326,16 @@ def run_discovery(collection: Collection, config: Config, threads: int | None = 
     state = initialize_state(collection, config)
     snapshots: list[IterationState] = []
     for iteration in range(1, config.iterations + 1):
-        graph = update_network(state, collection, config, threads)
+        # both phases read the proposals inside the previous state's regions
+        contained = {
+            (vid, kf): region_contained(collection.videos[vid].frames[kf], regions)
+            for vid, by_kf in state.boxes.items() for kf, regions in by_kf.items()
+        }
+        graph = update_network(state, contained, collection, config, threads)
         num_tubes = 1 if iteration == config.iterations else config.p_tubes
 
         def relocalize(vid: str):
-            return relocalize_video(collection.videos[vid], graph, state, collection,
+            return relocalize_video(collection.videos[vid], graph, contained, collection,
                                     config, num_tubes, motion[vid])
 
         results = _map_ordered(relocalize, video_ids, threads)
@@ -356,7 +344,6 @@ def run_discovery(collection: Collection, config: Config, threads: int | None = 
             tubes={vid: res[0] for vid, res in zip(video_ids, results)},
             saliency={vid: res[1] for vid, res in zip(video_ids, results)},
             boxes={vid: res[2] for vid, res in zip(video_ids, results)},
-            contained={vid: res[3] for vid, res in zip(video_ids, results)},
             graph=graph,
         )
         snapshots.append(state)

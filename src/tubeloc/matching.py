@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Box, Config, Frame, Proposal
+from .model import Config, Frame, Proposal
 
 TRANSLATION_RANGE = (-1.0, 1.0)
 LOG_SCALE_RANGE = (-math.log(4.0), math.log(4.0))
@@ -88,24 +88,6 @@ def _offset_grid(nt: int, ns: int) -> OffsetGrid:
     return grid
 
 
-def box_location(box: Box, frame_width: float, frame_height: float) -> np.ndarray:
-    """Normalized center plus log square root of the box-to-frame area ratio."""
-    cx, cy = box.center
-    scale = 0.5 * math.log(box.area / (frame_width * frame_height))
-    return np.array([cx / frame_width, cy / frame_height, scale])
-
-
-def appearance_affinity(f1, f2, gamma: float) -> float:
-    """exp(-gamma * squared L2 distance); 1.0 for identical descriptors."""
-    a = np.asarray(f1, dtype=float)
-    b = np.asarray(f2, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"descriptor dimensions differ: {a.shape} vs {b.shape}")
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    return float(np.exp(-gamma * np.sum((a - b) ** 2)))
-
-
 def affinity_matrix(descs_a: np.ndarray, descs_b: np.ndarray, gamma: float) -> np.ndarray:
     if descs_a.shape[1] != descs_b.shape[1]:
         raise ValueError("descriptor dimensions differ")
@@ -113,17 +95,6 @@ def affinity_matrix(descs_a: np.ndarray, descs_b: np.ndarray, gamma: float) -> n
         raise ValueError("gamma must be >= 0")
     sq = ((descs_a[:, None, :] - descs_b[None, :, :]) ** 2).sum(axis=2)
     return np.exp(-gamma * sq)
-
-
-def geometry_likelihood(offset, center, bandwidths) -> float:
-    """Unnormalized diagonal Gaussian; 1.0 when the offset sits on the center."""
-    off = np.asarray(offset, dtype=float)
-    ctr = np.asarray(center, dtype=float)
-    value = 1.0
-    for k in range(3):
-        z = (off[k] - ctr[k]) / bandwidths[k]
-        value *= math.exp(-0.5 * z * z)
-    return value
 
 
 def _axis_kernel(values: np.ndarray, centers: np.ndarray, bandwidth: float) -> np.ndarray:

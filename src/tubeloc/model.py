@@ -63,29 +63,12 @@ class Box:
     def area(self) -> float:
         return self.width * self.height
 
-    @property
-    def center(self) -> tuple[float, float]:
-        return (self.x_min + 0.5 * self.width, self.y_min + 0.5 * self.height)
-
-    def contains_point(self, x: float, y: float) -> bool:
-        """Inclusive membership test for a point."""
-        return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
-
     def intersection_area(self, other: "Box") -> float:
         w = min(self.x_max, other.x_max) - max(self.x_min, other.x_min)
         h = min(self.y_max, other.y_max) - max(self.y_min, other.y_min)
         if w <= 0 or h <= 0:
             return 0.0
         return w * h
-
-    def intersect(self, other: "Box") -> "Box | None":
-        x0 = max(self.x_min, other.x_min)
-        y0 = max(self.y_min, other.y_min)
-        x1 = min(self.x_max, other.x_max)
-        y1 = min(self.y_max, other.y_max)
-        if x1 <= x0 or y1 <= y0:
-            return None
-        return Box(x0, y0, x1 - x0, y1 - y0)
 
     def as_list(self) -> list[float]:
         return [self.x_min, self.y_min, self.width, self.height]
@@ -316,7 +299,6 @@ class Config:
     affinity_gamma: float = 1.0
     hough_translation_bins: int = 16
     hough_scale_bins: int = 7
-    rng_seed: int = 0
 
     def validate(self):
         check_field_types(self)

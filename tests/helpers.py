@@ -1,6 +1,10 @@
-"""Shared builders for the test suite."""
+"""Shared builders and scalar reference implementations for the test suite."""
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -73,3 +77,88 @@ def remove_choice(trellis: Trellis, regions: dict[int, int]) -> Trellis | None:
         for t in range(trellis.num_frames - 1)
     ]
     return Trellis(trellis.video_id, trellis.frame_indices, ids, unary, pairwise)
+
+
+# -- scalar references the vectorized program is compared against ----------
+
+
+def _contains_point(box: Box, x: float, y: float) -> bool:
+    """Inclusive membership test for a point."""
+    return box.x_min <= x <= box.x_max and box.y_min <= y <= box.y_max
+
+
+def box_location(box: Box, frame_width: float, frame_height: float) -> np.ndarray:
+    """Normalized center plus log square root of the box-to-frame area ratio."""
+    cx = box.x_min + 0.5 * box.width
+    cy = box.y_min + 0.5 * box.height
+    scale = 0.5 * math.log(box.area / (frame_width * frame_height))
+    return np.array([cx / frame_width, cy / frame_height, scale])
+
+
+def appearance_affinity(f1, f2, gamma: float) -> float:
+    """exp(-gamma * squared L2 distance); 1.0 for identical descriptors."""
+    a = np.asarray(f1, dtype=float)
+    b = np.asarray(f2, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"descriptor dimensions differ: {a.shape} vs {b.shape}")
+    if gamma < 0:
+        raise ValueError("gamma must be >= 0")
+    return float(np.exp(-gamma * np.sum((a - b) ** 2)))
+
+
+def geometry_likelihood(offset, center, bandwidths) -> float:
+    """Unnormalized diagonal Gaussian; 1.0 when the offset sits on the center."""
+    off = np.asarray(offset, dtype=float)
+    ctr = np.asarray(center, dtype=float)
+    value = 1.0
+    for k in range(3):
+        z = (off[k] - ctr[k]) / bandwidths[k]
+        value *= math.exp(-0.5 * z * z)
+    return value
+
+
+def motion_consistency(box_a: Box, box_b: Box, points_a: np.ndarray, points_b: np.ndarray,
+                       theta: float) -> float:
+    """Average unit-square L1 drift of shared tracks, negated; theta when none.
+
+    Rows of ``points_a``/``points_b`` are the same track's coordinates at the
+    two frames; a track is shared only when it lies inside both boxes.
+    """
+    points_a = np.asarray(points_a, dtype=float).reshape(-1, 2)
+    points_b = np.asarray(points_b, dtype=float).reshape(-1, 2)
+    if points_a.shape != points_b.shape:
+        raise ValueError("point arrays must pair up row by row")
+    in_a = np.array([_contains_point(box_a, x, y) for x, y in points_a], dtype=bool)
+    in_b = np.array([_contains_point(box_b, x, y) for x, y in points_b], dtype=bool)
+    shared = in_a & in_b
+    count = int(shared.sum())
+    if count == 0:
+        return float(theta)
+    ua = (points_a[shared, 0] - box_a.x_min) / box_a.width
+    va = (points_a[shared, 1] - box_a.y_min) / box_a.height
+    ub = (points_b[shared, 0] - box_b.x_min) / box_b.width
+    vb = (points_b[shared, 1] - box_b.y_min) / box_b.height
+    drift = np.abs(ua - ub) + np.abs(va - vb)
+    return float(-drift.sum() / (2.0 * count))
+
+
+def union_area_exact(box: Box, regions) -> Fraction:
+    """Exact area of ``box`` covered by the union of ``regions``.
+
+    Inclusion-exclusion over every non-empty subset of regions, in rational
+    arithmetic on the boxes' float edges, so no rounding enters.
+    """
+    def edges(b: Box):
+        return (Fraction(b.x_min), Fraction(b.y_min), Fraction(b.x_max), Fraction(b.y_max))
+
+    outer = edges(box)
+    area = Fraction(0)
+    for size in range(1, len(regions) + 1):
+        for subset in combinations([edges(r) for r in regions], size):
+            x0 = max([outer[0]] + [e[0] for e in subset])
+            y0 = max([outer[1]] + [e[1] for e in subset])
+            x1 = min([outer[2]] + [e[2] for e in subset])
+            y1 = min([outer[3]] + [e[3] for e in subset])
+            if x1 > x0 and y1 > y0:
+                area += (-1) ** (size + 1) * (x1 - x0) * (y1 - y0)
+    return area

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import remove_choice
+from helpers import appearance_affinity, remove_choice
 from tubeloc.cli import main as cli_main
 from tubeloc.consistency import (
     appearance_consistency_matrix,
@@ -19,7 +19,6 @@ from tubeloc.consistency import (
 from tubeloc.discovery import bootstrap_neighbors, run_discovery
 from tubeloc.formats import save_collection
 from tubeloc.matching import (
-    appearance_affinity,
     appearance_confidence,
     hough_votes,
     match_confidences,

@@ -132,9 +132,18 @@ class TestRunCommand:
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_non_positive_threads_exits_one(self, tiny_collection, tmp_path, capsys, threads):
+        code = main(["run", "--collection", str(tiny_collection / "manifest.jsonl"),
+                     "--out", str(tmp_path / "o"), "--threads", threads])
+        assert code == 1
+        assert "threads must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("data,message", [
         ({"alpha": "0.5"}, "alpha must be a number"),
         ({"k_neighbors": 2.5}, "k_neighbors must be an integer"),
+        ({"rng_seed": 3}, "unknown config field"),
     ])
     def test_mistyped_config_file_exits_one(self, tiny_collection, tmp_path, capsys,
                                             data, message):

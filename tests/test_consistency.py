@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import rand_unit
+from helpers import motion_consistency, rand_unit
 from tubeloc.consistency import (
     appearance_consistency_matrix,
     consistency_matrix,
-    motion_consistency,
     motion_consistency_matrix,
 )
 from tubeloc.model import Box

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tubeloc.discovery as discovery
-from helpers import basis_vec, make_frame
+from helpers import basis_vec, make_frame, union_area_exact
 from tubeloc.discovery import (
+    CONTAINMENT_RATIO,
     bootstrap_neighbors,
-    box_area_in_regions,
     build_video_trellis,
     frame_similarity,
     initialize_state,
@@ -88,22 +90,99 @@ class TestBootstrap:
             assert all(nvid != vid for (nvid, _nt), _s in entries)
 
 
+def _frame_of(boxes) -> Frame:
+    return make_frame(proposals=[Proposal(i, box, basis_vec(4, 0))
+                                 for i, box in enumerate(boxes)])
+
+
+@st.composite
+def _int_box(draw, lo: int, hi: int) -> Box:
+    x0, x1 = sorted(draw(st.lists(st.integers(lo, hi), min_size=2, max_size=2, unique=True)))
+    y0, y1 = sorted(draw(st.lists(st.integers(lo, hi), min_size=2, max_size=2, unique=True)))
+    return Box(x0, y0, x1 - x0, y1 - y0)
+
+
+def _real_box(lo: float, hi: float):
+    return st.builds(Box, st.floats(lo, hi), st.floats(lo, hi),
+                     st.floats(1.0, 100.0), st.floats(1.0, 100.0))
+
+
+@st.composite
+def _containment_case(draw):
+    """1-4 proposals on a 0..20 grid and 1-5 regions that may extend past them.
+
+    After the first, each region is free or derived from an earlier one: a
+    duplicate, a box nested inside it, or a box sharing its right or bottom
+    edge. Integer and eighth-integer edges keep every area exact in floating
+    point.
+    """
+    boxes = draw(st.lists(_int_box(0, 20), min_size=1, max_size=4))
+    regions = [draw(_int_box(-4, 24))]
+    for _ in range(draw(st.integers(0, 4))):
+        base = draw(st.sampled_from(regions))
+        kind = draw(st.sampled_from(["free", "duplicate", "nested", "right", "below"]))
+        if kind == "duplicate":
+            regions.append(base)
+        elif kind == "nested":
+            inner = draw(_int_box(0, 8))
+            regions.append(Box(base.x_min + inner.x_min * base.width / 8,
+                               base.y_min + inner.y_min * base.height / 8,
+                               inner.width * base.width / 8, inner.height * base.height / 8))
+        elif kind == "right":
+            regions.append(Box(base.x_max, draw(st.integers(-4, 20)),
+                               draw(st.integers(1, 8)), draw(st.integers(1, 8))))
+        elif kind == "below":
+            regions.append(Box(draw(st.integers(-4, 20)), base.y_max,
+                               draw(st.integers(1, 8)), draw(st.integers(1, 8))))
+        else:
+            regions.append(draw(_int_box(-4, 24)))
+    return boxes, regions
+
+
 class TestContainment:
     def test_union_area_with_overlap(self):
-        box = Box(0, 0, 10, 10)
-        regions = [Box(0, 0, 6, 10), Box(4, 0, 6, 10)]
-        assert box_area_in_regions(box, regions) == pytest.approx(100.0)
+        # each region covers 60% of the box, their union all of it
+        boxes = [Box(0, 0, 10, 10)]
+        left, right = Box(0, 0, 6, 10), Box(4, 0, 6, 10)
+        assert region_contained(_frame_of(boxes), [left, right]).tolist() == [True]
+        assert region_contained(_frame_of(boxes), [left]).tolist() == [False]
+        assert region_contained(_frame_of(boxes), [right]).tolist() == [False]
 
     def test_ratio_threshold(self):
-        box = Box(0, 0, 10, 10)
-        assert region_contained(box, [Box(0, 0, 10, 9.5)])  # 95% covered
-        assert not region_contained(box, [Box(0, 0, 10, 8.0)])  # 80% covered
+        frame = _frame_of([Box(0, 0, 10, 10)] * 3)
+        assert region_contained(frame, [Box(0, 0, 10, 9.5)]).all()  # 95% covered
+        assert region_contained(frame, [Box(0, 0, 10, 9.0)]).all()  # 90%: inclusive
+        assert not region_contained(frame, [Box(0, 0, 10, 8.0)]).any()  # 80% covered
 
     def test_growing_region_grows_pool(self):
-        box = Box(0, 0, 10, 10)
-        small = [Box(0, 0, 8, 8)]
-        large = [Box(0, 0, 12, 12)]
-        assert box_area_in_regions(box, large) >= box_area_in_regions(box, small)
+        frame = _frame_of([Box(0, 0, 10, 10), Box(2, 2, 4, 4), Box(20, 20, 5, 5)])
+        small = region_contained(frame, [Box(0, 0, 8, 8)])
+        large = region_contained(frame, [Box(0, 0, 12, 12)])
+        assert small.tolist() == [False, True, False]
+        assert large.tolist() == [True, True, False]
+
+    @settings(deadline=None)
+    @given(_containment_case())
+    @example(([Box(0, 0, 10, 10)], [Box(0, 0, 10, 9)]))  # exactly 90%
+    @example(([Box(0, 0, 10, 10)], [Box(0, 0, 9, 10), Box(0, 0, 9, 10)]))  # duplicate
+    @example(([Box(0, 0, 10, 10)], [Box(0, 0, 5, 9), Box(5, 0, 5, 9)]))  # shared edge
+    @example(([Box(0, 0, 10, 10)], [Box(-5, -5, 20, 14)]))  # past the box
+    @example(([Box(0, 0, 10, 10)], [Box(0, 0, 10, 10), Box(2, 2, 2, 2)]))  # nested
+    def test_matches_exact_union_area(self, case):
+        boxes, regions = case
+        mask = region_contained(_frame_of(boxes), regions)
+        assert mask.tolist() == [union_area_exact(b, regions) >= CONTAINMENT_RATIO * b.area
+                                 for b in boxes]
+
+    @settings(deadline=None)
+    @given(st.lists(_real_box(0.0, 100.0), min_size=1, max_size=4),
+           st.lists(_real_box(-50.0, 150.0), min_size=1, max_size=5))
+    def test_matches_exact_union_area_real_edges(self, boxes, regions):
+        mask = region_contained(_frame_of(boxes), regions)
+        for got, b in zip(mask.tolist(), boxes):
+            gap = union_area_exact(b, regions) - CONTAINMENT_RATIO * b.area
+            if abs(gap) > 1e-9 * b.area:  # rounding decides only at the threshold
+                assert got == (gap >= 0)
 
 
 class TestRetrievalPool:
@@ -113,15 +192,16 @@ class TestRetrievalPool:
             Proposal(1, Box(10, 10, 20, 20), basis_vec(4, 1)),
             Proposal(2, Box(200, 200, 50, 40), basis_vec(4, 2)),
         ])
-        localized = [Box(0, 0, 60, 60)]
-        pool = retrieval_pool(frame, localized, {0: 0.2, 1: 0.9, 2: 5.0}, limit=10)
+        mask = region_contained(frame, [Box(0, 0, 60, 60)])
+        pool = retrieval_pool(frame, mask, {0: 0.2, 1: 0.9, 2: 5.0}, limit=10)
         assert [p.id for p in pool] == [1, 0]  # proposal 2 lies outside
 
     def test_limit_cap(self):
         frame = make_frame(proposals=[
             Proposal(i, Box(1 + i, 1, 20, 20), basis_vec(4, i % 4)) for i in range(5)
         ])
-        pool = retrieval_pool(frame, [Box(0, 0, 320, 240)], {}, limit=3)
+        mask = region_contained(frame, [Box(0, 0, 320, 240)])
+        pool = retrieval_pool(frame, mask, {}, limit=3)
         assert [p.id for p in pool] == [0, 1, 2]
 
 
@@ -147,8 +227,8 @@ class TestFrameSimilarity:
             Proposal(0, Box(10, 10, 40, 40), basis_vec(4, 0)),
             Proposal(1, Box(250, 180, 60, 50), basis_vec(4, 1)),
         ])
-        localized = [Box(0, 0, 60, 60)]
-        pool = retrieval_pool(frame, localized, {0: 1.0, 1: 9.0}, limit=10)
+        mask = region_contained(frame, [Box(0, 0, 60, 60)])
+        pool = retrieval_pool(frame, mask, {0: 1.0, 1: 9.0}, limit=10)
         assert [p.id for p in pool] == [0]
 
 
@@ -157,7 +237,7 @@ class TestUpdateNetwork:
         collection, _, _ = noise_free_bundle
         cfg = Config()
         state = initialize_state(collection, cfg)
-        graph = update_network(state, collection, cfg)
+        graph = update_network(state, {}, collection, cfg)  # bootstrap reads no masks
         expected = bootstrap_neighbors(collection, cfg.k_neighbors, cfg.keyframe_stride)
         assert graph.neighbors == expected.neighbors
 
@@ -171,7 +251,7 @@ class TestUpdateNetwork:
     def test_k_one_returns_single_neighbor(self, noise_free_bundle):
         collection, _, _ = noise_free_bundle
         cfg = Config(k_neighbors=1)
-        graph = update_network(initialize_state(collection, cfg), collection, cfg)
+        graph = update_network(initialize_state(collection, cfg), {}, collection, cfg)
         assert all(len(v) == 1 for v in graph.neighbors.values())
 
     def test_equal_similarities_tie_break(self):
@@ -290,10 +370,9 @@ class TestComputeOnce:
                          num_distractors=3, seed=11)
         collection, _, _ = generate_collection(spec)
         config = Config(iterations=3, k_neighbors=4, p_tubes=2)
-        proposals = sum(len(video.frames[kf].proposals)
-                        for video in collection.videos.values()
-                        for kf in key_frames(video, config.keyframe_stride))
-        return collection, config, proposals
+        key_frame_count = sum(len(key_frames(video, config.keyframe_stride))
+                              for video in collection.videos.values())
+        return collection, config, key_frame_count
 
     @staticmethod
     def _count_calls(monkeypatch, name: str, counts: dict):
@@ -306,20 +385,20 @@ class TestComputeOnce:
         monkeypatch.setattr(discovery, name, counted)
 
     def test_containment_once_per_iteration_and_frame(self, small, monkeypatch):
-        collection, config, proposals = small
+        # every iteration reads the masks of the previous state's regions;
+        # the final state's regions are read by no one
+        collection, config, key_frame_count = small
         counts: dict = {}
         self._count_calls(monkeypatch, "region_contained", counts)
         run_discovery(collection, config, threads=1)
-        assert counts["region_contained"] <= (config.iterations + 1) * proposals
+        assert counts["region_contained"] == config.iterations * key_frame_count
 
     def test_motion_once_per_run(self, small, monkeypatch):
-        collection, config, _ = small
+        collection, config, key_frame_count = small
         counts: dict = {}
         self._count_calls(monkeypatch, "VideoTrackIndex", counts)
         self._count_calls(monkeypatch, "motion_coherence_many", counts)
         run_discovery(collection, config, threads=1)
-        key_frame_count = sum(len(key_frames(video, config.keyframe_stride))
-                              for video in collection.videos.values())
         assert counts["VideoTrackIndex"] == len(collection.videos)
         assert counts["motion_coherence_many"] == key_frame_count
 

@@ -7,15 +7,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import basis_vec, make_frame, rand_frame, rand_unit
+from helpers import (
+    appearance_affinity,
+    basis_vec,
+    box_location,
+    geometry_likelihood,
+    make_frame,
+    rand_frame,
+    rand_unit,
+)
 from tubeloc.matching import (
     PAIR_BLOCK,
     OffsetGrid,
-    appearance_affinity,
     appearance_confidence,
-    box_location,
     frame_saliencies,
-    geometry_likelihood,
     hough_votes,
     match_confidences,
     rescale_unit,

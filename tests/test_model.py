@@ -30,12 +30,6 @@ class TestBox:
         assert a.intersection_area(b) == 50.0
         assert a.intersection_area(Box(20, 20, 5, 5)) == 0.0
 
-    def test_contains_point_inclusive(self):
-        b = Box(0, 0, 10, 10)
-        assert b.contains_point(0, 0)
-        assert b.contains_point(10, 10)
-        assert not b.contains_point(10.0001, 5)
-
 
 def _video(length: int) -> Video:
     frames = {t: make_frame("v", t) for t in range(length)}
