@@ -89,7 +89,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 def _read_object(path: str | None, what: str) -> dict:
     """The JSON object in ``path``, or an empty one when no file is given."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8")) if path else {}
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8")) if path else {}
+    except ValueError as exc:  # also an integer beyond Python's digit limit
+        raise ValidationError(f"{what} file {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ValidationError(f"{what} file {path} must hold a JSON object")
     return raw

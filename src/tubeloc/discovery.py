@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -198,22 +199,26 @@ def update_network(state: IterationState, contained: dict[FrameRef, np.ndarray],
     return NeighborGraph(dict(zip(refs, results)))
 
 
-def motion_scores(video: Video, kfs: list[int]) -> dict[int, np.ndarray]:
-    """Motion coherence of every proposal of the given key frames.
+class VideoMotion(NamedTuple):
+    """Motion evidence of a video's key frames; tracks and boxes never change
+    during a run, so ``motion_scores`` computes it once per video."""
 
-    Boxes and tracks never change during a run, so this is computed once per
-    video and handed to every ``build_video_trellis`` call.
-    """
+    coherence: dict[int, np.ndarray]  # key frame -> motion coherence per proposal row
+    shared: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]  # (a, b) -> shared points
+
+
+def motion_scores(video: Video, kfs: list[int]) -> VideoMotion:
+    """Motion coherence of every proposal of the given key frames, plus the
+    points of the tracks shared by each pair of consecutive key frames."""
     track_index = VideoTrackIndex(video)
-    return {
-        kf: motion_coherence_many([p.box for p in video.frames[kf].proposals],
-                                  track_index.at(kf))
-        for kf in kfs
-    }
+    return VideoMotion(
+        {kf: motion_coherence_many(video.frames[kf].boxes, track_index.at(kf)) for kf in kfs},
+        {(a, b): track_index.shared(a, b) for a, b in zip(kfs, kfs[1:])},
+    )
 
 
 def build_video_trellis(video: Video, pools_by_kf: dict[int, list[tuple[Frame, list[Proposal]]]],
-                        config: Config, motion: dict[int, np.ndarray] | None = None
+                        config: Config, motion: VideoMotion | None = None
                         ) -> tuple[Trellis, dict[int, dict[int, float]]]:
     """Score all proposals of a video's key frames and assemble the DP trellis.
 
@@ -232,7 +237,7 @@ def build_video_trellis(video: Video, pools_by_kf: dict[int, list[tuple[Frame, l
         if not frame.proposals:
             raise ValidationError(f"key frame {kf} of video {video.video_id} has no proposals")
         phi_a, saliency = appearance_confidence(frame, pools_by_kf[kf], config)
-        phi = phi_a + config.alpha * motion[kf]
+        phi = phi_a + config.alpha * motion.coherence[kf]
         ids_per_frame.append(frame.ids.tolist())
         scores_per_frame.append(list(phi))
         saliency_maps[kf] = dict(zip(frame.ids.tolist(), saliency.tolist()))
@@ -242,12 +247,7 @@ def build_video_trellis(video: Video, pools_by_kf: dict[int, list[tuple[Frame, l
         frame_b = video.frames[kfs[step + 1]]
         rows_a = frame_a.rows(ids_a)
         rows_b = frame_b.rows(ids_b)
-        shared = [
-            tr for tr in video.tracks
-            if tr.alive_at(kfs[step]) and tr.alive_at(kfs[step + 1])
-        ]
-        points_a = np.array([tr.point_at(kfs[step]) for tr in shared]).reshape(-1, 2)
-        points_b = np.array([tr.point_at(kfs[step + 1]) for tr in shared]).reshape(-1, 2)
+        points_a, points_b = motion.shared[kfs[step], kfs[step + 1]]
         return consistency_matrix(
             frame_a.descriptors[rows_a],
             frame_b.descriptors[rows_b],
@@ -265,7 +265,7 @@ def build_video_trellis(video: Video, pools_by_kf: dict[int, list[tuple[Frame, l
 
 def relocalize_video(video: Video, graph: NeighborGraph,
                      contained: dict[FrameRef, np.ndarray], collection: Collection,
-                     config: Config, num_tubes: int, motion: dict[int, np.ndarray]
+                     config: Config, num_tubes: int, motion: VideoMotion
                      ) -> tuple[list[TubeSolution], dict[int, dict[int, float]],
                                 dict[int, list[Box]]]:
     """Optimize one video against its neighbors' currently localized regions,

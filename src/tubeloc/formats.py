@@ -64,8 +64,9 @@ def _box_record(box: Box) -> list[float]:
 def _box_from_record(value, locus: str) -> Box:
     if not isinstance(value, list) or len(value) != 4:
         raise ValidationError("box must be a list [x_min, y_min, width, height]", locus=locus)
+    coordinates = [_converted(v, float, "box coordinate", locus) for v in value]
     try:
-        return Box(*[float(v) for v in value])
+        return Box(*coordinates)
     except ValidationError as exc:
         raise ValidationError(str(exc), locus=locus) from None
 
@@ -106,8 +107,9 @@ def read_jsonl(path: Path) -> Iterator[tuple[str, dict]]:
             locus = f"{path}:{lineno}"
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"invalid JSON ({exc.msg})", locus=locus) from None
+            except ValueError as exc:  # also an integer beyond Python's digit limit
+                message = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+                raise ValidationError(f"invalid JSON ({message})", locus=locus) from None
             if not isinstance(record, dict) or "type" not in record:
                 raise ValidationError("record must be an object with a 'type' field", locus=locus)
             yield locus, record
@@ -117,6 +119,28 @@ def _require(record: dict, key: str, locus: str):
     if key not in record:
         raise ValidationError(f"missing field {key!r}", locus=locus)
     return record[key]
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+_EXPECTED = {int: "an integer", float: "a number", _floats: "a list of numbers"}
+
+
+def _converted(value, kind, what: str, locus: str):
+    """``kind(value)`` for ``kind`` in int, float, _floats or str (which
+    cannot fail); a value of the wrong type or shape raises ValidationError at
+    ``locus``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{what} must be {_EXPECTED[kind]}, got {value!r:.40}",
+                              locus=locus) from None
+
+
+def _field(record: dict, key: str, locus: str, kind=int):
+    return _converted(_require(record, key, locus), kind, key, locus)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +230,7 @@ def save_collection(collection: Collection, out_dir: Path) -> Path:
 
 
 def _load_vector(record: dict, key: str, dim: int, locus: str) -> np.ndarray:
-    value = _require(record, key, locus)
-    arr = np.asarray(value, dtype=float)
+    arr = _field(record, key, locus, _floats)
     if arr.ndim != 1 or arr.size != dim:
         raise ValidationError(
             f"{key} has dimension {arr.size}, expected {dim}", locus=locus
@@ -224,13 +247,13 @@ def _load_frames(path: Path, video_id: str, num_frames: int, descriptor_dim: int
     for locus, record in read_jsonl(path):
         kind = record["type"]
         if kind == "frame":
-            t = int(_require(record, "frame_index", locus))
+            t = _field(record, "frame_index", locus)
             if t < 0 or t >= num_frames:
                 raise ValidationError(f"frame index {t} outside video length {num_frames}", locus=locus)
             if t in frames:
                 raise ValidationError(f"duplicate frame index {t}", locus=locus)
-            width = float(_require(record, "width", locus))
-            height = float(_require(record, "height", locus))
+            width = _field(record, "width", locus, float)
+            height = _field(record, "height", locus, float)
             if width <= 0 or height <= 0:
                 raise ValidationError("frame size must be positive", locus=locus)
             signature = _load_vector(record, "signature", signature_dim, locus)
@@ -247,16 +270,18 @@ def _load_frames(path: Path, video_id: str, num_frames: int, descriptor_dim: int
             locus=str(path),
         )
 
+    seen: set[tuple[int, int]] = set()
     for locus, record in pending:
-        t = int(_require(record, "frame_index", locus))
+        t = _field(record, "frame_index", locus)
         if t not in frames:
             raise ValidationError(f"proposal references unknown frame {t}", locus=locus)
         frame = frames[t]
-        pid = int(_require(record, "id", locus))
-        if any(p.id == pid for p in frame.proposals):
+        pid = _field(record, "id", locus)
+        if (t, pid) in seen:
             raise ValidationError(
                 f"duplicate proposal id {pid} in frame {t} of video {video_id}", locus=locus
             )
+        seen.add((t, pid))
         try:
             box = _box_from_record(_require(record, "box", locus), locus)
         except ValidationError as exc:
@@ -288,15 +313,15 @@ def _load_tracks(path: Path, video_id: str, frames: dict[int, Frame],
     for locus, record in read_jsonl(path):
         if record["type"] != "track":
             raise ValidationError(f"unexpected record type {record['type']!r}", locus=locus)
-        tid = int(_require(record, "id", locus))
+        tid = _field(record, "id", locus)
         if tid in seen:
             raise ValidationError(f"duplicate track id {tid} in video {video_id}", locus=locus)
         seen.add(tid)
-        cluster = int(_require(record, "cluster", locus))
+        cluster = _field(record, "cluster", locus)
         if cluster < 0:
             raise ValidationError("cluster label must be >= 0", locus=locus)
-        start = int(_require(record, "start_frame", locus))
-        points = np.asarray(_require(record, "points", locus), dtype=float)
+        start = _field(record, "start_frame", locus)
+        points = _field(record, "points", locus, _floats)
         if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] < 2:
             raise ValidationError("track needs at least two (x, y) points", locus=locus)
         if not np.all(np.isfinite(points)):
@@ -324,7 +349,7 @@ def _load_truth(path: Path, video_id: str, frames: dict[int, Frame],
             raise ValidationError(f"unexpected record type {record['type']!r}", locus=locus)
         if truth is not None:
             raise ValidationError(f"video {video_id} has more than one annotated frame", locus=locus)
-        t = int(_require(record, "frame_index", locus))
+        t = _field(record, "frame_index", locus)
         if t < 0 or t >= num_frames:
             raise ValidationError(f"annotated frame {t} outside video length", locus=locus)
         box = _box_from_record(_require(record, "box", locus), locus)
@@ -348,8 +373,8 @@ def load_collection(manifest_path: Path, keyframe_stride: int | None = None) -> 
             "manifest must start with a 'collection' header record", locus=str(manifest_path)
         )
     locus, header = records[0]
-    descriptor_dim = int(_require(header, "descriptor_dim", locus))
-    signature_dim = int(_require(header, "signature_dim", locus))
+    descriptor_dim = _field(header, "descriptor_dim", locus)
+    signature_dim = _field(header, "signature_dim", locus)
     if descriptor_dim < 1 or signature_dim < 1:
         raise ValidationError("descriptor/signature dimensions must be >= 1", locus=locus)
 
@@ -361,19 +386,21 @@ def load_collection(manifest_path: Path, keyframe_stride: int | None = None) -> 
         vid = str(_require(record, "video_id", locus))
         if vid in collection.videos:
             raise ValidationError(f"duplicate video id {vid}", locus=locus)
-        num_frames = int(_require(record, "num_frames", locus))
+        num_frames = _field(record, "num_frames", locus)
         if num_frames < 1:
             raise ValidationError("video must have at least one frame", locus=locus)
         frames = _load_frames(
-            base / _require(record, "frames_file", locus), vid, num_frames,
+            base / _field(record, "frames_file", locus, str), vid, num_frames,
             descriptor_dim, signature_dim,
         )
-        tracks = _load_tracks(base / _require(record, "tracks_file", locus), vid, frames, num_frames)
+        tracks = _load_tracks(base / _field(record, "tracks_file", locus, str), vid, frames,
+                              num_frames)
         video = Video(vid, num_frames, frames, tracks)
         collection.videos[vid] = video
         truth_file = record.get("truth_file")
         if truth_file:
-            collection.ground_truths[vid] = _load_truth(base / truth_file, vid, frames, num_frames)
+            collection.ground_truths[vid] = _load_truth(base / str(truth_file), vid, frames,
+                                                        num_frames)
 
     if keyframe_stride is not None:
         for vid, video in collection.videos.items():
@@ -417,19 +444,20 @@ def load_tubes(path: Path) -> dict[str, list[Tube]]:
         if record["type"] != "tube":
             raise ValidationError(f"unexpected record type {record['type']!r}", locus=locus)
         vid = str(_require(record, "video_id", locus))
-        rank = int(_require(record, "rank", locus))
+        rank = _field(record, "rank", locus)
         regions: dict[int, int] = {}
         for item in _require(record, "regions", locus):
             if not isinstance(item, list) or len(item) != 3:
                 raise ValidationError("region entry must be [frame, proposal_id, box]", locus=locus)
-            kf, pid = int(item[0]), int(item[1])
+            kf = _converted(item[0], int, "region frame", locus)
+            pid = _converted(item[1], int, "region proposal id", locus)
             if kf in regions:
                 raise ValidationError(f"duplicate key frame {kf} in tube", locus=locus)
             regions[kf] = pid
         tubes = out.setdefault(vid, [])
         if rank != len(tubes):
             raise ValidationError(f"tube ranks for video {vid} are not contiguous", locus=locus)
-        tubes.append(Tube(vid, regions, float(_require(record, "score", locus))))
+        tubes.append(Tube(vid, regions, _field(record, "score", locus, float)))
     return out
 
 
@@ -454,14 +482,15 @@ def load_neighbor_graph(path: Path) -> NeighborGraph:
         if record["type"] != "neighbors":
             raise ValidationError(f"unexpected record type {record['type']!r}", locus=locus)
         ref: FrameRef = (str(_require(record, "video_id", locus)),
-                         int(_require(record, "frame_index", locus)))
+                         _field(record, "frame_index", locus))
         if ref in graph.neighbors:
             raise ValidationError(f"duplicate neighbor record for {ref}", locus=locus)
         entries = []
         for item in _require(record, "neighbors", locus):
             if not isinstance(item, list) or len(item) != 3:
                 raise ValidationError("neighbor entry must be [video_id, frame, similarity]", locus=locus)
-            entries.append(((str(item[0]), int(item[1])), float(item[2])))
+            entries.append(((str(item[0]), _converted(item[1], int, "neighbor frame", locus)),
+                            _converted(item[2], float, "neighbor similarity", locus)))
         graph.neighbors[ref] = entries
     graph.validate()
     return graph

@@ -181,22 +181,6 @@ class Track:
     start_frame: int
     points: np.ndarray
 
-    @property
-    def num_points(self) -> int:
-        return int(self.points.shape[0])
-
-    @property
-    def end_frame(self) -> int:
-        return self.start_frame + self.num_points - 1
-
-    def alive_at(self, frame_index: int) -> bool:
-        return self.start_frame <= frame_index <= self.end_frame
-
-    def point_at(self, frame_index: int) -> np.ndarray:
-        if not self.alive_at(frame_index):
-            raise ValidationError(f"track {self.id} is not alive at frame {frame_index}")
-        return self.points[frame_index - self.start_frame]
-
 
 @dataclass(eq=False)
 class Video:
@@ -275,8 +259,14 @@ def check_field_types(params) -> None:
                 raise ValidationError(f"{key} must be an integer, got {value!r}")
         elif isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValidationError(f"{key} must be a number, got {value!r}")
-        elif not math.isfinite(value):
-            raise ValidationError(f"{key} must be finite, got {value!r}")
+        else:
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:
+                raise ValidationError(
+                    f"{key} must be finite, got an integer too large for a float") from None
+            if not finite:
+                raise ValidationError(f"{key} must be finite, got {value!r}")
 
 
 @dataclass

@@ -139,13 +139,6 @@ def _solution_from_indices(trellis: Trellis, indices: list[int], lam: float) -> 
     return TubeSolution(Tube(trellis.video_id, regions, objective), objective)
 
 
-def solve_best_tube(trellis: Trellis, lam: float) -> TubeSolution:
-    """Global maximizer of sum(unary) + lam * sum(pairwise) over the trellis."""
-    trellis.validate()
-    indices = _best_indices(trellis, lam)
-    return _solution_from_indices(trellis, indices, lam)
-
-
 def _remove_indices(trellis: Trellis, indices: list[int]) -> Trellis | None:
     """Drop the chosen candidate at every frame; None when any frame empties."""
     if any(trellis.candidate_count(t) <= 1 for t in range(trellis.num_frames)):

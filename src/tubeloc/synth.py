@@ -11,7 +11,7 @@ bit-exactly through the artifact files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -274,10 +274,6 @@ def generate_collection(spec: SynthSpec) -> tuple[Collection, PlantedTruth, list
             truths.append(truth)
 
     return collection, planted, truths
-
-
-def noisy_variant(spec: SynthSpec, descriptor_noise: float) -> SynthSpec:
-    return replace(spec, descriptor_noise=descriptor_noise)
 
 
 # ---------------------------------------------------------------------------

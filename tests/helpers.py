@@ -142,6 +142,51 @@ def motion_consistency(box_a: Box, box_b: Box, points_a: np.ndarray, points_b: n
     return float(-drift.sum() / (2.0 * count))
 
 
+def motion_coherence(box: Box, labels: np.ndarray, xy: np.ndarray) -> float:
+    """Per-cell reference of ``motion_coherence_many`` for one box.
+
+    Each point inside the box falls in a cell of its 5x5 grid; a cell's label
+    is the majority of its points' labels (ties to the smaller label). A
+    cluster's weight is the share of its frame points inside the box. Each
+    edge adds the best weight among its occupied cells, in the order L, R, T, B.
+    """
+    grid = 5
+    points = list(zip(xy.tolist(), labels.tolist()))
+    inside = [(x, y, label) for (x, y), label in points if _contains_point(box, x, y)]
+    cells: dict[tuple[int, int], list[int]] = {}
+    for x, y, label in inside:
+        col = min(max(int((x - box.x_min) / box.width * grid), 0), grid - 1)
+        row = min(max(int((y - box.y_min) / box.height * grid), 0), grid - 1)
+        cells.setdefault((row, col), []).append(label)
+
+    def weight(label: int) -> float:
+        return sum(lab == label for *_, lab in inside) / labels.tolist().count(label)
+
+    edges = (
+        [(i, 0) for i in range(grid)], [(i, grid - 1) for i in range(grid)],
+        [(0, j) for j in range(grid)], [(grid - 1, j) for j in range(grid)],
+    )
+    total = 0.0
+    for edge in edges:
+        majorities = [max(sorted(set(cells[c])), key=cells[c].count) for c in edge if c in cells]
+        if majorities:
+            total += max(weight(label) for label in majorities)
+    return total
+
+
+def shared_track_points(video: Video, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-track reference of ``VideoTrackIndex.shared``: the points at frames
+    ``a`` and ``b`` of every track alive at both, in track order."""
+    points_a, points_b = [], []
+    for track in video.tracks:
+        last = track.start_frame + len(track.points) - 1
+        if track.start_frame <= min(a, b) and max(a, b) <= last:
+            points_a.append(track.points[a - track.start_frame])
+            points_b.append(track.points[b - track.start_frame])
+    return (np.array(points_a, dtype=float).reshape(-1, 2),
+            np.array(points_b, dtype=float).reshape(-1, 2))
+
+
 def union_area_exact(box: Box, regions) -> Fraction:
     """Exact area of ``box`` covered by the union of ``regions``.
 

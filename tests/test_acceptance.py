@@ -6,11 +6,12 @@ Each test prints one PASS/FAIL line on stderr (visible with ``pytest -s``).
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import appearance_affinity, remove_choice
+from helpers import appearance_affinity, remove_choice, shared_track_points
 from tubeloc.cli import main as cli_main
 from tubeloc.consistency import (
     appearance_consistency_matrix,
@@ -26,13 +27,12 @@ from tubeloc.matching import (
 from tubeloc.metrics import corloc, corret, iou, retrieval_confusion, topk_error, video_labels
 from tubeloc.model import Box, Config, NeighborGraph, interpolate_tube, key_frames
 from tubeloc.motion import VideoTrackIndex, motion_coherence_many
-from tubeloc.solver import Trellis, solve_best_tube, solve_p_best
+from tubeloc.solver import Trellis, solve_p_best
 from tubeloc.synth import (
     SynthSpec,
     brute_force_matching,
     brute_force_tube,
     generate_collection,
-    noisy_variant,
     verify_planted_optimal,
 )
 
@@ -74,7 +74,7 @@ def test_criterion_1_dp_optimality():
     with _report(1, "DP optimality vs exhaustive enumeration"):
         start = time.perf_counter()
         for trellis, lam in _dp_instances():
-            dp = solve_best_tube(trellis, lam)
+            dp = solve_p_best(trellis, 1, lam)[0]
             bf = brute_force_tube(trellis, lam)
             assert dp.tube.regions == bf.tube.regions
             assert abs(dp.objective - bf.objective) <= 1e-9
@@ -135,7 +135,7 @@ def _bootstrap_pools(collection, config):
 def test_criterion_4_score_range_invariants(noise_free_bundle):
     with _report(4, "score ranges: standout, motion, consistency"):
         cfg = Config()
-        for spec in (SynthSpec(), noisy_variant(SynthSpec(), HALF_MARGIN_NOISE)):
+        for spec in (SynthSpec(), replace(SynthSpec(), descriptor_noise=HALF_MARGIN_NOISE)):
             collection, _, _ = generate_collection(spec)
             pools = _bootstrap_pools(collection, cfg)
             for vid, video in collection.videos.items():
@@ -148,8 +148,7 @@ def test_criterion_4_score_range_invariants(noise_free_bundle):
                     degenerate = np.all(phi_a == phi_a[0])
                     if not degenerate:
                         assert phi_a.min() == 0.0 and phi_a.max() == 1.0
-                    phi_m = motion_coherence_many([p.box for p in frame.proposals],
-                                                  index.at(kf))
+                    phi_m = motion_coherence_many(frame.boxes, index.at(kf))
                     assert np.all((phi_m >= 0.0) & (phi_m <= 4.0))
                 for a, b in zip(kfs, kfs[1:]):
                     props_a = video.frames[a].proposals
@@ -158,10 +157,7 @@ def test_criterion_4_score_range_invariants(noise_free_bundle):
                         np.stack([p.descriptor for p in props_a]),
                         np.stack([p.descriptor for p in props_b]))
                     assert np.all((psi_a >= 0.0) & (psi_a <= 1.0))
-                    shared = [tr for tr in video.tracks
-                              if tr.alive_at(a) and tr.alive_at(b)]
-                    pts_a = np.stack([tr.point_at(a) for tr in shared])
-                    pts_b = np.stack([tr.point_at(b) for tr in shared])
+                    pts_a, pts_b = shared_track_points(video, a, b)
                     psi_m = motion_consistency_matrix(
                         video.frames[a].boxes, video.frames[b].boxes,
                         pts_a, pts_b, cfg.theta)
@@ -187,7 +183,7 @@ def test_criterion_5_end_to_end_recovery(noise_free_bundle, noise_free_run):
         assert corret_avg == 100.0
 
         # noisy variant: raise descriptor noise until affinity margins halve
-        noisy_spec = noisy_variant(SynthSpec(), HALF_MARGIN_NOISE)
+        noisy_spec = replace(SynthSpec(), descriptor_noise=HALF_MARGIN_NOISE)
         noisy_col, noisy_planted, _ = generate_collection(noisy_spec)
         ratio = _margin_ratio(collection, planted, noisy_col, noisy_planted)
         assert 0.35 <= ratio <= 0.65, f"margin ratio {ratio:.2f} is not near one half"

@@ -1,4 +1,6 @@
 import json
+import shutil
+import sys
 
 import pytest
 
@@ -52,6 +54,20 @@ class TestSynthCommand:
     def test_mistyped_spec_file_exits_one(self, tmp_path, capsys, text, message):
         spec_path = tmp_path / "s.json"
         spec_path.write_text(text)
+        code = main(["synth", "--out", str(tmp_path / "o"), "--spec", str(spec_path)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("digits,message", [
+        (400, "object_scale must be finite"),
+        # past the integer digit limit of Pythons that have one
+        (5000, "not valid JSON" if hasattr(sys, "get_int_max_str_digits")
+         else "object_scale must be finite"),
+    ])
+    def test_integer_too_large_for_a_float_exits_one(self, tmp_path, capsys, digits, message):
+        spec_path = tmp_path / "s.json"
+        spec_path.write_text('{"object_scale": 1' + "0" * digits + "}")
         code = main(["synth", "--out", str(tmp_path / "o"), "--spec", str(spec_path)])
         assert code == 1
         assert message in capsys.readouterr().err
@@ -153,6 +169,41 @@ class TestRunCommand:
                      "--out", str(tmp_path / "o"), "--config", str(config_path)])
         assert code == 1
         assert message in capsys.readouterr().err
+
+    def test_integer_too_large_for_a_float_exits_one(self, tiny_collection, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"alpha": 1' + "0" * 400 + "}")
+        code = main(["run", "--collection", str(tiny_collection / "manifest.jsonl"),
+                     "--out", str(tmp_path / "o"), "--config", str(config_path)])
+        assert code == 1
+        assert "alpha must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind,key,value,message", [
+        ("frame", "frame_index", "x", "frame_index must be an integer"),
+        ("frame", "width", "abc", "width must be a number"),
+        ("frame", "width", [1], "width must be a number"),
+        ("frame", "signature", "abc", "signature must be a list of numbers"),
+        ("proposal", "id", {"a": 1}, "id must be an integer"),
+        ("proposal", "box", [0, "a", 1, 1], "box coordinate must be a number"),
+    ])
+    def test_mistyped_collection_field_exits_one(self, tiny_collection, tmp_path, capsys,
+                                                 kind, key, value, message):
+        target = tmp_path / "collection"
+        shutil.copytree(tiny_collection, target)
+        frames_file = sorted(target.glob("*.frames.jsonl"))[0]
+        lines = frames_file.read_text().splitlines()
+        index = next(i for i, line in enumerate(lines) if json.loads(line)["type"] == kind)
+        record = json.loads(lines[index])
+        record[key] = value
+        lines[index] = json.dumps(record)
+        frames_file.write_text("\n".join(lines) + "\n")
+        code = main(["run", "--collection", str(target / "manifest.jsonl"),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{frames_file}:{index + 1}: " in err
+        assert message in err
 
     def test_config_file_with_flag_override(self, tiny_collection, tmp_path):
         config_path = tmp_path / "config.json"

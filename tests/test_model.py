@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_frame
 from tubeloc.model import (
@@ -13,6 +15,7 @@ from tubeloc.model import (
     interpolate_tube,
     key_frames,
 )
+from tubeloc.synth import SynthSpec
 
 
 class TestBox:
@@ -151,3 +154,35 @@ class TestConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValidationError):
             Config.from_dict({"bogus": 1})
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10 ** 400, -(10 ** 400)])
+    | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.mark.parametrize("params", [Config, SynthSpec])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_json_fields_give_valid_params_or_validation_error(params, data):
+    keys = st.sampled_from([*params().to_dict(), "bogus"])
+    fields = data.draw(st.dictionaries(keys, _json_values, max_size=4))
+    try:
+        parsed = params.from_dict(fields)
+        parsed.validate()
+    except ValidationError:
+        return
+    assert params.from_dict(parsed.to_dict()) == parsed
+
+
+@pytest.mark.parametrize("value", [10 ** 400, -(10 ** 400), 2 ** 1024],
+                         ids=["1e400", "-1e400", "2^1024"])
+def test_integer_beyond_float_range_rejected(value):
+    with pytest.raises(ValidationError, match="alpha must be finite"):
+        Config(alpha=value).validate()
+    with pytest.raises(ValidationError, match="object_scale must be finite"):
+        SynthSpec(object_scale=value).validate()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_trellis, remove_choice
 from tubeloc.model import ValidationError
@@ -9,7 +11,6 @@ from tubeloc.solver import (
     Trellis,
     build_trellis,
     sequence_objective,
-    solve_best_tube,
     solve_p_best,
 )
 from tubeloc.synth import brute_force_tube
@@ -49,7 +50,7 @@ class TestBuildTrellis:
 class TestSolveBestTube:
     def test_single_frame_picks_max(self):
         trellis = build_trellis("v", [0], [[4, 7, 2]], [[0.1, 0.8, 0.3]], 10, _no_pairwise)
-        sol = solve_best_tube(trellis, 2.0)
+        sol = solve_p_best(trellis, 1, 2.0)[0]
         assert sol.tube.regions == {0: 7}
         assert sol.objective == pytest.approx(0.8)
 
@@ -57,7 +58,7 @@ class TestSolveBestTube:
         rng = np.random.default_rng(1)
         for _ in range(20):
             trellis = random_trellis(rng)
-            sol = solve_best_tube(trellis, 0.0)
+            sol = solve_p_best(trellis, 1, 0.0)[0]
             for t, kf in enumerate(trellis.frame_indices):
                 best = trellis.unary[t].max()
                 winners = trellis.candidate_ids[t][trellis.unary[t] == best]
@@ -68,7 +69,7 @@ class TestSolveBestTube:
         for trial in range(40):
             trellis = random_trellis(rng)
             lam = (0.0, 0.5, 2.0)[trial % 3]
-            dp = solve_best_tube(trellis, lam)
+            dp = solve_p_best(trellis, 1, lam)[0]
             bf = brute_force_tube(trellis, lam)
             assert dp.tube.regions == bf.tube.regions
             assert dp.objective == pytest.approx(bf.objective, abs=1e-9)
@@ -77,7 +78,7 @@ class TestSolveBestTube:
         rng = np.random.default_rng(3)
         for _ in range(20):
             trellis = random_trellis(rng)
-            sol = solve_best_tube(trellis, 2.0)
+            sol = solve_p_best(trellis, 1, 2.0)[0]
             positions = [
                 int(np.flatnonzero(trellis.candidate_ids[t] == sol.tube.regions[kf])[0])
                 for t, kf in enumerate(trellis.frame_indices)
@@ -93,7 +94,7 @@ class TestSolveBestTube:
     def test_constant_shift_in_one_frame(self):
         rng = np.random.default_rng(4)
         trellis = random_trellis(rng, max_frames=5)
-        base = solve_best_tube(trellis, 1.5)
+        base = solve_p_best(trellis, 1, 1.5)[0]
         shifted = Trellis(
             trellis.video_id,
             trellis.frame_indices,
@@ -101,7 +102,7 @@ class TestSolveBestTube:
             [u + (7.25 if t == 0 else 0.0) for t, u in enumerate(trellis.unary)],
             trellis.pairwise,
         )
-        moved = solve_best_tube(shifted, 1.5)
+        moved = solve_p_best(shifted, 1, 1.5)[0]
         assert moved.tube.regions == base.tube.regions
         assert moved.objective == pytest.approx(base.objective + 7.25, abs=1e-9)
 
@@ -121,14 +122,14 @@ class TestSolveBestTube:
             ]
             shuffled = Trellis(trellis.video_id, trellis.frame_indices, perm_ids,
                                perm_unary, perm_pairwise)
-            assert solve_best_tube(shuffled, 2.0).tube.regions == \
-                solve_best_tube(trellis, 2.0).tube.regions
+            assert solve_p_best(shuffled, 1, 2.0)[0].tube.regions == \
+                solve_p_best(trellis, 1, 2.0)[0].tube.regions
 
     def test_exact_tie_prefers_smallest_id_sequence(self):
         ids = [[3, 1], [9, 4]]
         unary = [[0.5, 0.5], [0.25, 0.25]]
         trellis = build_trellis("v", [0, 20], ids, unary, 10, _no_pairwise)
-        sol = solve_best_tube(trellis, 0.0)
+        sol = solve_p_best(trellis, 1, 0.0)[0]
         assert sol.tube.regions == {0: 1, 20: 4}
 
 
@@ -136,8 +137,9 @@ class TestSolvePBest:
     def test_p_one_equals_best(self):
         rng = np.random.default_rng(6)
         trellis = random_trellis(rng)
-        assert solve_p_best(trellis, 1, 2.0)[0].tube.regions == \
-            solve_best_tube(trellis, 2.0).tube.regions
+        best = brute_force_tube(trellis, 2.0).tube.regions
+        assert solve_p_best(trellis, 1, 2.0)[0].tube.regions == best
+        assert solve_p_best(trellis, 3, 2.0)[0].tube.regions == best
 
     def test_exhaustion_stops_early(self):
         trellis = build_trellis("v", [0, 20], [[1], [2]], [[0.5], [0.5]], 10, _no_pairwise)
@@ -203,3 +205,33 @@ class TestBruteForceGuard:
             assert bf.tube.regions[kf] == winners.min()
         expected = math.fsum(trellis.unary[t].max() for t in range(trellis.num_frames))
         assert bf.objective == pytest.approx(expected, abs=1e-12)
+
+
+@st.composite
+def _tied_trellises(draw):
+    """Trellises whose unary and pairwise scores are small integers, so exact
+    ties between candidates and between whole tubes are common."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    small = st.integers(-2, 2)
+
+    def scores(*shape):
+        count = int(np.prod(shape))
+        return np.array(draw(st.lists(small, min_size=count, max_size=count)),
+                        dtype=float).reshape(shape)
+
+    ids = [np.array(draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True)))
+           for n in sizes]
+    unary = [scores(n) for n in sizes]
+    pairwise = [scores(a, b) for a, b in zip(sizes, sizes[1:])]
+    lam = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    return Trellis("ties", list(range(len(sizes))), ids, unary, pairwise), lam
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tied_trellises())
+def test_dp_tie_breaking_matches_brute_force(case):
+    trellis, lam = case
+    dp = solve_p_best(trellis, 1, lam)[0]
+    bf = brute_force_tube(trellis, lam)
+    assert dp.tube.regions == bf.tube.regions
+    assert dp.objective == bf.objective

@@ -8,7 +8,6 @@ from tubeloc.synth import (
     SynthSpec,
     generate_collection,
     load_planted,
-    noisy_variant,
     save_planted,
     verify_planted_optimal,
 )
@@ -127,12 +126,3 @@ class TestPlantedArtifact:
         assert loaded.class_labels == planted.class_labels
         assert loaded.tubes == planted.tubes
         assert loaded.boxes == planted.boxes
-
-
-class TestNoisyVariant:
-    def test_fields_preserved(self):
-        spec = SynthSpec(seed=5)
-        noisy = noisy_variant(spec, 0.4)
-        assert noisy.descriptor_noise == 0.4
-        assert noisy.seed == spec.seed
-        assert spec.descriptor_noise == 0.0
