@@ -8,7 +8,6 @@ whole pipeline stays a pure function of (collection, config).
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -90,10 +89,6 @@ def region_contained(frame: Frame, regions: list[Box]) -> np.ndarray:
     return area >= CONTAINMENT_RATIO * (w * h)[:, 0]
 
 
-def _masked(frame: Frame, mask: np.ndarray) -> list[Proposal]:
-    return [p for p, inside in zip(frame.proposals, mask) if inside]
-
-
 def bootstrap_neighbors(collection: Collection, k: int, stride: int) -> NeighborGraph:
     """First-round retrieval by L2 distance between frame signatures.
 
@@ -128,24 +123,27 @@ def bootstrap_neighbors(collection: Collection, k: int, stride: int) -> Neighbor
 
 
 def retrieval_pool(frame: Frame, mask: np.ndarray, saliency_map: dict[int, float],
-                   limit: int) -> list[Proposal]:
-    """Most salient proposals among those ``mask`` (from ``region_contained``)
-    marks as inside the frame's localized regions."""
-    contained = _masked(frame, mask)
-    contained.sort(key=lambda p: (-saliency_map.get(p.id, 0.0), p.id))
-    return contained[:limit]
+                   limit: int) -> np.ndarray:
+    """Rows of the most salient proposals among those ``mask`` (from
+    ``region_contained``) marks as inside the frame's localized regions,
+    ranked by (saliency desc, id asc); a proposal missing from
+    ``saliency_map`` has saliency 0."""
+    rows = np.flatnonzero(mask)
+    ids = frame.ids[rows]
+    saliency = np.array([saliency_map.get(pid, 0.0) for pid in ids.tolist()], dtype=float)
+    return rows[np.lexsort((ids, -saliency))][:limit]
 
 
-def frame_similarity(query_frame: Frame, query_pool: list[Proposal],
-                     cand_frame: Frame, cand_pool: list[Proposal],
-                     config: Config) -> float:
-    """Sum of best match confidences of the query pool against one candidate frame.
+def frame_similarity(query_frame: Frame, query_rows: np.ndarray,
+                     cand_frame: Frame, cand_rows: np.ndarray, config: Config) -> float:
+    """Sum of best match confidences of the query pool against one candidate
+    frame's pool, both given as rows of their frame.
 
     Either side having no usable proposals yields similarity 0.
     """
-    if len(query_pool) == 0 or len(cand_pool) == 0:
+    if len(query_rows) == 0 or len(cand_rows) == 0:
         return 0.0
-    scores = match_confidences(query_pool, cand_pool, query_frame, cand_frame, config)
+    _, scores = match_confidences(query_rows, cand_rows, query_frame, cand_frame, config)
     return float(scores.max(axis=1).sum())
 
 
@@ -217,20 +215,22 @@ def motion_scores(video: Video, kfs: list[int]) -> VideoMotion:
     )
 
 
-def build_video_trellis(video: Video, pools_by_kf: dict[int, list[tuple[Frame, list[Proposal]]]],
+def build_video_trellis(video: Video,
+                        pools_by_kf: dict[int, list[tuple[Frame, np.ndarray | list[Proposal]]]],
                         config: Config, motion: VideoMotion | None = None
                         ) -> tuple[Trellis, dict[int, dict[int, float]]]:
     """Score all proposals of a video's key frames and assemble the DP trellis.
 
-    ``motion`` holds the ``motion_scores`` of the key frames; it is computed
-    here when not given. Returns the trellis plus the per-frame raw saliency
-    maps needed by the next retrieval round.
+    Each neighbor pool is a row array or a ``Proposal`` list of its frame (see
+    ``frame_saliencies``). ``motion`` holds the ``motion_scores`` of the key
+    frames; it is computed here when not given. Returns the trellis plus the
+    per-frame raw saliency maps needed by the next retrieval round.
     """
     kfs = sorted(pools_by_kf)
     if motion is None:
         motion = motion_scores(video, kfs)
-    ids_per_frame: list[list[int]] = []
-    scores_per_frame: list[list[float]] = []
+    ids_per_frame: list[np.ndarray] = []
+    scores_per_frame: list[np.ndarray] = []
     saliency_maps: dict[int, dict[int, float]] = {}
     for kf in kfs:
         frame = video.frames[kf]
@@ -238,15 +238,13 @@ def build_video_trellis(video: Video, pools_by_kf: dict[int, list[tuple[Frame, l
             raise ValidationError(f"key frame {kf} of video {video.video_id} has no proposals")
         phi_a, saliency = appearance_confidence(frame, pools_by_kf[kf], config)
         phi = phi_a + config.alpha * motion.coherence[kf]
-        ids_per_frame.append(frame.ids.tolist())
-        scores_per_frame.append(list(phi))
+        ids_per_frame.append(frame.ids)
+        scores_per_frame.append(phi)
         saliency_maps[kf] = dict(zip(frame.ids.tolist(), saliency.tolist()))
 
-    def pairwise(step: int, ids_a: np.ndarray, ids_b: np.ndarray) -> np.ndarray:
+    def pairwise(step: int, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
         frame_a = video.frames[kfs[step]]
         frame_b = video.frames[kfs[step + 1]]
-        rows_a = frame_a.rows(ids_a)
-        rows_b = frame_b.rows(ids_b)
         points_a, points_b = motion.shared[kfs[step], kfs[step + 1]]
         return consistency_matrix(
             frame_a.descriptors[rows_a],
@@ -275,14 +273,13 @@ def relocalize_video(video: Video, graph: NeighborGraph,
     frame.
     """
     kfs = key_frames(video, config.keyframe_stride)
-    pools_by_kf: dict[int, list[tuple[Frame, list[Proposal]]]] = {}
+    pools_by_kf: dict[int, list[tuple[Frame, np.ndarray]]] = {}
     for kf in kfs:
         pools = []
         for (nvid, nkf), _sim in graph.neighbors.get((video.video_id, kf), []):
-            neighbor_frame = collection.videos[nvid].frames[nkf]
-            pool = _masked(neighbor_frame, contained[nvid, nkf])
-            if pool:
-                pools.append((neighbor_frame, pool))
+            pool = np.flatnonzero(contained[nvid, nkf])
+            if pool.size:
+                pools.append((collection.videos[nvid].frames[nkf], pool))
         pools_by_kf[kf] = pools
 
     trellis, saliency_maps = build_video_trellis(video, pools_by_kf, config, motion)
@@ -297,7 +294,7 @@ def relocalize_video(video: Video, graph: NeighborGraph,
     return solutions, saliency_maps, boxes_by_kf
 
 
-def run_discovery(collection: Collection, config: Config, threads: int | None = None
+def run_discovery(collection: Collection, config: Config, threads: int = 1
                   ) -> DiscoveryResult:
     """Alternate retrieval and relocalization; keep the best tube per video.
 
@@ -306,9 +303,7 @@ def run_discovery(collection: Collection, config: Config, threads: int | None = 
     (collection, config) regardless of the thread count.
     """
     config.validate()
-    if threads is None:
-        threads = os.cpu_count() or 1
-    elif threads < 1:
+    if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
     if not collection.videos:
         raise ValidationError("collection has no videos")

@@ -254,8 +254,8 @@ def _load_frames(path: Path, video_id: str, num_frames: int, descriptor_dim: int
                 raise ValidationError(f"duplicate frame index {t}", locus=locus)
             width = _field(record, "width", locus, float)
             height = _field(record, "height", locus, float)
-            if width <= 0 or height <= 0:
-                raise ValidationError("frame size must be positive", locus=locus)
+            if not (0 < width < math.inf and 0 < height < math.inf):
+                raise ValidationError("frame size must be positive and finite", locus=locus)
             signature = _load_vector(record, "signature", signature_dim, locus)
             frames[t] = Frame(video_id, t, width, height, [], signature)
         elif kind == "proposal":
@@ -445,8 +445,11 @@ def load_tubes(path: Path) -> dict[str, list[Tube]]:
             raise ValidationError(f"unexpected record type {record['type']!r}", locus=locus)
         vid = str(_require(record, "video_id", locus))
         rank = _field(record, "rank", locus)
+        entries = _require(record, "regions", locus)
+        if not isinstance(entries, list):
+            raise ValidationError("regions must be a list", locus=locus)
         regions: dict[int, int] = {}
-        for item in _require(record, "regions", locus):
+        for item in entries:
             if not isinstance(item, list) or len(item) != 3:
                 raise ValidationError("region entry must be [frame, proposal_id, box]", locus=locus)
             kf = _converted(item[0], int, "region frame", locus)

@@ -1,11 +1,11 @@
 """Cross-frame region matching: affinity, offset voting, saliency, standout.
 
 All functions are pure; frame pairs can be matched fully in parallel.
-Proposal lists are resolved by id to rows of each frame's array view
-(``Frame.rows``), and descriptors and box locations are gathered from it.
-``match_confidences`` returns the (len(props_t), len(props_u)) score matrix
-and ``hough_votes`` the (u, v, s) vote array on ``OffsetGrid.from_config``,
-which is built once per pair of bin counts.
+Proposals are passed as row indices into each frame's array view, and
+descriptors and box locations are gathered from those rows.
+``match_confidences(rows_t, rows_u, ...)`` returns the (u, v, s) vote array on
+``OffsetGrid.from_config``, which is built once per pair of bin counts, and
+the (len(rows_t), len(rows_u)) score matrix.
 
 Probabilistic Hough matching of a frame pair runs over proposal pairs
 m = (i, j). Each pair has an appearance affinity a(m) and an offset between
@@ -19,11 +19,12 @@ contractions are matrix products:
     score[m]         = a(m) * support[m]
 
 Both products run over blocks of at most ``PAIR_BLOCK`` consecutive pairs, so
-the (pairs x u*s) temporaries stay bounded; only the per-axis kernels grow
-with the table. The test suite checks that scores are byte-identical under
-one and two BLAS threads. ``synth.brute_force_matching`` evaluates the full
-3-D likelihood pair by pair; it is the oracle for both the votes and the
-scores (within 1e-12 relative).
+the per-block GEMM temporaries stay bounded. Each block's g_us is built once
+and kept for the second product, so g_us of the whole table is held at once.
+The test suite checks that votes and scores are byte-identical under one and
+two BLAS threads. ``synth.brute_force_matching`` evaluates the full 3-D
+likelihood pair by pair; it is the oracle for both the votes and the scores
+(within 1e-12 relative).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Config, Frame, Proposal
+from .model import Config, Frame
 
 TRANSLATION_RANGE = (-1.0, 1.0)
 LOG_SCALE_RANGE = (-math.log(4.0), math.log(4.0))
@@ -45,7 +46,7 @@ LOG_SCALE_RANGE = (-math.log(4.0), math.log(4.0))
 CONTAIN_AREA_RATIO = 0.99
 CONTAIN_GROWTH = 1.01
 
-# Proposal pairs per vote GEMM block: bounds the (pairs x u*s) temporaries.
+# Proposal pairs per GEMM block: bounds the per-block (pairs x u*s) temporaries.
 PAIR_BLOCK = 128
 
 
@@ -107,18 +108,16 @@ def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1)
 
 
-def _vote_kernel(props_t, props_u, frame_t: Frame, frame_u: Frame, config: Config,
-                 with_scores: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Offset votes (u, v, s) of a frame pair and, optionally, the score table.
+def match_confidences(rows_t, rows_u, frame_t: Frame, frame_u: Frame, config: Config
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Offset votes (u, v, s) of a frame pair, and every proposal pair's score:
+    its appearance affinity times its vote support.
 
-    The proposals are looked up by id in each frame's array view. Pairs
-    m = (i, j) run over ``props_t`` x ``props_u`` in row-major order; the
+    Pairs m = (i, j) run over ``rows_t`` x ``rows_u`` in row-major order; the
     blocked products are described in the module docstring.
     """
-    if len(props_t) == 0 or len(props_u) == 0:
+    if len(rows_t) == 0 or len(rows_u) == 0:
         raise ValueError("proposal sets must be non-empty")
-    rows_t = frame_t.rows([p.id for p in props_t])
-    rows_u = frame_u.rows([p.id for p in props_u])
     grid = OffsetGrid.from_config(config)
     aff = affinity_matrix(frame_t.descriptors[rows_t], frame_u.descriptors[rows_u],
                           config.affinity_gamma)
@@ -130,48 +129,36 @@ def _vote_kernel(props_t, props_u, frame_t: Frame, frame_u: Frame, config: Confi
     weights = aff.ravel()
     nu, nv, ns = grid.shape
     blocks = [slice(lo, lo + PAIR_BLOCK) for lo in range(0, weights.size, PAIR_BLOCK)]
+    gus = [_outer_rows(gu[b], gs[b]) for b in blocks]
 
     votes = np.zeros((nu * ns, nv))
-    for b in blocks:
-        votes += (_outer_rows(gu[b], gs[b]) * weights[b, None]).T @ gv[b]
-    grid_votes = votes.reshape(nu, ns, nv).transpose(0, 2, 1)
-    if not with_scores:
-        return grid_votes, None
-
+    for b, g in zip(blocks, gus):
+        votes += (g * weights[b, None]).T @ gv[b]
     support = np.empty(weights.size)
-    for b in blocks:
-        support[b] = ((gv[b] @ votes.T) * _outer_rows(gu[b], gs[b])).sum(axis=1)
-    return grid_votes, aff * support.reshape(aff.shape)
-
-
-def hough_votes(props_t: list[Proposal], props_u: list[Proposal], frame_t: Frame,
-                frame_u: Frame, config: Config) -> np.ndarray:
-    """Accumulate affinity-weighted geometry likelihoods over all proposal pairs."""
-    votes, _ = _vote_kernel(props_t, props_u, frame_t, frame_u, config, with_scores=False)
-    return votes
-
-
-def match_confidences(props_t: list[Proposal], props_u: list[Proposal], frame_t: Frame,
-                      frame_u: Frame, config: Config) -> np.ndarray:
-    """Score every proposal pair by appearance affinity times its vote support."""
-    _, scores = _vote_kernel(props_t, props_u, frame_t, frame_u, config, with_scores=True)
-    return scores
+    for b, g in zip(blocks, gus):
+        support[b] = ((gv[b] @ votes.T) * g).sum(axis=1)
+    return (votes.reshape(nu, ns, nv).transpose(0, 2, 1),
+            aff * support.reshape(aff.shape))
 
 
 def frame_saliencies(frame: Frame, neighbor_pools, config: Config) -> np.ndarray:
     """Per proposal, the sum over neighbor frames of its best match confidence.
 
-    ``neighbor_pools`` is a list of (neighbor frame, allowed proposals); every
-    pool must be non-empty and the list itself must not be empty.
+    ``neighbor_pools`` is a list of (neighbor frame, allowed proposals), each
+    pool given as rows of the neighbor frame or as its ``Proposal`` records;
+    every pool must be non-empty and the list itself must not be empty.
     """
     if len(neighbor_pools) == 0:
         raise ValueError("neighbor pool list is empty")
-    saliency = np.zeros(len(frame.proposals))
+    rows = np.arange(len(frame.proposals))
+    saliency = np.zeros(rows.size)
     for neighbor_frame, pool in neighbor_pools:
         if len(pool) == 0:
             raise ValueError("neighbor proposal pool is empty")
-        saliency += match_confidences(frame.proposals, pool, frame, neighbor_frame,
-                                      config).max(axis=1)
+        if not isinstance(pool, np.ndarray):
+            pool = neighbor_frame.rows([p.id for p in pool])
+        _, scores = match_confidences(rows, pool, frame, neighbor_frame, config)
+        saliency += scores.max(axis=1)
     return saliency
 
 

@@ -66,23 +66,29 @@ def build_trellis(video_id: str, frame_indices: Sequence[int],
                   scores_per_frame: Sequence[Sequence[float]],
                   top_candidates: int,
                   pairwise_fn: Callable[[int, np.ndarray, np.ndarray], np.ndarray]) -> Trellis:
-    """Rank candidates per frame (score desc, id asc), truncate, wire transitions."""
+    """Rank candidates per frame (score desc, id asc), truncate, wire transitions.
+
+    ``pairwise_fn(t, positions_t, positions_t1)`` gets the kept candidates'
+    positions in ``ids_per_frame[t]`` and ``ids_per_frame[t + 1]``.
+    """
+    positions: list[np.ndarray] = []
     candidate_ids: list[np.ndarray] = []
     unary: list[np.ndarray] = []
     for t, (ids, scores) in enumerate(zip(ids_per_frame, scores_per_frame)):
-        ids = list(ids)
-        scores = [float(s) for s in scores]
-        if not ids:
+        ids = np.asarray(ids, dtype=int)
+        scores = np.asarray(scores, dtype=float)
+        if ids.size == 0:
             raise ValidationError(
                 f"frame {frame_indices[t]} of video {video_id} has no candidates"
             )
-        order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))[:top_candidates]
-        candidate_ids.append(np.array([ids[i] for i in order], dtype=int))
-        unary.append(np.array([scores[i] for i in order]))
+        order = np.lexsort((ids, -scores))[:top_candidates]
+        positions.append(order)
+        candidate_ids.append(ids[order])
+        unary.append(scores[order])
 
     pairwise = [
-        np.asarray(pairwise_fn(t, candidate_ids[t], candidate_ids[t + 1]), dtype=float)
-        for t in range(len(candidate_ids) - 1)
+        np.asarray(pairwise_fn(t, positions[t], positions[t + 1]), dtype=float)
+        for t in range(len(positions) - 1)
     ]
     trellis = Trellis(video_id, list(frame_indices), candidate_ids, unary, pairwise)
     trellis.validate()

@@ -30,6 +30,11 @@ def make_frame(video_id="v0", frame_index=0, width=320.0, height=240.0,
     return Frame(video_id, frame_index, width, height, list(proposals), signature)
 
 
+def all_rows(frame: Frame) -> np.ndarray:
+    """Every row of a frame's array view, in proposal order."""
+    return np.arange(len(frame.proposals))
+
+
 def rand_frame(rng: np.random.Generator, video_id: str, n_proposals: int,
                dim: int = 16, width: float = 320.0, height: float = 240.0) -> Frame:
     props = []

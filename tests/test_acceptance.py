@@ -21,7 +21,6 @@ from tubeloc.discovery import bootstrap_neighbors, run_discovery
 from tubeloc.formats import save_collection
 from tubeloc.matching import (
     appearance_confidence,
-    hough_votes,
     match_confidences,
 )
 from tubeloc.metrics import corloc, corret, iou, retrieval_confusion, topk_error, video_labels
@@ -103,18 +102,18 @@ def test_criterion_2_sequential_dp():
 
 def test_criterion_3_matching_oracle_equivalence():
     with _report(3, "production matching equals naive voting within 1e-12"):
-        from helpers import rand_frame
+        from helpers import all_rows, rand_frame
 
         rng = np.random.default_rng(77)
         cfg = Config()
         for _ in range(100):
             a = rand_frame(rng, "a", int(rng.integers(1, 21)))
             b = rand_frame(rng, "b", int(rng.integers(1, 21)))
-            votes, scores = brute_force_matching(a.proposals, b.proposals, a, b, cfg)
-            np.testing.assert_allclose(hough_votes(a.proposals, b.proposals, a, b, cfg),
-                                       votes, rtol=1e-12, atol=1e-280)
-            np.testing.assert_allclose(match_confidences(a.proposals, b.proposals, a, b, cfg),
-                                       scores, rtol=1e-12, atol=1e-280)
+            expected_votes, expected_scores = brute_force_matching(a.proposals, b.proposals,
+                                                                   a, b, cfg)
+            votes, scores = match_confidences(all_rows(a), all_rows(b), a, b, cfg)
+            np.testing.assert_allclose(votes, expected_votes, rtol=1e-12, atol=1e-280)
+            np.testing.assert_allclose(scores, expected_scores, rtol=1e-12, atol=1e-280)
 
 
 def _bootstrap_pools(collection, config):

@@ -205,6 +205,24 @@ class TestRunCommand:
         assert f"{frames_file}:{index + 1}: " in err
         assert message in err
 
+    @pytest.mark.parametrize("key,value", [("width", "NaN"), ("height", "Infinity"),
+                                           ("width", "-Infinity")])
+    def test_non_finite_frame_size_exits_one(self, tiny_collection, tmp_path, capsys,
+                                             key, value):
+        target = tmp_path / "collection"
+        shutil.copytree(tiny_collection, target)
+        frames_file = sorted(target.glob("*.frames.jsonl"))[0]
+        lines = frames_file.read_text().splitlines()
+        record = json.loads(lines[0])
+        assert record["type"] == "frame"
+        lines[0] = json.dumps(dict(record, **{key: float(value)}))  # NaN, Infinity
+        frames_file.write_text("\n".join(lines) + "\n")
+        code = main(["run", "--collection", str(target / "manifest.jsonl"),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{frames_file}:1: frame size must be positive and finite" in err
+
     def test_config_file_with_flag_override(self, tiny_collection, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"iterations": 1, "k_neighbors": 2, "lambda": 1.0}))
@@ -233,6 +251,20 @@ class TestEvalCommand:
                      "--results", str(out)])
         assert code == 1
         assert "no predicted tube" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("regions", [5, "abc", None, {"0": [0, 1, [0, 0, 1, 1]]}])
+    def test_regions_not_a_list_exits_one(self, tiny_collection, tmp_path, capsys, regions):
+        out = tmp_path / "res"
+        out.mkdir()
+        vid = json.loads((tiny_collection / "manifest.jsonl").read_text().splitlines()[1])
+        record = {"type": "tube", "video_id": vid["video_id"], "rank": 0, "score": 1.0,
+                  "regions": regions}
+        (out / "tubes.jsonl").write_text(json.dumps(record) + "\n")
+        (out / "neighbors.jsonl").write_text("")
+        code = main(["eval", "--collection", str(tiny_collection / "manifest.jsonl"),
+                     "--results", str(out)])
+        assert code == 1
+        assert f"{out / 'tubes.jsonl'}:1: regions must be a list" in capsys.readouterr().err
 
     def test_per_iteration_requires_snapshots(self, tiny_collection, tmp_path, capsys):
         out = tmp_path / "nosnap"

@@ -194,7 +194,7 @@ class TestRetrievalPool:
         ])
         mask = region_contained(frame, [Box(0, 0, 60, 60)])
         pool = retrieval_pool(frame, mask, {0: 0.2, 1: 0.9, 2: 5.0}, limit=10)
-        assert [p.id for p in pool] == [1, 0]  # proposal 2 lies outside
+        assert pool.tolist() == [1, 0]  # proposal 2 lies outside
 
     def test_limit_cap(self):
         frame = make_frame(proposals=[
@@ -202,7 +202,23 @@ class TestRetrievalPool:
         ])
         mask = region_contained(frame, [Box(0, 0, 320, 240)])
         pool = retrieval_pool(frame, mask, {}, limit=3)
-        assert [p.id for p in pool] == [0, 1, 2]
+        assert pool.tolist() == [0, 1, 2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_rows_match_reference_sort(self, data):
+        # ids out of row order; saliencies tie, mix -0.0 with 0.0, or are missing
+        ids = data.draw(st.permutations([3, 8, 1, 6, 0, 9, 4, 7, 2, 5]))
+        frame = make_frame(proposals=[Proposal(pid, Box(0, 0, 10, 10), basis_vec(4, 0))
+                                      for pid in ids])
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=10, max_size=10)))
+        values = st.sampled_from([0.0, -0.0, 1.5, -1.5]) | st.floats(allow_nan=False)
+        saliency = data.draw(st.dictionaries(st.sampled_from(ids), values))
+        limit = data.draw(st.integers(0, 11))
+        rows = retrieval_pool(frame, mask, saliency, limit)
+        expected = sorted(np.flatnonzero(mask).tolist(),
+                          key=lambda r: (-saliency.get(ids[r], 0.0), ids[r]))[:limit]
+        assert rows.tolist() == expected
 
 
 class TestFrameSimilarity:
@@ -212,15 +228,17 @@ class TestFrameSimilarity:
         query = make_frame("q", proposals=shared)
         twin = make_frame("t", proposals=[Proposal(0, Box(50, 50, 60, 60), basis_vec(4, 0))])
         ortho = make_frame("o", proposals=[Proposal(0, Box(50, 50, 60, 60), basis_vec(4, 1))])
-        sim_twin = frame_similarity(query, query.proposals, twin, twin.proposals, cfg)
-        sim_ortho = frame_similarity(query, query.proposals, ortho, ortho.proposals, cfg)
+        row = np.array([0])
+        sim_twin = frame_similarity(query, row, twin, row, cfg)
+        sim_ortho = frame_similarity(query, row, ortho, row, cfg)
         assert sim_twin > sim_ortho > 0
 
     def test_empty_side_scores_zero(self):
         cfg = Config()
         frame = make_frame(proposals=[Proposal(0, Box(0, 0, 10, 10), basis_vec(4, 0))])
-        assert frame_similarity(frame, [], frame, frame.proposals, cfg) == 0.0
-        assert frame_similarity(frame, frame.proposals, frame, [], cfg) == 0.0
+        none, row = np.array([], dtype=int), np.array([0])
+        assert frame_similarity(frame, none, frame, row, cfg) == 0.0
+        assert frame_similarity(frame, row, frame, none, cfg) == 0.0
 
     def test_outside_proposals_do_not_change_pool(self):
         frame = make_frame(proposals=[
@@ -229,7 +247,7 @@ class TestFrameSimilarity:
         ])
         mask = region_contained(frame, [Box(0, 0, 60, 60)])
         pool = retrieval_pool(frame, mask, {0: 1.0, 1: 9.0}, limit=10)
-        assert [p.id for p in pool] == [0]
+        assert pool.tolist() == [0]
 
 
 class TestUpdateNetwork:
@@ -383,6 +401,19 @@ class TestComputeOnce:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(discovery, name, counted)
+
+    def test_pools_stay_rows_while_scoring(self, small, monkeypatch):
+        # no scorer maps proposal ids back to rows; only the boxes of the
+        # chosen regions are looked up by id
+        collection, config, _ = small
+        lookups = []
+        rows = Frame.rows
+        monkeypatch.setattr(Frame, "rows",
+                            lambda frame, ids: lookups.append(ids) or rows(frame, ids))
+        monkeypatch.setattr(Frame, "proposal_by_id",
+                            lambda frame, pid: frame.proposals[rows(frame, [pid])[0]])
+        run_discovery(collection, config, threads=1)
+        assert lookups == []
 
     def test_containment_once_per_iteration_and_frame(self, small, monkeypatch):
         # every iteration reads the masks of the previous state's regions;

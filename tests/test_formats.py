@@ -1,7 +1,13 @@
 import json
+import re
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubeloc.formats import (
     canon_float,
@@ -15,7 +21,7 @@ from tubeloc.formats import (
     save_tubes,
     write_jsonl,
 )
-from tubeloc.model import NeighborGraph, Tube, ValidationError
+from tubeloc.model import Config, NeighborGraph, Tube, ValidationError
 from tubeloc.synth import SynthSpec, generate_collection
 
 
@@ -263,3 +269,66 @@ class TestAtomicWrites:
             save_run_manifest(path, config_dict={"alpha": object()}, **fields)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run_manifest.json"]
+
+
+# Any value JSON can carry, as Python's json module reads it: NaN and
+# Infinity, integers beyond 64 bits and beyond a double, nesting.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([2**63, -2**63 - 1, 10**400, -0.0, 1e308]),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8,
+)
+
+
+@pytest.fixture(scope="module")
+def record_files(tmp_path_factory):
+    """A small collection whose files hold every loaded record kind, plus a
+    tubes file: frames, proposals, tracks, a ground truth and tubes."""
+    out = tmp_path_factory.mktemp("records")
+    spec = SynthSpec(num_classes=1, videos_per_class=1, frames_per_video=3,
+                     keyframe_stride=2, num_distractors=1, num_parts=0,
+                     tracks_per_background_cluster=1)
+    collection, planted, _truths = generate_collection(spec)
+    save_collection(collection, out)
+    tubes = {vid: [Tube(vid, regions, 1.5)] for vid, regions in planted.tubes.items()}
+    save_tubes(tubes, collection, out / "tubes.jsonl")
+    kinds = {json.loads(line)["type"]
+             for path in out.glob("*.jsonl") for line in path.read_text().splitlines()}
+    assert {"frame", "proposal", "track", "ground_truth", "tube"} <= kinds
+    return out
+
+
+class TestAnyFieldValue:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_loads_or_raises_with_locus(self, record_files, data):
+        names = sorted(p.name for p in record_files.glob("*.jsonl")
+                       if p.name != "manifest.jsonl")
+        name = data.draw(st.sampled_from(names), label="file")
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            shutil.copytree(record_files, root, dirs_exist_ok=True)
+            path = root / name
+            lines = path.read_text().splitlines()
+            index = data.draw(st.integers(0, len(lines) - 1), label="line")
+            record = json.loads(lines[index])
+            key = data.draw(st.sampled_from(sorted(record)), label="field")
+            record[key] = data.draw(JSON_VALUES, label="value")
+            lines[index] = json.dumps(record)
+            path.write_text("\n".join(lines) + "\n")
+            try:
+                if name == "tubes.jsonl":
+                    load_tubes(path)
+                    return
+                collection = load_collection(root / "manifest.jsonl",
+                                             keyframe_stride=Config().keyframe_stride)
+            except ValidationError as exc:
+                # a record's file:line, or the file alone when it lacks a record
+                assert re.fullmatch(rf"{re.escape(str(root))}/[^/]+\.jsonl(:\d+)?",
+                                    str(exc.locus)), exc
+                return
+        for video in collection.videos.values():
+            for frame in video.frames.values():
+                frame.bounds_box()  # a loaded frame has a finite, positive size

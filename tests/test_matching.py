@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    all_rows,
     appearance_affinity,
     basis_vec,
     box_location,
@@ -16,12 +17,12 @@ from helpers import (
     rand_frame,
     rand_unit,
 )
+from tubeloc import matching
 from tubeloc.matching import (
     PAIR_BLOCK,
     OffsetGrid,
     appearance_confidence,
     frame_saliencies,
-    hough_votes,
     match_confidences,
     rescale_unit,
     standout_scores,
@@ -87,7 +88,7 @@ class TestBoxLocation:
 class TestHoughVotes:
     def test_identical_frames_peak_near_zero_offset(self):
         frame = make_frame(proposals=[_proposal(0, Box(50, 60, 80, 40), basis_vec(4, 0))])
-        votes = hough_votes(frame.proposals, frame.proposals, frame, frame, CFG)
+        votes, _ = match_confidences(all_rows(frame), all_rows(frame), frame, frame, CFG)
         grid = OffsetGrid.from_config(CFG)
         iu, iv, isc = np.unravel_index(np.argmax(votes), votes.shape)
         # zero lies on a shared bin edge of the even translation axes, so the
@@ -100,18 +101,20 @@ class TestHoughVotes:
         a = make_frame(proposals=[_proposal(0, Box(10, 10, 30, 30), basis_vec(4, 0))])
         b = make_frame(proposals=[_proposal(0, Box(10, 10, 30, 30), basis_vec(4, 1))])
         cfg = Config(affinity_gamma=500.0)
-        votes = hough_votes(a.proposals, b.proposals, a, b, cfg)
+        votes, _ = match_confidences(all_rows(a), all_rows(b), a, b, cfg)
         assert votes.max() < 1e-200
 
     def test_empty_set_rejected(self):
         frame = make_frame(proposals=[_proposal(0, Box(0, 0, 10, 10), basis_vec(4, 0))])
         with pytest.raises(ValueError):
-            hough_votes([], frame.proposals, frame, frame, CFG)
+            match_confidences([], all_rows(frame), frame, frame, CFG)
+        with pytest.raises(ValueError):
+            match_confidences(all_rows(frame), [], frame, frame, CFG)
 
     def test_votes_nonnegative(self):
         rng = np.random.default_rng(7)
         a, b = rand_frame(rng, "a", 5), rand_frame(rng, "b", 4)
-        votes = hough_votes(a.proposals, b.proposals, a, b, CFG)
+        votes, _ = match_confidences(all_rows(a), all_rows(b), a, b, CFG)
         assert np.all(votes >= 0)
 
 
@@ -120,7 +123,7 @@ class TestMatchConfidences:
         rng = np.random.default_rng(2)
         a = make_frame("a", proposals=[_proposal(0, Box(20, 30, 60, 50), rand_unit(rng, 8))])
         b = make_frame("b", proposals=[_proposal(0, Box(90, 40, 70, 45), rand_unit(rng, 8))])
-        scores = match_confidences(a.proposals, b.proposals, a, b, CFG)
+        _, scores = match_confidences(all_rows(a), all_rows(b), a, b, CFG)
 
         # independent evaluation: c = affinity^2 * sum_x likelihood(x)^2
         affinity = appearance_affinity(a.proposals[0].descriptor, b.proposals[0].descriptor, 1.0)
@@ -138,7 +141,7 @@ class TestMatchConfidences:
     def test_identical_frames_self_match_maximizes_row(self):
         rng = np.random.default_rng(3)
         frame = rand_frame(rng, "a", 6)
-        scores = match_confidences(frame.proposals, frame.proposals, frame, frame, CFG)
+        _, scores = match_confidences(all_rows(frame), all_rows(frame), frame, frame, CFG)
         assert np.array_equal(np.argmax(scores, axis=1), np.arange(6))
 
     def test_zero_affinity_zero_confidence(self):
@@ -151,7 +154,7 @@ class TestMatchConfidences:
             _proposal(1, Box(60, 60, 30, 30), basis_vec(4, 1)),
         ])
         cfg = Config(affinity_gamma=400.0)
-        scores = match_confidences(a.proposals, b.proposals, a, b, cfg)
+        _, scores = match_confidences(all_rows(a), all_rows(b), a, b, cfg)
         # the orthogonal descriptor pair carries an exp(-800) affinity factor
         assert scores[1, 1] < 1e-300
         assert scores[0, 0] > 0
@@ -159,8 +162,8 @@ class TestMatchConfidences:
     def test_swap_symmetry(self):
         rng = np.random.default_rng(4)
         a, b = rand_frame(rng, "a", 5), rand_frame(rng, "b", 7)
-        s_ab = match_confidences(a.proposals, b.proposals, a, b, CFG)
-        s_ba = match_confidences(b.proposals, a.proposals, b, a, CFG)
+        _, s_ab = match_confidences(all_rows(a), all_rows(b), a, b, CFG)
+        _, s_ba = match_confidences(all_rows(b), all_rows(a), b, a, CFG)
         np.testing.assert_allclose(s_ab, s_ba.T, rtol=1e-12, atol=1e-280)
 
 
@@ -169,10 +172,18 @@ class TestSaliency:
         rng = np.random.default_rng(5)
         frame = rand_frame(rng, "a", 3)
         neighbor = rand_frame(rng, "b", 4)
-        pool = [neighbor.proposals[2]]
-        scores = match_confidences(frame.proposals, pool, frame, neighbor, CFG)
-        g = frame_saliencies(frame, [(neighbor, pool)], CFG)
+        _, scores = match_confidences(all_rows(frame), [2], frame, neighbor, CFG)
+        g = frame_saliencies(frame, [(neighbor, np.array([2]))], CFG)
         np.testing.assert_allclose(g, scores[:, 0], rtol=1e-15)
+
+    def test_proposal_pool_equals_its_rows(self):
+        rng = np.random.default_rng(9)
+        frame = rand_frame(rng, "a", 5)
+        neighbor = rand_frame(rng, "b", 6)
+        rows = np.array([4, 1, 3])
+        pool = [neighbor.proposals[r] for r in rows]
+        np.testing.assert_array_equal(frame_saliencies(frame, [(neighbor, pool)], CFG),
+                                      frame_saliencies(frame, [(neighbor, rows)], CFG))
 
     def test_duplicated_neighbor_doubles(self):
         rng = np.random.default_rng(6)
@@ -190,7 +201,8 @@ class TestSaliency:
         pools = [(fr, fr.proposals) for fr, _ in pools]
         expected = np.zeros(4)
         for neighbor, pool in pools:
-            scores = match_confidences(frame.proposals, pool, frame, neighbor, CFG)
+            _, scores = match_confidences(all_rows(frame), all_rows(neighbor), frame, neighbor,
+                                          CFG)
             for i in range(4):
                 expected[i] += max(scores[i, j] for j in range(len(pool)))
         np.testing.assert_allclose(frame_saliencies(frame, pools, CFG), expected, rtol=1e-12)
@@ -297,19 +309,18 @@ class TestOracleEquivalenceToy:
     def test_two_by_two_matches_naive_double_loop(self):
         rng = np.random.default_rng(13)
         a, b = rand_frame(rng, "a", 2), rand_frame(rng, "b", 2)
-        votes, scores = brute_force_matching(a.proposals, b.proposals, a, b, CFG)
-        np.testing.assert_allclose(hough_votes(a.proposals, b.proposals, a, b, CFG), votes,
-                                   rtol=1e-12, atol=1e-280)
-        np.testing.assert_allclose(match_confidences(a.proposals, b.proposals, a, b, CFG),
-                                   scores, rtol=1e-12, atol=1e-280)
+        expected_votes, expected_scores = brute_force_matching(a.proposals, b.proposals, a, b,
+                                                               CFG)
+        votes, scores = match_confidences(all_rows(a), all_rows(b), a, b, CFG)
+        np.testing.assert_allclose(votes, expected_votes, rtol=1e-12, atol=1e-280)
+        np.testing.assert_allclose(scores, expected_scores, rtol=1e-12, atol=1e-280)
 
 
 def _assert_matches_oracle(a, b, cfg=CFG):
-    votes, scores = brute_force_matching(a.proposals, b.proposals, a, b, cfg)
-    np.testing.assert_allclose(hough_votes(a.proposals, b.proposals, a, b, cfg), votes,
-                               rtol=1e-12, atol=1e-280)
-    np.testing.assert_allclose(match_confidences(a.proposals, b.proposals, a, b, cfg),
-                               scores, rtol=1e-12, atol=1e-280)
+    expected_votes, expected_scores = brute_force_matching(a.proposals, b.proposals, a, b, cfg)
+    votes, scores = match_confidences(all_rows(a), all_rows(b), a, b, cfg)
+    np.testing.assert_allclose(votes, expected_votes, rtol=1e-12, atol=1e-280)
+    np.testing.assert_allclose(scores, expected_scores, rtol=1e-12, atol=1e-280)
 
 
 class TestBlockedKernel:
@@ -333,18 +344,32 @@ class TestBlockedKernel:
         assert len(a.proposals) * len(b.proposals) > 3 * PAIR_BLOCK
         _assert_matches_oracle(a, b)
 
+    def test_outer_product_built_once_per_block(self, monkeypatch):
+        calls = []
+        outer_rows = matching._outer_rows
+
+        def counted(a, b):
+            calls.append(a.shape[0])
+            return outer_rows(a, b)
+
+        monkeypatch.setattr(matching, "_outer_rows", counted)
+        rng = np.random.default_rng(24)
+        a, b = rand_frame(rng, "a", 23), rand_frame(rng, "b", 19)
+        match_confidences(all_rows(a), all_rows(b), a, b, CFG)
+        pairs = 23 * 19
+        assert calls == [PAIR_BLOCK] * (pairs // PAIR_BLOCK) + [pairs % PAIR_BLOCK]
+
 
 _THREADED_MATCH = """
 import hashlib
 import numpy as np
-from helpers import rand_frame
-from tubeloc.matching import hough_votes, match_confidences
+from helpers import all_rows, rand_frame
+from tubeloc.matching import match_confidences
 from tubeloc.model import Config
 
 rng = np.random.default_rng(23)
 a, b = rand_frame(rng, "a", 40, dim=32), rand_frame(rng, "b", 60, dim=32)
-scores = match_confidences(a.proposals, b.proposals, a, b, Config())
-votes = hough_votes(a.proposals, b.proposals, a, b, Config())
+votes, scores = match_confidences(all_rows(a), all_rows(b), a, b, Config())
 print(hashlib.sha256(scores.tobytes() + votes.tobytes()).hexdigest())
 """
 

@@ -35,6 +35,20 @@ class TestBuildTrellis:
         assert trellis.candidate_ids[0].tolist() == [1, 9, 5]
         np.testing.assert_allclose(trellis.unary[0], [0.9, 0.9, 0.2])
 
+    def test_pairwise_gets_positions_and_ties_rank_by_id(self):
+        seen = []
+
+        def record(step, positions_a, positions_b):
+            seen.append((step, positions_a.tolist(), positions_b.tolist()))
+            return np.zeros((positions_a.size, positions_b.size))
+
+        ids = [[40, 10, 30, 20, 50], [7, 3, 5, 9]]
+        scores = [[0.5, 0.5, 0.9, 0.5, 0.1], [0.0, -0.0, 0.0, 0.2]]
+        trellis = build_trellis("v", [0, 20], ids, scores, 3, record)
+        assert trellis.candidate_ids[0].tolist() == [30, 10, 20]
+        assert trellis.candidate_ids[1].tolist() == [9, 3, 5]
+        assert seen == [(0, [2, 1, 3], [3, 1, 2])]
+
     def test_empty_frame_rejected(self):
         with pytest.raises(ValidationError, match="no candidates"):
             build_trellis("v", [0, 20], [[1], []], [[0.5], []], 10, _no_pairwise)
