@@ -87,12 +87,16 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(flag, dest=dest, type=kind, default=None, help=help_text)
 
 
-def _read_object(path: str | None, what: str) -> dict:
-    """The JSON object in ``path``, or an empty one when no file is given."""
+def _read_json(path, what: str):
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8")) if path else {}
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # also an integer beyond Python's digit limit
         raise ValidationError(f"{what} file {path} is not valid JSON: {exc}") from None
+
+
+def _read_object(path: str | None, what: str) -> dict:
+    """The JSON object in ``path``, or an empty one when no file is given."""
+    raw = _read_json(path, what) if path else {}
     if not isinstance(raw, dict):
         raise ValidationError(f"{what} file {path} must hold a JSON object")
     return raw
@@ -237,7 +241,7 @@ def cmd_eval(args) -> int:
 def cmd_inspect(args) -> int:
     path = Path(args.path)
     if path.suffix == ".json":
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = _read_json(path, "artifact")
         _say(json.dumps(payload, indent=2, ensure_ascii=False))
         return EXIT_OK
     counts: Counter = Counter()

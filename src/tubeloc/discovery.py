@@ -89,37 +89,40 @@ def region_contained(frame: Frame, regions: list[Box]) -> np.ndarray:
     return area >= CONTAINMENT_RATIO * (w * h)[:, 0]
 
 
-def bootstrap_neighbors(collection: Collection, k: int, stride: int) -> NeighborGraph:
-    """First-round retrieval by L2 distance between frame signatures.
+def key_frame_refs(collection: Collection, stride: int) -> list[FrameRef]:
+    """Every key frame of the collection, video by video in collection order."""
+    return [(vid, kf) for vid, video in collection.videos.items()
+            for kf in key_frames(video, stride)]
 
-    Candidates are key frames of other videos; similarity is the negated
-    distance, and exact ties order by (video id, frame index).
-    """
-    refs: list[FrameRef] = []
-    signatures = []
-    for vid in collection.videos:
-        video = collection.videos[vid]
-        for kf in key_frames(video, stride):
-            frame = video.frames[kf]
-            if frame.signature is None:
-                raise ValidationError(f"frame {kf} of video {vid} is missing its signature")
-            refs.append((vid, kf))
-            signatures.append(np.asarray(frame.signature, dtype=float))
-    stacked = np.stack(signatures)
 
+def _rank_neighbors(refs: list[FrameRef], similarity: np.ndarray, k: int) -> NeighborGraph:
+    """Each key frame's k most similar key frames of other videos, read from
+    row and column ``refs`` of an (F, F) ``similarity``; exact ties order by
+    (video id, frame index)."""
+    videos = np.array([vid for vid, _ in refs], dtype=object)
+    tie_rank = np.argsort(sorted(range(len(refs)), key=refs.__getitem__))  # place in sorted(refs)
     graph = NeighborGraph()
-    for qi, qref in enumerate(refs):
-        dists = np.sqrt(((stacked - stacked[qi]) ** 2).sum(axis=1))
-        ranked = sorted(
-            (
-                (float(dists[ci]), ref)
-                for ci, ref in enumerate(refs)
-                if ref[0] != qref[0]
-            ),
-            key=lambda item: (item[0], item[1]),
-        )
-        graph.neighbors[qref] = [(ref, -dist) for dist, ref in ranked[:k]]
+    for q, ref in enumerate(refs):
+        cols = np.flatnonzero(videos != videos[q])
+        ranked = cols[np.lexsort((tie_rank[cols], -similarity[q, cols]))][:k]
+        graph.neighbors[ref] = [(refs[c], float(similarity[q, c])) for c in ranked]
     return graph
+
+
+def bootstrap_neighbors(collection: Collection, k: int, stride: int) -> NeighborGraph:
+    """First-round retrieval by L2 distance between frame signatures; the
+    similarity is the negated distance."""
+    refs = key_frame_refs(collection, stride)
+    signatures = []
+    for vid, kf in refs:
+        signature = collection.videos[vid].frames[kf].signature
+        if signature is None:
+            raise ValidationError(f"frame {kf} of video {vid} is missing its signature")
+        signatures.append(np.asarray(signature, dtype=float))
+    stacked = np.stack(signatures)
+    # one row at a time: O(F * D) scratch instead of an (F, F, D) difference
+    dist = np.array([np.sqrt(((stacked - row) ** 2).sum(axis=1)) for row in stacked])
+    return _rank_neighbors(refs, -dist, k)
 
 
 def retrieval_pool(frame: Frame, mask: np.ndarray, saliency_map: dict[int, float],
@@ -166,35 +169,21 @@ def update_network(state: IterationState, contained: dict[FrameRef, np.ndarray],
     if state.iteration == 0:
         return bootstrap_neighbors(collection, config.k_neighbors, config.keyframe_stride)
 
-    refs: list[FrameRef] = []
-    for vid in collection.videos:
-        for kf in key_frames(collection.videos[vid], config.keyframe_stride):
-            refs.append((vid, kf))
-    pools = {
-        (vid, kf): retrieval_pool(
-            collection.videos[vid].frames[kf],
-            contained[vid, kf],
-            state.saliency[vid][kf],
-            config.retrieval_proposals,
-        )
-        for vid, kf in refs
-    }
+    refs = key_frame_refs(collection, config.keyframe_stride)
+    frames = [collection.videos[vid].frames[kf] for vid, kf in refs]
+    pools = [
+        retrieval_pool(frame, contained[vid, kf], state.saliency[vid][kf],
+                       config.retrieval_proposals)
+        for (vid, kf), frame in zip(refs, frames)
+    ]
 
-    def neighbors_for(qref: FrameRef):
-        qvid, qkf = qref
-        qframe = collection.videos[qvid].frames[qkf]
-        scored = []
-        for cref in refs:
-            if cref[0] == qvid:
-                continue
-            cframe = collection.videos[cref[0]].frames[cref[1]]
-            sim = frame_similarity(qframe, pools[qref], cframe, pools[cref], config)
-            scored.append((sim, cref))
-        scored.sort(key=lambda item: (-item[0], item[1]))
-        return [(cref, sim) for sim, cref in scored[: config.k_neighbors]]
+    def similarity_row(q: int) -> list[float]:
+        # same-video pairs are never ranked, so they are not matched
+        return [frame_similarity(frames[q], pools[q], frames[c], pools[c], config)
+                if refs[c][0] != refs[q][0] else np.nan for c in range(len(refs))]
 
-    results = _map_ordered(neighbors_for, refs, threads)
-    return NeighborGraph(dict(zip(refs, results)))
+    similarity = np.array(_map_ordered(similarity_row, range(len(refs)), threads))
+    return _rank_neighbors(refs, similarity, config.k_neighbors)
 
 
 class VideoMotion(NamedTuple):
@@ -307,10 +296,10 @@ def run_discovery(collection: Collection, config: Config, threads: int = 1
         raise ValidationError(f"threads must be >= 1, got {threads}")
     if not collection.videos:
         raise ValidationError("collection has no videos")
-    for vid, video in collection.videos.items():
-        for kf in key_frames(video, config.keyframe_stride):
-            if kf not in video.frames or not video.frames[kf].proposals:
-                raise ValidationError(f"key frame {kf} of video {vid} has no proposals")
+    for vid, kf in key_frame_refs(collection, config.keyframe_stride):
+        frame = collection.videos[vid].frames.get(kf)
+        if frame is None or not frame.proposals:
+            raise ValidationError(f"key frame {kf} of video {vid} has no proposals")
 
     def video_motion(vid: str):
         video = collection.videos[vid]

@@ -125,13 +125,20 @@ def _floats(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
-_EXPECTED = {int: "an integer", float: "a number", _floats: "a list of numbers"}
+def _int64(value) -> int:
+    """``int(value)`` when it fits the int64 arrays that loaded ids go into."""
+    if -2**63 <= int(value) < 2**63:
+        return int(value)
+    raise OverflowError(value)
+
+
+_EXPECTED = {_int64: "an integer within 64 bits", float: "a number", _floats: "a list of numbers"}
 
 
 def _converted(value, kind, what: str, locus: str):
-    """``kind(value)`` for ``kind`` in int, float, _floats or str (which
-    cannot fail); a value of the wrong type or shape raises ValidationError at
-    ``locus``."""
+    """``kind(value)`` for ``kind`` in _int64, float, _floats or str (which
+    cannot fail); a value of the wrong type, shape or range raises
+    ValidationError at ``locus``."""
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -139,8 +146,15 @@ def _converted(value, kind, what: str, locus: str):
                               locus=locus) from None
 
 
-def _field(record: dict, key: str, locus: str, kind=int):
+def _field(record: dict, key: str, locus: str, kind=_int64):
     return _converted(_require(record, key, locus), kind, key, locus)
+
+
+def _list_field(record: dict, key: str, locus: str) -> list:
+    value = _require(record, key, locus)
+    if not isinstance(value, list):
+        raise ValidationError(f"{key} must be a list", locus=locus)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -445,15 +459,12 @@ def load_tubes(path: Path) -> dict[str, list[Tube]]:
             raise ValidationError(f"unexpected record type {record['type']!r}", locus=locus)
         vid = str(_require(record, "video_id", locus))
         rank = _field(record, "rank", locus)
-        entries = _require(record, "regions", locus)
-        if not isinstance(entries, list):
-            raise ValidationError("regions must be a list", locus=locus)
         regions: dict[int, int] = {}
-        for item in entries:
+        for item in _list_field(record, "regions", locus):
             if not isinstance(item, list) or len(item) != 3:
                 raise ValidationError("region entry must be [frame, proposal_id, box]", locus=locus)
-            kf = _converted(item[0], int, "region frame", locus)
-            pid = _converted(item[1], int, "region proposal id", locus)
+            kf = _converted(item[0], _int64, "region frame", locus)
+            pid = _converted(item[1], _int64, "region proposal id", locus)
             if kf in regions:
                 raise ValidationError(f"duplicate key frame {kf} in tube", locus=locus)
             regions[kf] = pid
@@ -489,13 +500,14 @@ def load_neighbor_graph(path: Path) -> NeighborGraph:
         if ref in graph.neighbors:
             raise ValidationError(f"duplicate neighbor record for {ref}", locus=locus)
         entries = []
-        for item in _require(record, "neighbors", locus):
+        for item in _list_field(record, "neighbors", locus):
             if not isinstance(item, list) or len(item) != 3:
                 raise ValidationError("neighbor entry must be [video_id, frame, similarity]", locus=locus)
-            entries.append(((str(item[0]), _converted(item[1], int, "neighbor frame", locus)),
+            if str(item[0]) == ref[0]:
+                raise ValidationError(f"neighbor list for video {ref[0]} contains a same-video frame", locus=locus)
+            entries.append(((str(item[0]), _converted(item[1], _int64, "neighbor frame", locus)),
                             _converted(item[2], float, "neighbor similarity", locus)))
         graph.neighbors[ref] = entries
-    graph.validate()
     return graph
 
 

@@ -189,14 +189,6 @@ class Video:
     frames: dict[int, Frame] = field(default_factory=dict)
     tracks: list[Track] = field(default_factory=list)
 
-    @property
-    def width(self) -> float:
-        return self.frames[min(self.frames)].width
-
-    @property
-    def height(self) -> float:
-        return self.frames[min(self.frames)].height
-
 
 @dataclass
 class Tube:
@@ -238,14 +230,6 @@ class NeighborGraph:
     """Per key frame, ranked neighbor frames from other videos with similarities."""
 
     neighbors: dict[FrameRef, list[tuple[FrameRef, float]]] = field(default_factory=dict)
-
-    def validate(self):
-        for (vid, _), entries in self.neighbors.items():
-            for (nvid, _), _sim in entries:
-                if nvid == vid:
-                    raise ValidationError(
-                        f"neighbor list for video {vid} contains a same-video frame"
-                    )
 
 
 def check_field_types(params) -> None:

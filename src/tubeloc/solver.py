@@ -99,8 +99,9 @@ def _min_id_position(positions: np.ndarray, ids: np.ndarray) -> int:
     return int(positions[np.argmin(ids[positions])])
 
 
-def _best_indices(trellis: Trellis, lam: float) -> list[int]:
-    """Backward pass plus forward reconstruction with exact-tie id ordering.
+def _best_indices(trellis: Trellis, unary: list[np.ndarray], lam: float) -> list[int]:
+    """Backward pass plus forward reconstruction with exact-tie id ordering,
+    over ``unary`` in place of the trellis' own (-inf marks a taken candidate).
 
     Ties (exact float equality of partial objectives) resolve to the
     lexicographically smallest proposal-id sequence.
@@ -108,11 +109,11 @@ def _best_indices(trellis: Trellis, lam: float) -> list[int]:
     T = trellis.num_frames
     suffix: list[np.ndarray] = [np.empty(0)] * T
     cont: list[np.ndarray] = [np.empty(0)] * max(T - 1, 0)
-    suffix[T - 1] = trellis.unary[T - 1].astype(float, copy=True)
+    suffix[T - 1] = unary[T - 1]
     for t in range(T - 2, -1, -1):
         scored = lam * trellis.pairwise[t] + suffix[t + 1][None, :]
         cont[t] = scored.max(axis=1)
-        suffix[t] = trellis.unary[t] + cont[t]
+        suffix[t] = unary[t] + cont[t]
 
     best = suffix[0].max()
     indices = [_min_id_position(np.flatnonzero(suffix[0] == best), trellis.candidate_ids[0])]
@@ -145,35 +146,21 @@ def _solution_from_indices(trellis: Trellis, indices: list[int], lam: float) -> 
     return TubeSolution(Tube(trellis.video_id, regions, objective), objective)
 
 
-def _remove_indices(trellis: Trellis, indices: list[int]) -> Trellis | None:
-    """Drop the chosen candidate at every frame; None when any frame empties."""
-    if any(trellis.candidate_count(t) <= 1 for t in range(trellis.num_frames)):
-        return None
-    candidate_ids = [np.delete(trellis.candidate_ids[t], indices[t])
-                     for t in range(trellis.num_frames)]
-    unary = [np.delete(trellis.unary[t], indices[t]) for t in range(trellis.num_frames)]
-    pairwise = [
-        np.delete(np.delete(trellis.pairwise[t], indices[t], axis=0), indices[t + 1], axis=1)
-        for t in range(trellis.num_frames - 1)
-    ]
-    return Trellis(trellis.video_id, trellis.frame_indices, candidate_ids, unary, pairwise)
-
-
 def solve_p_best(trellis: Trellis, p: int, lam: float) -> list[TubeSolution]:
-    """Extract up to p region-disjoint tubes by repeated solve-and-remove.
+    """Extract up to p region-disjoint tubes by repeated solve-and-mask.
 
-    Each round removes the chosen proposal from every key frame before
-    re-solving; extraction stops early once any frame runs out of candidates.
+    After each tube its candidate at every key frame is masked out, so there
+    are as many tubes as the smallest frame has candidates, at most p.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     trellis.validate()
+    unary = [u.astype(float, copy=True) for u in trellis.unary]
+    capacity = min(trellis.candidate_count(t) for t in range(trellis.num_frames))
     solutions: list[TubeSolution] = []
-    current: Trellis | None = trellis
-    for _ in range(p):
-        if current is None:
-            break
-        indices = _best_indices(current, lam)
-        solutions.append(_solution_from_indices(current, indices, lam))
-        current = _remove_indices(current, indices)
+    for _ in range(min(p, capacity)):
+        indices = _best_indices(trellis, unary, lam)
+        solutions.append(_solution_from_indices(trellis, indices, lam))
+        for u, i in zip(unary, indices):
+            u[i] = -np.inf
     return solutions

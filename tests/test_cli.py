@@ -223,6 +223,25 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert f"{frames_file}:1: frame size must be positive and finite" in err
 
+    @pytest.mark.parametrize("suffix,key,value", [(".frames.jsonl", "id", 2**63),
+                                                  (".frames.jsonl", "id", -2**63 - 1),
+                                                  (".tracks.jsonl", "cluster", 2**63)])
+    def test_integer_beyond_64_bits_exits_one(self, tiny_collection, tmp_path, capsys,
+                                              suffix, key, value):
+        # the value loads as a Python int but overflows the int64 id arrays
+        target = tmp_path / "collection"
+        shutil.copytree(tiny_collection, target)
+        path = sorted(target.glob(f"*{suffix}"))[0]
+        lines = path.read_text().splitlines()
+        index = next(i for i, line in enumerate(lines) if key in json.loads(line))
+        lines[index] = json.dumps(dict(json.loads(lines[index]), **{key: value}))
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["run", "--collection", str(target / "manifest.jsonl"),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"{path}:{index + 1}: {key} must be an integer within 64 bits" in (
+            capsys.readouterr().err)
+
     def test_config_file_with_flag_override(self, tiny_collection, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"iterations": 1, "k_neighbors": 2, "lambda": 1.0}))
@@ -266,6 +285,20 @@ class TestEvalCommand:
         assert code == 1
         assert f"{out / 'tubes.jsonl'}:1: regions must be a list" in capsys.readouterr().err
 
+    def test_neighbors_not_a_list_exits_one(self, tiny_collection, tmp_path, capsys):
+        out = tmp_path / "res"
+        assert main(["run", "--collection", str(tiny_collection / "manifest.jsonl"),
+                     "--out", str(out), "--iterations", "1", "--k", "2",
+                     "--threads", "1"]) == 0
+        path = out / "neighbors.jsonl"
+        lines = path.read_text().splitlines()
+        lines[0] = json.dumps(dict(json.loads(lines[0]), neighbors=5))
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["eval", "--collection", str(tiny_collection / "manifest.jsonl"),
+                     "--results", str(out)])
+        assert code == 1
+        assert f"{path}:1: neighbors must be a list" in capsys.readouterr().err
+
     def test_per_iteration_requires_snapshots(self, tiny_collection, tmp_path, capsys):
         out = tmp_path / "nosnap"
         assert main(["run", "--collection", str(tiny_collection / "manifest.jsonl"),
@@ -290,6 +323,12 @@ class TestInspectCommand:
 
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["inspect", str(tmp_path / "missing.jsonl")]) == 1
+
+    def test_integer_beyond_digit_limit_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text('{"n": ' + "9" * 5000 + "}")
+        assert main(["inspect", str(path)]) == 1
+        assert f"artifact file {path} is not valid JSON" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +9,7 @@ import tubeloc.discovery as discovery
 from helpers import basis_vec, make_frame, union_area_exact
 from tubeloc.discovery import (
     CONTAINMENT_RATIO,
+    _rank_neighbors,
     bootstrap_neighbors,
     build_video_trellis,
     frame_similarity,
@@ -51,7 +54,8 @@ class TestInitialize:
         assert state.iteration == 0
         for vid, video in collection.videos.items():
             for kf in key_frames(video, 20):
-                assert state.boxes[vid][kf] == [Box(0.0, 0.0, video.width, video.height)]
+                frame = video.frames[kf]
+                assert state.boxes[vid][kf] == [Box(0.0, 0.0, frame.width, frame.height)]
 
     def test_single_frame_video(self):
         frame = _signature_frame("v0", 0, [1, 0, 0, 0])
@@ -88,6 +92,36 @@ class TestBootstrap:
         for (vid, _t), entries in graph.neighbors.items():
             assert entries, "every key frame should retrieve someone"
             assert all(nvid != vid for (nvid, _nt), _s in entries)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_sort_in_any_video_order(self, data):
+        # small-integer signatures make exact distance ties common, and
+        # inserting the videos out of sorted order separates collection order
+        # from the (video id, frame) tie order
+        vids = data.draw(st.permutations(["a", "b", "c", "d"]), label="insertion order")
+        stride = 2
+        frames = {}
+        for vid in vids[:data.draw(st.integers(1, 4), label="videos")]:
+            length = data.draw(st.integers(1, 5), label="frames")
+            frames[vid] = [
+                _signature_frame(vid, t, data.draw(st.lists(st.integers(-1, 1), min_size=4,
+                                                            max_size=4), label="signature"))
+                for t in range(length)
+            ]
+        collection = _collection_of_frames(frames)
+        k = data.draw(st.integers(1, 12), label="k")
+        graph = bootstrap_neighbors(collection, k=k, stride=stride)
+
+        refs = [(vid, t) for vid, video in collection.videos.items()
+                for t in range(0, video.num_frames, stride)]
+        signature = {ref: collection.videos[ref[0]].frames[ref[1]].signature for ref in refs}
+        expected = {}
+        for q in refs:
+            ranked = sorted((math.sqrt(sum((signature[q] - signature[c]) ** 2)), c)
+                            for c in refs if c[0] != q[0])
+            expected[q] = [(c, -dist) for dist, c in ranked[:k]]
+        assert graph.neighbors == expected
 
 
 def _frame_of(boxes) -> Frame:
@@ -283,6 +317,35 @@ class TestUpdateNetwork:
         assert [ref for ref, _ in graph.neighbors[("c", 0)]] == [("a", 0), ("b", 0)]
 
 
+@st.composite
+def _ranking_case(draw):
+    """Key frames of up to four videos in any order, an (F, F) similarity
+    drawn from a few values with ties and both signed zeros, and k up to
+    past the candidate count."""
+    refs = draw(st.lists(st.tuples(st.sampled_from("abcd"), st.integers(0, 3)),
+                         min_size=1, max_size=9, unique=True))
+    values = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0])
+    n = len(refs)
+    similarity = np.array(draw(st.lists(values, min_size=n * n, max_size=n * n))).reshape(n, n)
+    return refs, similarity, draw(st.integers(1, n + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ranking_case())
+def test_rank_neighbors_matches_reference_sort(case):
+    refs, similarity, k = case
+    graph = _rank_neighbors(refs, similarity, k)
+    for q, qref in enumerate(refs):
+        ranked = sorted((-similarity[q, c], refs[c]) for c in range(len(refs))
+                        if refs[c][0] != qref[0])
+        expected = [(ref, -negated) for negated, ref in ranked[:k]]
+        assert graph.neighbors[qref] == expected
+        # == takes -0.0 for 0.0, so compare the signs too
+        assert ([math.copysign(1, sim) for _, sim in graph.neighbors[qref]]
+                == [math.copysign(1, sim) for _, sim in expected])
+    assert list(graph.neighbors) == refs
+
+
 class TestRelocalization:
     def test_planted_proposal_has_max_appearance_confidence(self, noise_free_bundle):
         collection, planted, _ = noise_free_bundle
@@ -359,7 +422,8 @@ class TestRunDiscovery:
     def test_neighbor_graphs_never_contain_self(self, noise_free_run):
         result, _ = noise_free_run
         for state in result.snapshots:
-            state.graph.validate()
+            for (vid, _), entries in state.graph.neighbors.items():
+                assert all(nvid != vid for (nvid, _), _sim in entries)
 
     def test_recovers_planted_tubes(self, noise_free_run, noise_free_bundle):
         _, planted, _ = noise_free_bundle

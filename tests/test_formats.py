@@ -22,6 +22,7 @@ from tubeloc.formats import (
     write_jsonl,
 )
 from tubeloc.model import Config, NeighborGraph, Tube, ValidationError
+from tubeloc.motion import VideoTrackIndex
 from tubeloc.synth import SynthSpec, generate_collection
 
 
@@ -222,7 +223,7 @@ class TestResults:
         graph = NeighborGraph({("a", 0): [(("a", 20), 1.0)]})
         path = tmp_path / "neighbors.jsonl"
         save_neighbor_graph(graph, path)
-        with pytest.raises(ValidationError, match="same-video"):
+        with pytest.raises(ValidationError, match=rf"^{re.escape(str(path))}:1: .*same-video"):
             load_neighbor_graph(path)
 
     def test_save_results_deterministic(self, tmp_path, noise_free_bundle):
@@ -284,8 +285,9 @@ JSON_VALUES = st.recursive(
 
 @pytest.fixture(scope="module")
 def record_files(tmp_path_factory):
-    """A small collection whose files hold every loaded record kind, plus a
-    tubes file: frames, proposals, tracks, a ground truth and tubes."""
+    """A small collection whose files hold every loaded record kind, plus
+    tubes and neighbors files: frames, proposals, tracks, a ground truth,
+    tubes and neighbor lists."""
     out = tmp_path_factory.mktemp("records")
     spec = SynthSpec(num_classes=1, videos_per_class=1, frames_per_video=3,
                      keyframe_stride=2, num_distractors=1, num_parts=0,
@@ -294,9 +296,12 @@ def record_files(tmp_path_factory):
     save_collection(collection, out)
     tubes = {vid: [Tube(vid, regions, 1.5)] for vid, regions in planted.tubes.items()}
     save_tubes(tubes, collection, out / "tubes.jsonl")
+    graph = NeighborGraph({(vid, 0): [(("other", 2), 0.5), (("other", 4), -0.25)]
+                           for vid in collection.videos})
+    save_neighbor_graph(graph, out / "neighbors.jsonl")
     kinds = {json.loads(line)["type"]
              for path in out.glob("*.jsonl") for line in path.read_text().splitlines()}
-    assert {"frame", "proposal", "track", "ground_truth", "tube"} <= kinds
+    assert {"frame", "proposal", "track", "ground_truth", "tube", "neighbors"} <= kinds
     return out
 
 
@@ -322,6 +327,9 @@ class TestAnyFieldValue:
                 if name == "tubes.jsonl":
                     load_tubes(path)
                     return
+                if name == "neighbors.jsonl":
+                    load_neighbor_graph(path)
+                    return
                 collection = load_collection(root / "manifest.jsonl",
                                              keyframe_stride=Config().keyframe_stride)
             except ValidationError as exc:
@@ -329,6 +337,10 @@ class TestAnyFieldValue:
                 assert re.fullmatch(rf"{re.escape(str(root))}/[^/]+\.jsonl(:\d+)?",
                                     str(exc.locus)), exc
                 return
+        # a loaded frame has a finite, positive size, and every loaded id
+        # fits the int64 arrays that scoring reads
         for video in collection.videos.values():
+            assert VideoTrackIndex(video).label.size == len(video.tracks)
             for frame in video.frames.values():
-                frame.bounds_box()  # a loaded frame has a finite, positive size
+                frame.bounds_box()
+                assert frame.ids.size == len(frame.proposals)

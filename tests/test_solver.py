@@ -20,6 +20,26 @@ def _no_pairwise(step, ids_a, ids_b):
     return np.zeros((ids_a.size, ids_b.size))
 
 
+@st.composite
+def _tied_trellises(draw):
+    """Trellises whose unary and pairwise scores are small integers, so exact
+    ties between candidates and between whole tubes are common."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    small = st.integers(-2, 2)
+
+    def scores(*shape):
+        count = int(np.prod(shape))
+        return np.array(draw(st.lists(small, min_size=count, max_size=count)),
+                        dtype=float).reshape(shape)
+
+    ids = [np.array(draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True)))
+           for n in sizes]
+    unary = [scores(n) for n in sizes]
+    pairwise = [scores(a, b) for a, b in zip(sizes, sizes[1:])]
+    lam = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    return Trellis("ties", list(range(len(sizes))), ids, unary, pairwise), lam
+
+
 class TestBuildTrellis:
     def test_truncation_keeps_top_scores(self):
         rng = np.random.default_rng(0)
@@ -160,17 +180,22 @@ class TestSolvePBest:
         solutions = solve_p_best(trellis, 2, 2.0)
         assert len(solutions) == 1
 
-    def test_second_tube_is_residual_optimum(self):
-        rng = np.random.default_rng(7)
-        for _ in range(15):
-            trellis = random_trellis(rng, max_frames=4, max_candidates=5)
-            if min(trellis.candidate_count(t) for t in range(trellis.num_frames)) < 2:
-                continue
-            first, second = solve_p_best(trellis, 2, 1.0)[:2]
-            residual = remove_choice(trellis, first.tube.regions)
-            expected = brute_force_tube(residual, 1.0)
-            assert second.tube.regions == expected.tube.regions
-            assert second.objective == pytest.approx(expected.objective, abs=1e-9)
+    @settings(max_examples=200, deadline=None)
+    @given(case=_tied_trellises(), data=st.data())
+    def test_second_tube_is_residual_optimum(self, case, data):
+        # every tube, not only the second, is the exact optimum of the
+        # trellis left after removing the earlier tubes' candidates
+        trellis, lam = case
+        capacity = min(trellis.candidate_count(t) for t in range(trellis.num_frames))
+        p = data.draw(st.integers(1, capacity + 1), label="p")
+        solutions = solve_p_best(trellis, p, lam)
+        assert len(solutions) == min(p, capacity)
+        residual = trellis
+        for solution in solutions:
+            expected = brute_force_tube(residual, lam)
+            assert solution.tube.regions == expected.tube.regions
+            assert solution.objective == expected.objective
+            residual = remove_choice(residual, solution.tube.regions)
 
     def test_tubes_region_disjoint(self):
         rng = np.random.default_rng(8)
@@ -219,26 +244,6 @@ class TestBruteForceGuard:
             assert bf.tube.regions[kf] == winners.min()
         expected = math.fsum(trellis.unary[t].max() for t in range(trellis.num_frames))
         assert bf.objective == pytest.approx(expected, abs=1e-12)
-
-
-@st.composite
-def _tied_trellises(draw):
-    """Trellises whose unary and pairwise scores are small integers, so exact
-    ties between candidates and between whole tubes are common."""
-    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
-    small = st.integers(-2, 2)
-
-    def scores(*shape):
-        count = int(np.prod(shape))
-        return np.array(draw(st.lists(small, min_size=count, max_size=count)),
-                        dtype=float).reshape(shape)
-
-    ids = [np.array(draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True)))
-           for n in sizes]
-    unary = [scores(n) for n in sizes]
-    pairwise = [scores(a, b) for a, b in zip(sizes, sizes[1:])]
-    lam = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
-    return Trellis("ties", list(range(len(sizes))), ids, unary, pairwise), lam
 
 
 @settings(max_examples=200, deadline=None)
