@@ -4,12 +4,20 @@ Each iteration is two barrier-synchronized phases: retrieval for all key
 frames, then relocalization for all videos. Both phases only read the
 previous iteration's state, so tasks within a phase run in parallel and the
 whole pipeline stays a pure function of (collection, config).
+
+The tasks are numpy-heavy Python that holds the interpreter lock, so they run
+in processes: ``Workers`` forks its processes once per ``run_discovery`` call.
+They inherit the run's read-only inputs (collection, config, motion evidence),
+and each task sends only its phase's small state and its result. With one
+worker the same task functions run inline.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -150,40 +158,87 @@ def frame_similarity(query_frame: Frame, query_rows: np.ndarray,
     return float(scores.max(axis=1).sum())
 
 
-def _map_ordered(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+class RunInputs(NamedTuple):
+    """What every task of one ``run_discovery`` call reads and none changes."""
+
+    collection: Collection
+    config: Config
+    motion: dict[str, VideoMotion]
+
+
+_worker_inputs: RunInputs | None = None  # set in each forked worker process
+
+
+def _inherit_inputs(inputs: RunInputs) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _run_in_worker(task, arg):
+    return task(_worker_inputs, arg)
+
+
+class Workers:
+    """Runs a module-level ``task(inputs, arg)`` over a list of args, results in
+    order.
+
+    With one worker the tasks run inline. With more, ``count`` processes are
+    forked once, at the first ``map``, and inherit ``inputs``, so a task sends
+    only its arg and result; leaving the ``with`` block ends them. Fork, not
+    spawn, so that the inputs are neither pickled nor loaded again; a worker
+    sees the module's functions as they were at the fork.
+    """
+
+    def __init__(self, inputs: RunInputs, count: int = 1):
+        self.inputs = inputs
+        self.count = count
+        self._pool = None if count == 1 else ProcessPoolExecutor(
+            count, multiprocessing.get_context("fork"), _inherit_inputs, (inputs,))
+
+    def map(self, task, args: list) -> list:
+        if self._pool is None:
+            return [task(self.inputs, arg) for arg in args]
+        chunk = max(1, -(-len(args) // (4 * self.count)))  # a few per worker balance the load
+        return list(self._pool.map(partial(_run_in_worker, task), args, chunksize=chunk))
+
+    def __enter__(self) -> Workers:
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
 
 
 def update_network(state: IterationState, contained: dict[FrameRef, np.ndarray],
-                   collection: Collection, config: Config, threads: int = 1) -> NeighborGraph:
+                   workers: Workers) -> NeighborGraph:
     """Re-rank each key frame's k matching neighbors among other videos.
 
     Iteration 0 falls back to signature-based bootstrap retrieval; later
     iterations match the localized-region proposal pools of frame pairs, which
     ``contained`` (the ``region_contained`` mask of each key frame for
-    ``state.boxes``) selects.
+    ``state.boxes``) selects. ``workers`` fill the similarity matrix row by row.
     """
+    collection, config, _motion = workers.inputs
     if state.iteration == 0:
         return bootstrap_neighbors(collection, config.k_neighbors, config.keyframe_stride)
 
     refs = key_frame_refs(collection, config.keyframe_stride)
-    frames = [collection.videos[vid].frames[kf] for vid, kf in refs]
     pools = [
-        retrieval_pool(frame, contained[vid, kf], state.saliency[vid][kf],
-                       config.retrieval_proposals)
-        for (vid, kf), frame in zip(refs, frames)
+        retrieval_pool(collection.videos[vid].frames[kf], contained[vid, kf],
+                       state.saliency[vid][kf], config.retrieval_proposals)
+        for vid, kf in refs
     ]
+    rows = workers.map(_similarity_row, [(q, refs, pools) for q in range(len(refs))])
+    return _rank_neighbors(refs, np.array(rows), config.k_neighbors)
 
-    def similarity_row(q: int) -> list[float]:
-        # same-video pairs are never ranked, so they are not matched
-        return [frame_similarity(frames[q], pools[q], frames[c], pools[c], config)
-                if refs[c][0] != refs[q][0] else np.nan for c in range(len(refs))]
 
-    similarity = np.array(_map_ordered(similarity_row, range(len(refs)), threads))
-    return _rank_neighbors(refs, similarity, config.k_neighbors)
+def _similarity_row(inputs: RunInputs, arg) -> list[float]:
+    """Row ``q`` of the key frame similarity matrix of ``update_network``."""
+    q, refs, pools = arg
+    frames = [inputs.collection.videos[vid].frames[kf] for vid, kf in refs]
+    # same-video pairs are never ranked, so they are not matched
+    return [frame_similarity(frames[q], pools[q], frames[c], pools[c], inputs.config)
+            if refs[c][0] != refs[q][0] else np.nan for c in range(len(refs))]
 
 
 class VideoMotion(NamedTuple):
@@ -283,17 +338,27 @@ def relocalize_video(video: Video, graph: NeighborGraph,
     return solutions, saliency_maps, boxes_by_kf
 
 
+def _relocalize(inputs: RunInputs, arg):
+    vid, graph, contained, num_tubes = arg
+    return relocalize_video(inputs.collection.videos[vid], graph, contained, inputs.collection,
+                            inputs.config, num_tubes, inputs.motion[vid])
+
+
 def run_discovery(collection: Collection, config: Config, threads: int = 1
                   ) -> DiscoveryResult:
     """Alternate retrieval and relocalization; keep the best tube per video.
 
     Every iteration except the last carries ``p_tubes`` tubes per video for
-    robustness; the last keeps a single one. Deterministic for a given
-    (collection, config) regardless of the thread count.
+    robustness; the last keeps a single one. ``threads`` is the number of
+    worker processes (see ``Workers``); more than one needs the ``fork``
+    start method. Deterministic for a given (collection, config) regardless
+    of the worker count.
     """
     config.validate()
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
+    if threads > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        raise ValidationError(f"threads must be 1 on a platform without fork, got {threads}")
     if not collection.videos:
         raise ValidationError("collection has no videos")
     for vid, kf in key_frame_refs(collection, config.keyframe_stride):
@@ -301,36 +366,31 @@ def run_discovery(collection: Collection, config: Config, threads: int = 1
         if frame is None or not frame.proposals:
             raise ValidationError(f"key frame {kf} of video {vid} has no proposals")
 
-    def video_motion(vid: str):
-        video = collection.videos[vid]
-        return motion_scores(video, key_frames(video, config.keyframe_stride))
-
+    # also builds every key frame's array view before the workers fork
+    motion = {vid: motion_scores(video, key_frames(video, config.keyframe_stride))
+              for vid, video in collection.videos.items()}
     video_ids = list(collection.videos)
-    motion = dict(zip(video_ids, _map_ordered(video_motion, video_ids, threads)))
     state = initialize_state(collection, config)
     snapshots: list[IterationState] = []
-    for iteration in range(1, config.iterations + 1):
-        # both phases read the proposals inside the previous state's regions
-        contained = {
-            (vid, kf): region_contained(collection.videos[vid].frames[kf], regions)
-            for vid, by_kf in state.boxes.items() for kf, regions in by_kf.items()
-        }
-        graph = update_network(state, contained, collection, config, threads)
-        num_tubes = 1 if iteration == config.iterations else config.p_tubes
-
-        def relocalize(vid: str):
-            return relocalize_video(collection.videos[vid], graph, contained, collection,
-                                    config, num_tubes, motion[vid])
-
-        results = _map_ordered(relocalize, video_ids, threads)
-        state = IterationState(
-            iteration=iteration,
-            tubes={vid: res[0] for vid, res in zip(video_ids, results)},
-            saliency={vid: res[1] for vid, res in zip(video_ids, results)},
-            boxes={vid: res[2] for vid, res in zip(video_ids, results)},
-            graph=graph,
-        )
-        snapshots.append(state)
+    with Workers(RunInputs(collection, config, motion), threads) as workers:
+        for iteration in range(1, config.iterations + 1):
+            # both phases read the proposals inside the previous state's regions
+            contained = {
+                (vid, kf): region_contained(collection.videos[vid].frames[kf], regions)
+                for vid, by_kf in state.boxes.items() for kf, regions in by_kf.items()
+            }
+            graph = update_network(state, contained, workers)
+            num_tubes = 1 if iteration == config.iterations else config.p_tubes
+            results = workers.map(_relocalize,
+                                  [(vid, graph, contained, num_tubes) for vid in video_ids])
+            state = IterationState(
+                iteration=iteration,
+                tubes={vid: res[0] for vid, res in zip(video_ids, results)},
+                saliency={vid: res[1] for vid, res in zip(video_ids, results)},
+                boxes={vid: res[2] for vid, res in zip(video_ids, results)},
+                graph=graph,
+            )
+            snapshots.append(state)
 
     final = {vid: state.tubes[vid][0] for vid in collection.videos}
     assert state.graph is not None

@@ -10,6 +10,7 @@ the serialized precision.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -277,8 +278,8 @@ def _load_frames(path: Path, video_id: str, num_frames: int, descriptor_dim: int
         else:
             raise ValidationError(f"unexpected record type {kind!r}", locus=locus)
 
-    if set(frames) != set(range(num_frames)):
-        missing = sorted(set(range(num_frames)) - set(frames))[:3]
+    if len(frames) != num_frames:  # indices are in range and unique
+        missing = list(itertools.islice((t for t in range(num_frames) if t not in frames), 3))
         raise ValidationError(
             f"video {video_id} is missing frame records (first missing: {missing})",
             locus=str(path),
@@ -324,6 +325,8 @@ def _load_tracks(path: Path, video_id: str, frames: dict[int, Frame],
                  num_frames: int) -> list[Track]:
     tracks: list[Track] = []
     seen: set[int] = set()
+    size = np.array([(frames[t].width, frames[t].height) for t in range(num_frames)])
+    eps = _BOUNDS_EPS * size.max(axis=1, keepdims=True)
     for locus, record in read_jsonl(path):
         if record["type"] != "track":
             raise ValidationError(f"unexpected record type {record['type']!r}", locus=locus)
@@ -342,14 +345,13 @@ def _load_tracks(path: Path, video_id: str, frames: dict[int, Frame],
             raise ValidationError("track points must be finite", locus=locus)
         if start < 0 or start + points.shape[0] > num_frames:
             raise ValidationError("track lifetime exceeds video length", locus=locus)
-        for offset, (x, y) in enumerate(points):
-            frame = frames[start + offset]
-            eps = _BOUNDS_EPS * max(frame.width, frame.height)
-            if x < -eps or y < -eps or x > frame.width + eps or y > frame.height + eps:
-                raise ValidationError(
-                    f"track {tid} point at frame {start + offset} outside frame bounds",
-                    locus=locus,
-                )
+        life = slice(start, start + points.shape[0])
+        outside = ((points < -eps[life]) | (points > size[life] + eps[life])).any(axis=1)
+        if outside.any():
+            raise ValidationError(
+                f"track {tid} point at frame {start + outside.argmax()} outside frame bounds",
+                locus=locus,
+            )
         tracks.append(Track(tid, cluster, start, points))
     tracks.sort(key=lambda tr: tr.id)
     return tracks

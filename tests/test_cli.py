@@ -1,6 +1,9 @@
 import json
+import multiprocessing
 import shutil
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -241,6 +244,54 @@ class TestRunCommand:
         assert code == 1
         assert f"{path}:{index + 1}: {key} must be an integer within 64 bits" in (
             capsys.readouterr().err)
+
+    def test_outputs_identical_across_threads(self, tiny_collection, tmp_path):
+        outputs = []
+        for threads in ("1", "2", "3"):
+            out = tmp_path / threads
+            code = main(["run", "--collection", str(tiny_collection / "manifest.jsonl"),
+                         "--out", str(out)] + FAST_RUN + ["--threads", threads])
+            assert code == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("tubes.jsonl", "neighbors.jsonl")])
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_threads_without_fork_exits_one(self, tiny_collection, tmp_path, capsys,
+                                            monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        code = main(["run", "--collection", str(tiny_collection / "manifest.jsonl"),
+                     "--out", str(tmp_path / "o"), "--threads", "2"])
+        assert code == 1
+        assert "threads must be 1 on a platform without fork" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        assert main(["run", "--collection", str(tiny_collection / "manifest.jsonl"),
+                     "--out", str(tmp_path / "o"), "--iterations", "1", "--threads", "1"]) == 0
+
+    def test_huge_declared_length_fails_in_bounded_memory(self, tiny_collection, tmp_path,
+                                                          capsys):
+        # the missing-frame check must not grow with the declared length
+        target = tmp_path / "collection"
+        shutil.copytree(tiny_collection, target)
+        manifest = target / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        video = json.loads(lines[1])
+        lines[1] = json.dumps(dict(video, num_frames=10**9))
+        manifest.write_text("\n".join(lines) + "\n")
+        frames_file = target / video["frames_file"]
+        count = sum('"type": "frame"' in line for line in frames_file.read_text().splitlines())
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = main(["run", "--collection", str(manifest), "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert time.perf_counter() - start < 10
+        assert peak < 16 * 2**20
+        missing = [count, count + 1, count + 2]
+        assert (f"{frames_file}: video {video['video_id']} is missing frame records "
+                f"(first missing: {missing})") in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, tiny_collection, tmp_path):
         config_path = tmp_path / "config.json"

@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ import tubeloc.discovery as discovery
 from helpers import basis_vec, make_frame, union_area_exact
 from tubeloc.discovery import (
     CONTAINMENT_RATIO,
+    RunInputs,
+    Workers,
     _rank_neighbors,
     bootstrap_neighbors,
     build_video_trellis,
@@ -289,7 +294,8 @@ class TestUpdateNetwork:
         collection, _, _ = noise_free_bundle
         cfg = Config()
         state = initialize_state(collection, cfg)
-        graph = update_network(state, {}, collection, cfg)  # bootstrap reads no masks
+        # bootstrap reads no masks
+        graph = update_network(state, {}, Workers(RunInputs(collection, cfg, {})))
         expected = bootstrap_neighbors(collection, cfg.k_neighbors, cfg.keyframe_stride)
         assert graph.neighbors == expected.neighbors
 
@@ -303,7 +309,8 @@ class TestUpdateNetwork:
     def test_k_one_returns_single_neighbor(self, noise_free_bundle):
         collection, _, _ = noise_free_bundle
         cfg = Config(k_neighbors=1)
-        graph = update_network(initialize_state(collection, cfg), {}, collection, cfg)
+        graph = update_network(initialize_state(collection, cfg), {},
+                               Workers(RunInputs(collection, cfg, {})))
         assert all(len(v) == 1 for v in graph.neighbors.values())
 
     def test_equal_similarities_tie_break(self):
@@ -443,18 +450,19 @@ class TestRunDiscovery:
         assert result_serial.graph.neighbors == result_threads.graph.neighbors
 
 
+@pytest.fixture
+def small():
+    spec = SynthSpec(num_classes=2, videos_per_class=2, frames_per_video=40,
+                     num_distractors=3, seed=11)
+    collection, _, _ = generate_collection(spec)
+    config = Config(iterations=3, k_neighbors=4, p_tubes=2)
+    key_frame_count = sum(len(key_frames(video, config.keyframe_stride))
+                          for video in collection.videos.values())
+    return collection, config, key_frame_count
+
+
 class TestComputeOnce:
     """Per-run and per-iteration work is not repeated across its readers."""
-
-    @pytest.fixture
-    def small(self):
-        spec = SynthSpec(num_classes=2, videos_per_class=2, frames_per_video=40,
-                         num_distractors=3, seed=11)
-        collection, _, _ = generate_collection(spec)
-        config = Config(iterations=3, k_neighbors=4, p_tubes=2)
-        key_frame_count = sum(len(key_frames(video, config.keyframe_stride))
-                              for video in collection.videos.values())
-        return collection, config, key_frame_count
 
     @staticmethod
     def _count_calls(monkeypatch, name: str, counts: dict):
@@ -510,3 +518,39 @@ class TestComputeOnce:
         for t in range(fresh.num_frames):
             assert np.array_equal(fresh.candidate_ids[t], reused.candidate_ids[t])
             assert np.array_equal(fresh.unary[t], reused.unary[t])
+
+
+class TestWorkers:
+    """``threads`` > 1 forks one process pool per run."""
+
+    @pytest.mark.parametrize("threads,iterations", [(2, 1), (2, 3), (3, 3)])
+    def test_one_fork_per_worker_per_run(self, small, monkeypatch, threads, iterations):
+        collection, config, _ = small
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:  # the parent's side of the fork
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        run_discovery(collection, replace(config, iterations=iterations), threads=threads)
+        assert len(forks) == threads
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("task", ["frame_similarity", "relocalize_video"])
+    def test_worker_error_reaches_caller(self, small, monkeypatch, task):
+        # patched before the run, so the forked workers inherit the patch
+        collection, config, _ = small
+
+        def fail(*_args, **_kwargs):
+            raise ValidationError("no good", locus="v.frames.jsonl:7")
+
+        monkeypatch.setattr(discovery, task, fail)
+        with pytest.raises(ValidationError) as err:
+            run_discovery(collection, config, threads=2)
+        assert str(err.value) == "v.frames.jsonl:7: no good"
+        assert err.value.locus == "v.frames.jsonl:7"
+        assert multiprocessing.active_children() == []

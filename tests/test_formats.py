@@ -93,6 +93,46 @@ class TestLoadCollection:
         # descriptors are normalized at ingestion
         np.testing.assert_allclose(video.frames[0].proposals[0].descriptor, [0.6, 0.8])
 
+    @staticmethod
+    def _write_tracked_video(root: Path, sizes, tracks) -> Path:
+        """One video with frames of the given (width, height) and the given
+        track records (start frame, points); returns the manifest."""
+        (root / "manifest.jsonl").write_text(
+            '{"type": "collection", "descriptor_dim": 2, "signature_dim": 2}\n'
+            + json.dumps({"type": "video", "video_id": "v0", "num_frames": len(sizes),
+                          "frames_file": "v0.frames.jsonl",
+                          "tracks_file": "v0.tracks.jsonl"}) + "\n")
+        write_jsonl(root / "v0.frames.jsonl", [
+            {"type": "frame", "frame_index": t, "width": w, "height": h,
+             "signature": [1.0, 0.0]} for t, (w, h) in enumerate(sizes)])
+        write_jsonl(root / "v0.tracks.jsonl", [
+            {"type": "track", "id": i, "cluster": 0, "start_frame": start,
+             "points": points} for i, (start, points) in enumerate(tracks)])
+        return root / "manifest.jsonl"
+
+    def test_track_points_on_the_bounds_slack_load(self, tmp_path):
+        sizes = [(100.0, 80.0), (60.0, 300.0), (50.0, 50.0)]
+        eps = [1e-6 * max(w, h) for w, h in sizes]
+        low = [[-e, -e] for e in eps]
+        high = [[w + e, h + e] for (w, h), e in zip(sizes, eps)]
+        manifest = self._write_tracked_video(tmp_path, sizes, [(0, low), (0, high)])
+        tracks = load_collection(manifest).videos["v0"].tracks
+        np.testing.assert_array_equal(tracks[0].points, low)
+        np.testing.assert_array_equal(tracks[1].points, high)
+
+    def test_first_track_point_outside_bounds_is_named(self, tmp_path):
+        sizes = [(100.0, 80.0)] * 5
+        eps = 1e-6 * 100.0
+        # frames 2 and 4 are outside, just past the slack in x and in y
+        points = [[1.0, 1.0], [100.0 + eps, 80.0], [np.nextafter(100.0 + eps, 200.0), 1.0],
+                  [1.0, 1.0], [1.0, np.nextafter(-eps, -1.0)]]
+        manifest = self._write_tracked_video(
+            tmp_path, sizes, [(0, [[1.0, 1.0], [2.0, 2.0]]), (0, points)])
+        with pytest.raises(ValidationError) as err:
+            load_collection(manifest)
+        assert str(err.value) == (f"{tmp_path / 'v0.tracks.jsonl'}:2: "
+                                  "track 1 point at frame 2 outside frame bounds")
+
     def test_generated_tiny_round_trip(self, tiny_dir):
         out, collection = tiny_dir
         loaded = load_collection(out / "manifest.jsonl")
