@@ -21,12 +21,15 @@ from .formats import (
     load_collection,
     load_neighbor_graph,
     load_tubes,
+    read_json,
     read_jsonl,
     save_collection,
     save_results,
     save_run_manifest,
     snapshot_dir,
+    snapshot_iteration,
     write_jsonl,
+    write_text,
 )
 from .metrics import corloc, evaluate
 from .model import Config, ValidationError
@@ -87,16 +90,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(flag, dest=dest, type=kind, default=None, help=help_text)
 
 
-def _read_json(path, what: str):
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # also an integer beyond Python's digit limit
-        raise ValidationError(f"{what} file {path} is not valid JSON: {exc}") from None
-
-
 def _read_object(path: str | None, what: str) -> dict:
     """The JSON object in ``path``, or an empty one when no file is given."""
-    raw = _read_json(path, what) if path else {}
+    raw = read_json(path, what) if path else {}
     if not isinstance(raw, dict):
         raise ValidationError(f"{what} file {path} must hold a JSON object")
     return raw
@@ -166,9 +162,7 @@ def cmd_synth(args) -> int:
     collection, planted, _truths = generate_collection(spec)
     manifest = save_collection(collection, out)
     save_planted(planted, out / "planted.jsonl")
-    (out / "synth_spec.json").write_text(
-        json.dumps(spec.to_dict(), indent=2) + "\n", encoding="utf-8"
-    )
+    write_text(out / "synth_spec.json", json.dumps(spec.to_dict(), indent=2) + "\n")
     _say(f"wrote {len(collection.videos)} videos to {manifest}")
     return EXIT_OK
 
@@ -223,9 +217,9 @@ def cmd_eval(args) -> int:
             )
         _say("")
         _say("iteration  CorLoc")
-        for snap in sorted(snapshots_root.iterdir()):
+        for iteration, snap in sorted((snapshot_iteration(entry), entry)
+                                      for entry in snapshots_root.iterdir()):
             per_class, average = corloc(_best_tubes(snap), collection)
-            iteration = int(snap.name.split("_")[-1])
             iteration_rows.append({"type": "iteration_corloc", "iteration": iteration,
                                    "average": round(average, 6),
                                    "per_class": {k: round(v, 6) for k, v in per_class.items()}})
@@ -233,16 +227,15 @@ def cmd_eval(args) -> int:
 
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         write_jsonl(out / "report.jsonl", report.to_records() + iteration_rows)
-        (out / "report.txt").write_text(report.table() + "\n", encoding="utf-8")
+        write_text(out / "report.txt", report.table() + "\n")
     return EXIT_OK
 
 
 def cmd_inspect(args) -> int:
     path = Path(args.path)
     if path.suffix == ".json":
-        payload = _read_json(path, "artifact")
+        payload = read_json(path, "artifact")
         _say(json.dumps(payload, indent=2, ensure_ascii=False))
         return EXIT_OK
     counts: Counter = Counter()
@@ -272,7 +265,7 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     try:
         return args.func(args)
-    except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValidationError, FileNotFoundError) as exc:
         _say(f"error: {exc}")
         return EXIT_INVALID
     except BrokenPipeError:

@@ -17,7 +17,7 @@ import os
 import re
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import BinaryIO, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -95,24 +95,59 @@ def write_jsonl(path: Path, records: Iterable[dict]) -> None:
             fh.write("\n")
 
 
-def read_jsonl(path: Path) -> Iterator[tuple[str, dict]]:
-    """Yield (locus, record) pairs; locus is file:line for diagnostics."""
+def write_text(path: Path, text: str) -> None:
+    with _replacing(path) as fh:
+        fh.write(text)
+
+
+def _open(path: Path) -> BinaryIO:
+    """``path`` opened for reading bytes, or ValidationError at the path."""
+    try:
+        return open(path, "rb")
+    except FileNotFoundError:
+        raise ValidationError("file not found", locus=str(path)) from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL character in the name
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValidationError(f"cannot open file ({reason})", locus=str(path)) from None
+
+
+def _decoded(data: bytes, locus: str) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"not valid UTF-8 (byte {exc.start})", locus=locus) from None
+
+
+def read_json(path: Path, what: str):
+    """The JSON value in the UTF-8 file ``path``; ``what`` names the file in errors."""
+    with _open(path) as fh:
+        text = _decoded(fh.read(), str(path))
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # also an integer beyond Python's digit limit
+        raise ValidationError(f"{what} file {path} is not valid JSON: {exc}") from None
+
+
+def read_jsonl(path: Path, *kinds: str) -> Iterator[tuple[str, dict]]:
+    """Yield (locus, record) pairs; locus is file:line for diagnostics. Every
+    record is a JSON object whose ``type`` is a string, one of ``kinds`` if given."""
     path = Path(path)
-    if not path.is_file():
-        raise ValidationError("file not found", locus=str(path))
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with _open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            locus = f"{path}:{lineno}"
+            line = _decoded(raw, locus).strip()
             if not line:
                 continue
-            locus = f"{path}:{lineno}"
             try:
                 record = json.loads(line)
             except ValueError as exc:  # also an integer beyond Python's digit limit
                 message = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
                 raise ValidationError(f"invalid JSON ({message})", locus=locus) from None
-            if not isinstance(record, dict) or "type" not in record:
-                raise ValidationError("record must be an object with a 'type' field", locus=locus)
+            if not isinstance(record, dict) or not isinstance(record.get("type"), str):
+                raise ValidationError("record must be an object with a string 'type' field",
+                                      locus=locus)
+            if kinds and record["type"] not in kinds:
+                raise ValidationError(f"unexpected record type {record['type']!r}", locus=locus)
             yield locus, record
 
 
@@ -259,9 +294,8 @@ def _load_frames(path: Path, video_id: str, num_frames: int, descriptor_dim: int
                  signature_dim: int) -> dict[int, Frame]:
     frames: dict[int, Frame] = {}
     pending: list[tuple[str, dict]] = []
-    for locus, record in read_jsonl(path):
-        kind = record["type"]
-        if kind == "frame":
+    for locus, record in read_jsonl(path, "frame", "proposal"):
+        if record["type"] == "frame":
             t = _field(record, "frame_index", locus)
             if t < 0 or t >= num_frames:
                 raise ValidationError(f"frame index {t} outside video length {num_frames}", locus=locus)
@@ -273,10 +307,8 @@ def _load_frames(path: Path, video_id: str, num_frames: int, descriptor_dim: int
                 raise ValidationError("frame size must be positive and finite", locus=locus)
             signature = _load_vector(record, "signature", signature_dim, locus)
             frames[t] = Frame(video_id, t, width, height, [], signature)
-        elif kind == "proposal":
-            pending.append((locus, record))
         else:
-            raise ValidationError(f"unexpected record type {kind!r}", locus=locus)
+            pending.append((locus, record))
 
     if len(frames) != num_frames:  # indices are in range and unique
         missing = list(itertools.islice((t for t in range(num_frames) if t not in frames), 3))
@@ -327,9 +359,7 @@ def _load_tracks(path: Path, video_id: str, frames: dict[int, Frame],
     seen: set[int] = set()
     size = np.array([(frames[t].width, frames[t].height) for t in range(num_frames)])
     eps = _BOUNDS_EPS * size.max(axis=1, keepdims=True)
-    for locus, record in read_jsonl(path):
-        if record["type"] != "track":
-            raise ValidationError(f"unexpected record type {record['type']!r}", locus=locus)
+    for locus, record in read_jsonl(path, "track"):
         tid = _field(record, "id", locus)
         if tid in seen:
             raise ValidationError(f"duplicate track id {tid} in video {video_id}", locus=locus)
@@ -360,9 +390,7 @@ def _load_tracks(path: Path, video_id: str, frames: dict[int, Frame],
 def _load_truth(path: Path, video_id: str, frames: dict[int, Frame],
                 num_frames: int) -> GroundTruth:
     truth = None
-    for locus, record in read_jsonl(path):
-        if record["type"] != "ground_truth":
-            raise ValidationError(f"unexpected record type {record['type']!r}", locus=locus)
+    for locus, record in read_jsonl(path, "ground_truth"):
         if truth is not None:
             raise ValidationError(f"video {video_id} has more than one annotated frame", locus=locus)
         t = _field(record, "frame_index", locus)
@@ -383,7 +411,7 @@ def load_collection(manifest_path: Path, keyframe_stride: int | None = None) -> 
     frame carries a non-empty proposal set.
     """
     manifest_path = Path(manifest_path)
-    records = list(read_jsonl(manifest_path))
+    records = list(read_jsonl(manifest_path, "collection", "video"))
     if not records or records[0][1]["type"] != "collection":
         raise ValidationError(
             "manifest must start with a 'collection' header record", locus=str(manifest_path)
@@ -398,7 +426,7 @@ def load_collection(manifest_path: Path, keyframe_stride: int | None = None) -> 
     collection = Collection(descriptor_dim, signature_dim)
     for locus, record in records[1:]:
         if record["type"] != "video":
-            raise ValidationError(f"unexpected record type {record['type']!r}", locus=locus)
+            raise ValidationError("a 'collection' header record may only come first", locus=locus)
         vid = str(_require(record, "video_id", locus))
         if vid in collection.videos:
             raise ValidationError(f"duplicate video id {vid}", locus=locus)
@@ -456,9 +484,7 @@ def save_tubes(tubes_by_video: dict[str, list[Tube]], collection: Collection, pa
 
 def load_tubes(path: Path) -> dict[str, list[Tube]]:
     out: dict[str, list[Tube]] = {}
-    for locus, record in read_jsonl(path):
-        if record["type"] != "tube":
-            raise ValidationError(f"unexpected record type {record['type']!r}", locus=locus)
+    for locus, record in read_jsonl(path, "tube"):
         vid = str(_require(record, "video_id", locus))
         rank = _field(record, "rank", locus)
         regions: dict[int, int] = {}
@@ -494,9 +520,7 @@ def save_neighbor_graph(graph: NeighborGraph, path: Path) -> None:
 
 def load_neighbor_graph(path: Path) -> NeighborGraph:
     graph = NeighborGraph()
-    for locus, record in read_jsonl(path):
-        if record["type"] != "neighbors":
-            raise ValidationError(f"unexpected record type {record['type']!r}", locus=locus)
+    for locus, record in read_jsonl(path, "neighbors"):
         ref: FrameRef = (str(_require(record, "video_id", locus)),
                          _field(record, "frame_index", locus))
         if ref in graph.neighbors:
@@ -526,6 +550,14 @@ def snapshot_dir(out_dir: Path, iteration: int) -> Path:
     return Path(out_dir) / "snapshots" / f"iter_{iteration:03d}"
 
 
+def snapshot_iteration(path: Path) -> int:
+    """The iteration whose ``snapshot_dir`` is ``path``."""
+    match = re.fullmatch(r"iter_([0-9]+)", Path(path).name)
+    if match is None:
+        raise ValidationError("snapshot entry is not named iter_<n>", locus=str(path))
+    return int(match.group(1))
+
+
 # ---------------------------------------------------------------------------
 # Run manifest
 
@@ -536,9 +568,7 @@ def hash_collection_inputs(manifest_path: Path) -> str:
     digest = hashlib.sha256()
     digest.update(manifest_path.read_bytes())
     base = manifest_path.parent
-    for _locus, record in read_jsonl(manifest_path):
-        if record["type"] != "video":
-            continue
+    for _locus, record in read_jsonl(manifest_path, "collection", "video"):  # header: no file
         for key in ("frames_file", "tracks_file", "truth_file"):
             name = record.get(key)
             if name:
@@ -556,5 +586,4 @@ def save_run_manifest(path: Path, *, version: str, config_dict: dict, input_hash
         "started_utc": started_utc,
         "finished_utc": finished_utc,
     }
-    with _replacing(path) as fh:
-        fh.write(json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
+    write_text(path, json.dumps(payload, indent=2, ensure_ascii=False) + "\n")

@@ -21,9 +21,8 @@ def _macro(per_class: dict[str, float]) -> float:
     return float(np.mean(list(per_class.values()))) if per_class else 0.0
 
 
-def corloc(tubes: dict[str, Tube], collection: Collection,
-           threshold: float = IOU_THRESHOLD) -> tuple[dict[str, float], float]:
-    """Share of annotated videos localized with IoU strictly above the threshold.
+def corloc(tubes: dict[str, Tube], collection: Collection) -> tuple[dict[str, float], float]:
+    """Share of annotated videos localized with IoU strictly above IOU_THRESHOLD.
 
     Annotated frames between key frames are judged on the interpolated box.
     """
@@ -32,7 +31,7 @@ def corloc(tubes: dict[str, Tube], collection: Collection,
         if vid not in tubes:
             raise ValidationError(f"no predicted tube for annotated video {vid}")
         boxes = interpolate_tube(tubes[vid], collection.videos[vid])
-        hit = iou(boxes[truth.frame_index], truth.box) > threshold
+        hit = iou(boxes[truth.frame_index], truth.box) > IOU_THRESHOLD
         correct.setdefault(truth.class_label, []).append(hit)
     per_class = {
         label: 100.0 * sum(hits) / len(hits) for label, hits in sorted(correct.items())
@@ -124,36 +123,23 @@ def retrieval_confusion(graph: NeighborGraph, labels: dict[str, str]
 
 @dataclass
 class EvalReport:
+    """Per-class metric rows ``(name, label, per_class, average)``, in report
+    order, plus the retrieval confusion matrix when retrieval was scored."""
+
     classes: list[str]
-    corloc_per_class: dict[str, float] | None = None
-    corloc_average: float | None = None
-    corret_per_class: dict[str, float] | None = None
-    corret_average: float | None = None
-    top1_per_class: dict[str, float] | None = None
-    top1_average: float | None = None
-    top2_per_class: dict[str, float] | None = None
-    top2_average: float | None = None
+    rows: list[tuple[str, str, dict[str, float], float]]
     confusion: np.ndarray | None = None
 
     def to_records(self) -> list[dict]:
-        records: list[dict] = []
-
-        def metric(name, per_class, average):
-            if per_class is None:
-                return
-            records.append(
-                {
-                    "type": "metric",
-                    "name": name,
-                    "per_class": {k: round(v, 6) for k, v in per_class.items()},
-                    "average": round(average, 6),
-                }
-            )
-
-        metric("corloc", self.corloc_per_class, self.corloc_average)
-        metric("corret", self.corret_per_class, self.corret_average)
-        metric("top1_error", self.top1_per_class, self.top1_average)
-        metric("top2_error", self.top2_per_class, self.top2_average)
+        records: list[dict] = [
+            {
+                "type": "metric",
+                "name": name,
+                "per_class": {k: round(v, 6) for k, v in per_class.items()},
+                "average": round(average, 6),
+            }
+            for name, _label, per_class, average in self.rows
+        ]
         if self.confusion is not None:
             records.append(
                 {
@@ -170,19 +156,11 @@ class EvalReport:
         header = ["metric".ljust(12)] + [c.rjust(width) for c in self.classes]
         header.append("avg".rjust(width))
         lines = ["  ".join(header)]
-
-        def row(name, per_class, average):
-            if per_class is None:
-                return
-            cells = [name.ljust(12)]
+        for _name, label, per_class, average in self.rows:
+            cells = [label.ljust(12)]
             cells += [f"{per_class.get(c, float('nan')):.1f}".rjust(width) for c in self.classes]
             cells.append(f"{average:.1f}".rjust(width))
             lines.append("  ".join(cells))
-
-        row("CorLoc", self.corloc_per_class, self.corloc_average)
-        row("CorRet", self.corret_per_class, self.corret_average)
-        row("Top-1 err", self.top1_per_class, self.top1_average)
-        row("Top-2 err", self.top2_per_class, self.top2_average)
         if self.confusion is not None:
             lines.append("")
             lines.append("retrieval confusion (rows: query class, % per retrieved class)")
@@ -192,17 +170,16 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def evaluate(collection: Collection, tubes: dict[str, Tube] | None = None,
-             graph: NeighborGraph | None = None) -> EvalReport:
-    """Compute every metric available from the given predictions."""
+def evaluate(collection: Collection, tubes: dict[str, Tube], graph: NeighborGraph) -> EvalReport:
+    """Score localization, and retrieval when the collection has labeled videos."""
     labels = video_labels(collection)
-    classes = sorted(set(labels.values()))
-    report = EvalReport(classes=classes)
-    if tubes is not None:
-        report.corloc_per_class, report.corloc_average = corloc(tubes, collection)
-    if graph is not None and labels:
-        report.corret_per_class, report.corret_average = corret(graph, labels)
-        report.top1_per_class, report.top1_average = topk_error(graph, labels, 1)
-        report.top2_per_class, report.top2_average = topk_error(graph, labels, 2)
-        report.classes, report.confusion = retrieval_confusion(graph, labels)
+    report = EvalReport(sorted(set(labels.values())),
+                        [("corloc", "CorLoc", *corloc(tubes, collection))])
+    if labels:
+        report.rows += [
+            ("corret", "CorRet", *corret(graph, labels)),
+            ("top1_error", "Top-1 err", *topk_error(graph, labels, 1)),
+            ("top2_error", "Top-2 err", *topk_error(graph, labels, 2)),
+        ]
+        _classes, report.confusion = retrieval_confusion(graph, labels)
     return report

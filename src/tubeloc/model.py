@@ -133,8 +133,8 @@ class Frame:
                 {p.id: i for i, p in enumerate(props)},
             )
             for column in (view.ids, view.boxes, view.descriptors, view.locations):
-                column.setflags(write=False)  # shared by every scorer and thread
-            self._view = view  # one assignment: concurrent readers see old or new
+                column.setflags(write=False)  # shared by every scorer
+            self._view = view
         return view
 
     @property

@@ -481,9 +481,7 @@ def save_planted(planted: PlantedTruth, path) -> None:
 
 def load_planted(path) -> PlantedTruth:
     planted = PlantedTruth()
-    for locus, record in read_jsonl(path):
-        if record["type"] != "planted":
-            raise ValidationError(f"unexpected record type {record['type']!r}", locus=locus)
+    for _locus, record in read_jsonl(path, "planted"):
         vid = str(record["video_id"])
         planted.class_labels[vid] = str(record["class_label"])
         planted.tubes[vid] = {int(kf): int(pid) for kf, pid in record["tube"]}

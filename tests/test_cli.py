@@ -87,6 +87,21 @@ class TestSynthCommand:
         assert (tmp_path / "env_out" / "manifest.jsonl").is_file()
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "--out", "{out}", "--spec", "{dir}"],
+    ["run", "--collection", "{manifest}", "--out", "{out}", "--config", "{dir}"],
+    ["inspect", "{dir}"],
+], ids=["synth_spec", "run_config", "inspect"])
+def test_directory_as_json_file_exits_one(tiny_collection, tmp_path, capsys, argv):
+    directory = tmp_path / "x.json"
+    directory.mkdir()
+    names = {"out": tmp_path / "o", "dir": directory,
+             "manifest": tiny_collection / "manifest.jsonl"}
+    assert main([arg.format(**names) for arg in argv]) == 1
+    assert f"{directory}: cannot open file (Is a directory)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 class TestRunCommand:
     def test_run_and_eval(self, tiny_collection, tmp_path, capsys):
         out = tmp_path / "results"
@@ -245,6 +260,39 @@ class TestRunCommand:
         assert f"{path}:{index + 1}: {key} must be an integer within 64 bits" in (
             capsys.readouterr().err)
 
+    @pytest.mark.parametrize("suffix", [".frames.jsonl", ".tracks.jsonl", ".truth.jsonl"])
+    def test_non_utf8_sidecar_exits_one(self, tiny_collection, tmp_path, capsys, suffix):
+        target = tmp_path / "collection"
+        shutil.copytree(tiny_collection, target)
+        path = sorted(target.glob(f"*{suffix}"))[0]
+        lines = path.read_bytes().splitlines()
+        lines[-1] = lines[-1].replace(b'"type"', b'"ty\xffpe"')
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        code = main(["run", "--collection", str(target / "manifest.jsonl"),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"{path}:{len(lines)}: not valid UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["--collection", "frames_file", "tracks_file",
+                                       "truth_file"])
+    @pytest.mark.parametrize("name,reason", [(int("9" * 400), "File name too long"),
+                                             ("a\0b", "embedded null byte")],
+                             ids=["too_long", "nul"])
+    def test_unopenable_file_name_exits_one(self, tiny_collection, tmp_path, capsys,
+                                            where, name, reason):
+        target = tmp_path / "collection"
+        shutil.copytree(tiny_collection, target)
+        manifest = target / "manifest.jsonl"
+        if where == "--collection":
+            manifest = target / str(name)
+        else:
+            lines = manifest.read_text().splitlines()
+            lines[1] = json.dumps(dict(json.loads(lines[1]), **{where: name}))
+            manifest.write_text("\n".join(lines) + "\n")
+        code = main(["run", "--collection", str(manifest), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"{target / str(name)}: cannot open file ({reason})" in capsys.readouterr().err
+
     def test_outputs_identical_across_threads(self, tiny_collection, tmp_path):
         outputs = []
         for threads in ("1", "2", "3"):
@@ -360,6 +408,18 @@ class TestEvalCommand:
         assert code == 1
         assert "--snapshots" in capsys.readouterr().err
 
+    def test_stray_snapshot_entry_exits_one(self, tiny_collection, tmp_path, capsys):
+        out = tmp_path / "res"
+        assert main(["run", "--collection", str(tiny_collection / "manifest.jsonl"),
+                     "--out", str(out), "--iterations", "1", "--k", "2", "--threads", "1",
+                     "--snapshots"]) == 0
+        stray = out / "snapshots" / "latest"
+        shutil.copytree(out / "snapshots" / "iter_001", stray)
+        code = main(["eval", "--collection", str(tiny_collection / "manifest.jsonl"),
+                     "--results", str(out), "--per-iteration"])
+        assert code == 1
+        assert f"{stray}: snapshot entry is not named iter_<n>" in capsys.readouterr().err
+
 
 class TestInspectCommand:
     def test_summarizes_jsonl(self, tiny_collection, capsys):
@@ -380,6 +440,17 @@ class TestInspectCommand:
         path.write_text('{"n": ' + "9" * 5000 + "}")
         assert main(["inspect", str(path)]) == 1
         assert f"artifact file {path} is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content,message", [
+        (b'{"type": "a"}\n{"type": "\xff"}\n', ":2: not valid UTF-8"),
+        (b'{"type": [1]}\n', ":1: record must be an object with a string 'type' field"),
+        (b'{"type": {"a": 1}}\n', ":1: record must be an object with a string 'type' field"),
+    ], ids=["non_utf8", "type_list", "type_object"])
+    def test_unreadable_records_exit_one(self, tmp_path, capsys, content, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(content)
+        assert main(["inspect", str(path)]) == 1
+        assert f"{path}{message}" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -20,6 +20,7 @@ from tubeloc.formats import (
     save_run_manifest,
     save_tubes,
     write_jsonl,
+    write_text,
 )
 from tubeloc.model import Config, NeighborGraph, Tube, ValidationError
 from tubeloc.motion import VideoTrackIndex
@@ -197,6 +198,16 @@ class TestLoadCollection:
         with pytest.raises(ValidationError, match="not found"):
             load_collection(tmp_path / "nope.jsonl")
 
+    def test_header_record_only_first(self, tmp_path, tiny_dir):
+        source, _collection = tiny_dir
+        target = tmp_path / "c"
+        shutil.copytree(source, target)
+        manifest = target / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(lines + lines[:1]) + "\n")
+        with pytest.raises(ValidationError, match=rf":{len(lines) + 1}: .*may only come first"):
+            load_collection(manifest)
+
     def test_keyframe_stride_requires_proposals(self, tmp_path, tiny_dir):
         out, _ = tiny_dir
         target = tmp_path / "no_props"
@@ -259,6 +270,15 @@ class TestResults:
         save_neighbor_graph(graph, path)
         assert load_neighbor_graph(path).neighbors == graph.neighbors
 
+    @pytest.mark.parametrize("load,kind", [(load_tubes, "neighbors"),
+                                           (load_neighbor_graph, "tube")])
+    def test_foreign_record_type_rejected(self, tmp_path, load, kind):
+        path = tmp_path / "results.jsonl"
+        write_jsonl(path, [{"type": kind}])
+        with pytest.raises(ValidationError,
+                           match=rf"^{re.escape(str(path))}:1: unexpected record type '{kind}'"):
+            load(path)
+
     def test_self_neighbor_rejected_on_load(self, tmp_path):
         graph = NeighborGraph({("a", 0): [(("a", 20), 1.0)]})
         path = tmp_path / "neighbors.jsonl"
@@ -300,6 +320,14 @@ class TestAtomicWrites:
         with pytest.raises(RuntimeError):
             write_jsonl(tmp_path / "out" / "records.jsonl", records())
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_failed_text_write_keeps_earlier_file(self, tmp_path):
+        path = tmp_path / "report.txt"
+        write_text(path, "first\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_text(path, "partial \ud800 text\n")  # a lone surrogate cannot be encoded
+        assert path.read_text() == "first\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.txt"]
 
     def test_failed_manifest_write_keeps_earlier_file(self, tmp_path):
         path = tmp_path / "run_manifest.json"
