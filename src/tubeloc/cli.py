@@ -32,7 +32,7 @@ from .formats import (
     write_text,
 )
 from .metrics import corloc, evaluate
-from .model import Config, ValidationError
+from .model import Collection, Config, ValidationError
 from .synth import SynthSpec, generate_collection, save_planted
 
 EXIT_OK = 0
@@ -195,15 +195,15 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _best_tubes(results_dir: Path) -> dict:
-    tubes = load_tubes(results_dir / "tubes.jsonl")
+def _best_tubes(results_dir: Path, collection: Collection) -> dict:
+    tubes = load_tubes(results_dir / "tubes.jsonl", collection)
     return {vid: ranked[0] for vid, ranked in tubes.items()}
 
 
 def cmd_eval(args) -> int:
     collection = load_collection(args.collection)
     results_dir = Path(args.results)
-    tubes = _best_tubes(results_dir)
+    tubes = _best_tubes(results_dir, collection)
     graph = load_neighbor_graph(results_dir / "neighbors.jsonl")
     report = evaluate(collection, tubes=tubes, graph=graph)
     _say(report.table())
@@ -219,7 +219,7 @@ def cmd_eval(args) -> int:
         _say("iteration  CorLoc")
         for iteration, snap in sorted((snapshot_iteration(entry), entry)
                                       for entry in snapshots_root.iterdir()):
-            per_class, average = corloc(_best_tubes(snap), collection)
+            per_class, average = corloc(_best_tubes(snap, collection), collection)
             iteration_rows.append({"type": "iteration_corloc", "iteration": iteration,
                                    "average": round(average, 6),
                                    "per_class": {k: round(v, 6) for k, v in per_class.items()}})

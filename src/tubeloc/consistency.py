@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matching import rescale_unit
+from .matching import rescale_unit, squared_distances
 
 # Chunk size for the track axis when broadcasting pairwise distances.
 _TRACK_CHUNK = 256
@@ -15,12 +15,7 @@ def appearance_consistency_matrix(descs_a: np.ndarray, descs_b: np.ndarray) -> n
 
     A constant matrix (all candidate pairs equally similar) collapses to 0.
     """
-    descs_a = np.asarray(descs_a, dtype=float)
-    descs_b = np.asarray(descs_b, dtype=float)
-    if descs_a.shape[1] != descs_b.shape[1]:
-        raise ValueError("descriptor dimensions differ")
-    raw = -np.sqrt(((descs_a[:, None, :] - descs_b[None, :, :]) ** 2).sum(axis=2))
-    return rescale_unit(raw)
+    return rescale_unit(-np.sqrt(squared_distances(descs_a, descs_b)))
 
 
 def _inside_and_unit(points: np.ndarray, boxes: np.ndarray):

@@ -77,7 +77,7 @@ def _replacing(path: Path) -> Iterator[TextIO]:
     """Write a temp file beside ``path`` that replaces it when the block ends;
     if the block raises, the temp file goes and any earlier ``path`` stays."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    _make_dir(path.parent)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -109,6 +109,15 @@ def _open(path: Path) -> BinaryIO:
     except (OSError, ValueError) as exc:  # ValueError: a NUL character in the name
         reason = getattr(exc, "strerror", None) or exc
         raise ValidationError(f"cannot open file ({reason})", locus=str(path)) from None
+
+
+def _make_dir(path: Path) -> None:
+    """Create directory ``path`` and its parents, or raise ValidationError at the path."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create directory ({exc.strerror or exc})",
+                              locus=str(path)) from None
 
 
 def _decoded(data: bytes, locus: str) -> str:
@@ -200,7 +209,6 @@ def _list_field(record: dict, key: str, locus: str) -> list:
 def save_collection(collection: Collection, out_dir: Path) -> Path:
     """Write manifest plus per-video sidecar files; returns the manifest path."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     manifest_records = [
         {
@@ -482,7 +490,24 @@ def save_tubes(tubes_by_video: dict[str, list[Tube]], collection: Collection, pa
     write_jsonl(path, records)
 
 
-def load_tubes(path: Path) -> dict[str, list[Tube]]:
+def _check_regions(regions: dict[int, int], vid: str, collection: Collection,
+                   locus: str) -> None:
+    """Every region names a frame and a proposal of ``collection``'s video ``vid``."""
+    video = collection.videos.get(vid)
+    if video is None:
+        raise ValidationError(f"tube names unknown video {vid}", locus=locus)
+    for kf, pid in regions.items():
+        if kf not in video.frames:
+            raise ValidationError(f"tube references missing frame {kf} of {vid}", locus=locus)
+        try:
+            video.frames[kf].rows([pid])
+        except ValidationError as exc:
+            raise ValidationError(str(exc), locus=locus) from None
+
+
+def load_tubes(path: Path, collection: Collection) -> dict[str, list[Tube]]:
+    """Tubes by video, in rank order; every region must name a frame and a
+    proposal of ``collection``."""
     out: dict[str, list[Tube]] = {}
     for locus, record in read_jsonl(path, "tube"):
         vid = str(_require(record, "video_id", locus))
@@ -496,6 +521,7 @@ def load_tubes(path: Path) -> dict[str, list[Tube]]:
             if kf in regions:
                 raise ValidationError(f"duplicate key frame {kf} in tube", locus=locus)
             regions[kf] = pid
+        _check_regions(regions, vid, collection, locus)
         tubes = out.setdefault(vid, [])
         if rank != len(tubes):
             raise ValidationError(f"tube ranks for video {vid} are not contiguous", locus=locus)
@@ -541,7 +567,6 @@ def save_results(tubes_by_video: dict[str, list[Tube]], graph: NeighborGraph,
                  collection: Collection, out_dir: Path) -> None:
     """Write the canonical result pair (tubes.jsonl, neighbors.jsonl)."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_tubes(tubes_by_video, collection, out_dir / "tubes.jsonl")
     save_neighbor_graph(graph, out_dir / "neighbors.jsonl")
 

@@ -18,13 +18,12 @@ contractions are matrix products:
     support[m]       = rowsum((g_v @ votes^T) * g_us)[m]
     score[m]         = a(m) * support[m]
 
-Both products run over blocks of at most ``PAIR_BLOCK`` consecutive pairs, so
-the per-block GEMM temporaries stay bounded. Each block's g_us is built once
-and kept for the second product, so g_us of the whole table is held at once.
-The test suite checks that votes and scores are byte-identical under one and
-two BLAS threads. ``synth.brute_force_matching`` evaluates the full 3-D
-likelihood pair by pair; it is the oracle for both the votes and the scores
-(within 1e-12 relative).
+Each frame pair takes one pass over its table: g_us is built once and both
+products run once over all M pairs. The test suite checks that votes and
+scores are byte-identical under one and two BLAS threads.
+``synth.brute_force_matching`` evaluates the full 3-D likelihood pair by
+pair; it is the oracle for both the votes and the scores (within 1e-12
+relative).
 """
 
 from __future__ import annotations
@@ -45,9 +44,6 @@ LOG_SCALE_RANGE = (-math.log(4.0), math.log(4.0))
 # this factor larger in area. A box never contains itself.
 CONTAIN_AREA_RATIO = 0.99
 CONTAIN_GROWTH = 1.01
-
-# Proposal pairs per GEMM block: bounds the per-block (pairs x u*s) temporaries.
-PAIR_BLOCK = 128
 
 
 def _bin_centers(lo: float, hi: float, count: int) -> np.ndarray:
@@ -89,23 +85,24 @@ def _offset_grid(nt: int, ns: int) -> OffsetGrid:
     return grid
 
 
-def affinity_matrix(descs_a: np.ndarray, descs_b: np.ndarray, gamma: float) -> np.ndarray:
+def squared_distances(descs_a, descs_b) -> np.ndarray:
+    """(len(descs_a), len(descs_b)) squared Euclidean distances between rows."""
+    descs_a = np.asarray(descs_a, dtype=float)
+    descs_b = np.asarray(descs_b, dtype=float)
     if descs_a.shape[1] != descs_b.shape[1]:
         raise ValueError("descriptor dimensions differ")
+    return ((descs_a[:, None, :] - descs_b[None, :, :]) ** 2).sum(axis=2)
+
+
+def affinity_matrix(descs_a: np.ndarray, descs_b: np.ndarray, gamma: float) -> np.ndarray:
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
-    sq = ((descs_a[:, None, :] - descs_b[None, :, :]) ** 2).sum(axis=2)
-    return np.exp(-gamma * sq)
+    return np.exp(-gamma * squared_distances(descs_a, descs_b))
 
 
 def _axis_kernel(values: np.ndarray, centers: np.ndarray, bandwidth: float) -> np.ndarray:
     z = (values[:, None] - centers[None, :]) / bandwidth
     return np.exp(-0.5 * z * z)
-
-
-def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise outer product: out[m, i * b.shape[1] + j] = a[m, i] * b[m, j]."""
-    return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1)
 
 
 def match_confidences(rows_t, rows_u, frame_t: Frame, frame_u: Frame, config: Config
@@ -114,7 +111,7 @@ def match_confidences(rows_t, rows_u, frame_t: Frame, frame_u: Frame, config: Co
     its appearance affinity times its vote support.
 
     Pairs m = (i, j) run over ``rows_t`` x ``rows_u`` in row-major order; the
-    blocked products are described in the module docstring.
+    two products are described in the module docstring.
     """
     if len(rows_t) == 0 or len(rows_u) == 0:
         raise ValueError("proposal sets must be non-empty")
@@ -128,17 +125,12 @@ def match_confidences(rows_t, rows_u, frame_t: Frame, frame_u: Frame, config: Co
     gs = _axis_kernel(offsets[:, 2], grid.ds_centers, grid.bandwidths[2])
     weights = aff.ravel()
     nu, nv, ns = grid.shape
-    blocks = [slice(lo, lo + PAIR_BLOCK) for lo in range(0, weights.size, PAIR_BLOCK)]
-    gus = [_outer_rows(gu[b], gs[b]) for b in blocks]
-
-    votes = np.zeros((nu * ns, nv))
-    for b, g in zip(blocks, gus):
-        votes += (g * weights[b, None]).T @ gv[b]
-    support = np.empty(weights.size)
-    for b, g in zip(blocks, gus):
-        support[b] = ((gv[b] @ votes.T) * g).sum(axis=1)
+    gus = (gu[:, :, None] * gs[:, None, :]).reshape(weights.size, nu * ns)
+    votes = (gus * weights[:, None]).T @ gv
+    support = gv @ votes.T
+    support *= gus  # in place: the peak holds two (M, u*s) arrays, not three
     return (votes.reshape(nu, ns, nv).transpose(0, 2, 1),
-            aff * support.reshape(aff.shape))
+            aff * support.sum(axis=1).reshape(aff.shape))
 
 
 def frame_saliencies(frame: Frame, neighbor_pools, config: Config) -> np.ndarray:

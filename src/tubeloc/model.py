@@ -1,8 +1,7 @@
 """Core data model: boxes, proposals, frames, videos, tracks, tubes, configuration.
 
 All structures are plain dataclasses and are treated as immutable once a
-collection has been loaded; every scoring stage reads them concurrently
-without locking.
+collection has been loaded.
 
 A ``Frame`` keeps its proposals as records (``proposals``) for loading,
 generation and saving, and gives the scorers one array view of them: ``ids``,

@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 
 from tubeloc.cli import main
+from tubeloc.formats import load_collection
 
 TINY_SYNTH = [
     "synth",
@@ -100,6 +101,29 @@ def test_directory_as_json_file_exits_one(tiny_collection, tmp_path, capsys, arg
     assert main([arg.format(**names) for arg in argv]) == 1
     assert f"{directory}: cannot open file (Is a directory)" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.fixture(scope="module")
+def tiny_results(tiny_collection, tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny_results")
+    assert main(["run", "--collection", str(tiny_collection / "manifest.jsonl"),
+                 "--out", str(out), "--iterations", "1", "--k", "2", "--threads", "1"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("command", ["synth", "run", "eval"])
+def test_uncreatable_out_exits_one(tiny_collection, tiny_results, tmp_path, capsys, command):
+    manifest = str(tiny_collection / "manifest.jsonl")
+    argv = {
+        "synth": TINY_SYNTH,
+        "run": ["run", "--collection", manifest, "--iterations", "1", "--k", "2",
+                "--threads", "1"],
+        "eval": ["eval", "--collection", manifest, "--results", str(tiny_results)],
+    }[command]
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    assert main(argv + ["--out", str(blocker / "x")]) == 1
+    assert f"{blocker / 'x'}: cannot create directory" in capsys.readouterr().err
 
 
 class TestRunCommand:
@@ -383,6 +407,28 @@ class TestEvalCommand:
                      "--results", str(out)])
         assert code == 1
         assert f"{out / 'tubes.jsonl'}:1: regions must be a list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, message", [
+        ({"regions": [[0, 999999, [0, 0, 1, 1]]]}, "has no proposal 999999"),
+        ({"regions": [[7777, 0, [0, 0, 1, 1]]]}, "missing frame 7777"),
+        ({"video_id": "nosuch"}, "unknown video nosuch"),
+    ], ids=["proposal", "key_frame", "video"])
+    def test_region_not_in_collection_exits_one(self, tiny_collection, tmp_path, capsys,
+                                                change, message):
+        collection = load_collection(tiny_collection / "manifest.jsonl")
+        records = [{"type": "tube", "video_id": vid, "rank": 0, "score": 1.0,
+                    "regions": [[0, video.frames[0].proposals[0].id, [0, 0, 1, 1]]]}
+                   for vid, video in sorted(collection.videos.items())]
+        records[1].update(change)
+        out = tmp_path / "res"
+        out.mkdir()
+        (out / "tubes.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+        (out / "neighbors.jsonl").write_text("")
+        code = main(["eval", "--collection", str(tiny_collection / "manifest.jsonl"),
+                     "--results", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{out / 'tubes.jsonl'}:2: " in err and message in err
 
     def test_neighbors_not_a_list_exits_one(self, tiny_collection, tmp_path, capsys):
         out = tmp_path / "res"

@@ -22,7 +22,7 @@ from tubeloc.formats import (
     write_jsonl,
     write_text,
 )
-from tubeloc.model import Config, NeighborGraph, Tube, ValidationError
+from tubeloc.model import Collection, Config, NeighborGraph, Tube, ValidationError
 from tubeloc.motion import VideoTrackIndex
 from tubeloc.synth import SynthSpec, generate_collection
 
@@ -248,7 +248,7 @@ class TestResults:
         }
         path = tmp_path / "tubes.jsonl"
         save_tubes(tubes, collection, path)
-        loaded = load_tubes(path)
+        loaded = load_tubes(path, collection)
         assert set(loaded) == set(tubes)
         for vid in tubes:
             assert loaded[vid][0].regions == tubes[vid][0].regions
@@ -259,7 +259,7 @@ class TestResults:
         path = tmp_path / "tubes.jsonl"
         save_tubes({}, collection, path)
         assert path.read_text() == ""
-        assert load_tubes(path) == {}
+        assert load_tubes(path, collection) == {}
 
     def test_neighbor_graph_round_trip(self, tmp_path):
         graph = NeighborGraph({
@@ -270,8 +270,10 @@ class TestResults:
         save_neighbor_graph(graph, path)
         assert load_neighbor_graph(path).neighbors == graph.neighbors
 
-    @pytest.mark.parametrize("load,kind", [(load_tubes, "neighbors"),
-                                           (load_neighbor_graph, "tube")])
+    @pytest.mark.parametrize("load,kind", [(lambda path: load_tubes(path, Collection(1, 1)),
+                                            "neighbors"),
+                                           (load_neighbor_graph, "tube")],
+                             ids=["load_tubes-neighbors", "load_neighbor_graph-tube"])
     def test_foreign_record_type_rejected(self, tmp_path, load, kind):
         path = tmp_path / "results.jsonl"
         write_jsonl(path, [{"type": kind}])
@@ -393,7 +395,7 @@ class TestAnyFieldValue:
             path.write_text("\n".join(lines) + "\n")
             try:
                 if name == "tubes.jsonl":
-                    load_tubes(path)
+                    load_tubes(path, load_collection(root / "manifest.jsonl"))
                     return
                 if name == "neighbors.jsonl":
                     load_neighbor_graph(path)

@@ -17,9 +17,7 @@ from helpers import (
     rand_frame,
     rand_unit,
 )
-from tubeloc import matching
 from tubeloc.matching import (
-    PAIR_BLOCK,
     OffsetGrid,
     appearance_confidence,
     frame_saliencies,
@@ -324,40 +322,27 @@ def _assert_matches_oracle(a, b, cfg=CFG):
 
 
 class TestBlockedKernel:
-    """The vote GEMMs run over blocks of PAIR_BLOCK proposal pairs."""
+    """Each frame pair is matched in one pass over its whole table; checked
+    against the oracle at fixed shapes. The pair counts 127, 128 and 129 sit
+    where tables were once split into 128-pair blocks; 28 x 28 is the
+    784-pair table of a ``wide`` saliency matching."""
 
     def test_one_by_one(self):
         rng = np.random.default_rng(20)
         _assert_matches_oracle(rand_frame(rng, "a", 1), rand_frame(rng, "b", 1))
 
-    @pytest.mark.parametrize("shape", [(1, PAIR_BLOCK - 1), (PAIR_BLOCK // 16, 16),
-                                       (PAIR_BLOCK + 1, 1)])
+    @pytest.mark.parametrize("shape", [(1, 127), (8, 16), (129, 1)])
     def test_pair_counts_around_one_block(self, shape):
         rng = np.random.default_rng(21)
-        a, b = rand_frame(rng, "a", shape[0]), rand_frame(rng, "b", shape[1])
-        assert len(a.proposals) * len(b.proposals) - PAIR_BLOCK in (-1, 0, 1)
-        _assert_matches_oracle(a, b)
+        _assert_matches_oracle(rand_frame(rng, "a", shape[0]), rand_frame(rng, "b", shape[1]))
 
     def test_pair_spanning_several_blocks(self):
         rng = np.random.default_rng(22)
-        a, b = rand_frame(rng, "a", 23), rand_frame(rng, "b", 19)
-        assert len(a.proposals) * len(b.proposals) > 3 * PAIR_BLOCK
-        _assert_matches_oracle(a, b)
+        _assert_matches_oracle(rand_frame(rng, "a", 23), rand_frame(rng, "b", 19))
 
-    def test_outer_product_built_once_per_block(self, monkeypatch):
-        calls = []
-        outer_rows = matching._outer_rows
-
-        def counted(a, b):
-            calls.append(a.shape[0])
-            return outer_rows(a, b)
-
-        monkeypatch.setattr(matching, "_outer_rows", counted)
+    def test_wide_table(self):
         rng = np.random.default_rng(24)
-        a, b = rand_frame(rng, "a", 23), rand_frame(rng, "b", 19)
-        match_confidences(all_rows(a), all_rows(b), a, b, CFG)
-        pairs = 23 * 19
-        assert calls == [PAIR_BLOCK] * (pairs // PAIR_BLOCK) + [pairs % PAIR_BLOCK]
+        _assert_matches_oracle(rand_frame(rng, "a", 28), rand_frame(rng, "b", 28))
 
 
 _THREADED_MATCH = """
