@@ -15,12 +15,13 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .discovery import run_discovery
+from .discovery import check_threads, run_discovery
 from .formats import (
     hash_collection_inputs,
     load_collection,
     load_neighbor_graph,
     load_tubes,
+    make_dir,
     read_json,
     read_jsonl,
     save_collection,
@@ -80,8 +81,6 @@ _CONFIG_FLAGS = [
     ("--top-candidates", "top_candidates", int, "candidates kept per key frame"),
     ("--retrieval-proposals", "retrieval_proposals", int, "proposals per side in retrieval matching"),
     ("--affinity-gamma", "affinity_gamma", float, "appearance affinity bandwidth"),
-    ("--hough-translation-bins", "hough_translation_bins", int, "offset grid translation bins"),
-    ("--hough-scale-bins", "hough_scale_bins", int, "offset grid log-scale bins"),
 ]
 
 
@@ -169,10 +168,12 @@ def cmd_synth(args) -> int:
 
 def cmd_run(args) -> int:
     config = _resolve_config(args)
+    check_threads(args.threads)
+    out = _resolve_out(args)
+    make_dir(out)  # an unusable --out fails before the run, not after it
     started = _utc_now()
     collection = load_collection(args.collection, keyframe_stride=config.keyframe_stride)
     result = run_discovery(collection, config, threads=args.threads)
-    out = _resolve_out(args)
 
     save_results({vid: [sol.tube] for vid, sol in result.tubes.items()},
                  result.graph, collection, out)

@@ -344,24 +344,30 @@ def _relocalize(inputs: RunInputs, arg):
                             inputs.config, num_tubes, inputs.motion[vid])
 
 
+def check_threads(threads: int) -> None:
+    """A worker count ``run_discovery`` accepts: at least 1, and 1 without fork."""
+    if threads < 1:
+        raise ValidationError(f"threads must be >= 1, got {threads}")
+    if threads > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        raise ValidationError(f"threads must be 1 on a platform without fork, got {threads}")
+
+
 def run_discovery(collection: Collection, config: Config, threads: int = 1
                   ) -> DiscoveryResult:
     """Alternate retrieval and relocalization; keep the best tube per video.
 
     Every iteration except the last carries ``p_tubes`` tubes per video for
     robustness; the last keeps a single one. ``threads`` is the number of
-    worker processes (see ``Workers``); more than one needs the ``fork``
-    start method. Deterministic for a given (collection, config) regardless
-    of the worker count.
+    worker processes (see ``Workers``), at most one per key frame; more than
+    one needs the ``fork`` start method. Deterministic for a given
+    (collection, config) regardless of the worker count.
     """
     config.validate()
-    if threads < 1:
-        raise ValidationError(f"threads must be >= 1, got {threads}")
-    if threads > 1 and "fork" not in multiprocessing.get_all_start_methods():
-        raise ValidationError(f"threads must be 1 on a platform without fork, got {threads}")
+    check_threads(threads)
     if not collection.videos:
         raise ValidationError("collection has no videos")
-    for vid, kf in key_frame_refs(collection, config.keyframe_stride):
+    refs = key_frame_refs(collection, config.keyframe_stride)
+    for vid, kf in refs:
         frame = collection.videos[vid].frames.get(kf)
         if frame is None or not frame.proposals:
             raise ValidationError(f"key frame {kf} of video {vid} has no proposals")
@@ -372,7 +378,8 @@ def run_discovery(collection: Collection, config: Config, threads: int = 1
     video_ids = list(collection.videos)
     state = initialize_state(collection, config)
     snapshots: list[IterationState] = []
-    with Workers(RunInputs(collection, config, motion), threads) as workers:
+    # no phase has more tasks than key frames, so more workers would sit idle
+    with Workers(RunInputs(collection, config, motion), min(threads, len(refs))) as workers:
         for iteration in range(1, config.iterations + 1):
             # both phases read the proposals inside the previous state's regions
             contained = {

@@ -77,7 +77,7 @@ def _replacing(path: Path) -> Iterator[TextIO]:
     """Write a temp file beside ``path`` that replaces it when the block ends;
     if the block raises, the temp file goes and any earlier ``path`` stays."""
     path = Path(path)
-    _make_dir(path.parent)
+    make_dir(path.parent)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -111,7 +111,7 @@ def _open(path: Path) -> BinaryIO:
         raise ValidationError(f"cannot open file ({reason})", locus=str(path)) from None
 
 
-def _make_dir(path: Path) -> None:
+def make_dir(path: Path) -> None:
     """Create directory ``path`` and its parents, or raise ValidationError at the path."""
     try:
         path.mkdir(parents=True, exist_ok=True)

@@ -4,8 +4,9 @@ All functions are pure; frame pairs can be matched fully in parallel.
 Proposals are passed as row indices into each frame's array view, and
 descriptors and box locations are gathered from those rows.
 ``match_confidences(rows_t, rows_u, ...)`` returns the (u, v, s) vote array on
-``OffsetGrid.from_config``, which is built once per pair of bin counts, and
-the (len(rows_t), len(rows_u)) score matrix.
+the one fixed offset grid, whose bin centers and bandwidths are module
+constants built once at import, and the (len(rows_t), len(rows_u)) score
+matrix.
 
 Probabilistic Hough matching of a frame pair runs over proposal pairs
 m = (i, j). Each pair has an appearance affinity a(m) and an offset between
@@ -28,9 +29,7 @@ relative).
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,38 +50,17 @@ def _bin_centers(lo: float, hi: float, count: int) -> np.ndarray:
     return lo + (np.arange(count) + 0.5) * width
 
 
-@dataclass(frozen=True, eq=False)
-class OffsetGrid:
-    """Discretized translation + log-scale offset space for vote accumulation."""
-
-    du_centers: np.ndarray
-    dv_centers: np.ndarray
-    ds_centers: np.ndarray
-    bandwidths: tuple[float, float, float]
-
-    @classmethod
-    def from_config(cls, config: Config) -> "OffsetGrid":
-        return _offset_grid(config.hough_translation_bins, config.hough_scale_bins)
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return (self.du_centers.size, self.dv_centers.size, self.ds_centers.size)
-
-
-@functools.lru_cache(maxsize=None)
-def _offset_grid(nt: int, ns: int) -> OffsetGrid:
-    """The grid of one pair of bin counts, built once and shared read-only."""
-    t_lo, t_hi = TRANSLATION_RANGE
-    s_lo, s_hi = LOG_SCALE_RANGE
-    grid = OffsetGrid(
-        _bin_centers(t_lo, t_hi, nt),
-        _bin_centers(t_lo, t_hi, nt),
-        _bin_centers(s_lo, s_hi, ns),
-        ((t_hi - t_lo) / nt, (t_hi - t_lo) / nt, (s_hi - s_lo) / ns),
-    )
-    for centers in (grid.du_centers, grid.dv_centers, grid.ds_centers):
-        centers.setflags(write=False)
-    return grid
+# The offset grid the votes go into: 16 translation bins per axis and 7
+# log-scale bins, each bin's kernel as wide as the bin. Built once, read-only.
+TRANSLATION_BINS = 16
+LOG_SCALE_BINS = 7
+TRANSLATION_CENTERS = _bin_centers(*TRANSLATION_RANGE, TRANSLATION_BINS)
+LOG_SCALE_CENTERS = _bin_centers(*LOG_SCALE_RANGE, LOG_SCALE_BINS)
+TRANSLATION_CENTERS.setflags(write=False)
+LOG_SCALE_CENTERS.setflags(write=False)
+_TRANSLATION_WIDTH = (TRANSLATION_RANGE[1] - TRANSLATION_RANGE[0]) / TRANSLATION_BINS
+BANDWIDTHS = (_TRANSLATION_WIDTH, _TRANSLATION_WIDTH,
+              (LOG_SCALE_RANGE[1] - LOG_SCALE_RANGE[0]) / LOG_SCALE_BINS)
 
 
 def squared_distances(descs_a, descs_b) -> np.ndarray:
@@ -115,16 +93,15 @@ def match_confidences(rows_t, rows_u, frame_t: Frame, frame_u: Frame, config: Co
     """
     if len(rows_t) == 0 or len(rows_u) == 0:
         raise ValueError("proposal sets must be non-empty")
-    grid = OffsetGrid.from_config(config)
     aff = affinity_matrix(frame_t.descriptors[rows_t], frame_u.descriptors[rows_u],
                           config.affinity_gamma)
     offsets = (frame_t.locations[rows_t][:, None, :]
                - frame_u.locations[rows_u][None, :, :]).reshape(-1, 3)
-    gu = _axis_kernel(offsets[:, 0], grid.du_centers, grid.bandwidths[0])
-    gv = _axis_kernel(offsets[:, 1], grid.dv_centers, grid.bandwidths[1])
-    gs = _axis_kernel(offsets[:, 2], grid.ds_centers, grid.bandwidths[2])
+    gu = _axis_kernel(offsets[:, 0], TRANSLATION_CENTERS, BANDWIDTHS[0])
+    gv = _axis_kernel(offsets[:, 1], TRANSLATION_CENTERS, BANDWIDTHS[1])
+    gs = _axis_kernel(offsets[:, 2], LOG_SCALE_CENTERS, BANDWIDTHS[2])
     weights = aff.ravel()
-    nu, nv, ns = grid.shape
+    nu, nv, ns = TRANSLATION_BINS, TRANSLATION_BINS, LOG_SCALE_BINS
     gus = (gu[:, :, None] * gs[:, None, :]).reshape(weights.size, nu * ns)
     votes = (gus * weights[:, None]).T @ gv
     support = gv @ votes.T

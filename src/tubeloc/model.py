@@ -270,8 +270,6 @@ class Config:
     top_candidates: int = 100
     retrieval_proposals: int = 20
     affinity_gamma: float = 1.0
-    hough_translation_bins: int = 16
-    hough_scale_bins: int = 7
 
     def validate(self):
         check_field_types(self)
@@ -284,24 +282,20 @@ class Config:
                      "top_candidates", "retrieval_proposals"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
-        if self.hough_translation_bins < 1 or self.hough_scale_bins < 1:
-            raise ValidationError("offset grid needs at least one bin per axis")
 
     def to_dict(self) -> dict:
-        out = {}
-        for name in self.__dataclass_fields__:
-            key = "lambda" if name == "lambda_" else name
-            out[key] = getattr(self, name)
-        return out
+        """Field values keyed by name, a trailing underscore dropped (``lambda``)."""
+        return {name.rstrip("_"): getattr(self, name) for name in self.__dataclass_fields__}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Config":
+        """The inverse of ``to_dict``: a key that it does not write is rejected."""
+        names = {name.rstrip("_"): name for name in cls.__dataclass_fields__}
         kwargs = {}
         for key, value in data.items():
-            name = "lambda_" if key == "lambda" else key
-            if name not in cls.__dataclass_fields__:
+            if key not in names:
                 raise ValidationError(f"unknown config field {key!r}")
-            kwargs[name] = value
+            kwargs[names[key]] = value
         return cls(**kwargs)
 
 

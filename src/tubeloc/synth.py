@@ -17,7 +17,7 @@ import numpy as np
 
 from .discovery import build_video_trellis
 from .formats import canon_float, read_jsonl, write_jsonl
-from .matching import OffsetGrid
+from .matching import BANDWIDTHS, LOG_SCALE_CENTERS, TRANSLATION_CENTERS
 from .model import (
     Box,
     Collection,
@@ -384,11 +384,10 @@ def brute_force_matching(props_t, props_u, frame_t: Frame, frame_u: Frame,
         raise ValueError("proposal sets must be non-empty")
     if len(props_t) * len(props_u) > BRUTE_FORCE_MAX_PAIRS:
         raise ValueError("instance exceeds the brute-force pair guard")
-    grid = OffsetGrid.from_config(config)
-    cu = grid.du_centers[:, None, None]
-    cv = grid.dv_centers[None, :, None]
-    cs = grid.ds_centers[None, None, :]
-    bwu, bwv, bws = grid.bandwidths
+    cu = TRANSLATION_CENTERS[:, None, None]
+    cv = TRANSLATION_CENTERS[None, :, None]
+    cs = LOG_SCALE_CENTERS[None, None, :]
+    bwu, bwv, bws = BANDWIDTHS
     gamma = config.affinity_gamma
 
     def location(p, frame):
@@ -411,7 +410,7 @@ def brute_force_matching(props_t, props_u, frame_t: Frame, frame_u: Frame,
         for pt in props_t
     ])
 
-    votes = np.zeros(grid.shape)
+    votes = np.zeros((cu.size, cv.size, cs.size))
     for i in range(len(props_t)):
         for j in range(len(props_u)):
             votes = votes + affinities[i, j] * likelihood(locs_t[i], locs_u[j])

@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+import tubeloc.cli as cli
 from tubeloc.cli import main
 from tubeloc.formats import load_collection
 
@@ -127,6 +128,35 @@ def test_uncreatable_out_exits_one(tiny_collection, tiny_results, tmp_path, caps
 
 
 class TestRunCommand:
+    @pytest.fixture
+    def no_load(self, monkeypatch):
+        def fail(*_args, **_kwargs):
+            raise AssertionError("the collection was loaded")
+
+        monkeypatch.setattr(cli, "load_collection", fail)
+
+    def test_uncreatable_out_fails_before_loading(self, tiny_collection, tmp_path, capsys,
+                                                  no_load):
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        assert main(["run", "--collection", str(tiny_collection / "manifest.jsonl"),
+                     "--out", str(blocker / "x")]) == 1
+        assert f"{blocker / 'x'}: cannot create directory" in capsys.readouterr().err
+
+    def test_missing_out_fails_before_loading(self, tiny_collection, monkeypatch, capsys,
+                                              no_load):
+        monkeypatch.delenv("TUBELOC_OUT", raising=False)
+        assert main(["run", "--collection", str(tiny_collection / "manifest.jsonl")]) == 1
+        assert "TUBELOC_OUT" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--hough-translation-bins", "--hough-scale-bins"])
+    def test_offset_grid_flags_removed(self, tiny_collection, tmp_path, capsys, flag):
+        code = main(["run", "--collection", str(tiny_collection / "manifest.jsonl"),
+                     "--out", str(tmp_path / "o"), flag, "16"])
+        assert code == 1
+        assert f"unrecognized arguments: {flag} 16" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_run_and_eval(self, tiny_collection, tmp_path, capsys):
         out = tmp_path / "results"
         code = main(["run", "--collection", str(tiny_collection / "manifest.jsonl"),
@@ -202,6 +232,7 @@ class TestRunCommand:
         ({"alpha": "0.5"}, "alpha must be a number"),
         ({"k_neighbors": 2.5}, "k_neighbors must be an integer"),
         ({"rng_seed": 3}, "unknown config field"),
+        ({"hough_scale_bins": 7}, "unknown config field 'hough_scale_bins'"),
     ])
     def test_mistyped_config_file_exits_one(self, tiny_collection, tmp_path, capsys,
                                             data, message):

@@ -523,22 +523,38 @@ class TestComputeOnce:
 class TestWorkers:
     """``threads`` > 1 forks one process pool per run."""
 
-    @pytest.mark.parametrize("threads,iterations", [(2, 1), (2, 3), (3, 3)])
-    def test_one_fork_per_worker_per_run(self, small, monkeypatch, threads, iterations):
-        collection, config, _ = small
-        forks = []
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the processes forked while the test runs."""
+        pids = []
         fork = os.fork
 
         def counted_fork():
             pid = fork()
             if pid:  # the parent's side of the fork
-                forks.append(pid)
+                pids.append(pid)
             return pid
 
         monkeypatch.setattr(os, "fork", counted_fork)
+        return pids
+
+    @pytest.mark.parametrize("threads,iterations", [(2, 1), (2, 3), (3, 3)])
+    def test_one_fork_per_worker_per_run(self, small, forks, threads, iterations):
+        collection, config, _ = small
         run_discovery(collection, replace(config, iterations=iterations), threads=threads)
         assert len(forks) == threads
         assert multiprocessing.active_children() == []
+
+    def test_no_more_workers_than_key_frames(self, small, forks):
+        # no phase has more tasks than key frames, so extra workers are not forked
+        collection, config, key_frame_count = small
+        assert key_frame_count == 8
+        baseline = run_discovery(collection, config, threads=1)
+        result = run_discovery(collection, config, threads=12)
+        assert len(forks) == key_frame_count
+        assert multiprocessing.active_children() == []
+        assert result.tubes == baseline.tubes
+        assert result.graph == baseline.graph
 
     @pytest.mark.parametrize("task", ["frame_similarity", "relocalize_video"])
     def test_worker_error_reaches_caller(self, small, monkeypatch, task):

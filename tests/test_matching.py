@@ -18,7 +18,9 @@ from helpers import (
     rand_unit,
 )
 from tubeloc.matching import (
-    OffsetGrid,
+    BANDWIDTHS,
+    LOG_SCALE_CENTERS,
+    TRANSLATION_CENTERS,
     appearance_confidence,
     frame_saliencies,
     match_confidences,
@@ -56,20 +58,17 @@ class TestAffinity:
 
 class TestGeometryLikelihood:
     def test_peak_at_center(self):
-        grid = OffsetGrid.from_config(CFG)
-        center = (grid.du_centers[3], grid.dv_centers[5], grid.ds_centers[2])
-        assert geometry_likelihood(center, center, grid.bandwidths) == 1.0
+        center = (TRANSLATION_CENTERS[3], TRANSLATION_CENTERS[5], LOG_SCALE_CENTERS[2])
+        assert geometry_likelihood(center, center, BANDWIDTHS) == 1.0
 
     def test_one_bandwidth_away(self):
-        grid = OffsetGrid.from_config(CFG)
         center = np.array([0.0625, 0.0625, 0.0])
-        offset = center + np.array([grid.bandwidths[0], 0.0, 0.0])
-        value = geometry_likelihood(offset, center, grid.bandwidths)
+        offset = center + np.array([BANDWIDTHS[0], 0.0, 0.0])
+        value = geometry_likelihood(offset, center, BANDWIDTHS)
         assert value == pytest.approx(math.exp(-0.5), abs=1e-12)
 
     def test_far_offset_negligible(self):
-        grid = OffsetGrid.from_config(CFG)
-        value = geometry_likelihood((3.0, 0.0, 0.0), (0.0625, 0.0, 0.0), grid.bandwidths)
+        value = geometry_likelihood((3.0, 0.0, 0.0), (0.0625, 0.0, 0.0), BANDWIDTHS)
         assert value < 1e-8
 
 
@@ -87,13 +86,20 @@ class TestHoughVotes:
     def test_identical_frames_peak_near_zero_offset(self):
         frame = make_frame(proposals=[_proposal(0, Box(50, 60, 80, 40), basis_vec(4, 0))])
         votes, _ = match_confidences(all_rows(frame), all_rows(frame), frame, frame, CFG)
-        grid = OffsetGrid.from_config(CFG)
         iu, iv, isc = np.unravel_index(np.argmax(votes), votes.shape)
         # zero lies on a shared bin edge of the even translation axes, so the
         # peak must sit in a bin whose center is nearest to zero
-        assert abs(grid.du_centers[iu]) == np.min(np.abs(grid.du_centers))
-        assert abs(grid.dv_centers[iv]) == np.min(np.abs(grid.dv_centers))
-        assert abs(grid.ds_centers[isc]) == np.min(np.abs(grid.ds_centers))
+        assert abs(TRANSLATION_CENTERS[iu]) == np.min(np.abs(TRANSLATION_CENTERS))
+        assert abs(TRANSLATION_CENTERS[iv]) == np.min(np.abs(TRANSLATION_CENTERS))
+        assert abs(LOG_SCALE_CENTERS[isc]) == np.min(np.abs(LOG_SCALE_CENTERS))
+
+    def test_grid_is_fixed_and_read_only(self):
+        frame = make_frame(proposals=[_proposal(0, Box(50, 60, 80, 40), basis_vec(4, 0))])
+        votes, _ = match_confidences(all_rows(frame), all_rows(frame), frame, frame, CFG)
+        assert votes.shape == (16, 16, 7)
+        for centers in (TRANSLATION_CENTERS, LOG_SCALE_CENTERS):
+            with pytest.raises(ValueError):
+                centers[0] = 0.0
 
     def test_vanishing_affinity_empties_grid(self):
         a = make_frame(proposals=[_proposal(0, Box(10, 10, 30, 30), basis_vec(4, 0))])
@@ -128,11 +134,10 @@ class TestMatchConfidences:
         offset = box_location(a.proposals[0].box, a.width, a.height) - box_location(
             b.proposals[0].box, b.width, b.height)
         total = 0.0
-        grid = OffsetGrid.from_config(CFG)
-        for cu in grid.du_centers:
-            for cv in grid.dv_centers:
-                for cs in grid.ds_centers:
-                    total += geometry_likelihood(offset, (cu, cv, cs), grid.bandwidths) ** 2
+        for cu in TRANSLATION_CENTERS:
+            for cv in TRANSLATION_CENTERS:
+                for cs in LOG_SCALE_CENTERS:
+                    total += geometry_likelihood(offset, (cu, cv, cs), BANDWIDTHS) ** 2
         expected = affinity**2 * total
         assert scores[0, 0] == pytest.approx(expected, rel=1e-10)
 

@@ -155,6 +155,19 @@ class TestConfig:
         with pytest.raises(ValidationError):
             Config.from_dict({"bogus": 1})
 
+    @pytest.mark.parametrize("data", [{"lambda": 1.0, "lambda_": 3.0},
+                                      {"lambda_": 3.0, "lambda": 1.0},
+                                      {"lambda_": 3.0}])
+    def test_only_keys_to_dict_writes_accepted(self, data):
+        with pytest.raises(ValidationError, match="unknown config field 'lambda_'"):
+            Config.from_dict(data)
+
+    @pytest.mark.parametrize("key,value", [("hough_translation_bins", 16),
+                                           ("hough_scale_bins", 7)])
+    def test_offset_grid_is_not_configurable(self, key, value):
+        with pytest.raises(ValidationError, match=f"unknown config field '{key}'"):
+            Config.from_dict({key: value})
+
 
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.sampled_from([10 ** 400, -(10 ** 400)])
