@@ -173,6 +173,7 @@ def cmd_run(args) -> int:
     make_dir(out)  # an unusable --out fails before the run, not after it
     started = _utc_now()
     collection = load_collection(args.collection, keyframe_stride=config.keyframe_stride)
+    input_hash = hash_collection_inputs(args.collection)  # of the bytes just loaded
     result = run_discovery(collection, config, threads=args.threads)
 
     save_results({vid: [sol.tube] for vid, sol in result.tubes.items()},
@@ -188,7 +189,7 @@ def cmd_run(args) -> int:
         out / "run_manifest.json",
         version=__version__,
         config_dict=config.to_dict(),
-        input_hash=hash_collection_inputs(args.collection),
+        input_hash=input_hash,
         started_utc=started,
         finished_utc=_utc_now(),
     )

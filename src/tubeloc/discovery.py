@@ -14,6 +14,7 @@ worker the same task functions run inline.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -34,6 +35,7 @@ from .model import (
     Proposal,
     ValidationError,
     Video,
+    check_key_frames,
     key_frames,
 )
 from .motion import VideoTrackIndex, motion_coherence_many
@@ -64,8 +66,6 @@ class DiscoveryResult:
 
 def initialize_state(collection: Collection, config: Config) -> IterationState:
     """Start every video from a whole-frame localization at each key frame."""
-    if not collection.videos:
-        raise ValidationError("collection has no videos")
     boxes = {
         vid: {kf: [video.frames[kf].bounds_box()]
               for kf in key_frames(video, config.keyframe_stride)}
@@ -121,13 +121,8 @@ def bootstrap_neighbors(collection: Collection, k: int, stride: int) -> Neighbor
     """First-round retrieval by L2 distance between frame signatures; the
     similarity is the negated distance."""
     refs = key_frame_refs(collection, stride)
-    signatures = []
-    for vid, kf in refs:
-        signature = collection.videos[vid].frames[kf].signature
-        if signature is None:
-            raise ValidationError(f"frame {kf} of video {vid} is missing its signature")
-        signatures.append(np.asarray(signature, dtype=float))
-    stacked = np.stack(signatures)
+    stacked = np.stack([np.asarray(collection.videos[vid].frames[kf].signature, dtype=float)
+                        for vid, kf in refs])
     # one row at a time: O(F * D) scratch instead of an (F, F, D) difference
     dist = np.array([np.sqrt(((stacked - row) ** 2).sum(axis=1)) for row in stacked])
     return _rank_neighbors(refs, -dist, k)
@@ -278,8 +273,6 @@ def build_video_trellis(video: Video,
     saliency_maps: dict[int, dict[int, float]] = {}
     for kf in kfs:
         frame = video.frames[kf]
-        if not frame.proposals:
-            raise ValidationError(f"key frame {kf} of video {video.video_id} has no proposals")
         phi_a, saliency = appearance_confidence(frame, pools_by_kf[kf], config)
         phi = phi_a + config.alpha * motion.coherence[kf]
         ids_per_frame.append(frame.ids)
@@ -352,6 +345,23 @@ def check_threads(threads: int) -> None:
         raise ValidationError(f"threads must be 1 on a platform without fork, got {threads}")
 
 
+def check_objective_bound(collection: Collection, config: Config) -> None:
+    """Reject weights under which a tube objective could overflow a float.
+
+    Unary scores lie in [0, 1 + 4 alpha] and pairwise ones in [theta, 1], so
+    over at most K key frames no objective exceeds
+    K (1 + 4 alpha) + (K - 1) lambda |theta| in magnitude.
+    """
+    k = max(len(key_frames(video, config.keyframe_stride))
+            for video in collection.videos.values())
+    bound = (k * (1 + 4 * float(config.alpha))
+             + (k - 1) * float(config.lambda_) * abs(float(config.theta)))
+    if not math.isfinite(bound):
+        raise ValidationError(
+            f"alpha={config.alpha}, lambda={config.lambda_} and theta={config.theta} "
+            f"can overflow a tube objective over {k} key frames")
+
+
 def run_discovery(collection: Collection, config: Config, threads: int = 1
                   ) -> DiscoveryResult:
     """Alternate retrieval and relocalization; keep the best tube per video.
@@ -364,15 +374,13 @@ def run_discovery(collection: Collection, config: Config, threads: int = 1
     """
     config.validate()
     check_threads(threads)
-    if not collection.videos:
-        raise ValidationError("collection has no videos")
+    check_key_frames(collection, config.keyframe_stride)
+    check_objective_bound(collection, config)
     refs = key_frame_refs(collection, config.keyframe_stride)
-    for vid, kf in refs:
-        frame = collection.videos[vid].frames.get(kf)
-        if frame is None or not frame.proposals:
-            raise ValidationError(f"key frame {kf} of video {vid} has no proposals")
+    for vid, kf in refs:  # the workers fork with the scorers' columns built
+        frame = collection.videos[vid].frames[kf]
+        _ = frame.ids, frame.locations, frame.descriptors
 
-    # also builds every key frame's array view before the workers fork
     motion = {vid: motion_scores(video, key_frames(video, config.keyframe_stride))
               for vid, video in collection.videos.items()}
     video_ids = list(collection.videos)

@@ -33,7 +33,7 @@ from .model import (
     Tube,
     ValidationError,
     Video,
-    key_frames,
+    check_key_frames,
     unit_normalized,
 )
 
@@ -58,8 +58,8 @@ def canon_list(values) -> list[float]:
     return [canon_float(v) for v in np.asarray(values, dtype=float).ravel()]
 
 
-def _box_record(box: Box) -> list[float]:
-    return [canon_float(v) for v in box.as_list()]
+def box_record(box: Box) -> list[float]:
+    return canon_list(box.as_list())
 
 
 def _box_from_record(value, locus: str) -> Box:
@@ -251,7 +251,7 @@ def save_collection(collection: Collection, out_dir: Path) -> Path:
                         "type": "proposal",
                         "frame_index": t,
                         "id": proposal.id,
-                        "box": _box_record(proposal.box),
+                        "box": box_record(proposal.box),
                         "descriptor": canon_list(proposal.descriptor),
                     }
                 )
@@ -276,7 +276,7 @@ def save_collection(collection: Collection, out_dir: Path) -> Path:
                     {
                         "type": "ground_truth",
                         "frame_index": truth.frame_index,
-                        "box": _box_record(truth.box),
+                        "box": box_record(truth.box),
                         "class_label": truth.class_label,
                     }
                 ],
@@ -311,8 +311,9 @@ def _load_frames(path: Path, video_id: str, num_frames: int, descriptor_dim: int
                 raise ValidationError(f"duplicate frame index {t}", locus=locus)
             width = _field(record, "width", locus, float)
             height = _field(record, "height", locus, float)
-            if not (0 < width < math.inf and 0 < height < math.inf):
-                raise ValidationError("frame size must be positive and finite", locus=locus)
+            if not (width > 0 < height and 0 < width * height < math.inf):
+                raise ValidationError("frame size must be positive and finite, and so must "
+                                      "its area", locus=locus)
             signature = _load_vector(record, "signature", signature_dim, locus)
             frames[t] = Frame(video_id, t, width, height, [], signature)
         else:
@@ -395,8 +396,7 @@ def _load_tracks(path: Path, video_id: str, frames: dict[int, Frame],
     return tracks
 
 
-def _load_truth(path: Path, video_id: str, frames: dict[int, Frame],
-                num_frames: int) -> GroundTruth:
+def _load_truth(path: Path, video_id: str, num_frames: int) -> GroundTruth:
     truth = None
     for locus, record in read_jsonl(path, "ground_truth"):
         if truth is not None:
@@ -415,8 +415,8 @@ def _load_truth(path: Path, video_id: str, frames: dict[int, Frame],
 def load_collection(manifest_path: Path, keyframe_stride: int | None = None) -> Collection:
     """Load and fully validate a collection; descriptors come back unit-norm.
 
-    When ``keyframe_stride`` is given, additionally checks that every key
-    frame carries a non-empty proposal set.
+    When ``keyframe_stride`` is given, additionally checks what a run needs of
+    the key frames (``check_key_frames``).
     """
     manifest_path = Path(manifest_path)
     records = list(read_jsonl(manifest_path, "collection", "video"))
@@ -451,17 +451,13 @@ def load_collection(manifest_path: Path, keyframe_stride: int | None = None) -> 
         collection.videos[vid] = video
         truth_file = record.get("truth_file")
         if truth_file:
-            collection.ground_truths[vid] = _load_truth(base / str(truth_file), vid, frames,
-                                                        num_frames)
+            collection.ground_truths[vid] = _load_truth(base / str(truth_file), vid, num_frames)
 
     if keyframe_stride is not None:
-        for vid, video in collection.videos.items():
-            for kf in key_frames(video, keyframe_stride):
-                if not video.frames[kf].proposals:
-                    raise ValidationError(
-                        f"key frame {kf} of video {vid} has no proposals",
-                        locus=str(manifest_path),
-                    )
+        try:
+            check_key_frames(collection, keyframe_stride)
+        except ValidationError as exc:
+            raise ValidationError(str(exc), locus=str(manifest_path)) from None
     return collection
 
 
@@ -477,7 +473,7 @@ def save_tubes(tubes_by_video: dict[str, list[Tube]], collection: Collection, pa
             regions = []
             for kf in tube.key_frames():
                 box = video.frames[kf].proposal_by_id(tube.regions[kf]).box
-                regions.append([kf, tube.regions[kf], _box_record(box)])
+                regions.append([kf, tube.regions[kf], box_record(box)])
             records.append(
                 {
                     "type": "tube",

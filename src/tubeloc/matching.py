@@ -1,7 +1,7 @@
 """Cross-frame region matching: affinity, offset voting, saliency, standout.
 
 All functions are pure; frame pairs can be matched fully in parallel.
-Proposals are passed as row indices into each frame's array view, and
+Proposals are passed as row indices into each frame's columns, and
 descriptors and box locations are gathered from those rows.
 ``match_confidences(rows_t, rows_u, ...)`` returns the (u, v, s) vote array on
 the one fixed offset grid, whose bin centers and bandwidths are module

@@ -1,13 +1,15 @@
 """Core data model: boxes, proposals, frames, videos, tracks, tubes, configuration.
 
 All structures are plain dataclasses and are treated as immutable once a
-collection has been loaded.
+collection has been loaded or generated: a frame's ``proposals`` are complete
+before anything reads its columns, and stay as they are after.
 
 A ``Frame`` keeps its proposals as records (``proposals``) for loading,
-generation and saving, and gives the scorers one array view of them: ``ids``,
-``boxes`` as (n, 4) rows ``[x_min, y_min, width, height]``, ``descriptors``,
-``locations`` (offset-space position of each box) and ``rows``, the id -> row
-lookup. Scorers gather rows from this view instead of restacking proposals.
+generation and saving, and gives the scorers read-only columns of them, each
+built on first read and kept: ``ids``, ``boxes`` as (n, 4) rows
+``[x_min, y_min, width, height]``, ``descriptors``, ``locations``
+(offset-space position of each box) and ``rows``, the id -> row lookup.
+Scorers gather rows from these columns instead of restacking proposals.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -82,25 +85,14 @@ class Proposal:
     descriptor: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class ProposalArrays:
-    """A frame's proposals as columns, one row per proposal in list order."""
-
-    source: list[Proposal]  # the list the columns were built from
-    ids: np.ndarray  # (n,)
-    boxes: np.ndarray  # (n, 4) rows [x_min, y_min, width, height]
-    descriptors: np.ndarray  # (n, D)
-    locations: np.ndarray  # (n, 3) normalized center, log sqrt of box/frame area
-    row: dict[int, int]  # proposal id -> row
+def _read_only(column: np.ndarray) -> np.ndarray:
+    column.setflags(write=False)  # shared by every scorer
+    return column
 
 
 @dataclass(eq=False)
 class Frame:
-    """One video frame carrying its proposal set and a frame-level signature.
-
-    The array view is built from ``proposals`` on first use and again
-    whenever the list is replaced.
-    """
+    """One video frame carrying its proposal set and a frame-level signature."""
 
     video_id: str
     frame_index: int
@@ -112,52 +104,39 @@ class Frame:
     def bounds_box(self) -> Box:
         return Box(0.0, 0.0, self.width, self.height)
 
-    def _arrays(self) -> ProposalArrays:
-        view = self.__dict__.get("_view")
-        if view is None or view.source is not self.proposals:
-            props = self.proposals
-            boxes = np.array([p.box.as_list() for p in props], dtype=float).reshape(-1, 4)
-            x, y, w, h = boxes.T
-            view = ProposalArrays(
-                props,
-                np.array([p.id for p in props], dtype=int),
-                boxes,
-                np.array([p.descriptor for p in props], dtype=float) if props
-                else np.empty((0, 0)),
-                np.column_stack([
-                    (x + 0.5 * w) / self.width,
-                    (y + 0.5 * h) / self.height,
-                    0.5 * np.log(w * h / (self.width * self.height)),
-                ]),
-                {p.id: i for i, p in enumerate(props)},
-            )
-            for column in (view.ids, view.boxes, view.descriptors, view.locations):
-                column.setflags(write=False)  # shared by every scorer
-            self._view = view
-        return view
-
-    @property
+    @cached_property
     def ids(self) -> np.ndarray:
-        return self._arrays().ids
+        return _read_only(np.array([p.id for p in self.proposals], dtype=int))
 
-    @property
+    @cached_property
     def boxes(self) -> np.ndarray:
-        return self._arrays().boxes
+        return _read_only(np.array([p.box.as_list() for p in self.proposals],
+                                   dtype=float).reshape(-1, 4))
 
-    @property
+    @cached_property
     def descriptors(self) -> np.ndarray:
-        return self._arrays().descriptors
+        if not self.proposals:
+            return _read_only(np.empty((0, 0)))
+        return _read_only(np.array([p.descriptor for p in self.proposals], dtype=float))
 
-    @property
+    @cached_property
     def locations(self) -> np.ndarray:
         """Per row: box center over frame size, and half the log area ratio."""
-        return self._arrays().locations
+        x, y, w, h = self.boxes.T
+        return _read_only(np.column_stack([
+            (x + 0.5 * w) / self.width,
+            (y + 0.5 * h) / self.height,
+            0.5 * np.log(w * h / (self.width * self.height)),
+        ]))
+
+    @cached_property
+    def _row_of(self) -> dict[int, int]:
+        return {p.id: i for i, p in enumerate(self.proposals)}
 
     def rows(self, proposal_ids) -> np.ndarray:
-        """Array-view row of each proposal id; an id the frame lacks raises."""
-        row = self._arrays().row
+        """The row of each proposal id in the columns; an id the frame lacks raises."""
         try:
-            return np.array([row[pid] for pid in proposal_ids], dtype=np.intp)
+            return np.array([self._row_of[pid] for pid in proposal_ids], dtype=np.intp)
         except KeyError as exc:
             raise ValidationError(
                 f"frame {self.video_id}:{self.frame_index} has no proposal {exc.args[0]}"
@@ -231,29 +210,50 @@ class NeighborGraph:
     neighbors: dict[FrameRef, list[tuple[FrameRef, float]]] = field(default_factory=dict)
 
 
-def check_field_types(params) -> None:
-    """Dataclass fields with an integer default must hold integers, the others
-    finite reals. Messages drop a trailing underscore (``lambda_``)."""
-    for name, spec in params.__dataclass_fields__.items():
-        key = name.rstrip("_")
-        value = getattr(params, name)
-        if isinstance(spec.default, int):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValidationError(f"{key} must be an integer, got {value!r}")
-        elif isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValidationError(f"{key} must be a number, got {value!r}")
-        else:
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:
-                raise ValidationError(
-                    f"{key} must be finite, got an integer too large for a float") from None
-            if not finite:
-                raise ValidationError(f"{key} must be finite, got {value!r}")
+class Params:
+    """Base of the parameter dataclasses: the JSON codec, whose keys are the
+    field names with a trailing underscore dropped (``lambda``), and the
+    field type check."""
+
+    noun = "config"  # names the parameters in errors; a class attribute, not a field
+
+    def to_dict(self) -> dict:
+        return {name.rstrip("_"): getattr(self, name) for name in self.__dataclass_fields__}
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        """The inverse of ``to_dict``: a key that it does not write is rejected."""
+        names = {name.rstrip("_"): name for name in cls.__dataclass_fields__}
+        kwargs = {}
+        for key, value in data.items():
+            if key not in names:
+                raise ValidationError(f"unknown {cls.noun} field {key!r}")
+            kwargs[names[key]] = value
+        return cls(**kwargs)
+
+    def check_field_types(self) -> None:
+        """Fields with an integer default must hold integers, the others finite
+        reals. Messages drop a trailing underscore (``lambda_``)."""
+        for name, spec in self.__dataclass_fields__.items():
+            key = name.rstrip("_")
+            value = getattr(self, name)
+            if isinstance(spec.default, int):
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ValidationError(f"{key} must be an integer, got {value!r}")
+            elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValidationError(f"{key} must be a number, got {value!r}")
+            else:
+                try:
+                    finite = math.isfinite(value)
+                except OverflowError:
+                    raise ValidationError(
+                        f"{key} must be finite, got an integer too large for a float") from None
+                if not finite:
+                    raise ValidationError(f"{key} must be finite, got {value!r}")
 
 
 @dataclass
-class Config:
+class Config(Params):
     """Run parameters. Defaults follow the reference operating point.
 
     ``theta`` must stay strictly below -1 so that a transition sharing no
@@ -272,7 +272,7 @@ class Config:
     affinity_gamma: float = 1.0
 
     def validate(self):
-        check_field_types(self)
+        self.check_field_types()
         for name in ("alpha", "lambda_", "affinity_gamma"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name.rstrip('_')} must be >= 0")
@@ -283,27 +283,26 @@ class Config:
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
 
-    def to_dict(self) -> dict:
-        """Field values keyed by name, a trailing underscore dropped (``lambda``)."""
-        return {name.rstrip("_"): getattr(self, name) for name in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Config":
-        """The inverse of ``to_dict``: a key that it does not write is rejected."""
-        names = {name.rstrip("_"): name for name in cls.__dataclass_fields__}
-        kwargs = {}
-        for key, value in data.items():
-            if key not in names:
-                raise ValidationError(f"unknown config field {key!r}")
-            kwargs[names[key]] = value
-        return cls(**kwargs)
-
 
 def key_frames(video: Video, stride: int) -> list[int]:
     """Uniform key-frame indices: 0, stride, 2*stride, ... below the video length."""
     if stride < 1:
         raise ValidationError("stride must be >= 1")
     return list(range(0, video.num_frames, stride))
+
+
+def check_key_frames(collection: Collection, stride: int) -> None:
+    """What a run needs of a collection: at least one video, and at every key
+    frame a frame with proposals and a signature."""
+    if not collection.videos:
+        raise ValidationError("collection has no videos")
+    for vid, video in collection.videos.items():
+        for kf in key_frames(video, stride):
+            frame = video.frames.get(kf)
+            if frame is None or not frame.proposals:
+                raise ValidationError(f"key frame {kf} of video {vid} has no proposals")
+            if frame.signature is None:
+                raise ValidationError(f"key frame {kf} of video {vid} has no signature")
 
 
 def _lerp_box(a: Box, b: Box, w: float) -> Box:

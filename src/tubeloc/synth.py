@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discovery import build_video_trellis
-from .formats import canon_float, read_jsonl, write_jsonl
+from .formats import box_record, canon_float, canon_list, read_jsonl, write_jsonl
 from .matching import BANDWIDTHS, LOG_SCALE_CENTERS, TRANSLATION_CENTERS
 from .model import (
     Box,
@@ -24,12 +24,12 @@ from .model import (
     Config,
     Frame,
     GroundTruth,
+    Params,
     Proposal,
     Track,
     Tube,
     ValidationError,
     Video,
-    check_field_types,
     key_frames,
     unit_normalized,
 )
@@ -56,8 +56,10 @@ BRUTE_FORCE_MAX_PAIRS = 10_000
 
 
 @dataclass
-class SynthSpec:
+class SynthSpec(Params):
     """Parameters of the synthetic collection generator."""
+
+    noun = "generator"
 
     seed: int = 7
     num_classes: int = 2
@@ -79,7 +81,9 @@ class SynthSpec:
     object_scale: float = 0.3
 
     def validate(self):
-        check_field_types(self)
+        self.check_field_types()
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         for name in ("num_classes", "videos_per_class", "frames_per_video",
                      "keyframe_stride", "descriptor_dim", "signature_dim"):
             if getattr(self, name) < 1:
@@ -96,8 +100,9 @@ class SynthSpec:
             raise ValidationError("invalid background cluster layout")
         if not 0.0 < self.prototype_separation_deg <= 90.0:
             raise ValidationError("prototype separation must be in (0, 90] degrees")
-        if self.frame_width <= 0 or self.frame_height <= 0:
-            raise ValidationError("frame size must be positive")
+        if not (self.frame_width > 0 < self.frame_height
+                and 0 < float(self.frame_width) * float(self.frame_height) < math.inf):
+            raise ValidationError("frame size must be positive and finite, and so must its area")
         if not 0.0 < self.object_scale < 0.95:
             raise ValidationError("object larger than frame: object_scale must be < 0.95")
         if self.descriptor_dim < self.num_classes + self.num_parts + 1:
@@ -106,16 +111,6 @@ class SynthSpec:
             )
         if self.signature_dim < self.num_classes:
             raise ValidationError("signature_dim must be >= num_classes")
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SynthSpec":
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValidationError(f"unknown generator fields: {sorted(unknown)}")
-        return cls(**data)
 
 
 @dataclass
@@ -127,18 +122,10 @@ class PlantedTruth:
     boxes: dict[str, dict[int, Box]] = field(default_factory=dict)
 
 
-def _canon_vector(values: np.ndarray) -> np.ndarray:
-    return np.array([canon_float(v) for v in values])
-
-
-def _canon_box(x, y, w, h) -> Box:
-    return Box(canon_float(x), canon_float(y), canon_float(w), canon_float(h))
-
-
 def _unit(rng: np.random.Generator, base: np.ndarray, noise: float) -> np.ndarray:
     if noise > 0:
         base = base + noise * rng.standard_normal(base.size)
-    return _canon_vector(unit_normalized(base))
+    return np.array(canon_list(unit_normalized(base)))
 
 
 def _prototypes(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -191,7 +178,7 @@ def generate_collection(spec: SynthSpec) -> tuple[Collection, PlantedTruth, list
 
             def object_box(t: int) -> Box:
                 f = t / (T - 1) if T > 1 else 0.0
-                return _canon_box(x0 + f * (x1 - x0), y0 + f * (y1 - y0), obj_w, obj_h)
+                return Box(*canon_list([x0 + f * (x1 - x0), y0 + f * (y1 - y0), obj_w, obj_h]))
 
             distractor_boxes = []
             distractor_descs = []
@@ -200,7 +187,7 @@ def generate_collection(spec: SynthSpec) -> tuple[Collection, PlantedTruth, list
                 dh = rng.uniform(0.15, 0.45) * height
                 dx = rng.uniform(0.0, width - dw)
                 dy = rng.uniform(0.0, height - dh)
-                distractor_boxes.append(_canon_box(dx, dy, dw, dh))
+                distractor_boxes.append(Box(*canon_list([dx, dy, dw, dh])))
                 distractor_descs.append(_unit(rng, rng.standard_normal(spec.descriptor_dim), 0.0))
 
             tracks: list[Track] = []
@@ -241,10 +228,10 @@ def generate_collection(spec: SynthSpec) -> tuple[Collection, PlantedTruth, list
                     ]
                     for k in range(spec.num_parts):
                         px, py, pw, ph = _PART_RECTS[k]
-                        part_box = _canon_box(
+                        part_box = Box(*canon_list([
                             obox.x_min + px * obox.width, obox.y_min + py * obox.height,
                             pw * obox.width, ph * obox.height,
-                        )
+                        ]))
                         entries.append(
                             (part_box, _unit(rng, part_protos[c][k].copy(), spec.descriptor_noise))
                         )
@@ -469,10 +456,7 @@ def save_planted(planted: PlantedTruth, path) -> None:
                 "video_id": vid,
                 "class_label": planted.class_labels[vid],
                 "tube": [[kf, pid] for kf, pid in sorted(planted.tubes[vid].items())],
-                "boxes": [
-                    [t, [canon_float(v) for v in box.as_list()]]
-                    for t, box in sorted(planted.boxes[vid].items())
-                ],
+                "boxes": [[t, box_record(box)] for t, box in sorted(planted.boxes[vid].items())],
             }
         )
     write_jsonl(path, records)

@@ -9,7 +9,7 @@ import pytest
 
 import tubeloc.cli as cli
 from tubeloc.cli import main
-from tubeloc.formats import load_collection
+from tubeloc.formats import hash_collection_inputs, load_collection
 
 TINY_SYNTH = [
     "synth",
@@ -29,6 +29,8 @@ FAST_RUN = [
     "--theta", "-2",
     "--threads", "2",
 ]
+
+AREA_MESSAGE = "frame size must be positive and finite, and so must its area"
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +78,17 @@ class TestSynthCommand:
         code = main(["synth", "--out", str(tmp_path / "o"), "--spec", str(spec_path)])
         assert code == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--seed=-1"], "seed must be >= 0"),
+        (["--frame-width", "1e308"], AREA_MESSAGE),
+        (["--frame-width", "1e-200", "--frame-height", "1e-200"], AREA_MESSAGE),
+    ], ids=["negative_seed", "area_overflow", "area_underflow"])
+    def test_invalid_spec_value_exits_one(self, tmp_path, capsys, argv, message):
+        code = main(TINY_SYNTH + ["--out", str(tmp_path / "o")] + argv)
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_missing_out_exits_one(self, monkeypatch, capsys):
@@ -347,6 +360,70 @@ class TestRunCommand:
         code = main(["run", "--collection", str(manifest), "--out", str(tmp_path / "o")])
         assert code == 1
         assert f"{target / str(name)}: cannot open file ({reason})" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weights", [["--alpha", "1e308"],
+                                         ["--lambda", "1e308", "--theta=-1e308"]],
+                             ids=["alpha", "lambda_theta"])
+    def test_overflowing_weights_exit_one(self, tiny_collection, tmp_path, capsys, weights):
+        code = main(["run", "--collection", str(tiny_collection / "manifest.jsonl"),
+                     "--out", str(tmp_path / "o"), "--threads", "1"] + weights)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: alpha=" in err
+        assert "can overflow a tube objective over 2 key frames" in err
+        assert list((tmp_path / "o").iterdir()) == []
+
+    def test_overflowing_frame_area_exits_one(self, tiny_collection, tmp_path, capsys):
+        target = tmp_path / "collection"
+        shutil.copytree(tiny_collection, target)
+        frames_file = sorted(target.glob("*.frames.jsonl"))[0]
+        lines = frames_file.read_text().splitlines()
+        lines[0] = json.dumps(dict(json.loads(lines[0]), width=1e308))
+        frames_file.write_text("\n".join(lines) + "\n")
+        code = main(["run", "--collection", str(target / "manifest.jsonl"),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"{frames_file}:1: {AREA_MESSAGE}" in capsys.readouterr().err
+
+    def test_key_frame_without_proposals_exits_one(self, tiny_collection, tmp_path, capsys):
+        target = tmp_path / "collection"
+        shutil.copytree(tiny_collection, target)
+        frames_file = sorted(target.glob("*.frames.jsonl"))[0]
+        records = [json.loads(line) for line in frames_file.read_text().splitlines()]
+        kept = [r for r in records if r["type"] != "proposal" or r["frame_index"] != 20]
+        frames_file.write_text("".join(json.dumps(r) + "\n" for r in kept))
+        manifest = target / "manifest.jsonl"
+        code = main(["run", "--collection", str(manifest), "--out", str(tmp_path / "o")])
+        assert code == 1
+        video_id = frames_file.name.removesuffix(".frames.jsonl")
+        assert (f"{manifest}: key frame 20 of video {video_id} has no proposals"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("change", ["edit", "delete"])
+    def test_input_hash_is_of_the_loaded_bytes(self, tiny_collection, tmp_path, monkeypatch,
+                                               change):
+        # a sidecar that changes during the run does not change the recorded hash
+        target = tmp_path / "collection"
+        shutil.copytree(tiny_collection, target)
+        manifest = target / "manifest.jsonl"
+        loaded_hash = hash_collection_inputs(manifest)
+        truth_file = sorted(target.glob("*.truth.jsonl"))[0]
+        run_discovery = cli.run_discovery
+
+        def changing_run(*args, **kwargs):
+            if change == "edit":
+                truth_file.write_text(truth_file.read_text() + "\n")
+            else:
+                truth_file.unlink()
+            return run_discovery(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_discovery", changing_run)
+        out = tmp_path / "o"
+        assert main(["run", "--collection", str(manifest), "--out", str(out),
+                     "--iterations", "1", "--k", "2", "--threads", "1"]) == 0
+        assert json.loads((out / "run_manifest.json").read_text())["input_hash"] == loaded_hash
+        if change == "edit":
+            assert hash_collection_inputs(manifest) != loaded_hash
 
     def test_outputs_identical_across_threads(self, tiny_collection, tmp_path):
         outputs = []

@@ -17,6 +17,7 @@ from tubeloc.discovery import (
     _rank_neighbors,
     bootstrap_neighbors,
     build_video_trellis,
+    check_objective_bound,
     frame_similarity,
     initialize_state,
     region_contained,
@@ -67,10 +68,6 @@ class TestInitialize:
         collection = _collection_of_frames({"v0": [frame]})
         state = initialize_state(collection, Config())
         assert list(state.boxes["v0"]) == [0]
-
-    def test_empty_collection_rejected(self):
-        with pytest.raises(ValidationError):
-            initialize_state(Collection(4, 4), Config())
 
 
 class TestBootstrap:
@@ -459,6 +456,50 @@ def small():
     key_frame_count = sum(len(key_frames(video, config.keyframe_stride))
                           for video in collection.videos.values())
     return collection, config, key_frame_count
+
+
+class TestPreconditions:
+    """``run_discovery`` rejects a collection or config it cannot run before
+    any scoring."""
+
+    @pytest.fixture
+    def no_scoring(self, monkeypatch):
+        def fail(*_args, **_kwargs):
+            raise AssertionError("scoring began before the preconditions were checked")
+
+        monkeypatch.setattr(discovery, "motion_scores", fail)
+
+    def test_empty_collection(self, no_scoring):
+        with pytest.raises(ValidationError, match="^collection has no videos$"):
+            run_discovery(Collection(4, 4), Config())
+
+    @pytest.mark.parametrize("field,value,message", [("proposals", [], "has no proposals"),
+                                                     ("signature", None, "has no signature")])
+    def test_incomplete_key_frame(self, small, no_scoring, field, value, message):
+        collection, config, _ = small
+        vid = sorted(collection.videos)[1]
+        setattr(collection.videos[vid].frames[20], field, value)
+        with pytest.raises(ValidationError, match=f"^key frame 20 of video {vid} {message}$"):
+            run_discovery(collection, config)
+
+    @pytest.mark.parametrize("weights", [{"alpha": 1e308},
+                                         {"lambda_": 1e308, "theta": -1e308},
+                                         {"lambda_": 1e160, "theta": -1e160}])
+    def test_objective_overflow(self, small, no_scoring, weights):
+        collection, config, _ = small
+        with pytest.raises(ValidationError, match=r"^alpha=.*, lambda=.* and theta=.* can "
+                                                  r"overflow a tube objective over 2 key frames$"):
+            run_discovery(collection, replace(config, **weights))
+
+    def test_objective_bound_counts_key_frames(self, small):
+        # one key frame per video: no pairwise term enters the objective
+        collection, config, _ = small
+        weights = {"lambda_": 1e308, "theta": -1e308}
+        check_objective_bound(collection, replace(config, keyframe_stride=40, **weights))
+        check_objective_bound(collection, replace(config, alpha=1e307, lambda_=1e150,
+                                                  theta=-1e150))
+        with pytest.raises(ValidationError):
+            check_objective_bound(collection, replace(config, **weights))
 
 
 class TestComputeOnce:

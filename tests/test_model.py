@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 from helpers import make_frame
 from tubeloc.model import (
     Box,
+    Collection,
     Config,
     Frame,
     Proposal,
     Tube,
     ValidationError,
     Video,
+    check_key_frames,
     interpolate_tube,
     key_frames,
 )
@@ -32,6 +34,36 @@ class TestBox:
         b = Box(5, 0, 10, 10)
         assert a.intersection_area(b) == 50.0
         assert a.intersection_area(Box(20, 20, 5, 5)) == 0.0
+
+
+class TestFrameColumns:
+    @pytest.fixture
+    def frame(self):
+        return make_frame(proposals=[Proposal(5, Box(0, 0, 32, 24), np.array([1.0, 0.0])),
+                                     Proposal(2, Box(10, 20, 64, 48), np.array([0.0, 1.0]))])
+
+    @pytest.mark.parametrize("name", ["ids", "boxes", "descriptors", "locations"])
+    def test_column_built_once_and_read_only(self, frame, name):
+        column = getattr(frame, name)
+        assert getattr(frame, name) is column
+        assert len(column) == 2
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0
+
+    def test_columns_follow_proposal_order(self, frame):
+        assert frame.ids.tolist() == [5, 2]
+        assert frame.boxes.tolist() == [[0, 0, 32, 24], [10, 20, 64, 48]]
+        assert frame.locations[0].tolist() == [0.05, 0.05, 0.5 * np.log(0.01)]
+        assert frame.rows([2, 5]).tolist() == [1, 0]
+        with pytest.raises(ValidationError, match="frame v0:0 has no proposal 3"):
+            frame.rows([3])
+
+    def test_empty_frame_columns(self):
+        frame = make_frame()
+        assert frame.ids.shape == (0,)
+        assert frame.boxes.shape == (0, 4)
+        assert frame.descriptors.shape == (0, 0)
+        assert frame.locations.shape == (0, 3)
 
 
 def _video(length: int) -> Video:
@@ -62,6 +94,39 @@ class TestKeyFrames:
     def test_invalid_stride(self):
         with pytest.raises(ValidationError):
             key_frames(_video(10), 0)
+
+
+def _key_frame_collection(length: int, replaced=None) -> Collection:
+    """One video of ``length`` frames, each with one proposal and a signature,
+    but for the ``replaced`` frames by index (None drops the frame)."""
+    frames = {t: make_frame("v", t, proposals=[Proposal(0, Box(0, 0, 8, 8), np.ones(2))])
+              for t in range(length)}
+    frames.update(replaced or {})
+    collection = Collection(2, 4)
+    collection.videos["v"] = Video("v", length, {t: f for t, f in frames.items() if f is not None})
+    return collection
+
+
+class TestCheckKeyFrames:
+    def test_complete_collection_passes(self):
+        check_key_frames(_key_frame_collection(41), 20)
+
+    def test_empty_collection_rejected(self):
+        with pytest.raises(ValidationError, match="collection has no videos"):
+            check_key_frames(Collection(4, 4), 20)
+
+    @pytest.mark.parametrize("frame,message", [
+        (None, "key frame 20 of video v has no proposals"),
+        (make_frame("v", 20), "key frame 20 of video v has no proposals"),
+        (Frame("v", 20, 320.0, 240.0, [Proposal(0, Box(0, 0, 8, 8), np.ones(2))]),
+         "key frame 20 of video v has no signature"),
+    ], ids=["missing", "no_proposals", "no_signature"])
+    def test_incomplete_key_frame_rejected(self, frame, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            check_key_frames(_key_frame_collection(41, {20: frame}), 20)
+
+    def test_only_key_frames_checked(self):
+        check_key_frames(_key_frame_collection(41, {10: make_frame("v", 10)}), 20)
 
 
 def _tube_video(boxes_by_kf: dict[int, Box], length: int) -> tuple[Tube, Video]:
@@ -154,6 +219,10 @@ class TestConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValidationError):
             Config.from_dict({"bogus": 1})
+
+    def test_unknown_generator_field_rejected_by_name(self):
+        with pytest.raises(ValidationError, match="^unknown generator field 'bogus'$"):
+            SynthSpec.from_dict({"seed": 3, "bogus": 1})
 
     @pytest.mark.parametrize("data", [{"lambda": 1.0, "lambda_": 3.0},
                                       {"lambda_": 3.0, "lambda": 1.0},
