@@ -7,6 +7,7 @@ arguments, 2 runtime failure. All human-readable text goes to stderr.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -17,7 +18,6 @@ from pathlib import Path
 from . import __version__
 from .discovery import check_threads, run_discovery
 from .formats import (
-    hash_collection_inputs,
     load_collection,
     load_neighbor_graph,
     load_tubes,
@@ -172,8 +172,9 @@ def cmd_run(args) -> int:
     out = _resolve_out(args)
     make_dir(out)  # an unusable --out fails before the run, not after it
     started = _utc_now()
-    collection = load_collection(args.collection, keyframe_stride=config.keyframe_stride)
-    input_hash = hash_collection_inputs(args.collection)  # of the bytes just loaded
+    digest = hashlib.sha256()
+    collection = load_collection(args.collection, keyframe_stride=config.keyframe_stride,
+                                 digest=digest)
     result = run_discovery(collection, config, threads=args.threads)
 
     save_results({vid: [sol.tube] for vid, sol in result.tubes.items()},
@@ -189,7 +190,7 @@ def cmd_run(args) -> int:
         out / "run_manifest.json",
         version=__version__,
         config_dict=config.to_dict(),
-        input_hash=input_hash,
+        input_hash="sha256:" + digest.hexdigest(),
         started_utc=started,
         finished_utc=_utc_now(),
     )
@@ -206,7 +207,7 @@ def cmd_eval(args) -> int:
     collection = load_collection(args.collection)
     results_dir = Path(args.results)
     tubes = _best_tubes(results_dir, collection)
-    graph = load_neighbor_graph(results_dir / "neighbors.jsonl")
+    graph = load_neighbor_graph(results_dir / "neighbors.jsonl", collection)
     report = evaluate(collection, tubes=tubes, graph=graph)
     _say(report.table())
 

@@ -9,7 +9,6 @@ the serialized precision.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
@@ -137,12 +136,15 @@ def read_json(path: Path, what: str):
         raise ValidationError(f"{what} file {path} is not valid JSON: {exc}") from None
 
 
-def read_jsonl(path: Path, *kinds: str) -> Iterator[tuple[str, dict]]:
+def read_jsonl(path: Path, *kinds: str, digest=None) -> Iterator[tuple[str, dict]]:
     """Yield (locus, record) pairs; locus is file:line for diagnostics. Every
-    record is a JSON object whose ``type`` is a string, one of ``kinds`` if given."""
+    record is a JSON object whose ``type`` is a string, one of ``kinds`` if given.
+    A hashlib object ``digest`` is updated with every raw line read."""
     path = Path(path)
     with _open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if digest is not None:
+                digest.update(raw)
             locus = f"{path}:{lineno}"
             line = _decoded(raw, locus).strip()
             if not line:
@@ -177,12 +179,19 @@ def _int64(value) -> int:
     raise OverflowError(value)
 
 
-_EXPECTED = {_int64: "an integer within 64 bits", float: "a number", _floats: "a list of numbers"}
+def _finite(value) -> float:
+    if math.isfinite(v := float(value)):
+        return v
+    raise ValueError(value)
+
+
+_EXPECTED = {_int64: "an integer within 64 bits", float: "a number", _finite: "a finite number",
+             _floats: "a list of numbers"}
 
 
 def _converted(value, kind, what: str, locus: str):
-    """``kind(value)`` for ``kind`` in _int64, float, _floats or str (which
-    cannot fail); a value of the wrong type, shape or range raises
+    """``kind(value)`` for ``kind`` in _int64, float, _finite, _floats or str
+    (which cannot fail); a value of the wrong type, shape or range raises
     ValidationError at ``locus``."""
     try:
         return kind(value)
@@ -299,10 +308,10 @@ def _load_vector(record: dict, key: str, dim: int, locus: str) -> np.ndarray:
 
 
 def _load_frames(path: Path, video_id: str, num_frames: int, descriptor_dim: int,
-                 signature_dim: int) -> dict[int, Frame]:
+                 signature_dim: int, digest) -> dict[int, Frame]:
     frames: dict[int, Frame] = {}
     pending: list[tuple[str, dict]] = []
-    for locus, record in read_jsonl(path, "frame", "proposal"):
+    for locus, record in read_jsonl(path, "frame", "proposal", digest=digest):
         if record["type"] == "frame":
             t = _field(record, "frame_index", locus)
             if t < 0 or t >= num_frames:
@@ -363,12 +372,12 @@ def _load_frames(path: Path, video_id: str, num_frames: int, descriptor_dim: int
 
 
 def _load_tracks(path: Path, video_id: str, frames: dict[int, Frame],
-                 num_frames: int) -> list[Track]:
+                 num_frames: int, digest) -> list[Track]:
     tracks: list[Track] = []
     seen: set[int] = set()
     size = np.array([(frames[t].width, frames[t].height) for t in range(num_frames)])
     eps = _BOUNDS_EPS * size.max(axis=1, keepdims=True)
-    for locus, record in read_jsonl(path, "track"):
+    for locus, record in read_jsonl(path, "track", digest=digest):
         tid = _field(record, "id", locus)
         if tid in seen:
             raise ValidationError(f"duplicate track id {tid} in video {video_id}", locus=locus)
@@ -396,9 +405,9 @@ def _load_tracks(path: Path, video_id: str, frames: dict[int, Frame],
     return tracks
 
 
-def _load_truth(path: Path, video_id: str, num_frames: int) -> GroundTruth:
+def _load_truth(path: Path, video_id: str, num_frames: int, digest) -> GroundTruth:
     truth = None
-    for locus, record in read_jsonl(path, "ground_truth"):
+    for locus, record in read_jsonl(path, "ground_truth", digest=digest):
         if truth is not None:
             raise ValidationError(f"video {video_id} has more than one annotated frame", locus=locus)
         t = _field(record, "frame_index", locus)
@@ -412,19 +421,26 @@ def _load_truth(path: Path, video_id: str, num_frames: int) -> GroundTruth:
     return truth
 
 
-def load_collection(manifest_path: Path, keyframe_stride: int | None = None) -> Collection:
+def load_collection(manifest_path: Path, keyframe_stride: int | None = None,
+                    digest=None) -> Collection:
     """Load and fully validate a collection; descriptors come back unit-norm.
 
     When ``keyframe_stride`` is given, additionally checks what a run needs of
-    the key frames (``check_key_frames``).
+    the key frames (``check_key_frames``). A hashlib object ``digest`` is
+    updated with every byte parsed, in reading order: the manifest, then each
+    video's frames, tracks and truth files.
     """
     manifest_path = Path(manifest_path)
-    records = list(read_jsonl(manifest_path, "collection", "video"))
+    records = list(read_jsonl(manifest_path, "collection", "video", digest=digest))
     if not records or records[0][1]["type"] != "collection":
         raise ValidationError(
             "manifest must start with a 'collection' header record", locus=str(manifest_path)
         )
     locus, header = records[0]
+    version = _require(header, "format_version", locus)
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ValidationError(f"format_version must be {FORMAT_VERSION}, got {version!r:.40}",
+                              locus=locus)
     descriptor_dim = _field(header, "descriptor_dim", locus)
     signature_dim = _field(header, "signature_dim", locus)
     if descriptor_dim < 1 or signature_dim < 1:
@@ -443,15 +459,16 @@ def load_collection(manifest_path: Path, keyframe_stride: int | None = None) -> 
             raise ValidationError("video must have at least one frame", locus=locus)
         frames = _load_frames(
             base / _field(record, "frames_file", locus, str), vid, num_frames,
-            descriptor_dim, signature_dim,
+            descriptor_dim, signature_dim, digest,
         )
         tracks = _load_tracks(base / _field(record, "tracks_file", locus, str), vid, frames,
-                              num_frames)
+                              num_frames, digest)
         video = Video(vid, num_frames, frames, tracks)
         collection.videos[vid] = video
         truth_file = record.get("truth_file")
         if truth_file:
-            collection.ground_truths[vid] = _load_truth(base / str(truth_file), vid, num_frames)
+            collection.ground_truths[vid] = _load_truth(base / str(truth_file), vid, num_frames,
+                                                      digest)
 
     if keyframe_stride is not None:
         try:
@@ -521,7 +538,7 @@ def load_tubes(path: Path, collection: Collection) -> dict[str, list[Tube]]:
         tubes = out.setdefault(vid, [])
         if rank != len(tubes):
             raise ValidationError(f"tube ranks for video {vid} are not contiguous", locus=locus)
-        tubes.append(Tube(vid, regions, _field(record, "score", locus, float)))
+        tubes.append(Tube(vid, regions, _field(record, "score", locus, _finite)))
     return out
 
 
@@ -540,11 +557,20 @@ def save_neighbor_graph(graph: NeighborGraph, path: Path) -> None:
     write_jsonl(path, records)
 
 
-def load_neighbor_graph(path: Path) -> NeighborGraph:
+def _check_frame(ref: FrameRef, collection: Collection, what: str, locus: str) -> None:
+    video = collection.videos.get(ref[0])
+    if video is None or ref[1] not in video.frames:
+        raise ValidationError(f"{what} frame {ref[1]} of video {ref[0]} is not in the collection",
+                              locus=locus)
+
+
+def load_neighbor_graph(path: Path, collection: Collection) -> NeighborGraph:
+    """The neighbor graph; every query and neighbor must name a frame of ``collection``."""
     graph = NeighborGraph()
     for locus, record in read_jsonl(path, "neighbors"):
         ref: FrameRef = (str(_require(record, "video_id", locus)),
                          _field(record, "frame_index", locus))
+        _check_frame(ref, collection, "query", locus)
         if ref in graph.neighbors:
             raise ValidationError(f"duplicate neighbor record for {ref}", locus=locus)
         entries = []
@@ -553,8 +579,9 @@ def load_neighbor_graph(path: Path) -> NeighborGraph:
                 raise ValidationError("neighbor entry must be [video_id, frame, similarity]", locus=locus)
             if str(item[0]) == ref[0]:
                 raise ValidationError(f"neighbor list for video {ref[0]} contains a same-video frame", locus=locus)
-            entries.append(((str(item[0]), _converted(item[1], _int64, "neighbor frame", locus)),
-                            _converted(item[2], float, "neighbor similarity", locus)))
+            neighbor = (str(item[0]), _converted(item[1], _int64, "neighbor frame", locus))
+            _check_frame(neighbor, collection, "neighbor", locus)
+            entries.append((neighbor, _converted(item[2], _finite, "neighbor similarity", locus)))
         graph.neighbors[ref] = entries
     return graph
 
@@ -581,20 +608,6 @@ def snapshot_iteration(path: Path) -> int:
 
 # ---------------------------------------------------------------------------
 # Run manifest
-
-
-def hash_collection_inputs(manifest_path: Path) -> str:
-    """SHA-256 over the manifest and every referenced sidecar file."""
-    manifest_path = Path(manifest_path)
-    digest = hashlib.sha256()
-    digest.update(manifest_path.read_bytes())
-    base = manifest_path.parent
-    for _locus, record in read_jsonl(manifest_path, "collection", "video"):  # header: no file
-        for key in ("frames_file", "tracks_file", "truth_file"):
-            name = record.get(key)
-            if name:
-                digest.update((base / name).read_bytes())
-    return "sha256:" + digest.hexdigest()
 
 
 def save_run_manifest(path: Path, *, version: str, config_dict: dict, input_hash: str,

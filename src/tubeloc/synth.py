@@ -4,8 +4,10 @@ The generator plants one object per video: a box moving on a linear path,
 carrying a class-prototype descriptor, nested part proposals, a matching
 motion cluster, and static background clusters plus distractor proposals.
 Geometry, descriptors, and track points are quantized to the serialized
-float precision at creation time, so in-memory collections round-trip
-bit-exactly through the artifact files.
+float precision at creation time, so boxes, frame sizes, signatures and
+track points round-trip bit-exactly through the artifact files. Descriptors
+do not: the loader re-normalizes the written values to unit length, which
+changes the last bits of most entries.
 """
 
 from __future__ import annotations

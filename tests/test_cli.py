@@ -1,15 +1,21 @@
+import builtins
+import hashlib
+import io
 import json
 import multiprocessing
+import os
 import shutil
 import sys
 import time
 import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import tubeloc.cli as cli
 from tubeloc.cli import main
-from tubeloc.formats import hash_collection_inputs, load_collection
+from tubeloc.formats import load_collection
 
 TINY_SYNTH = [
     "synth",
@@ -38,6 +44,27 @@ def tiny_collection(tmp_path_factory):
     out = tmp_path_factory.mktemp("tiny_cli")
     assert main(TINY_SYNTH + ["--out", str(out)]) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def tiny_results(tiny_collection, tmp_path_factory):
+    """The results directory of a short run on ``tiny_collection``."""
+    out = tmp_path_factory.mktemp("tiny_results")
+    assert main(["run", "--collection", str(tiny_collection / "manifest.jsonl"),
+                 "--out", str(out), "--iterations", "1", "--k", "2", "--threads", "1"]) == 0
+    return out
+
+
+def _input_hash(manifest: Path) -> str:
+    """SHA-256 over the manifest, then each video's frames, tracks and truth
+    files in manifest order."""
+    digest = hashlib.sha256(manifest.read_bytes())
+    for line in manifest.read_text().splitlines()[1:]:
+        video = json.loads(line)
+        for key in ("frames_file", "tracks_file", "truth_file"):
+            if video.get(key):
+                digest.update((manifest.parent / video[key]).read_bytes())
+    return "sha256:" + digest.hexdigest()
 
 
 class TestSynthCommand:
@@ -406,7 +433,7 @@ class TestRunCommand:
         target = tmp_path / "collection"
         shutil.copytree(tiny_collection, target)
         manifest = target / "manifest.jsonl"
-        loaded_hash = hash_collection_inputs(manifest)
+        loaded_hash = _input_hash(manifest)
         truth_file = sorted(target.glob("*.truth.jsonl"))[0]
         run_discovery = cli.run_discovery
 
@@ -423,7 +450,41 @@ class TestRunCommand:
                      "--iterations", "1", "--k", "2", "--threads", "1"]) == 0
         assert json.loads((out / "run_manifest.json").read_text())["input_hash"] == loaded_hash
         if change == "edit":
-            assert hash_collection_inputs(manifest) != loaded_hash
+            assert _input_hash(manifest) != loaded_hash
+
+    def test_reads_each_input_file_once(self, tiny_collection, tmp_path, monkeypatch):
+        inputs = {path.resolve() for path in tiny_collection.glob("*.jsonl")
+                  if path.name != "planted.jsonl"}
+        opens = Counter()
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file).resolve() in inputs:
+                opens[Path(file).resolve()] += 1
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)  # what pathlib opens files with
+        assert main(["run", "--collection", str(tiny_collection / "manifest.jsonl"),
+                     "--out", str(tmp_path / "o"), "--iterations", "1", "--k", "2",
+                     "--threads", "1"]) == 0
+        assert len(inputs) == 1 + 3 * 4  # the manifest, then frames, tracks, truth per video
+        assert opens == {path: 1 for path in inputs}
+
+    @pytest.mark.parametrize("version", ["banana", 2])
+    def test_unknown_format_version_exits_one(self, tiny_collection, tmp_path, capsys,
+                                              version):
+        target = tmp_path / "collection"
+        shutil.copytree(tiny_collection, target)
+        manifest = target / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        lines[0] = json.dumps(dict(json.loads(lines[0]), format_version=version))
+        manifest.write_text("\n".join(lines) + "\n")
+        code = main(["run", "--collection", str(manifest), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert (f"{manifest}:1: format_version must be 1, got {version!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o" / "tubes.jsonl").exists()
 
     def test_outputs_identical_across_threads(self, tiny_collection, tmp_path):
         outputs = []
@@ -551,6 +612,34 @@ class TestEvalCommand:
                      "--results", str(out)])
         assert code == 1
         assert f"{path}:1: neighbors must be a list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, keys, value, message", [
+        ("neighbors.jsonl", ["neighbors", 0, 2], float("nan"),
+         "neighbor similarity must be a finite number, got nan"),
+        ("tubes.jsonl", ["score"], float("inf"), "score must be a finite number, got inf"),
+        ("neighbors.jsonl", ["neighbors", 0, 0], "zz_unknown",
+         "of video zz_unknown is not in the collection"),
+        ("neighbors.jsonl", ["video_id"], "nope", "query frame 0 of video nope is not in the "
+                                                  "collection"),
+    ], ids=["nan_similarity", "infinite_score", "unknown_neighbor", "unknown_query"])
+    def test_result_value_outside_collection_or_reals_exits_one(
+            self, tiny_collection, tiny_results, tmp_path, capsys, name, keys, value, message):
+        out = tmp_path / "res"
+        shutil.copytree(tiny_results, out)
+        path = out / name
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[0])
+        target = record
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        lines[0] = json.dumps(record)  # writes NaN and Infinity as Python's json reads them
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["eval", "--collection", str(tiny_collection / "manifest.jsonl"),
+                     "--results", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{path}:1: " in err and message in err
 
     def test_per_iteration_requires_snapshots(self, tiny_collection, tmp_path, capsys):
         out = tmp_path / "nosnap"

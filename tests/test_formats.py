@@ -22,7 +22,7 @@ from tubeloc.formats import (
     write_jsonl,
     write_text,
 )
-from tubeloc.model import Collection, Config, NeighborGraph, Tube, ValidationError
+from tubeloc.model import Collection, Config, Frame, NeighborGraph, Tube, ValidationError, Video
 from tubeloc.motion import VideoTrackIndex
 from tubeloc.synth import SynthSpec, generate_collection
 
@@ -38,7 +38,7 @@ def _assert_collections_equal(a, b):
         for t in va.frames:
             fa, fb = va.frames[t], vb.frames[t]
             assert (fa.width, fa.height) == (fb.width, fb.height)
-            np.testing.assert_allclose(fa.signature, fb.signature, atol=1e-9)
+            np.testing.assert_array_equal(fa.signature, fb.signature)
             assert [p.id for p in fa.proposals] == [p.id for p in fb.proposals]
             for pa, pb in zip(fa.proposals, fb.proposals):
                 assert pa.box == pb.box
@@ -48,6 +48,15 @@ def _assert_collections_equal(a, b):
             assert (ta.id, ta.cluster_label, ta.start_frame) == (tb.id, tb.cluster_label, tb.start_frame)
             np.testing.assert_array_equal(ta.points, tb.points)
     assert a.ground_truths == b.ground_truths
+
+
+def _frames_only(frames_by_video: dict[str, list[int]]) -> Collection:
+    """A collection of unlabeled videos holding just the given frames."""
+    collection = Collection(1, 1)
+    for vid, indices in frames_by_video.items():
+        frames = {t: Frame(vid, t, 1.0, 1.0, [], np.ones(1)) for t in indices}
+        collection.videos[vid] = Video(vid, max(indices) + 1, frames)
+    return collection
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +108,7 @@ class TestLoadCollection:
         """One video with frames of the given (width, height) and the given
         track records (start frame, points); returns the manifest."""
         (root / "manifest.jsonl").write_text(
-            '{"type": "collection", "descriptor_dim": 2, "signature_dim": 2}\n'
+            '{"type": "collection", "format_version": 1, "descriptor_dim": 2, "signature_dim": 2}\n'
             + json.dumps({"type": "video", "video_id": "v0", "num_frames": len(sizes),
                           "frames_file": "v0.frames.jsonl",
                           "tracks_file": "v0.tracks.jsonl"}) + "\n")
@@ -198,6 +207,29 @@ class TestLoadCollection:
         with pytest.raises(ValidationError, match="not found"):
             load_collection(tmp_path / "nope.jsonl")
 
+    @pytest.mark.parametrize("version, message", [
+        (None, "missing field 'format_version'"),
+        ("banana", "format_version must be 1, got 'banana'"),
+        (2, "format_version must be 1, got 2"),
+        (1.0, "format_version must be 1, got 1.0"),
+        (True, "format_version must be 1, got True"),
+    ], ids=["missing", "string", "other", "float", "bool"])
+    def test_format_version_must_match(self, tmp_path, tiny_dir, version, message):
+        source, _collection = tiny_dir
+        target = tmp_path / "c"
+        shutil.copytree(source, target)
+        manifest = target / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        header = json.loads(lines[0])
+        if version is None:
+            del header["format_version"]
+        else:
+            header["format_version"] = version
+        manifest.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        with pytest.raises(ValidationError) as err:
+            load_collection(manifest)
+        assert str(err.value) == f"{manifest}:1: {message}"
+
     def test_header_record_only_first(self, tmp_path, tiny_dir):
         source, _collection = tiny_dir
         target = tmp_path / "c"
@@ -268,11 +300,27 @@ class TestResults:
         })
         path = tmp_path / "neighbors.jsonl"
         save_neighbor_graph(graph, path)
-        assert load_neighbor_graph(path).neighbors == graph.neighbors
+        # "c" has no ground truth, and its frame is still a valid neighbor
+        collection = _frames_only({"a": [0], "b": [20], "c": [0]})
+        assert load_neighbor_graph(path, collection).neighbors == graph.neighbors
+
+    @pytest.mark.parametrize("graph, message", [
+        ({("a", 20): [(("b", 0), 1.0)]}, "query frame 20 of video a"),
+        ({("z", 0): [(("b", 0), 1.0)]}, "query frame 0 of video z"),
+        ({("a", 0): [(("b", 0), 1.0), (("b", 5), 1.0)]}, "neighbor frame 5 of video b"),
+        ({("a", 0): [(("z", 0), 1.0)]}, "neighbor frame 0 of video z"),
+    ], ids=["query_frame", "query_video", "neighbor_frame", "neighbor_video"])
+    def test_frame_outside_collection_rejected(self, tmp_path, graph, message):
+        path = tmp_path / "neighbors.jsonl"
+        save_neighbor_graph(NeighborGraph(graph), path)
+        with pytest.raises(ValidationError) as err:
+            load_neighbor_graph(path, _frames_only({"a": [0], "b": [0, 20]}))
+        assert str(err.value) == f"{path}:1: {message} is not in the collection"
 
     @pytest.mark.parametrize("load,kind", [(lambda path: load_tubes(path, Collection(1, 1)),
                                             "neighbors"),
-                                           (load_neighbor_graph, "tube")],
+                                           (lambda path: load_neighbor_graph(
+                                               path, Collection(1, 1)), "tube")],
                              ids=["load_tubes-neighbors", "load_neighbor_graph-tube"])
     def test_foreign_record_type_rejected(self, tmp_path, load, kind):
         path = tmp_path / "results.jsonl"
@@ -286,7 +334,7 @@ class TestResults:
         path = tmp_path / "neighbors.jsonl"
         save_neighbor_graph(graph, path)
         with pytest.raises(ValidationError, match=rf"^{re.escape(str(path))}:1: .*same-video"):
-            load_neighbor_graph(path)
+            load_neighbor_graph(path, _frames_only({"a": [0, 20]}))
 
     def test_save_results_deterministic(self, tmp_path, noise_free_bundle):
         collection, planted, _ = noise_free_bundle
@@ -359,15 +407,16 @@ def record_files(tmp_path_factory):
     tubes and neighbors files: frames, proposals, tracks, a ground truth,
     tubes and neighbor lists."""
     out = tmp_path_factory.mktemp("records")
-    spec = SynthSpec(num_classes=1, videos_per_class=1, frames_per_video=3,
+    spec = SynthSpec(num_classes=1, videos_per_class=2, frames_per_video=3,
                      keyframe_stride=2, num_distractors=1, num_parts=0,
                      tracks_per_background_cluster=1)
     collection, planted, _truths = generate_collection(spec)
     save_collection(collection, out)
     tubes = {vid: [Tube(vid, regions, 1.5)] for vid, regions in planted.tubes.items()}
     save_tubes(tubes, collection, out / "tubes.jsonl")
-    graph = NeighborGraph({(vid, 0): [(("other", 2), 0.5), (("other", 4), -0.25)]
-                           for vid in collection.videos})
+    first, second = sorted(collection.videos)
+    graph = NeighborGraph({(first, 0): [((second, 2), 0.5), ((second, 1), -0.25)],
+                           (second, 2): [((first, 0), 1.5)]})
     save_neighbor_graph(graph, out / "neighbors.jsonl")
     kinds = {json.loads(line)["type"]
              for path in out.glob("*.jsonl") for line in path.read_text().splitlines()}
@@ -398,7 +447,7 @@ class TestAnyFieldValue:
                     load_tubes(path, load_collection(root / "manifest.jsonl"))
                     return
                 if name == "neighbors.jsonl":
-                    load_neighbor_graph(path)
+                    load_neighbor_graph(path, load_collection(root / "manifest.jsonl"))
                     return
                 collection = load_collection(root / "manifest.jsonl",
                                              keyframe_stride=Config().keyframe_stride)
