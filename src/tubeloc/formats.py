@@ -351,8 +351,7 @@ def _load_frames(path: Path, video_id: str, num_frames: int, descriptor_dim: int
             box = _box_from_record(_require(record, "box", locus), locus)
         except ValidationError as exc:
             raise ValidationError(
-                f"proposal {pid} in frame {t} of video {video_id}: invalid box "
-                f"({exc.args[0] if exc.args else exc})",
+                f"proposal {pid} in frame {t} of video {video_id}: invalid box ({exc.reason})",
                 locus=locus,
             ) from None
         eps = _BOUNDS_EPS * max(frame.width, frame.height)
@@ -503,9 +502,10 @@ def save_tubes(tubes_by_video: dict[str, list[Tube]], collection: Collection, pa
     write_jsonl(path, records)
 
 
-def _check_regions(regions: dict[int, int], vid: str, collection: Collection,
-                   locus: str) -> None:
-    """Every region names a frame and a proposal of ``collection``'s video ``vid``."""
+def _check_regions(regions: dict[int, int], boxes: dict[int, object], vid: str,
+                   collection: Collection, locus: str) -> None:
+    """Every region names a frame and a proposal of ``collection``'s video
+    ``vid``, and its box is that proposal's box as ``save_tubes`` writes it."""
     video = collection.videos.get(vid)
     if video is None:
         raise ValidationError(f"tube names unknown video {vid}", locus=locus)
@@ -513,19 +513,23 @@ def _check_regions(regions: dict[int, int], vid: str, collection: Collection,
         if kf not in video.frames:
             raise ValidationError(f"tube references missing frame {kf} of {vid}", locus=locus)
         try:
-            video.frames[kf].rows([pid])
+            proposal = video.frames[kf].proposal_by_id(pid)
         except ValidationError as exc:
             raise ValidationError(str(exc), locus=locus) from None
+        if boxes[kf] != (expected := box_record(proposal.box)):
+            raise ValidationError(f"region box {boxes[kf]!r:.80} in frame {kf} is not "
+                                  f"proposal {pid}'s box {expected}", locus=locus)
 
 
 def load_tubes(path: Path, collection: Collection) -> dict[str, list[Tube]]:
-    """Tubes by video, in rank order; every region must name a frame and a
-    proposal of ``collection``."""
+    """Tubes by video, in rank order; every tube has a region, and every
+    region names a frame and a proposal of ``collection`` and gives its box."""
     out: dict[str, list[Tube]] = {}
     for locus, record in read_jsonl(path, "tube"):
         vid = str(_require(record, "video_id", locus))
         rank = _field(record, "rank", locus)
         regions: dict[int, int] = {}
+        boxes: dict[int, object] = {}
         for item in _list_field(record, "regions", locus):
             if not isinstance(item, list) or len(item) != 3:
                 raise ValidationError("region entry must be [frame, proposal_id, box]", locus=locus)
@@ -533,8 +537,10 @@ def load_tubes(path: Path, collection: Collection) -> dict[str, list[Tube]]:
             pid = _converted(item[1], _int64, "region proposal id", locus)
             if kf in regions:
                 raise ValidationError(f"duplicate key frame {kf} in tube", locus=locus)
-            regions[kf] = pid
-        _check_regions(regions, vid, collection, locus)
+            regions[kf], boxes[kf] = pid, item[2]
+        if not regions:
+            raise ValidationError(f"tube for video {vid} selects no regions", locus=locus)
+        _check_regions(regions, boxes, vid, collection, locus)
         tubes = out.setdefault(vid, [])
         if rank != len(tubes):
             raise ValidationError(f"tube ranks for video {vid} are not contiguous", locus=locus)
@@ -574,6 +580,7 @@ def load_neighbor_graph(path: Path, collection: Collection) -> NeighborGraph:
         if ref in graph.neighbors:
             raise ValidationError(f"duplicate neighbor record for {ref}", locus=locus)
         entries = []
+        seen: set[FrameRef] = set()
         for item in _list_field(record, "neighbors", locus):
             if not isinstance(item, list) or len(item) != 3:
                 raise ValidationError("neighbor entry must be [video_id, frame, similarity]", locus=locus)
@@ -581,6 +588,10 @@ def load_neighbor_graph(path: Path, collection: Collection) -> NeighborGraph:
                 raise ValidationError(f"neighbor list for video {ref[0]} contains a same-video frame", locus=locus)
             neighbor = (str(item[0]), _converted(item[1], _int64, "neighbor frame", locus))
             _check_frame(neighbor, collection, "neighbor", locus)
+            if neighbor in seen:
+                raise ValidationError(f"neighbor frame {neighbor[1]} of video {neighbor[0]} "
+                                      "is repeated", locus=locus)
+            seen.add(neighbor)
             entries.append((neighbor, _converted(item[2], _finite, "neighbor similarity", locus)))
         graph.neighbors[ref] = entries
     return graph

@@ -28,6 +28,7 @@ class ValidationError(ValueError):
 
     def __init__(self, message: str, locus: str | None = None):
         self.locus = locus
+        self.reason = message  # the message without its locus
         super().__init__(f"{locus}: {message}" if locus else message)
 
 

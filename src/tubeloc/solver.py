@@ -16,6 +16,7 @@ class Trellis:
     """Candidate regions per key frame plus pairwise transition scores.
 
     ``pairwise[t]`` has shape (len(candidate_ids[t]), len(candidate_ids[t+1])).
+    The invariants are checked once, on construction.
     """
 
     video_id: str
@@ -24,28 +25,28 @@ class Trellis:
     unary: list[np.ndarray]
     pairwise: list[np.ndarray]
 
-    def validate(self):
+    def __post_init__(self):
         T = len(self.frame_indices)
+        where = f"trellis of video {self.video_id}"
         if T == 0:
-            raise ValidationError("trellis has no frames")
+            raise ValidationError(f"{where} has no frames")
         if any(b <= a for a, b in zip(self.frame_indices, self.frame_indices[1:])):
-            raise ValidationError("trellis frame indices must be strictly increasing")
+            raise ValidationError(f"{where}: frame indices must be strictly increasing")
         if len(self.candidate_ids) != T or len(self.unary) != T:
-            raise ValidationError("per-frame arrays do not match the frame count")
+            raise ValidationError(f"{where}: per-frame arrays do not match the frame count")
         if len(self.pairwise) != T - 1:
-            raise ValidationError("expected one pairwise matrix per transition")
-        for t in range(T):
-            ids = self.candidate_ids[t]
+            raise ValidationError(f"{where}: expected one pairwise matrix per transition")
+        for kf, ids, unary in zip(self.frame_indices, self.candidate_ids, self.unary):
             if ids.size == 0:
-                raise ValidationError(f"frame {self.frame_indices[t]} retains no candidates")
+                raise ValidationError(f"{where}: frame {kf} retains no candidates")
             if ids.size != np.unique(ids).size:
-                raise ValidationError(f"duplicate candidate ids at frame {self.frame_indices[t]}")
-            if self.unary[t].shape != (ids.size,):
-                raise ValidationError(f"unary shape mismatch at frame {self.frame_indices[t]}")
+                raise ValidationError(f"{where}: duplicate candidate ids at frame {kf}")
+            if unary.shape != (ids.size,):
+                raise ValidationError(f"{where}: unary shape mismatch at frame {kf}")
         for t, mat in enumerate(self.pairwise):
             expected = (self.candidate_ids[t].size, self.candidate_ids[t + 1].size)
             if mat.shape != expected:
-                raise ValidationError(f"pairwise shape mismatch at transition {t}")
+                raise ValidationError(f"{where}: pairwise shape mismatch at transition {t}")
 
     @property
     def num_frames(self) -> int:
@@ -58,7 +59,11 @@ class Trellis:
 @dataclass
 class TubeSolution:
     tube: Tube
-    objective: float
+
+    @property
+    def objective(self) -> float:
+        """The tube's chain objective, which is its score."""
+        return self.tube.score
 
 
 def build_trellis(video_id: str, frame_indices: Sequence[int],
@@ -74,13 +79,9 @@ def build_trellis(video_id: str, frame_indices: Sequence[int],
     positions: list[np.ndarray] = []
     candidate_ids: list[np.ndarray] = []
     unary: list[np.ndarray] = []
-    for t, (ids, scores) in enumerate(zip(ids_per_frame, scores_per_frame)):
+    for ids, scores in zip(ids_per_frame, scores_per_frame):
         ids = np.asarray(ids, dtype=int)
         scores = np.asarray(scores, dtype=float)
-        if ids.size == 0:
-            raise ValidationError(
-                f"frame {frame_indices[t]} of video {video_id} has no candidates"
-            )
         order = np.lexsort((ids, -scores))[:top_candidates]
         positions.append(order)
         candidate_ids.append(ids[order])
@@ -90,9 +91,7 @@ def build_trellis(video_id: str, frame_indices: Sequence[int],
         np.asarray(pairwise_fn(t, positions[t], positions[t + 1]), dtype=float)
         for t in range(len(positions) - 1)
     ]
-    trellis = Trellis(video_id, list(frame_indices), candidate_ids, unary, pairwise)
-    trellis.validate()
-    return trellis
+    return Trellis(video_id, list(frame_indices), candidate_ids, unary, pairwise)
 
 
 def _min_id_position(positions: np.ndarray, ids: np.ndarray) -> int:
@@ -137,13 +136,14 @@ def sequence_objective(trellis: Trellis, indices: Sequence[int], lam: float) -> 
     return math.fsum(un) + lam * math.fsum(pw)
 
 
-def _solution_from_indices(trellis: Trellis, indices: list[int], lam: float) -> TubeSolution:
-    objective = sequence_objective(trellis, indices, lam)
+def tube_solution(trellis: Trellis, indices: Sequence[int], lam: float) -> TubeSolution:
+    """The tube through candidate positions ``indices``, scored by its exact
+    chain objective."""
     regions = {
         trellis.frame_indices[t]: int(trellis.candidate_ids[t][i])
         for t, i in enumerate(indices)
     }
-    return TubeSolution(Tube(trellis.video_id, regions, objective), objective)
+    return TubeSolution(Tube(trellis.video_id, regions, sequence_objective(trellis, indices, lam)))
 
 
 def solve_p_best(trellis: Trellis, p: int, lam: float) -> list[TubeSolution]:
@@ -154,13 +154,12 @@ def solve_p_best(trellis: Trellis, p: int, lam: float) -> list[TubeSolution]:
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    trellis.validate()
     unary = [u.astype(float, copy=True) for u in trellis.unary]
     capacity = min(trellis.candidate_count(t) for t in range(trellis.num_frames))
     solutions: list[TubeSolution] = []
     for _ in range(min(p, capacity)):
         indices = _best_indices(trellis, unary, lam)
-        solutions.append(_solution_from_indices(trellis, indices, lam))
+        solutions.append(tube_solution(trellis, indices, lam))
         for u, i in zip(unary, indices):
             u[i] = -np.inf
     return solutions

@@ -29,13 +29,12 @@ from .model import (
     Params,
     Proposal,
     Track,
-    Tube,
     ValidationError,
     Video,
     key_frames,
     unit_normalized,
 )
-from .solver import Trellis, TubeSolution
+from .solver import Trellis, TubeSolution, tube_solution
 
 # Relative sub-rectangles (x, y, w, h) of the planted box used as nested
 # part proposals; they exercise the standout subtraction.
@@ -285,7 +284,6 @@ def _enumerate_best(trellis: Trellis, lam: float) -> tuple[list[int], int]:
     Returns the positions of the maximizing sequence (ties resolved to the
     lexicographically smallest id sequence) and the number of maximizers.
     """
-    trellis.validate()
     _guard_trellis(trellis)
     T = trellis.num_frames
     ids = trellis.candidate_ids
@@ -341,24 +339,10 @@ def _enumerate_best(trellis: Trellis, lam: float) -> tuple[list[int], int]:
     return best_pos, ties
 
 
-def _solution(trellis: Trellis, positions: list[int], lam: float) -> TubeSolution:
-    unaries = [float(trellis.unary[t][i]) for t, i in enumerate(positions)]
-    pair = [
-        float(trellis.pairwise[t][positions[t], positions[t + 1]])
-        for t in range(trellis.num_frames - 1)
-    ]
-    objective = math.fsum(unaries) + lam * math.fsum(pair)
-    regions = {
-        trellis.frame_indices[t]: int(trellis.candidate_ids[t][i])
-        for t, i in enumerate(positions)
-    }
-    return TubeSolution(Tube(trellis.video_id, regions, objective), objective)
-
-
 def brute_force_tube(trellis: Trellis, lam: float) -> TubeSolution:
     """Exact maximizer by exhaustive enumeration (guarded to small instances)."""
     positions, _ties = _enumerate_best(trellis, lam)
-    return _solution(trellis, positions, lam)
+    return tube_solution(trellis, positions, lam)
 
 
 def brute_force_matching(props_t, props_u, frame_t: Frame, frame_u: Frame,
@@ -439,7 +423,7 @@ def verify_planted_optimal(collection: Collection, planted: PlantedTruth,
         pools_by_kf = {kf: pools for kf in key_frames(video, config.keyframe_stride)}
         trellis, _ = build_video_trellis(video, pools_by_kf, config)
         positions, ties = _enumerate_best(trellis, config.lambda_)
-        found = _solution(trellis, positions, config.lambda_).tube.regions
+        found = tube_solution(trellis, positions, config.lambda_).tube.regions
         if ties != 1 or found != planted.tubes[vid]:
             return False
     return True

@@ -15,7 +15,7 @@ import pytest
 
 import tubeloc.cli as cli
 from tubeloc.cli import main
-from tubeloc.formats import load_collection
+from tubeloc.formats import box_record, load_collection
 
 TINY_SYNTH = [
     "synth",
@@ -299,6 +299,7 @@ class TestRunCommand:
         ("frame", "signature", "abc", "signature must be a list of numbers"),
         ("proposal", "id", {"a": 1}, "id must be an integer"),
         ("proposal", "box", [0, "a", 1, 1], "box coordinate must be a number"),
+        ("proposal", "box", [0, 0, -1, 5], "box sides must be positive, got -1.0x5.0"),
     ])
     def test_mistyped_collection_field_exits_one(self, tiny_collection, tmp_path, capsys,
                                                  kind, key, value, message):
@@ -316,6 +317,7 @@ class TestRunCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert f"{frames_file}:{index + 1}: " in err
+        assert err.count(str(frames_file)) == 1
         assert message in err
 
     @pytest.mark.parametrize("key,value", [("width", "NaN"), ("height", "Infinity"),
@@ -586,8 +588,9 @@ class TestEvalCommand:
                                                 change, message):
         collection = load_collection(tiny_collection / "manifest.jsonl")
         records = [{"type": "tube", "video_id": vid, "rank": 0, "score": 1.0,
-                    "regions": [[0, video.frames[0].proposals[0].id, [0, 0, 1, 1]]]}
-                   for vid, video in sorted(collection.videos.items())]
+                    "regions": [[0, proposal.id, box_record(proposal.box)]]}
+                   for vid, video in sorted(collection.videos.items())
+                   for proposal in video.frames[0].proposals[:1]]
         records[1].update(change)
         out = tmp_path / "res"
         out.mkdir()
@@ -621,7 +624,11 @@ class TestEvalCommand:
          "of video zz_unknown is not in the collection"),
         ("neighbors.jsonl", ["video_id"], "nope", "query frame 0 of video nope is not in the "
                                                   "collection"),
-    ], ids=["nan_similarity", "infinite_score", "unknown_neighbor", "unknown_query"])
+        ("tubes.jsonl", ["regions", 0, 2], [0, 0, 1, 1], "region box [0, 0, 1, 1] in frame 0 "
+                                                         "is not proposal "),
+        ("tubes.jsonl", ["regions"], [], "selects no regions"),
+    ], ids=["nan_similarity", "infinite_score", "unknown_neighbor", "unknown_query",
+            "region_box", "no_regions"])
     def test_result_value_outside_collection_or_reals_exits_one(
             self, tiny_collection, tiny_results, tmp_path, capsys, name, keys, value, message):
         out = tmp_path / "res"
@@ -640,6 +647,22 @@ class TestEvalCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert f"{path}:1: " in err and message in err
+
+    def test_repeated_neighbor_exits_one(self, tiny_collection, tiny_results, tmp_path, capsys):
+        out = tmp_path / "res"
+        shutil.copytree(tiny_results, out)
+        path = out / "neighbors.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[0])
+        record["neighbors"].append(record["neighbors"][0])
+        lines[0] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["eval", "--collection", str(tiny_collection / "manifest.jsonl"),
+                     "--results", str(out)])
+        assert code == 1
+        nvid, nt, _sim = record["neighbors"][0]
+        assert f"{path}:1: neighbor frame {nt} of video {nvid} is repeated" in \
+            capsys.readouterr().err
 
     def test_per_iteration_requires_snapshots(self, tiny_collection, tmp_path, capsys):
         out = tmp_path / "nosnap"

@@ -81,6 +81,35 @@ class TestBuildTrellis:
             build_trellis("v", [0, 20], [[1, 2], [3]], [[0.5, 0.1], [0.2]], 10, bad)
 
 
+# A valid two-frame trellis; each case below breaks one invariant of it.
+_VALID_TRELLIS = dict(frame_indices=[0, 20], candidate_ids=[np.array([1, 2]), np.array([3])],
+                      unary=[np.zeros(2), np.zeros(1)], pairwise=[np.zeros((2, 1))])
+
+
+class TestTrellisInvariants:
+    def test_valid_trellis_constructs(self):
+        assert Trellis("v", **_VALID_TRELLIS).num_frames == 2
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(frame_indices=[], candidate_ids=[], unary=[], pairwise=[]), " has no frames"),
+        (dict(frame_indices=[20, 20]), ": frame indices must be strictly increasing"),
+        (dict(unary=[np.zeros(2)]), ": per-frame arrays do not match the frame count"),
+        (dict(pairwise=[]), ": expected one pairwise matrix per transition"),
+        (dict(candidate_ids=[np.array([], dtype=int), np.array([3])],
+              unary=[np.zeros(0), np.zeros(1)], pairwise=[np.zeros((0, 1))]),
+         ": frame 0 retains no candidates"),
+        (dict(candidate_ids=[np.array([1, 1]), np.array([3])]),
+         ": duplicate candidate ids at frame 0"),
+        (dict(unary=[np.zeros(2), np.zeros(2)]), ": unary shape mismatch at frame 20"),
+        (dict(pairwise=[np.zeros((1, 2))]), ": pairwise shape mismatch at transition 0"),
+    ], ids=["no_frames", "frame_order", "frame_count", "pairwise_count", "empty_frame",
+            "duplicate_ids", "unary_shape", "pairwise_shape"])
+    def test_malformed_trellis_rejected_on_construction(self, change, message):
+        with pytest.raises(ValidationError) as err:
+            Trellis("v", **dict(_VALID_TRELLIS, **change))
+        assert str(err.value) == f"trellis of video v{message}"
+
+
 class TestSolveBestTube:
     def test_single_frame_picks_max(self):
         trellis = build_trellis("v", [0], [[4, 7, 2]], [[0.1, 0.8, 0.3]], 10, _no_pairwise)
