@@ -33,7 +33,7 @@ from .formats import (
     write_text,
 )
 from .metrics import corloc, evaluate
-from .model import Collection, Config, ValidationError
+from .model import Collection, Config, NeighborGraph, ValidationError
 from .synth import SynthSpec, generate_collection, save_planted
 
 EXIT_OK = 0
@@ -193,21 +193,29 @@ def cmd_run(args) -> int:
         input_hash="sha256:" + digest.hexdigest(),
         started_utc=started,
         finished_utc=_utc_now(),
+        fixed_point=result.fixed_point,
+        match_counts=[counts._asdict() for counts in result.match_counts],
     )
     _say(f"localized {len(result.tubes)} videos; results in {out}")
     return EXIT_OK
 
 
-def _best_tubes(results_dir: Path, collection: Collection) -> dict:
-    tubes = load_tubes(results_dir / "tubes.jsonl", collection)
-    return {vid: ranked[0] for vid, ranked in tubes.items()}
+def _best_tubes(results_dir: Path, collection: Collection) -> tuple[dict, NeighborGraph]:
+    """The first tube of each video and the neighbor graph of a results
+    directory. Every tube must select a region at each key frame that the
+    graph lists as a query of its video."""
+    graph = load_neighbor_graph(results_dir / "neighbors.jsonl", collection)
+    queries: dict[str, set[int]] = {}
+    for vid, kf in graph.neighbors:
+        queries.setdefault(vid, set()).add(kf)
+    tubes = load_tubes(results_dir / "tubes.jsonl", collection, queries)
+    return {vid: ranked[0] for vid, ranked in tubes.items()}, graph
 
 
 def cmd_eval(args) -> int:
     collection = load_collection(args.collection)
     results_dir = Path(args.results)
-    tubes = _best_tubes(results_dir, collection)
-    graph = load_neighbor_graph(results_dir / "neighbors.jsonl", collection)
+    tubes, graph = _best_tubes(results_dir, collection)
     report = evaluate(collection, tubes=tubes, graph=graph)
     _say(report.table())
 
@@ -222,7 +230,7 @@ def cmd_eval(args) -> int:
         _say("iteration  CorLoc")
         for iteration, snap in sorted((snapshot_iteration(entry), entry)
                                       for entry in snapshots_root.iterdir()):
-            per_class, average = corloc(_best_tubes(snap, collection), collection)
+            per_class, average = corloc(_best_tubes(snap, collection)[0], collection)
             iteration_rows.append({"type": "iteration_corloc", "iteration": iteration,
                                    "average": round(average, 6),
                                    "per_class": {k: round(v, 6) for k, v in per_class.items()}})

@@ -10,6 +10,21 @@ in processes: ``Workers`` forks its processes once per ``run_discovery`` call.
 They inherit the run's read-only inputs (collection, config, motion evidence),
 and each task sends only its phase's small state and its result. With one
 worker the same task functions run inline.
+
+Match results whose exact inputs did not change since the previous iteration
+are copied, not matched again. Frames never change during a run, so the key
+is the pool rows. A retrieval entry (q, c) is copied when the retrieval pools
+of both key frames equal the previous round's (``RetrievalMemo``). A key
+frame's saliency vector against one neighbor key frame, its proposals' best
+match confidences, is copied when that neighbor's contained rows equal those
+it was matched against last time (``SaliencyMemo``). Only the previous
+iteration's results are kept, and the parent process keeps them: workers
+receive the entries they may copy and return what they computed, so outputs
+do not depend on the worker count. When a non-final iteration's boxes and
+saliencies equal its predecessor's, every later iteration would repeat it, so
+the loop stops there (``DiscoveryResult.fixed_point``): ``iterations`` is an
+upper bound on the iterations computed, and every iteration still has its
+snapshot.
 """
 
 from __future__ import annotations
@@ -17,14 +32,14 @@ from __future__ import annotations
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .consistency import consistency_matrix
-from .matching import appearance_confidence, match_confidences
+from .matching import SaliencyMemo, appearance_confidence, match_confidences
 from .model import (
     Box,
     Collection,
@@ -57,11 +72,31 @@ class IterationState:
     graph: NeighborGraph | None = None
 
 
+class MatchCounts(NamedTuple):
+    """How many retrieval entries and saliency vectors one iteration matched,
+    and how many it copied from the previous iteration."""
+
+    iteration: int
+    retrieval_matched: int
+    retrieval_reused: int
+    saliency_matched: int
+    saliency_reused: int
+
+
 @dataclass
 class DiscoveryResult:
+    """The final tubes and graph, and one snapshot per iteration.
+
+    ``fixed_point`` is the iteration that repeated its predecessor, after
+    which no iteration was computed (None when none did); ``match_counts``
+    has one entry per computed iteration.
+    """
+
     tubes: dict[str, TubeSolution]
     graph: NeighborGraph
     snapshots: list[IterationState]
+    fixed_point: int | None = None
+    match_counts: list[MatchCounts] = field(default_factory=list)
 
 
 def initialize_state(collection: Collection, config: Config) -> IterationState:
@@ -204,14 +239,29 @@ class Workers:
             self._pool.shutdown(cancel_futures=True)
 
 
+@dataclass
+class RetrievalMemo:
+    """The retrieval pools and similarity matrix of ``update_network``'s last
+    region-matching round, and how many entries that round matched and
+    reused."""
+
+    pools: list[np.ndarray] = field(default_factory=list)
+    similarity: np.ndarray | None = None
+    matched: int = 0
+    reused: int = 0
+
+
 def update_network(state: IterationState, contained: dict[FrameRef, np.ndarray],
-                   workers: Workers) -> NeighborGraph:
+                   workers: Workers, memo: RetrievalMemo | None = None) -> NeighborGraph:
     """Re-rank each key frame's k matching neighbors among other videos.
 
     Iteration 0 falls back to signature-based bootstrap retrieval; later
     iterations match the localized-region proposal pools of frame pairs, which
     ``contained`` (the ``region_contained`` mask of each key frame for
-    ``state.boxes``) selects. ``workers`` fill the similarity matrix row by row.
+    ``state.boxes``) selects. ``workers`` fill the missing entries of the
+    similarity matrix row by row. With a ``memo`` of the last round, an entry
+    whose two pools both equal that round's is copied from its matrix, and
+    the memo then holds this round.
     """
     collection, config, _motion = workers.inputs
     if state.iteration == 0:
@@ -223,17 +273,32 @@ def update_network(state: IterationState, contained: dict[FrameRef, np.ndarray],
                        state.saliency[vid][kf], config.retrieval_proposals)
         for vid, kf in refs
     ]
-    rows = workers.map(_similarity_row, [(q, refs, pools) for q in range(len(refs))])
-    return _rank_neighbors(refs, np.array(rows), config.k_neighbors)
+    videos = np.array([vid for vid, _ in refs], dtype=object)
+    missing = videos[:, None] != videos[None, :]  # same-video pairs are never ranked
+    similarity = np.full(missing.shape, np.nan)
+    reused = np.zeros_like(missing)
+    if memo is not None and memo.similarity is not None:
+        same = np.array([np.array_equal(a, b) for a, b in zip(pools, memo.pools)])
+        reused = missing & same[:, None] & same[None, :]
+        similarity[reused] = memo.similarity[reused]
+        missing &= ~reused
+    tasks = [(q, np.flatnonzero(missing[q]), refs, pools)
+             for q in range(len(refs)) if missing[q].any()]
+    for (q, cols, *_), values in zip(tasks, workers.map(_similarity_row, tasks)):
+        similarity[q, cols] = values
+    if memo is not None:
+        memo.pools, memo.similarity = pools, similarity
+        memo.matched, memo.reused = int(missing.sum()), int(reused.sum())
+    return _rank_neighbors(refs, similarity, config.k_neighbors)
 
 
 def _similarity_row(inputs: RunInputs, arg) -> list[float]:
-    """Row ``q`` of the key frame similarity matrix of ``update_network``."""
-    q, refs, pools = arg
-    frames = [inputs.collection.videos[vid].frames[kf] for vid, kf in refs]
-    # same-video pairs are never ranked, so they are not matched
-    return [frame_similarity(frames[q], pools[q], frames[c], pools[c], inputs.config)
-            if refs[c][0] != refs[q][0] else np.nan for c in range(len(refs))]
+    """Columns ``cols`` of row ``q`` of ``update_network``'s similarity matrix."""
+    q, cols, refs, pools = arg
+    videos = inputs.collection.videos
+    query = videos[refs[q][0]].frames[refs[q][1]]
+    return [frame_similarity(query, pools[q], videos[refs[c][0]].frames[refs[c][1]], pools[c],
+                             inputs.config) for c in cols]
 
 
 class VideoMotion(NamedTuple):
@@ -256,14 +321,16 @@ def motion_scores(video: Video, kfs: list[int]) -> VideoMotion:
 
 def build_video_trellis(video: Video,
                         pools_by_kf: dict[int, list[tuple[Frame, np.ndarray | list[Proposal]]]],
-                        config: Config, motion: VideoMotion | None = None
+                        config: Config, motion: VideoMotion | None = None,
+                        memos: dict[int, SaliencyMemo] | None = None
                         ) -> tuple[Trellis, dict[int, dict[int, float]]]:
     """Score all proposals of a video's key frames and assemble the DP trellis.
 
     Each neighbor pool is a row array or a ``Proposal`` list of its frame (see
     ``frame_saliencies``). ``motion`` holds the ``motion_scores`` of the key
-    frames; it is computed here when not given. Returns the trellis plus the
-    per-frame raw saliency maps needed by the next retrieval round.
+    frames; it is computed here when not given. ``memos`` holds a key frame's
+    ``SaliencyMemo``. Returns the trellis plus the per-frame raw saliency maps
+    needed by the next retrieval round.
     """
     kfs = sorted(pools_by_kf)
     if motion is None:
@@ -273,7 +340,8 @@ def build_video_trellis(video: Video,
     saliency_maps: dict[int, dict[int, float]] = {}
     for kf in kfs:
         frame = video.frames[kf]
-        phi_a, saliency = appearance_confidence(frame, pools_by_kf[kf], config)
+        phi_a, saliency = appearance_confidence(frame, pools_by_kf[kf], config,
+                                                (memos or {}).get(kf))
         phi = phi_a + config.alpha * motion.coherence[kf]
         ids_per_frame.append(frame.ids)
         scores_per_frame.append(phi)
@@ -300,11 +368,13 @@ def build_video_trellis(video: Video,
 
 def relocalize_video(video: Video, graph: NeighborGraph,
                      contained: dict[FrameRef, np.ndarray], collection: Collection,
-                     config: Config, num_tubes: int, motion: VideoMotion
+                     config: Config, num_tubes: int, motion: VideoMotion,
+                     memos: dict[int, SaliencyMemo] | None = None
                      ) -> tuple[list[TubeSolution], dict[int, dict[int, float]],
                                 dict[int, list[Box]]]:
     """Optimize one video against its neighbors' currently localized regions,
-    whose proposals ``contained`` marks per key frame.
+    whose proposals ``contained`` marks per key frame; ``memos`` is handed to
+    ``build_video_trellis``.
 
     Returns the tubes, the saliency maps and the new localized boxes per key
     frame.
@@ -319,7 +389,7 @@ def relocalize_video(video: Video, graph: NeighborGraph,
                 pools.append((collection.videos[nvid].frames[nkf], pool))
         pools_by_kf[kf] = pools
 
-    trellis, saliency_maps = build_video_trellis(video, pools_by_kf, config, motion)
+    trellis, saliency_maps = build_video_trellis(video, pools_by_kf, config, motion, memos)
     solutions = solve_p_best(trellis, num_tubes, config.lambda_)
     boxes_by_kf = {
         kf: [
@@ -332,9 +402,11 @@ def relocalize_video(video: Video, graph: NeighborGraph,
 
 
 def _relocalize(inputs: RunInputs, arg):
-    vid, graph, contained, num_tubes = arg
+    """``relocalize_video`` plus the video's filled saliency memos, which a
+    forked worker must send back."""
+    vid, graph, contained, num_tubes, memos = arg
     return relocalize_video(inputs.collection.videos[vid], graph, contained, inputs.collection,
-                            inputs.config, num_tubes, inputs.motion[vid])
+                            inputs.config, num_tubes, inputs.motion[vid], memos), memos
 
 
 def check_threads(threads: int) -> None:
@@ -371,6 +443,12 @@ def run_discovery(collection: Collection, config: Config, threads: int = 1
     worker processes (see ``Workers``), at most one per key frame; more than
     one needs the ``fork`` start method. Deterministic for a given
     (collection, config) regardless of the worker count.
+
+    Unchanged match results are copied, and the loop stops at a fixed point
+    (see the module docstring). An iteration's output depends only on the
+    previous boxes and saliencies and on its tube count, so the snapshots
+    after a fixed point repeat its state, and the last one keeps each video's
+    first tube, which ``solve_p_best`` finds the same for any tube count.
     """
     config.validate()
     check_threads(threads)
@@ -386,6 +464,10 @@ def run_discovery(collection: Collection, config: Config, threads: int = 1
     video_ids = list(collection.videos)
     state = initialize_state(collection, config)
     snapshots: list[IterationState] = []
+    retrieval = RetrievalMemo()
+    memos = {vid: {kf: SaliencyMemo() for kf in state.boxes[vid]} for vid in video_ids}
+    counts: list[MatchCounts] = []
+    fixed_point = None
     # no phase has more tasks than key frames, so more workers would sit idle
     with Workers(RunInputs(collection, config, motion), min(threads, len(refs))) as workers:
         for iteration in range(1, config.iterations + 1):
@@ -394,11 +476,19 @@ def run_discovery(collection: Collection, config: Config, threads: int = 1
                 (vid, kf): region_contained(collection.videos[vid].frames[kf], regions)
                 for vid, by_kf in state.boxes.items() for kf, regions in by_kf.items()
             }
-            graph = update_network(state, contained, workers)
+            graph = update_network(state, contained, workers, retrieval)
             num_tubes = 1 if iteration == config.iterations else config.p_tubes
-            results = workers.map(_relocalize,
-                                  [(vid, graph, contained, num_tubes) for vid in video_ids])
-            state = IterationState(
+            # fresh memos count this iteration's vectors alone
+            results, filled = zip(*workers.map(_relocalize, [
+                (vid, graph, contained, num_tubes,
+                 {kf: SaliencyMemo(memo.vectors) for kf, memo in memos[vid].items()})
+                for vid in video_ids]))
+            memos = dict(zip(video_ids, filled))
+            counts.append(MatchCounts(
+                iteration, retrieval.matched, retrieval.reused,
+                sum(memo.matched for by_kf in filled for memo in by_kf.values()),
+                sum(memo.reused for by_kf in filled for memo in by_kf.values())))
+            previous, state = state, IterationState(
                 iteration=iteration,
                 tubes={vid: res[0] for vid, res in zip(video_ids, results)},
                 saliency={vid: res[1] for vid, res in zip(video_ids, results)},
@@ -406,7 +496,24 @@ def run_discovery(collection: Collection, config: Config, threads: int = 1
                 graph=graph,
             )
             snapshots.append(state)
+            # state 0 has no saliencies, so a repeat is never of the bootstrap round
+            if (iteration < config.iterations and state.boxes == previous.boxes
+                    and state.saliency == previous.saliency):
+                fixed_point = iteration
+                break
 
+    if fixed_point is not None:
+        snapshots += [replace(state, iteration=i)
+                      for i in range(fixed_point + 1, config.iterations)]
+        state = IterationState(
+            iteration=config.iterations,
+            tubes={vid: sols[:1] for vid, sols in state.tubes.items()},
+            saliency=state.saliency,
+            boxes={vid: {kf: regions[:1] for kf, regions in by_kf.items()}
+                   for vid, by_kf in state.boxes.items()},
+            graph=state.graph,
+        )
+        snapshots.append(state)
     final = {vid: state.tubes[vid][0] for vid in collection.videos}
     assert state.graph is not None
-    return DiscoveryResult(final, state.graph, snapshots)
+    return DiscoveryResult(final, state.graph, snapshots, fixed_point, counts)

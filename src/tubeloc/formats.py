@@ -521,9 +521,12 @@ def _check_regions(regions: dict[int, int], boxes: dict[int, object], vid: str,
                                   f"proposal {pid}'s box {expected}", locus=locus)
 
 
-def load_tubes(path: Path, collection: Collection) -> dict[str, list[Tube]]:
+def load_tubes(path: Path, collection: Collection,
+               required_frames: dict[str, set[int]] | None = None) -> dict[str, list[Tube]]:
     """Tubes by video, in rank order; every tube has a region, and every
-    region names a frame and a proposal of ``collection`` and gives its box."""
+    region names a frame and a proposal of ``collection`` and gives its box.
+    A tube must also select a region at each frame ``required_frames`` lists
+    for its video."""
     out: dict[str, list[Tube]] = {}
     for locus, record in read_jsonl(path, "tube"):
         vid = str(_require(record, "video_id", locus))
@@ -540,6 +543,10 @@ def load_tubes(path: Path, collection: Collection) -> dict[str, list[Tube]]:
             regions[kf], boxes[kf] = pid, item[2]
         if not regions:
             raise ValidationError(f"tube for video {vid} selects no regions", locus=locus)
+        missing = sorted((required_frames or {}).get(vid, set()) - regions.keys())
+        if missing:
+            raise ValidationError(f"tube for video {vid} selects no region at key frame "
+                                  f"{missing[0]}", locus=locus)
         _check_regions(regions, boxes, vid, collection, locus)
         tubes = out.setdefault(vid, [])
         if rank != len(tubes):
@@ -622,7 +629,11 @@ def snapshot_iteration(path: Path) -> int:
 
 
 def save_run_manifest(path: Path, *, version: str, config_dict: dict, input_hash: str,
-                      started_utc: str, finished_utc: str) -> None:
+                      started_utc: str, finished_utc: str, fixed_point: int | None = None,
+                      match_counts: Iterable[dict] = ()) -> None:
+    """The run's provenance, plus the iteration at which discovery reached a
+    fixed point (None when it did not) and each computed iteration's counts of
+    matched and reused match results."""
     payload = {
         "tool": "tubeloc",
         "version": version,
@@ -630,5 +641,7 @@ def save_run_manifest(path: Path, *, version: str, config_dict: dict, input_hash
         "input_hash": input_hash,
         "started_utc": started_utc,
         "finished_utc": finished_utc,
+        "fixed_point": fixed_point,
+        "match_counts": list(match_counts),
     }
     write_text(path, json.dumps(payload, indent=2, ensure_ascii=False) + "\n")

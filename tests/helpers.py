@@ -8,7 +8,8 @@ from itertools import combinations
 
 import numpy as np
 
-from tubeloc.model import Box, Frame, Proposal, Track, Video
+from tubeloc import discovery
+from tubeloc.model import Box, Collection, Config, Frame, Proposal, Track, Video, key_frames
 from tubeloc.solver import Trellis
 
 
@@ -82,6 +83,38 @@ def remove_choice(trellis: Trellis, regions: dict[int, int]) -> Trellis | None:
         for t in range(trellis.num_frames - 1)
     ]
     return Trellis(trellis.video_id, trellis.frame_indices, ids, unary, pairwise)
+
+
+def recomputing_discovery(collection: Collection, config: Config) -> discovery.DiscoveryResult:
+    """``run_discovery``'s loop with every iteration computed in full, at one
+    worker: no match result is carried over from an earlier iteration, and
+    the loop runs all ``config.iterations`` iterations. It looks the
+    discovery functions up on their module, so a test can patch them."""
+    motion = {vid: discovery.motion_scores(video, key_frames(video, config.keyframe_stride))
+              for vid, video in collection.videos.items()}
+    workers = discovery.Workers(discovery.RunInputs(collection, config, motion))
+    state = discovery.initialize_state(collection, config)
+    snapshots = []
+    for iteration in range(1, config.iterations + 1):
+        contained = {
+            (vid, kf): discovery.region_contained(collection.videos[vid].frames[kf], regions)
+            for vid, by_kf in state.boxes.items() for kf, regions in by_kf.items()
+        }
+        graph = discovery.update_network(state, contained, workers)
+        num_tubes = 1 if iteration == config.iterations else config.p_tubes
+        results = {vid: discovery.relocalize_video(video, graph, contained, collection,
+                                                   config, num_tubes, motion[vid])
+                   for vid, video in collection.videos.items()}
+        state = discovery.IterationState(
+            iteration=iteration,
+            tubes={vid: res[0] for vid, res in results.items()},
+            saliency={vid: res[1] for vid, res in results.items()},
+            boxes={vid: res[2] for vid, res in results.items()},
+            graph=graph,
+        )
+        snapshots.append(state)
+    return discovery.DiscoveryResult({vid: state.tubes[vid][0] for vid in collection.videos},
+                                     state.graph, snapshots)
 
 
 # -- scalar references the vectorized program is compared against ----------

@@ -240,6 +240,23 @@ class TestRunCommand:
         assert code == 0
         assert [p.name for p in sorted((out / "snapshots").iterdir())] == ["iter_001"]
 
+    @pytest.mark.parametrize("iterations, fixed_point", [(3, None), (5, 3)])
+    def test_manifest_records_fixed_point_and_match_counts(self, tiny_collection, tmp_path,
+                                                           iterations, fixed_point):
+        # the tiny collection repeats iteration 2 in iteration 3, which is a
+        # fixed point only when iteration 3 is not the last
+        out = tmp_path / "res"
+        assert main(["run", "--collection", str(tiny_collection / "manifest.jsonl"),
+                     "--out", str(out), "--iterations", str(iterations), "--k", "4",
+                     "--p", "2", "--threads", "1"]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["fixed_point"] == fixed_point
+        counts = manifest["match_counts"]
+        assert [c["iteration"] for c in counts] == [1, 2, 3]
+        assert counts[0] == {"iteration": 1, "retrieval_matched": 0, "retrieval_reused": 0,
+                             "saliency_matched": 32, "saliency_reused": 0}
+        assert counts[2]["saliency_matched"] == 0 and counts[2]["saliency_reused"] == 32
+
     def test_missing_manifest_exits_one(self, tmp_path, capsys):
         code = main(["run", "--collection", str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "o")])
@@ -663,6 +680,27 @@ class TestEvalCommand:
         nvid, nt, _sim = record["neighbors"][0]
         assert f"{path}:1: neighbor frame {nt} of video {nvid} is repeated" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("snapshot", [None, "iter_001"])
+    def test_tube_missing_a_query_key_frame_exits_one(self, tiny_collection, tmp_path, capsys,
+                                                      snapshot):
+        # every tube cut to its first region: each video's other key frames
+        # are queries in neighbors.jsonl but have no region
+        out = tmp_path / "res"
+        assert main(["run", "--collection", str(tiny_collection / "manifest.jsonl"),
+                     "--out", str(out), "--iterations", "2", "--k", "2", "--threads", "1",
+                     "--snapshots"]) == 0
+        results = out if snapshot is None else out / "snapshots" / snapshot
+        path = results / "tubes.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for record in records:
+            record["regions"] = record["regions"][:1]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        code = main(["eval", "--collection", str(tiny_collection / "manifest.jsonl"),
+                     "--results", str(out), "--per-iteration"])
+        assert code == 1
+        assert (f"{path}:1: tube for video {records[0]['video_id']} selects no region at "
+                "key frame 20") in capsys.readouterr().err
 
     def test_per_iteration_requires_snapshots(self, tiny_collection, tmp_path, capsys):
         out = tmp_path / "nosnap"

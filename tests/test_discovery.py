@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tubeloc.discovery as discovery
-from helpers import basis_vec, make_frame, union_area_exact
+import tubeloc.matching as matching
+from helpers import basis_vec, make_frame, recomputing_discovery, union_area_exact
 from tubeloc.discovery import (
     CONTAINMENT_RATIO,
     RunInputs,
@@ -447,12 +449,15 @@ class TestRunDiscovery:
         assert result_serial.graph.neighbors == result_threads.graph.neighbors
 
 
+SMALL_SPEC = SynthSpec(num_classes=2, videos_per_class=2, frames_per_video=40,
+                       num_distractors=3, seed=11)
+SMALL_CONFIG = Config(iterations=3, k_neighbors=4, p_tubes=2)
+
+
 @pytest.fixture
 def small():
-    spec = SynthSpec(num_classes=2, videos_per_class=2, frames_per_video=40,
-                     num_distractors=3, seed=11)
-    collection, _, _ = generate_collection(spec)
-    config = Config(iterations=3, k_neighbors=4, p_tubes=2)
+    collection, _, _ = generate_collection(SMALL_SPEC)
+    config = SMALL_CONFIG
     key_frame_count = sum(len(key_frames(video, config.keyframe_stride))
                           for video in collection.videos.values())
     return collection, config, key_frame_count
@@ -611,3 +616,70 @@ class TestWorkers:
         assert str(err.value) == "v.frames.jsonl:7: no good"
         assert err.value.locus == "v.frames.jsonl:7"
         assert multiprocessing.active_children() == []
+
+
+class TestReuse:
+    """``run_discovery`` copies the match results whose inputs did not change
+    since the previous iteration and stops at an exact fixed point; the loop
+    that computes every iteration in full is its oracle."""
+
+    # name -> (spec, config, the iteration that repeats its predecessor)
+    CASES = {
+        "default": (SynthSpec(), Config(iterations=5), 3),
+        "small": (SMALL_SPEC, SMALL_CONFIG, None),  # repeats only in its final iteration
+        "small_5": (SMALL_SPEC, replace(SMALL_CONFIG, iterations=5), 3),
+    }
+
+    @pytest.fixture(scope="class", params=sorted(CASES))
+    def case(self, request):
+        spec, config, fixed_point = self.CASES[request.param]
+        collection, _, _ = generate_collection(spec)
+        return collection, config, fixed_point, recomputing_discovery(collection, config)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_same_as_computing_every_iteration(self, case, threads):
+        collection, config, fixed_point, oracle = case
+        result = run_discovery(collection, config, threads=threads)
+        assert result.tubes == oracle.tubes
+        assert result.graph == oracle.graph
+        assert [s.iteration for s in result.snapshots] == list(range(1, config.iterations + 1))
+        for got, expected in zip(result.snapshots, oracle.snapshots, strict=True):
+            assert got.tubes == expected.tubes
+            assert got.boxes == expected.boxes
+            assert got.saliency == expected.saliency
+            assert got.graph == expected.graph
+        assert result.fixed_point == fixed_point
+        computed = fixed_point or config.iterations
+        assert [c.iteration for c in result.match_counts] == list(range(1, computed + 1))
+
+    def test_no_matching_after_the_fixed_point(self, noise_free_bundle, monkeypatch):
+        collection, _, _ = noise_free_bundle
+        calls: Counter = Counter()
+        iteration = [0]
+        update, match = discovery.update_network, matching.match_confidences
+
+        def tracked_update(state, *args, **kwargs):
+            iteration[0] = state.iteration + 1
+            return update(state, *args, **kwargs)
+
+        def counted_match(*args, **kwargs):
+            calls[iteration[0]] += 1
+            return match(*args, **kwargs)
+
+        monkeypatch.setattr(discovery, "update_network", tracked_update)
+        monkeypatch.setattr(discovery, "match_confidences", counted_match)
+        monkeypatch.setattr(matching, "match_confidences", counted_match)
+        config = Config(iterations=5)
+        recomputing_discovery(collection, config)
+        # 40 key frames x 10 neighbors for saliency, 40 x 35 other-video key
+        # frames for retrieval
+        assert calls == {1: 400, 2: 1800, 3: 1800, 4: 1800, 5: 1800}
+        calls.clear()
+        result = run_discovery(collection, config, threads=1)
+        assert max(calls) == 3
+        assert [calls[c.iteration] for c in result.match_counts] == [
+            c.retrieval_matched + c.saliency_matched for c in result.match_counts]
+        assert result.match_counts[-1].saliency_matched == 0
+        assert all(c.retrieval_matched + c.retrieval_reused == (0 if c.iteration == 1 else 1400)
+                   and c.saliency_matched + c.saliency_reused == 400
+                   for c in result.match_counts)

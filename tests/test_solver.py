@@ -283,3 +283,25 @@ def test_dp_tie_breaking_matches_brute_force(case):
     bf = brute_force_tube(trellis, lam)
     assert dp.tube.regions == bf.tube.regions
     assert dp.objective == bf.objective
+
+
+def _assert_first_tube_is_the_best_tube(trellis, p: int, lam: float) -> None:
+    first = solve_p_best(trellis, p, lam)[0]
+    best = solve_p_best(trellis, 1, lam)[0]
+    assert first.tube.regions == best.tube.regions
+    assert first.objective.hex() == best.objective.hex()  # bit for bit, signed zeros too
+
+
+# run_discovery's fixed-point stop keeps the first of p tubes as the final
+# iteration's single tube, so it rests on this fact.
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.sampled_from([0.0, 0.5, 2.0]))
+def test_first_of_p_tubes_is_the_best_tube(seed, p, lam):
+    _assert_first_tube_is_the_best_tube(random_trellis(np.random.default_rng(seed)), p, lam)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tied_trellises(), st.integers(2, 6))
+def test_first_of_p_tubes_is_the_best_tube_under_ties(case, p):
+    trellis, lam = case
+    _assert_first_tube_is_the_best_tube(trellis, p, lam)
