@@ -14,7 +14,9 @@ worker the same task functions run inline.
 Match results whose exact inputs did not change since the previous iteration
 are copied, not matched again. Frames never change during a run, so the key
 is the pool rows. A retrieval entry (q, c) is copied when the retrieval pools
-of both key frames equal the previous round's (``RetrievalMemo``). A key
+of both key frames equal the previous round's as sets (``RetrievalMemo``):
+the saliency ranking selects a pool, and matching receives it in row order,
+so a pool that new saliencies only reorder is not matched again. A key
 frame's saliency vector against one neighbor key frame, its proposals' best
 match confidences, is copied when that neighbor's contained rows equal those
 it was matched against last time (``SaliencyMemo``). Only the previous
@@ -241,9 +243,9 @@ class Workers:
 
 @dataclass
 class RetrievalMemo:
-    """The retrieval pools and similarity matrix of ``update_network``'s last
-    region-matching round, and how many entries that round matched and
-    reused."""
+    """The retrieval pools, in row order, and similarity matrix of
+    ``update_network``'s last region-matching round, and how many entries
+    that round matched and reused; equal row-order pools are equal sets."""
 
     pools: list[np.ndarray] = field(default_factory=list)
     similarity: np.ndarray | None = None
@@ -258,19 +260,20 @@ def update_network(state: IterationState, contained: dict[FrameRef, np.ndarray],
     Iteration 0 falls back to signature-based bootstrap retrieval; later
     iterations match the localized-region proposal pools of frame pairs, which
     ``contained`` (the ``region_contained`` mask of each key frame for
-    ``state.boxes``) selects. ``workers`` fill the missing entries of the
+    ``state.boxes``) selects; ``retrieval_pool`` picks each pool and matching
+    receives it in row order. ``workers`` fill the missing entries of the
     similarity matrix row by row. With a ``memo`` of the last round, an entry
-    whose two pools both equal that round's is copied from its matrix, and
-    the memo then holds this round.
+    whose two pools both equal that round's as sets is copied from its
+    matrix, and the memo then holds this round.
     """
     collection, config, _motion = workers.inputs
     if state.iteration == 0:
         return bootstrap_neighbors(collection, config.k_neighbors, config.keyframe_stride)
 
     refs = key_frame_refs(collection, config.keyframe_stride)
-    pools = [
-        retrieval_pool(collection.videos[vid].frames[kf], contained[vid, kf],
-                       state.saliency[vid][kf], config.retrieval_proposals)
+    pools = [  # in row order: a similarity depends on the pool's set, not its ranking
+        np.sort(retrieval_pool(collection.videos[vid].frames[kf], contained[vid, kf],
+                               state.saliency[vid][kf], config.retrieval_proposals))
         for vid, kf in refs
     ]
     videos = np.array([vid for vid, _ in refs], dtype=object)

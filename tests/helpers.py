@@ -117,6 +117,24 @@ def recomputing_discovery(collection: Collection, config: Config) -> discovery.D
                                      state.graph, snapshots)
 
 
+def rank_order_similarity(state: discovery.IterationState, contained: dict,
+                          collection: Collection, config: Config) -> np.ndarray:
+    """``update_network``'s (F, F) similarity matrix over ``key_frame_refs``,
+    with each retrieval pool matched in ``retrieval_pool``'s rank order
+    instead of row order: the same sums, associated in another order. Entries
+    between key frames of one video are NaN."""
+    refs = discovery.key_frame_refs(collection, config.keyframe_stride)
+    frames = [collection.videos[vid].frames[kf] for vid, kf in refs]
+    pools = [discovery.retrieval_pool(frame, contained[ref], state.saliency[ref[0]][ref[1]],
+                                      config.retrieval_proposals)
+             for ref, frame in zip(refs, frames)]
+    similarity = np.full((len(refs), len(refs)), np.nan)
+    for q, c in np.argwhere([[rq[0] != rc[0] for rc in refs] for rq in refs]):
+        similarity[q, c] = discovery.frame_similarity(frames[q], pools[q], frames[c], pools[c],
+                                                      config)
+    return similarity
+
+
 # -- scalar references the vectorized program is compared against ----------
 
 

@@ -11,9 +11,16 @@ from hypothesis import strategies as st
 
 import tubeloc.discovery as discovery
 import tubeloc.matching as matching
-from helpers import basis_vec, make_frame, recomputing_discovery, union_area_exact
+from helpers import (
+    basis_vec,
+    make_frame,
+    rank_order_similarity,
+    recomputing_discovery,
+    union_area_exact,
+)
 from tubeloc.discovery import (
     CONTAINMENT_RATIO,
+    RetrievalMemo,
     RunInputs,
     Workers,
     _rank_neighbors,
@@ -22,6 +29,7 @@ from tubeloc.discovery import (
     check_objective_bound,
     frame_similarity,
     initialize_state,
+    key_frame_refs,
     region_contained,
     retrieval_pool,
     run_discovery,
@@ -676,10 +684,97 @@ class TestReuse:
         assert calls == {1: 400, 2: 1800, 3: 1800, 4: 1800, 5: 1800}
         calls.clear()
         result = run_discovery(collection, config, threads=1)
-        assert max(calls) == 3
+        # iteration 3's retrieval pools equal iteration 2's as sets and its
+        # saliency tables' rows repeat, so it matches nothing
+        assert calls == {1: 400, 2: 1787}
+        assert result.fixed_point == 3
         assert [calls[c.iteration] for c in result.match_counts] == [
             c.retrieval_matched + c.saliency_matched for c in result.match_counts]
-        assert result.match_counts[-1].saliency_matched == 0
+        last = result.match_counts[-1]
+        assert last.iteration == 3 and last.retrieval_matched == last.saliency_matched == 0
         assert all(c.retrieval_matched + c.retrieval_reused == (0 if c.iteration == 1 else 1400)
                    and c.saliency_matched + c.saliency_reused == 400
                    for c in result.match_counts)
+
+
+def _contained(collection: Collection, state) -> dict:
+    return {(vid, kf): region_contained(collection.videos[vid].frames[kf], regions)
+            for vid, by_kf in state.boxes.items() for kf, regions in by_kf.items()}
+
+
+def _neighbor_refs(graph) -> dict:
+    return {ref: [n for n, _sim in entries] for ref, entries in graph.neighbors.items()}
+
+
+class TestRetrievalReuseKey:
+    """A retrieval entry is copied when both pools repeat as sets: the
+    saliency ranking selects a pool, and matching receives it in row order."""
+
+    @staticmethod
+    def _pools(collection, config, state, contained) -> dict:
+        return {ref: retrieval_pool(collection.videos[ref[0]].frames[ref[1]], contained[ref],
+                                    state.saliency[ref[0]][ref[1]], config.retrieval_proposals)
+                for ref in key_frame_refs(collection, config.keyframe_stride)}
+
+    def test_a_reordered_pool_is_not_matched_again(self, small):
+        collection, config, key_frame_count = small
+        state = run_discovery(collection, config, threads=1).snapshots[0]
+        contained = _contained(collection, state)
+        workers = Workers(RunInputs(collection, config, {}))
+        memo = RetrievalMemo()
+        update_network(state, contained, workers, memo)
+        cross = key_frame_count ** 2 - sum(
+            len(key_frames(video, config.keyframe_stride)) ** 2
+            for video in collection.videos.values())
+        assert (memo.matched, memo.reused) == (cross, 0)
+
+        # reverse the saliencies within each pool: rankings change, sets do not
+        pools = self._pools(collection, config, state, contained)
+        saliency = {vid: {kf: dict(by_id) for kf, by_id in by_kf.items()}
+                    for vid, by_kf in state.saliency.items()}
+        for (vid, kf), rows in pools.items():
+            ids = collection.videos[vid].frames[kf].ids[rows].tolist()
+            values = [saliency[vid][kf].get(pid, 0.0) for pid in ids]
+            saliency[vid][kf].update(zip(ids, reversed(values)))
+        reordered = replace(state, saliency=saliency)
+        new_pools = self._pools(collection, config, reordered, contained)
+        assert all(set(new_pools[ref].tolist()) == set(rows.tolist())
+                   for ref, rows in pools.items())
+        assert any(new_pools[ref].tolist() != rows.tolist() for ref, rows in pools.items())
+        graph = update_network(reordered, contained, workers, memo)
+        assert (memo.matched, memo.reused) == (0, cross)
+        assert graph == update_network(reordered, contained, workers)
+
+        # one key frame loses a pool row: its row and column are matched again
+        (vid, kf), rows = next((ref, rows) for ref, rows in pools.items() if rows.size > 1)
+        shrunk = dict(contained)
+        shrunk[vid, kf] = contained[vid, kf].copy()
+        shrunk[vid, kf][rows[0]] = False
+        graph = update_network(reordered, shrunk, workers, memo)
+        other_video = key_frame_count - len(key_frames(collection.videos[vid],
+                                                       config.keyframe_stride))
+        assert (memo.matched, memo.reused) == (2 * other_video, cross - 2 * other_video)
+        assert graph == update_network(reordered, shrunk, workers)
+
+
+# tall-shaped: half-margin descriptor noise, short videos, 4 videos per class
+RANK_SPEC = SynthSpec(videos_per_class=4, frames_per_video=41, descriptor_noise=0.11)
+
+
+@pytest.mark.parametrize("seed", range(101, 111))
+def test_row_order_pools_rank_as_rank_order_pools(seed):
+    # matching a pool in row order reassociates its sums; no near tie between
+    # neighbors may flip
+    collection, _, _ = generate_collection(replace(RANK_SPEC, seed=seed))
+    config = Config(iterations=3)
+    state = run_discovery(collection, config, threads=1).snapshots[1]
+    assert state.iteration == 2
+    contained = _contained(collection, state)
+    memo = RetrievalMemo()
+    update_network(state, contained, Workers(RunInputs(collection, config, {})), memo)
+    expected = rank_order_similarity(state, contained, collection, config)
+    refs = key_frame_refs(collection, config.keyframe_stride)
+    assert _neighbor_refs(_rank_neighbors(refs, memo.similarity, config.k_neighbors)) == \
+        _neighbor_refs(_rank_neighbors(refs, expected, config.k_neighbors))
+    assert np.array_equal(np.isnan(memo.similarity), np.isnan(expected))
+    assert np.nanmax(np.abs(memo.similarity - expected)) <= 1e-12 * np.nanmax(np.abs(expected))
