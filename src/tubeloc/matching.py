@@ -12,17 +12,17 @@ matrix.
 Probabilistic Hough matching of a frame pair runs over proposal pairs
 m = (i, j). Each pair has an appearance affinity a(m) and an offset between
 the two box locations, which votes into a grid of (u, v, s) bins with the
-separable Gaussian likelihood g_u(m, u) g_v(m, v) g_s(m, s). With g_us the
-row-wise outer product of the u- and s-kernels, an (M, u*s) matrix, both
+separable Gaussian likelihood g_u(m, u) g_v(m, v) g_s(m, s). With g_su the
+row-wise outer product of the s- and u-kernels, an (M, s*u) matrix, both
 contractions are matrix products:
 
-    votes[(u, s), v] = ((g_us * a)^T @ g_v)[(u, s), v]
-    support[m]       = rowsum((g_v @ votes^T) * g_us)[m]
+    votes[(s, u), v] = (g_su^T @ (g_v * a))[(s, u), v]
+    support[m]       = rowsum((g_su @ votes) * g_v)[m]
     score[m]         = a(m) * support[m]
 
-Each frame pair takes one pass over its table: g_us is built once and both
-products run once over all M pairs. The test suite checks that votes and
-scores are byte-identical under one and two BLAS threads.
+Each frame pair takes one pass over its table: g_su is built once and both
+products run once over all M pairs, so g_su is the one (M, s*u) array of a
+table. Votes and scores are byte-identical under one and two BLAS threads.
 ``synth.brute_force_matching`` evaluates the full 3-D likelihood pair by
 pair; it is the oracle for both the votes and the scores (within 1e-12
 relative).
@@ -104,11 +104,11 @@ def match_confidences(rows_t, rows_u, frame_t: Frame, frame_u: Frame, config: Co
     gs = _axis_kernel(offsets[:, 2], LOG_SCALE_CENTERS, BANDWIDTHS[2])
     weights = aff.ravel()
     nu, nv, ns = TRANSLATION_BINS, TRANSLATION_BINS, LOG_SCALE_BINS
-    gus = (gu[:, :, None] * gs[:, None, :]).reshape(weights.size, nu * ns)
-    votes = (gus * weights[:, None]).T @ gv
-    support = gv @ votes.T
-    support *= gus  # in place: the peak holds two (M, u*s) arrays, not three
-    return (votes.reshape(nu, ns, nv).transpose(0, 2, 1),
+    gsu = (gs[:, :, None] * gu[:, None, :]).reshape(weights.size, ns * nu)
+    votes = gsu.T @ (gv * weights[:, None])
+    support = gsu @ votes
+    support *= gv  # in place on (M, v): g_su stays the table's one (M, s*u) array
+    return (votes.reshape(ns, nu, nv).transpose(1, 2, 0),
             aff * support.sum(axis=1).reshape(aff.shape))
 
 

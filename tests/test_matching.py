@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -328,9 +329,10 @@ def _assert_matches_oracle(a, b, cfg=CFG):
 
 class TestBlockedKernel:
     """Each frame pair is matched in one pass over its whole table; checked
-    against the oracle at fixed shapes. The pair counts 127, 128 and 129 sit
-    where tables were once split into 128-pair blocks; 28 x 28 is the
-    784-pair table of a ``wide`` saliency matching."""
+    against the oracle at fixed shapes from 1 to 2,400 pairs. 28 x 28 is the
+    784-pair table of a ``wide`` saliency matching; 40 x 60 lies above the
+    ~512-pair size where single-threaded OpenBLAS switches the vote
+    product's kernel."""
 
     def test_one_by_one(self):
         rng = np.random.default_rng(20)
@@ -348,6 +350,26 @@ class TestBlockedKernel:
     def test_wide_table(self):
         rng = np.random.default_rng(24)
         _assert_matches_oracle(rand_frame(rng, "a", 28), rand_frame(rng, "b", 28))
+
+    def test_table_above_blas_block(self):
+        rng = np.random.default_rng(25)
+        _assert_matches_oracle(rand_frame(rng, "a", 40), rand_frame(rng, "b", 60))
+
+    def test_paper_scale_table_peak_memory(self):
+        # 104 proposals a side, the paper's count: the traced peak stays below
+        # two (M, s*u) float64 arrays, so g_su is the only one a table holds
+        rng = np.random.default_rng(26)
+        a, b = rand_frame(rng, "a", 104), rand_frame(rng, "b", 104)
+        rows_a, rows_b = all_rows(a), all_rows(b)
+        match_confidences(rows_a, rows_b, a, b, CFG)  # builds the frames' columns
+        tracemalloc.start()
+        try:
+            match_confidences(rows_a, rows_b, a, b, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outer_product = 104 * 104 * len(LOG_SCALE_CENTERS) * len(TRANSLATION_CENTERS) * 8
+        assert peak < 2 * outer_product
 
 
 _THREADED_MATCH = """
