@@ -11,22 +11,20 @@ They inherit the run's read-only inputs (collection, config, motion evidence),
 and each task sends only its phase's small state and its result. With one
 worker the same task functions run inline.
 
-Match results whose exact inputs did not change since the previous iteration
-are copied, not matched again. Frames never change during a run, so the key
-is the pool rows. A retrieval entry (q, c) is copied when the retrieval pools
-of both key frames equal the previous round's as sets (``RetrievalMemo``):
-the saliency ranking selects a pool, and matching receives it in row order,
-so a pool that new saliencies only reorder is not matched again. A key
-frame's saliency vector against one neighbor key frame, its proposals' best
-match confidences, is copied when that neighbor's contained rows equal those
-it was matched against last time (``SaliencyMemo``). Only the previous
-iteration's results are kept, and the parent process keeps them: workers
-receive the entries they may copy and return what they computed, so outputs
-do not depend on the worker count. When a non-final iteration's boxes and
-saliencies equal its predecessor's, every later iteration would repeat it, so
-the loop stops there (``DiscoveryResult.fixed_point``): ``iterations`` is an
-upper bound on the iterations computed, and every iteration still has its
-snapshot.
+Both phases ask for best-match vectors (of ``rows_t`` of frame t against
+``rows_u`` of frame u, each proposal's best match confidence): a retrieval
+similarity is one vector's sum, a saliency adds a key frame's vectors against
+its neighbors. The parent's ``MatchCache`` maps each exact input to its vector,
+so a table is matched once whichever phase asks first; retrieval pools go to
+matching in row order, and a saliency table is a key frame's every row against
+a neighbor's contained rows. Forked tasks receive the vectors they may copy
+and return those they matched, so outputs do not depend on the worker count.
+
+An iteration whose graph and containment masks equal its predecessor's would
+relocalize to the same state, so it is not relocalized. When a non-final
+iteration's boxes and saliencies equal its predecessor's, every later
+iteration would repeat it, so the loop stops there
+(``DiscoveryResult.fixed_point``); every iteration still has its snapshot.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .consistency import consistency_matrix
-from .matching import SaliencyMemo, appearance_confidence, match_confidences
+from .matching import appearance_confidence, match_confidences, match_side
 from .model import (
     Box,
     Collection,
@@ -52,6 +50,7 @@ from .model import (
     Proposal,
     ValidationError,
     Video,
+    build_columns,
     check_key_frames,
     key_frames,
 )
@@ -75,8 +74,8 @@ class IterationState:
 
 
 class MatchCounts(NamedTuple):
-    """How many retrieval entries and saliency vectors one iteration matched,
-    and how many it copied from the previous iteration."""
+    """How many best-match vectors one iteration's retrieval and saliency
+    matched and copied from the run's ``MatchCache``; an empty pool is neither."""
 
     iteration: int
     retrieval_matched: int
@@ -178,16 +177,13 @@ def retrieval_pool(frame: Frame, mask: np.ndarray, saliency_map: dict[int, float
 
 
 def frame_similarity(query_frame: Frame, query_rows: np.ndarray,
-                     cand_frame: Frame, cand_rows: np.ndarray, config: Config) -> float:
-    """Sum of best match confidences of the query pool against one candidate
-    frame's pool, both given as rows of their frame.
-
-    Either side having no usable proposals yields similarity 0.
-    """
+                     cand_frame: Frame, cand_rows: np.ndarray, config: Config) -> np.ndarray:
+    """Best match confidence of each query pool proposal against one candidate
+    frame's pool, both given as rows of their frame, or zeros when a pool is
+    empty; the frames' similarity is its sum."""
     if len(query_rows) == 0 or len(cand_rows) == 0:
-        return 0.0
-    _, scores = match_confidences(query_rows, cand_rows, query_frame, cand_frame, config)
-    return float(scores.max(axis=1).sum())
+        return np.zeros(len(query_rows))
+    return match_confidences(query_rows, cand_rows, query_frame, cand_frame, config)[1].max(axis=1)
 
 
 class RunInputs(NamedTuple):
@@ -241,67 +237,82 @@ class Workers:
             self._pool.shutdown(cancel_futures=True)
 
 
-@dataclass
-class RetrievalMemo:
-    """The retrieval pools, in row order, and similarity matrix of
-    ``update_network``'s last region-matching round, and how many entries
-    that round matched and reused; equal row-order pools are equal sets."""
+class MatchCache:
+    """``match_confidences(rows_t, rows_u, frame_t, frame_u)[1].max(axis=1)`` by
+    (``match_side`` of t, of u), as stored or read in this iteration and the
+    last; counts the vectors ``matched`` and ``reused`` since ``take_counts``."""
 
-    pools: list[np.ndarray] = field(default_factory=list)
-    similarity: np.ndarray | None = None
-    matched: int = 0
-    reused: int = 0
+    def __init__(self):
+        self.current, self.previous = {}, {}
+        self.matched = self.reused = 0
+
+    def get(self, key) -> np.ndarray | None:
+        vector = self.current.get(key, self.previous.get(key))
+        if vector is not None:
+            self.current[key] = vector
+            self.reused += 1
+        return vector
+
+    def __setitem__(self, key, vector: np.ndarray) -> None:
+        self.current[key] = vector
+        self.matched += 1
+
+    def take_counts(self) -> tuple[int, int]:
+        counts, self.matched, self.reused = (self.matched, self.reused), 0, 0
+        return counts
+
+    def next_iteration(self) -> None:
+        self.previous, self.current = self.current, {}
 
 
 def update_network(state: IterationState, contained: dict[FrameRef, np.ndarray],
-                   workers: Workers, memo: RetrievalMemo | None = None) -> NeighborGraph:
+                   workers: Workers, cache: MatchCache | None = None) -> NeighborGraph:
     """Re-rank each key frame's k matching neighbors among other videos.
 
     Iteration 0 falls back to signature-based bootstrap retrieval; later
     iterations match the localized-region proposal pools of frame pairs, which
     ``contained`` (the ``region_contained`` mask of each key frame for
     ``state.boxes``) selects; ``retrieval_pool`` picks each pool and matching
-    receives it in row order. ``workers`` fill the missing entries of the
-    similarity matrix row by row. With a ``memo`` of the last round, an entry
-    whose two pools both equal that round's as sets is copied from its
-    matrix, and the memo then holds this round.
+    receives it in row order. An entry's similarity is its best-match vector's
+    sum, 0 when a pool is empty; ``cache`` holds the vectors, and ``workers``
+    match the missing ones row by row.
     """
     collection, config, _motion = workers.inputs
     if state.iteration == 0:
         return bootstrap_neighbors(collection, config.k_neighbors, config.keyframe_stride)
 
+    cache = MatchCache() if cache is None else cache
     refs = key_frame_refs(collection, config.keyframe_stride)
-    pools = [  # in row order: a similarity depends on the pool's set, not its ranking
-        np.sort(retrieval_pool(collection.videos[vid].frames[kf], contained[vid, kf],
-                               state.saliency[vid][kf], config.retrieval_proposals))
-        for vid, kf in refs
-    ]
+    frames = [collection.videos[vid].frames[kf] for vid, kf in refs]
+    # in row order: a similarity depends on the pool's set, not its ranking
+    pools = [np.sort(retrieval_pool(frame, contained[ref], state.saliency[ref[0]][ref[1]],
+                                    config.retrieval_proposals)) for ref, frame in zip(refs, frames)]
+    sides = [match_side(frame, pool) for frame, pool in zip(frames, pools)]
     videos = np.array([vid for vid, _ in refs], dtype=object)
-    missing = videos[:, None] != videos[None, :]  # same-video pairs are never ranked
-    similarity = np.full(missing.shape, np.nan)
-    reused = np.zeros_like(missing)
-    if memo is not None and memo.similarity is not None:
-        same = np.array([np.array_equal(a, b) for a, b in zip(pools, memo.pools)])
-        reused = missing & same[:, None] & same[None, :]
-        similarity[reused] = memo.similarity[reused]
-        missing &= ~reused
-    tasks = [(q, np.flatnonzero(missing[q]), refs, pools)
-             for q in range(len(refs)) if missing[q].any()]
-    for (q, cols, *_), values in zip(tasks, workers.map(_similarity_row, tasks)):
-        similarity[q, cols] = values
-    if memo is not None:
-        memo.pools, memo.similarity = pools, similarity
-        memo.matched, memo.reused = int(missing.sum()), int(reused.sum())
+    cross = videos[:, None] != videos[None, :]  # same-video pairs are never ranked
+    similarity = np.where(cross, 0.0, np.nan)
+    sized = np.array([pool.size > 0 for pool in pools])
+    missing: dict[int, list[int]] = {}
+    for q, c in np.argwhere(cross & sized[:, None] & sized[None, :]).tolist():
+        if (vector := cache.get((sides[q], sides[c]))) is None:
+            missing.setdefault(q, []).append(c)
+        else:
+            similarity[q, c] = vector.sum()
+    tasks = [(q, cols, refs, pools) for q, cols in missing.items()]
+    for (q, cols, *_), vectors in zip(tasks, workers.map(_similarity_row, tasks)):
+        for c, vector in zip(cols, vectors):
+            cache[sides[q], sides[c]] = vector
+        similarity[q, cols] = [vector.sum() for vector in vectors]
     return _rank_neighbors(refs, similarity, config.k_neighbors)
 
 
-def _similarity_row(inputs: RunInputs, arg) -> list[float]:
-    """Columns ``cols`` of row ``q`` of ``update_network``'s similarity matrix."""
+def _similarity_row(inputs: RunInputs, arg) -> np.ndarray:
+    """The best-match vectors of row ``q``'s columns ``cols`` in ``update_network``."""
     q, cols, refs, pools = arg
     videos = inputs.collection.videos
     query = videos[refs[q][0]].frames[refs[q][1]]
-    return [frame_similarity(query, pools[q], videos[refs[c][0]].frames[refs[c][1]], pools[c],
-                             inputs.config) for c in cols]
+    return np.array([frame_similarity(query, pools[q], videos[refs[c][0]].frames[refs[c][1]],
+                                      pools[c], inputs.config) for c in cols])
 
 
 class VideoMotion(NamedTuple):
@@ -315,54 +326,39 @@ class VideoMotion(NamedTuple):
 def motion_scores(video: Video, kfs: list[int]) -> VideoMotion:
     """Motion coherence of every proposal of the given key frames, plus the
     points of the tracks shared by each pair of consecutive key frames."""
-    track_index = VideoTrackIndex(video)
-    return VideoMotion(
-        {kf: motion_coherence_many(video.frames[kf].boxes, track_index.at(kf)) for kf in kfs},
-        {(a, b): track_index.shared(a, b) for a, b in zip(kfs, kfs[1:])},
-    )
+    at, shared = VideoTrackIndex(video).scan(kfs)
+    return VideoMotion({kf: motion_coherence_many(video.frames[kf].boxes, tracks)
+                        for kf, tracks in zip(kfs, at)}, dict(zip(zip(kfs, kfs[1:]), shared)))
 
 
 def build_video_trellis(video: Video,
                         pools_by_kf: dict[int, list[tuple[Frame, np.ndarray | list[Proposal]]]],
                         config: Config, motion: VideoMotion | None = None,
-                        memos: dict[int, SaliencyMemo] | None = None
-                        ) -> tuple[Trellis, dict[int, dict[int, float]]]:
+                        vectors: dict | None = None) -> tuple[Trellis, dict[int, dict[int, float]]]:
     """Score all proposals of a video's key frames and assemble the DP trellis.
 
     Each neighbor pool is a row array or a ``Proposal`` list of its frame (see
     ``frame_saliencies``). ``motion`` holds the ``motion_scores`` of the key
-    frames; it is computed here when not given. ``memos`` holds a key frame's
-    ``SaliencyMemo``. Returns the trellis plus the per-frame raw saliency maps
-    needed by the next retrieval round.
+    frames; it is computed here when not given. ``vectors`` is handed to
+    ``frame_saliencies``. Returns the trellis plus the per-frame raw saliency
+    maps needed by the next retrieval round.
     """
     kfs = sorted(pools_by_kf)
     if motion is None:
         motion = motion_scores(video, kfs)
-    ids_per_frame: list[np.ndarray] = []
-    scores_per_frame: list[np.ndarray] = []
-    saliency_maps: dict[int, dict[int, float]] = {}
+    ids_per_frame, scores_per_frame, saliency_maps = [], [], {}
     for kf in kfs:
         frame = video.frames[kf]
-        phi_a, saliency = appearance_confidence(frame, pools_by_kf[kf], config,
-                                                (memos or {}).get(kf))
-        phi = phi_a + config.alpha * motion.coherence[kf]
+        phi_a, saliency = appearance_confidence(frame, pools_by_kf[kf], config, vectors)
         ids_per_frame.append(frame.ids)
-        scores_per_frame.append(phi)
+        scores_per_frame.append(phi_a + config.alpha * motion.coherence[kf])
         saliency_maps[kf] = dict(zip(frame.ids.tolist(), saliency.tolist()))
 
     def pairwise(step: int, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
-        frame_a = video.frames[kfs[step]]
-        frame_b = video.frames[kfs[step + 1]]
-        points_a, points_b = motion.shared[kfs[step], kfs[step + 1]]
-        return consistency_matrix(
-            frame_a.descriptors[rows_a],
-            frame_b.descriptors[rows_b],
-            frame_a.boxes[rows_a],
-            frame_b.boxes[rows_b],
-            points_a,
-            points_b,
-            config.theta,
-        )
+        frame_a, frame_b = video.frames[kfs[step]], video.frames[kfs[step + 1]]
+        return consistency_matrix(frame_a.descriptors[rows_a], frame_b.descriptors[rows_b],
+                                  frame_a.boxes[rows_a], frame_b.boxes[rows_b],
+                                  *motion.shared[kfs[step], kfs[step + 1]], config.theta)
 
     trellis = build_trellis(video.video_id, kfs, ids_per_frame, scores_per_frame,
                             config.top_candidates, pairwise)
@@ -372,44 +368,53 @@ def build_video_trellis(video: Video,
 def relocalize_video(video: Video, graph: NeighborGraph,
                      contained: dict[FrameRef, np.ndarray], collection: Collection,
                      config: Config, num_tubes: int, motion: VideoMotion,
-                     memos: dict[int, SaliencyMemo] | None = None
-                     ) -> tuple[list[TubeSolution], dict[int, dict[int, float]],
-                                dict[int, list[Box]]]:
+                     vectors: dict | None = None) -> tuple[
+                         list[TubeSolution], dict[int, dict[int, float]], dict[int, list[Box]]]:
     """Optimize one video against its neighbors' currently localized regions,
-    whose proposals ``contained`` marks per key frame; ``memos`` is handed to
-    ``build_video_trellis``.
+    whose proposals ``contained`` marks per key frame; ``vectors`` is handed to
+    ``frame_saliencies``.
 
     Returns the tubes, the saliency maps and the new localized boxes per key
     frame.
     """
     kfs = key_frames(video, config.keyframe_stride)
-    pools_by_kf: dict[int, list[tuple[Frame, np.ndarray]]] = {}
-    for kf in kfs:
-        pools = []
-        for (nvid, nkf), _sim in graph.neighbors.get((video.video_id, kf), []):
-            pool = np.flatnonzero(contained[nvid, nkf])
-            if pool.size:
-                pools.append((collection.videos[nvid].frames[nkf], pool))
-        pools_by_kf[kf] = pools
+    pools_by_kf = {kf: [(collection.videos[n[0]].frames[n[1]], pool)
+                        for n, _sim in graph.neighbors.get((video.video_id, kf), [])
+                        if (pool := np.flatnonzero(contained[n])).size] for kf in kfs}
 
-    trellis, saliency_maps = build_video_trellis(video, pools_by_kf, config, motion, memos)
+    trellis, saliency_maps = build_video_trellis(video, pools_by_kf, config, motion, vectors)
     solutions = solve_p_best(trellis, num_tubes, config.lambda_)
-    boxes_by_kf = {
-        kf: [
-            video.frames[kf].proposal_by_id(sol.tube.regions[kf]).box
-            for sol in solutions
-        ]
-        for kf in kfs
-    }
+    boxes_by_kf = {kf: [video.frames[kf].proposal_by_id(sol.tube.regions[kf]).box
+                        for sol in solutions] for kf in kfs}
     return solutions, saliency_maps, boxes_by_kf
 
 
 def _relocalize(inputs: RunInputs, arg):
-    """``relocalize_video`` plus the video's filled saliency memos, which a
-    forked worker must send back."""
-    vid, graph, contained, num_tubes, memos = arg
-    return relocalize_video(inputs.collection.videos[vid], graph, contained, inputs.collection,
-                            inputs.config, num_tubes, inputs.motion[vid], memos), memos
+    """``relocalize_video`` given ``vectors``: the run's ``MatchCache`` inline, or the
+    vectors a forked task may copy. Returns its result, the vectors a forked task
+    matched (matching only adds entries, so those past the given ones) and, but in
+    the ``last`` iteration, the masks of its boxes."""
+    vid, graph, contained, num_tubes, vectors, last = arg
+    video, given = inputs.collection.videos[vid], len(vectors) if isinstance(vectors, dict) else None
+    tubes, saliency, boxes = relocalize_video(video, graph, contained, inputs.collection,
+                                              inputs.config, num_tubes, inputs.motion[vid],
+                                              vectors)
+    masks = {} if last else {kf: region_contained(video.frames[kf], regions)
+                             for kf, regions in boxes.items()}
+    matched = {} if given is None else dict(list(vectors.items())[given:])
+    return tubes, saliency, boxes, matched, masks
+
+
+def _known(cache: MatchCache, graph: NeighborGraph, contained: dict[FrameRef, np.ndarray],
+           frames: dict[FrameRef, Frame]) -> dict:
+    """Per video, the vectors ``cache`` holds for its saliency tables."""
+    known, pools = {vid: {} for vid, _kf in frames}, {
+        ref: match_side(frame, np.flatnonzero(contained[ref])) for ref, frame in frames.items()}
+    for (vid, kf), frame in frames.items():
+        whole = match_side(frame, np.arange(len(frame.proposals)))
+        known[vid].update({(whole, pools[n]): vector for n, _sim in graph.neighbors[vid, kf]
+                           if (vector := cache.get((whole, pools[n]))) is not None})
+    return known
 
 
 def check_threads(threads: int) -> None:
@@ -447,76 +452,71 @@ def run_discovery(collection: Collection, config: Config, threads: int = 1
     one needs the ``fork`` start method. Deterministic for a given
     (collection, config) regardless of the worker count.
 
-    Unchanged match results are copied, and the loop stops at a fixed point
-    (see the module docstring). An iteration's output depends only on the
-    previous boxes and saliencies and on its tube count, so the snapshots
-    after a fixed point repeat its state, and the last one keeps each video's
-    first tube, which ``solve_p_best`` finds the same for any tube count.
+    Match results are computed once, repeating relocalizations are skipped,
+    and the loop stops at a fixed point (see the module docstring). The
+    snapshots after a repeat take its state, and the last one keeps each
+    video's first tube, which ``solve_p_best`` finds the same for any tube
+    count.
     """
     config.validate()
     check_threads(threads)
     check_key_frames(collection, config.keyframe_stride)
     check_objective_bound(collection, config)
-    refs = key_frame_refs(collection, config.keyframe_stride)
-    for vid, kf in refs:  # the workers fork with the scorers' columns built
-        frame = collection.videos[vid].frames[kf]
-        _ = frame.ids, frame.locations, frame.descriptors
+    frames = {(vid, kf): collection.videos[vid].frames[kf]
+              for vid, kf in key_frame_refs(collection, config.keyframe_stride)}
+    build_columns(list(frames.values()))  # the workers fork with them built
 
     motion = {vid: motion_scores(video, key_frames(video, config.keyframe_stride))
               for vid, video in collection.videos.items()}
-    video_ids = list(collection.videos)
-    state = initialize_state(collection, config)
-    snapshots: list[IterationState] = []
-    retrieval = RetrievalMemo()
-    memos = {vid: {kf: SaliencyMemo() for kf in state.boxes[vid]} for vid in video_ids}
-    counts: list[MatchCounts] = []
-    fixed_point = None
+    video_ids, state = list(collection.videos), initialize_state(collection, config)
+    contained = {ref: region_contained(frame, state.boxes[ref[0]][ref[1]])
+                 for ref, frame in frames.items()}
+    cache = MatchCache()
+    snapshots, counts = [], []
+    repeated = None  # the iteration whose state repeats its predecessor's
     # no phase has more tasks than key frames, so more workers would sit idle
-    with Workers(RunInputs(collection, config, motion), min(threads, len(refs))) as workers:
+    with Workers(RunInputs(collection, config, motion), min(threads, len(frames))) as workers:
         for iteration in range(1, config.iterations + 1):
             # both phases read the proposals inside the previous state's regions
-            contained = {
-                (vid, kf): region_contained(collection.videos[vid].frames[kf], regions)
-                for vid, by_kf in state.boxes.items() for kf, regions in by_kf.items()
-            }
-            graph = update_network(state, contained, workers, retrieval)
-            num_tubes = 1 if iteration == config.iterations else config.p_tubes
-            # fresh memos count this iteration's vectors alone
-            results, filled = zip(*workers.map(_relocalize, [
-                (vid, graph, contained, num_tubes,
-                 {kf: SaliencyMemo(memo.vectors) for kf, memo in memos[vid].items()})
-                for vid in video_ids]))
-            memos = dict(zip(video_ids, filled))
-            counts.append(MatchCounts(
-                iteration, retrieval.matched, retrieval.reused,
-                sum(memo.matched for by_kf in filled for memo in by_kf.values()),
-                sum(memo.reused for by_kf in filled for memo in by_kf.values())))
-            previous, state = state, IterationState(
-                iteration=iteration,
-                tubes={vid: res[0] for vid, res in zip(video_ids, results)},
-                saliency={vid: res[1] for vid, res in zip(video_ids, results)},
-                boxes={vid: res[2] for vid, res in zip(video_ids, results)},
-                graph=graph,
-            )
+            graph = update_network(state, contained, workers, cache)
+            retrieval = cache.take_counts()
+            if graph == state.graph and all(np.array_equal(contained[ref], before[ref])
+                                            for ref in frames):
+                # relocalization reads only the graph and the masks, so it would repeat
+                vectors = counts[-1].saliency_matched + counts[-1].saliency_reused
+                counts.append(MatchCounts(iteration, *retrieval, 0, vectors))
+                repeated = iteration
+                break
+            last = iteration == config.iterations
+            # inline tasks use the cache itself, forked ones the vectors found for them
+            known = (dict.fromkeys(video_ids, cache) if workers.count == 1
+                     else _known(cache, graph, contained, frames))
+            tubes, saliency, boxes, matched, masks = (
+                dict(zip(video_ids, column)) for column in zip(*workers.map(_relocalize, [
+                    (vid, graph, contained, 1 if last else config.p_tubes, known[vid], last)
+                    for vid in video_ids])))
+            for key, vector in (item for entries in matched.values() for item in entries.items()):
+                cache[key] = vector
+            counts.append(MatchCounts(iteration, *retrieval, *cache.take_counts()))
+            cache.next_iteration()
+            before, contained = contained, {(vid, kf): mask for vid, by_kf in masks.items()
+                                            for kf, mask in by_kf.items()}
+            previous, state = state, IterationState(iteration, tubes, boxes, saliency, graph)
             snapshots.append(state)
             # state 0 has no saliencies, so a repeat is never of the bootstrap round
-            if (iteration < config.iterations and state.boxes == previous.boxes
-                    and state.saliency == previous.saliency):
-                fixed_point = iteration
+            if not last and state.boxes == previous.boxes and state.saliency == previous.saliency:
+                repeated = iteration
                 break
 
-    if fixed_point is not None:
+    if repeated is not None:
         snapshots += [replace(state, iteration=i)
-                      for i in range(fixed_point + 1, config.iterations)]
-        state = IterationState(
-            iteration=config.iterations,
-            tubes={vid: sols[:1] for vid, sols in state.tubes.items()},
-            saliency=state.saliency,
-            boxes={vid: {kf: regions[:1] for kf, regions in by_kf.items()}
-                   for vid, by_kf in state.boxes.items()},
-            graph=state.graph,
-        )
+                      for i in range(len(snapshots) + 1, config.iterations)]
+        state = replace(state, iteration=config.iterations,
+                        tubes={vid: sols[:1] for vid, sols in state.tubes.items()},
+                        boxes={vid: {kf: regions[:1] for kf, regions in by_kf.items()}
+                               for vid, by_kf in state.boxes.items()})
         snapshots.append(state)
     final = {vid: state.tubes[vid][0] for vid in collection.videos}
     assert state.graph is not None
+    fixed_point = repeated if repeated != config.iterations else None
     return DiscoveryResult(final, state.graph, snapshots, fixed_point, counts)

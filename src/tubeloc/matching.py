@@ -1,7 +1,7 @@
 """Cross-frame region matching: affinity, offset voting, saliency, standout.
 
-All functions are pure, apart from ``frame_saliencies`` filling the
-``SaliencyMemo`` it is given; frame pairs can be matched fully in parallel.
+All functions are pure, apart from ``frame_saliencies`` filling the vectors
+dict it is given; frame pairs can be matched fully in parallel.
 Proposals are passed as row indices into each frame's columns, and
 descriptors and box locations are gathered from those rows.
 ``match_confidences(rows_t, rows_u, ...)`` returns the (u, v, s) vote array on
@@ -31,8 +31,6 @@ relative).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .model import Config, Frame
@@ -112,51 +110,37 @@ def match_confidences(rows_t, rows_u, frame_t: Frame, frame_u: Frame, config: Co
             aff * support.sum(axis=1).reshape(aff.shape))
 
 
-@dataclass
-class SaliencyMemo:
-    """A frame's per-neighbor best match confidences from its last
-    ``frame_saliencies`` call: ``vectors`` maps a neighbor frame's (video id,
-    frame index) to the (pool rows, vector) of that call. A call replaces
-    ``vectors`` with its own and counts the vectors it ``matched`` and
-    ``reused``.
-    """
-
-    vectors: dict = field(default_factory=dict)
-    matched: int = 0
-    reused: int = 0
+def match_side(frame: Frame, rows) -> tuple:
+    """One side of a best-match vector's key: frame (video id, index), row bytes."""
+    return frame.video_id, frame.frame_index, np.asarray(rows, dtype=np.intp).tobytes()
 
 
 def frame_saliencies(frame: Frame, neighbor_pools, config: Config,
-                     memo: SaliencyMemo | None = None) -> np.ndarray:
+                     vectors: dict | None = None) -> np.ndarray:
     """Per proposal, the sum over neighbor frames of its best match confidence.
 
-    ``neighbor_pools`` is a list of (neighbor frame, allowed proposals), each
-    pool given as rows of the neighbor frame or as its ``Proposal`` records;
-    every pool must be non-empty and the list itself must not be empty. A
-    neighbor whose pool rows equal those ``memo`` holds for it adds that
-    vector without being matched. The vectors are added in neighbor
-    order starting from zeros, so reuse leaves the sum bit for bit the same.
+    ``neighbor_pools`` is a non-empty list of (neighbor frame, non-empty pool),
+    each pool given as rows of the neighbor frame or as its ``Proposal``
+    records. ``vectors`` maps (``match_side`` of this frame's rows, of a pool)
+    to that table's best-match vector: a table it holds is not matched, and a
+    matched one is added to it. The vectors are added in neighbor order from
+    zeros, so a copied vector leaves the sum bit for bit the same.
     """
     if len(neighbor_pools) == 0:
         raise ValueError("neighbor pool list is empty")
-    memo = SaliencyMemo() if memo is None else memo
-    previous, memo.vectors = memo.vectors, {}
+    vectors = {} if vectors is None else vectors
     rows = np.arange(len(frame.proposals))
+    side = match_side(frame, rows)
     saliency = np.zeros(rows.size)
     for neighbor_frame, pool in neighbor_pools:
         if len(pool) == 0:
             raise ValueError("neighbor proposal pool is empty")
         if not isinstance(pool, np.ndarray):
             pool = neighbor_frame.rows([p.id for p in pool])
-        ref = (neighbor_frame.video_id, neighbor_frame.frame_index)
-        known = previous.get(ref)
-        if known is not None and np.array_equal(known[0], pool):
-            best = known[1]
-            memo.reused += 1
-        else:
-            best = match_confidences(rows, pool, frame, neighbor_frame, config)[1].max(axis=1)
-            memo.matched += 1
-        memo.vectors[ref] = (pool, best)
+        key = side, match_side(neighbor_frame, pool)
+        if (best := vectors.get(key)) is None:
+            best = vectors[key] = match_confidences(rows, pool, frame, neighbor_frame,
+                                                    config)[1].max(axis=1)
         saliency += best
     return saliency
 
@@ -195,15 +179,15 @@ def rescale_unit(values: np.ndarray) -> np.ndarray:
 
 
 def appearance_confidence(frame: Frame, neighbor_pools, config: Config,
-                          memo: SaliencyMemo | None = None) -> tuple[np.ndarray, np.ndarray]:
+                          vectors: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Rescaled standout scores in [0, 1] plus raw saliencies, per proposal;
-    ``memo`` is handed to ``frame_saliencies``.
+    ``vectors`` is handed to ``frame_saliencies``.
 
     An empty pool list yields all-zero confidences: a frame with no usable
     neighbors carries no appearance evidence.
     """
     if neighbor_pools:
-        saliency = frame_saliencies(frame, neighbor_pools, config, memo)
+        saliency = frame_saliencies(frame, neighbor_pools, config, vectors)
     else:
         saliency = np.zeros(len(frame.proposals))
     raw = standout_scores(frame.boxes, saliency)

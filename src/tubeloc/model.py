@@ -91,6 +91,14 @@ def _read_only(column: np.ndarray) -> np.ndarray:
     return column
 
 
+def box_locations(boxes: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per (n, 4) box row in a frame of (width, height) ``sizes``, (n, 2) or
+    (1, 2): box center over frame size, and half the log area ratio."""
+    wh = boxes[:, 2:]
+    return np.concatenate([(boxes[:, :2] + 0.5 * wh) / sizes, 0.5 * np.log(
+        wh[:, :1] * wh[:, 1:] / (sizes[:, :1] * sizes[:, 1:]))], axis=1)
+
+
 @dataclass(eq=False)
 class Frame:
     """One video frame carrying its proposal set and a frame-level signature."""
@@ -122,13 +130,7 @@ class Frame:
 
     @cached_property
     def locations(self) -> np.ndarray:
-        """Per row: box center over frame size, and half the log area ratio."""
-        x, y, w, h = self.boxes.T
-        return _read_only(np.column_stack([
-            (x + 0.5 * w) / self.width,
-            (y + 0.5 * h) / self.height,
-            0.5 * np.log(w * h / (self.width * self.height)),
-        ]))
+        return _read_only(box_locations(self.boxes, np.array([[self.width, self.height]], float)))
 
     @cached_property
     def _row_of(self) -> dict[int, int]:
@@ -145,6 +147,16 @@ class Frame:
 
     def proposal_by_id(self, proposal_id: int) -> Proposal:
         return self.proposals[self.rows([proposal_id])[0]]
+
+
+def build_columns(frames: list[Frame]) -> None:
+    """Build the scorer columns of ``frames``, all their locations in one pass."""
+    counts = [len(frame.proposals) for frame in frames]
+    sizes = np.repeat([[frame.width, frame.height] for frame in frames], counts, axis=0)
+    locations = box_locations(np.concatenate([frame.boxes for frame in frames]), sizes)
+    for frame, rows in zip(frames, np.split(locations, np.cumsum(counts)[:-1])):
+        frame.__dict__.setdefault("locations", _read_only(rows))  # the cached property's slot
+        _ = frame.ids, frame.descriptors
 
 
 @dataclass(eq=False)

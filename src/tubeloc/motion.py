@@ -26,19 +26,23 @@ class VideoTrackIndex:
         self.label = np.array([tr.cluster_label for tr in tracks], dtype=int)
         self.points = np.concatenate([np.empty((0, 2))] + [tr.points for tr in tracks])
 
-    def _rows(self, alive: np.ndarray, frame_index: int) -> np.ndarray:
-        return self.offset[alive] + (frame_index - self.start[alive])
+    def scan(self, frames: list[int]) -> tuple[list, list]:
+        """``at`` of each of ``frames`` and ``shared`` of each consecutive pair."""
+        f = np.asarray(frames, dtype=np.intp)[:, None]
+        alive = (self.start <= f) & (f <= self.end)  # (frames, tracks)
+        rows = self.offset + (f - self.start)  # each track's point row at each frame
+        at = [(self.label[a], self.points[r[a]]) for a, r in zip(alive, rows)]
+        both = alive[:-1] & alive[1:]
+        return at, [(self.points[ra[b]], self.points[rb[b]])
+                    for b, ra, rb in zip(both, rows, rows[1:])]
 
     def at(self, frame_index: int) -> tuple[np.ndarray, np.ndarray]:
         """Cluster labels and (n, 2) points of the tracks alive at a frame."""
-        alive = (self.start <= frame_index) & (frame_index <= self.end)
-        return self.label[alive], self.points[self._rows(alive, frame_index)]
+        return self.scan([frame_index])[0][0]
 
     def shared(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """Row-paired (n, 2) points at frames ``a`` and ``b`` of the tracks
-        alive at both."""
-        alive = (self.start <= min(a, b)) & (max(a, b) <= self.end)
-        return self.points[self._rows(alive, a)], self.points[self._rows(alive, b)]
+        """Row-paired (n, 2) points at frames ``a`` and ``b`` of tracks alive at both."""
+        return self.scan([a, b])[1][0]
 
 
 def motion_coherence_many(boxes: np.ndarray, tracks: tuple[np.ndarray, np.ndarray]

@@ -131,7 +131,7 @@ def rank_order_similarity(state: discovery.IterationState, contained: dict,
     similarity = np.full((len(refs), len(refs)), np.nan)
     for q, c in np.argwhere([[rq[0] != rc[0] for rc in refs] for rq in refs]):
         similarity[q, c] = discovery.frame_similarity(frames[q], pools[q], frames[c], pools[c],
-                                                      config)
+                                                      config).sum()
     return similarity
 
 

@@ -2,8 +2,15 @@
 
 import pytest
 
-from tubeloc.discovery import run_discovery
-from tubeloc.model import Config, key_frames
+from tubeloc.discovery import (
+    MatchCache,
+    RunInputs,
+    Workers,
+    region_contained,
+    run_discovery,
+    update_network,
+)
+from tubeloc.model import Box, Config, key_frames
 from tubeloc.synth import SynthSpec, generate_collection
 
 CASES = {
@@ -43,3 +50,53 @@ def test_degenerate_collection_completes(name):
                    for v in collection.videos.values())
 
     assert _outputs(run_discovery(collection, config, threads=2)) == _outputs(result)
+
+
+def _out_of_frame(video, stride: int) -> None:
+    """Move every key-frame proposal of ``video`` half out of its frame, so
+    the whole-frame regions of the first iteration contain none of them."""
+    for kf in key_frames(video, stride):
+        for proposal in video.frames[kf].proposals:
+            box = proposal.box
+            proposal.box = Box(-box.width / 2, box.y_min, box.width, box.height)
+
+
+def test_neighbors_with_empty_pools_complete():
+    # two videos: in the first iteration every neighbor of the first video's
+    # key frames is a key frame of the second, whose pool is empty
+    collection, _planted, _truths = generate_collection(
+        SynthSpec(num_classes=1, videos_per_class=2, frames_per_video=41))
+    config = Config(iterations=3)
+    first, second = collection.videos.values()
+    _out_of_frame(second, config.keyframe_stride)
+    result = run_discovery(collection, config, threads=1)
+    saliency = result.snapshots[0].saliency[first.video_id]
+    assert all(value == 0.0 for by_id in saliency.values() for value in by_id.values())
+    assert _outputs(run_discovery(collection, config, threads=2)) == _outputs(result)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_empty_retrieval_pools_score_zero_and_are_not_cached(threads):
+    collection, _planted, _truths = generate_collection(
+        SynthSpec(num_classes=1, videos_per_class=3, frames_per_video=41))
+    config = Config(iterations=1)
+    state = run_discovery(collection, config, threads=1).snapshots[0]
+    empty = list(collection.videos)[-1]
+    contained = {(vid, kf): region_contained(collection.videos[vid].frames[kf], regions)
+                 & (vid != empty)
+                 for vid, by_kf in state.boxes.items() for kf, regions in by_kf.items()}
+    cache = MatchCache()
+    with Workers(RunInputs(collection, config, {}), threads) as workers:
+        graph = update_network(state, contained, workers, cache)
+    kfs = {vid: len(key_frames(video, config.keyframe_stride))
+           for vid, video in collection.videos.items()}
+    for (vid, _kf), entries in graph.neighbors.items():
+        for (nvid, _nkf), similarity in entries:
+            assert (similarity == 0.0) == (empty in (vid, nvid))
+    # only the pairs between the two videos with pools were matched and kept
+    pairs = 2 * kfs[list(collection.videos)[0]] * kfs[list(collection.videos)[1]]
+    assert cache.take_counts() == (pairs, 0)
+    assert len(cache.current) == pairs
+    assert all(side[2] for key in cache.current for side in key)
+    with Workers(RunInputs(collection, config, {}), 1) as workers:
+        assert update_network(state, contained, workers) == graph

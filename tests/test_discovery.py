@@ -20,7 +20,7 @@ from helpers import (
 )
 from tubeloc.discovery import (
     CONTAINMENT_RATIO,
-    RetrievalMemo,
+    MatchCache,
     RunInputs,
     Workers,
     _rank_neighbors,
@@ -35,7 +35,7 @@ from tubeloc.discovery import (
     run_discovery,
     update_network,
 )
-from tubeloc.matching import appearance_confidence
+from tubeloc.matching import appearance_confidence, match_confidences
 from tubeloc.model import (
     Box,
     Collection,
@@ -275,16 +275,16 @@ class TestFrameSimilarity:
         twin = make_frame("t", proposals=[Proposal(0, Box(50, 50, 60, 60), basis_vec(4, 0))])
         ortho = make_frame("o", proposals=[Proposal(0, Box(50, 50, 60, 60), basis_vec(4, 1))])
         row = np.array([0])
-        sim_twin = frame_similarity(query, row, twin, row, cfg)
-        sim_ortho = frame_similarity(query, row, ortho, row, cfg)
+        sim_twin = frame_similarity(query, row, twin, row, cfg).sum()
+        sim_ortho = frame_similarity(query, row, ortho, row, cfg).sum()
         assert sim_twin > sim_ortho > 0
 
     def test_empty_side_scores_zero(self):
         cfg = Config()
         frame = make_frame(proposals=[Proposal(0, Box(0, 0, 10, 10), basis_vec(4, 0))])
         none, row = np.array([], dtype=int), np.array([0])
-        assert frame_similarity(frame, none, frame, row, cfg) == 0.0
-        assert frame_similarity(frame, row, frame, none, cfg) == 0.0
+        assert frame_similarity(frame, none, frame, row, cfg).tolist() == []
+        assert frame_similarity(frame, row, frame, none, cfg).tolist() == [0.0]
 
     def test_outside_proposals_do_not_change_pool(self):
         frame = make_frame(proposals=[
@@ -660,6 +660,32 @@ class TestReuse:
         computed = fixed_point or config.iterations
         assert [c.iteration for c in result.match_counts] == list(range(1, computed + 1))
 
+    def test_a_repeating_iteration_is_not_relocalized(self, case, monkeypatch):
+        # an iteration whose graph and masks equal its predecessor's takes its
+        # state without relocalizing; its snapshot equals the recomputed one
+        collection, config, _, oracle = case
+        calls: Counter = Counter()
+        iteration = [0]
+        update, relocalize = discovery.update_network, discovery.relocalize_video
+
+        def tracked_update(state, *args, **kwargs):
+            iteration[0] = state.iteration + 1
+            return update(state, *args, **kwargs)
+
+        def counted_relocalize(*args, **kwargs):
+            calls[iteration[0]] += 1
+            return relocalize(*args, **kwargs)
+
+        monkeypatch.setattr(discovery, "update_network", tracked_update)
+        monkeypatch.setattr(discovery, "relocalize_video", counted_relocalize)
+        result = run_discovery(collection, config, threads=1)
+        skipped = result.match_counts[-1].iteration
+        assert calls[skipped] == 0
+        assert all(calls[i] == len(collection.videos) for i in range(1, skipped))
+        got, expected = result.snapshots[skipped - 1], oracle.snapshots[skipped - 1]
+        assert (got.tubes, got.boxes, got.saliency, got.graph) == \
+            (expected.tubes, expected.boxes, expected.saliency, expected.graph)
+
     def test_no_matching_after_the_fixed_point(self, noise_free_bundle, monkeypatch):
         collection, _, _ = noise_free_bundle
         calls: Counter = Counter()
@@ -684,9 +710,11 @@ class TestReuse:
         assert calls == {1: 400, 2: 1800, 3: 1800, 4: 1800, 5: 1800}
         calls.clear()
         result = run_discovery(collection, config, threads=1)
-        # iteration 3's retrieval pools equal iteration 2's as sets and its
-        # saliency tables' rows repeat, so it matches nothing
-        assert calls == {1: 400, 2: 1787}
+        # iteration 2 copies 60 saliency vectors from its own retrieval tables
+        # and 13 from iteration 1; iteration 3's retrieval pools equal
+        # iteration 2's as sets, and its graph and masks repeat, so it matches
+        # nothing and is not relocalized
+        assert calls == {1: 400, 2: 1727}
         assert result.fixed_point == 3
         assert [calls[c.iteration] for c in result.match_counts] == [
             c.retrieval_matched + c.saliency_matched for c in result.match_counts]
@@ -695,6 +723,55 @@ class TestReuse:
         assert all(c.retrieval_matched + c.retrieval_reused == (0 if c.iteration == 1 else 1400)
                    and c.saliency_matched + c.saliency_reused == 400
                    for c in result.match_counts)
+
+
+# tall-shaped: half-margin descriptor noise, short videos, 4 videos per class
+RANK_SPEC = SynthSpec(videos_per_class=4, frames_per_video=41, descriptor_noise=0.11)
+
+
+class TestMatchCache:
+    """One cache serves retrieval and saliency: every vector it hands out is
+    the best-match vector its key's table would give if matched again."""
+
+    @pytest.mark.parametrize("spec, config", [
+        (SMALL_SPEC, SMALL_CONFIG),
+        (replace(RANK_SPEC, seed=101), Config(iterations=3)),
+    ])
+    def test_copied_vectors_equal_a_fresh_match(self, spec, config, monkeypatch):
+        collection, _, _ = generate_collection(spec)
+        copied = []
+        get = MatchCache.get
+
+        def recorded_get(cache, key):
+            vector = get(cache, key)
+            if vector is not None:
+                copied.append((key, vector))
+            return vector
+
+        monkeypatch.setattr(MatchCache, "get", recorded_get)
+        result = run_discovery(collection, config, threads=1)
+        assert len(copied) >= sum(c.retrieval_reused for c in result.match_counts) > 0
+        for ((vid_t, kf_t, rows_t), (vid_u, kf_u, rows_u)), vector in copied:
+            frame_t = collection.videos[vid_t].frames[kf_t]
+            frame_u = collection.videos[vid_u].frames[kf_u]
+            fresh = match_confidences(np.frombuffer(rows_t, dtype=np.intp),
+                                      np.frombuffer(rows_u, dtype=np.intp),
+                                      frame_t, frame_u, config)[1].max(axis=1)
+            assert vector.dtype == fresh.dtype and vector.tobytes() == fresh.tobytes()
+
+    def test_the_small_run_matches_retrieval_tables(self, small):
+        # so a failing frame_similarity reaches a two-worker run's caller
+        collection, config, _ = small
+        assert run_discovery(collection, config, threads=1).match_counts[1].retrieval_matched > 0
+
+    def test_a_saliency_table_is_copied_from_retrieval(self):
+        # tall-shaped: iteration 2's retrieval pools are whole frames, so its
+        # saliency tables were matched by its retrieval (or by iteration 1)
+        collection, _, _ = generate_collection(replace(RANK_SPEC, seed=101))
+        counts = run_discovery(collection, Config(iterations=3), threads=1).match_counts
+        second = counts[1]
+        assert second.saliency_matched < second.saliency_reused
+        assert second.retrieval_reused > 0  # iteration 1's saliency tables
 
 
 def _contained(collection: Collection, state) -> dict:
@@ -721,12 +798,12 @@ class TestRetrievalReuseKey:
         state = run_discovery(collection, config, threads=1).snapshots[0]
         contained = _contained(collection, state)
         workers = Workers(RunInputs(collection, config, {}))
-        memo = RetrievalMemo()
-        update_network(state, contained, workers, memo)
+        cache = MatchCache()
+        update_network(state, contained, workers, cache)
         cross = key_frame_count ** 2 - sum(
             len(key_frames(video, config.keyframe_stride)) ** 2
             for video in collection.videos.values())
-        assert (memo.matched, memo.reused) == (cross, 0)
+        assert cache.take_counts() == (cross, 0)
 
         # reverse the saliencies within each pool: rankings change, sets do not
         pools = self._pools(collection, config, state, contained)
@@ -741,8 +818,8 @@ class TestRetrievalReuseKey:
         assert all(set(new_pools[ref].tolist()) == set(rows.tolist())
                    for ref, rows in pools.items())
         assert any(new_pools[ref].tolist() != rows.tolist() for ref, rows in pools.items())
-        graph = update_network(reordered, contained, workers, memo)
-        assert (memo.matched, memo.reused) == (0, cross)
+        graph = update_network(reordered, contained, workers, cache)
+        assert cache.take_counts() == (0, cross)
         assert graph == update_network(reordered, contained, workers)
 
         # one key frame loses a pool row: its row and column are matched again
@@ -750,19 +827,15 @@ class TestRetrievalReuseKey:
         shrunk = dict(contained)
         shrunk[vid, kf] = contained[vid, kf].copy()
         shrunk[vid, kf][rows[0]] = False
-        graph = update_network(reordered, shrunk, workers, memo)
+        graph = update_network(reordered, shrunk, workers, cache)
         other_video = key_frame_count - len(key_frames(collection.videos[vid],
                                                        config.keyframe_stride))
-        assert (memo.matched, memo.reused) == (2 * other_video, cross - 2 * other_video)
+        assert cache.take_counts() == (2 * other_video, cross - 2 * other_video)
         assert graph == update_network(reordered, shrunk, workers)
 
 
-# tall-shaped: half-margin descriptor noise, short videos, 4 videos per class
-RANK_SPEC = SynthSpec(videos_per_class=4, frames_per_video=41, descriptor_noise=0.11)
-
-
 @pytest.mark.parametrize("seed", range(101, 111))
-def test_row_order_pools_rank_as_rank_order_pools(seed):
+def test_row_order_pools_rank_as_rank_order_pools(seed, monkeypatch):
     # matching a pool in row order reassociates its sums; no near tie between
     # neighbors may flip
     collection, _, _ = generate_collection(replace(RANK_SPEC, seed=seed))
@@ -770,11 +843,15 @@ def test_row_order_pools_rank_as_rank_order_pools(seed):
     state = run_discovery(collection, config, threads=1).snapshots[1]
     assert state.iteration == 2
     contained = _contained(collection, state)
-    memo = RetrievalMemo()
-    update_network(state, contained, Workers(RunInputs(collection, config, {})), memo)
+    ranked = []  # the similarity matrix update_network ranks
+    rank = discovery._rank_neighbors
+    monkeypatch.setattr(discovery, "_rank_neighbors",
+                        lambda refs, similarity, k: ranked.append(similarity) or rank(refs, similarity, k))
+    update_network(state, contained, Workers(RunInputs(collection, config, {})), MatchCache())
+    [similarity] = ranked
     expected = rank_order_similarity(state, contained, collection, config)
     refs = key_frame_refs(collection, config.keyframe_stride)
-    assert _neighbor_refs(_rank_neighbors(refs, memo.similarity, config.k_neighbors)) == \
+    assert _neighbor_refs(_rank_neighbors(refs, similarity, config.k_neighbors)) == \
         _neighbor_refs(_rank_neighbors(refs, expected, config.k_neighbors))
-    assert np.array_equal(np.isnan(memo.similarity), np.isnan(expected))
-    assert np.nanmax(np.abs(memo.similarity - expected)) <= 1e-12 * np.nanmax(np.abs(expected))
+    assert np.array_equal(np.isnan(similarity), np.isnan(expected))
+    assert np.nanmax(np.abs(similarity - expected)) <= 1e-12 * np.nanmax(np.abs(expected))
