@@ -302,7 +302,7 @@ def update_network(state: IterationState, contained: dict[FrameRef, np.ndarray],
     for (q, cols, *_), vectors in zip(tasks, workers.map(_similarity_row, tasks)):
         for c, vector in zip(cols, vectors):
             cache[sides[q], sides[c]] = vector
-        similarity[q, cols] = [vector.sum() for vector in vectors]
+        similarity[q, cols] = vectors.sum(axis=1)  # row by row, as each vector's own sum
     return _rank_neighbors(refs, similarity, config.k_neighbors)
 
 
