@@ -181,9 +181,8 @@ def frame_similarity(query_frame: Frame, query_rows: np.ndarray,
     """Best match confidence of each query pool proposal against one candidate
     frame's pool, both given as rows of their frame, or zeros when a pool is
     empty; the frames' similarity is its sum."""
-    if len(query_rows) == 0 or len(cand_rows) == 0:
-        return np.zeros(len(query_rows))
-    return match_confidences(query_rows, cand_rows, query_frame, cand_frame, config)[1].max(axis=1)
+    return (match_confidences(query_rows, cand_rows, query_frame, cand_frame, config)[1].max(axis=1)
+            if len(query_rows) and len(cand_rows) else np.zeros(len(query_rows)))
 
 
 class RunInputs(NamedTuple):
@@ -292,17 +291,18 @@ def update_network(state: IterationState, contained: dict[FrameRef, np.ndarray],
     cross = videos[:, None] != videos[None, :]  # same-video pairs are never ranked
     similarity = np.where(cross, 0.0, np.nan)
     sized = np.array([pool.size > 0 for pool in pools])
-    missing: dict[int, list[int]] = {}
+    missing, found = {}, {}  # row -> columns to match; row -> column -> vector
     for q, c in np.argwhere(cross & sized[:, None] & sized[None, :]).tolist():
         if (vector := cache.get((sides[q], sides[c]))) is None:
             missing.setdefault(q, []).append(c)
         else:
-            similarity[q, c] = vector.sum()
+            found.setdefault(q, {})[c] = vector
     tasks = [(q, cols, refs, pools) for q, cols in missing.items()]
     for (q, cols, *_), vectors in zip(tasks, workers.map(_similarity_row, tasks)):
         for c, vector in zip(cols, vectors):
-            cache[sides[q], sides[c]] = vector
-        similarity[q, cols] = vectors.sum(axis=1)  # row by row, as each vector's own sum
+            cache[sides[q], sides[c]] = found.setdefault(q, {})[c] = vector
+    for q, row in found.items():  # a row's sums at once: the same as each vector's own sum
+        similarity[q, list(row)] = np.array(list(row.values())).sum(axis=1)
     return _rank_neighbors(refs, similarity, config.k_neighbors)
 
 
