@@ -845,8 +845,12 @@ def test_row_order_pools_rank_as_rank_order_pools(seed, monkeypatch):
     contained = _contained(collection, state)
     ranked = []  # the similarity matrix update_network ranks
     rank = discovery._rank_neighbors
-    monkeypatch.setattr(discovery, "_rank_neighbors",
-                        lambda refs, similarity, k: ranked.append(similarity) or rank(refs, similarity, k))
+
+    def captured(refs, similarity, k):
+        ranked.append(similarity)
+        return rank(refs, similarity, k)
+
+    monkeypatch.setattr(discovery, "_rank_neighbors", captured)
     update_network(state, contained, Workers(RunInputs(collection, config, {})), MatchCache())
     [similarity] = ranked
     expected = rank_order_similarity(state, contained, collection, config)
