@@ -11,19 +11,17 @@ They inherit the run's read-only inputs (collection, config, motion evidence),
 and each task sends only its phase's small state and its result. With one
 worker the same task functions run inline.
 
-Both phases ask for best-match vectors (of ``rows_t`` of frame t against
-``rows_u`` of frame u, each proposal's best match confidence): a retrieval
-similarity is one vector's sum, a saliency adds a key frame's vectors against
-its neighbors. The parent's ``MatchCache`` maps each exact input to its vector,
-so a table is matched once whichever phase asks first; retrieval pools go to
-matching in row order, and a saliency table is a key frame's every row against
-a neighbor's contained rows. Forked tasks receive the vectors they may copy
-and return those they matched, so outputs do not depend on the worker count.
-
-An iteration whose graph and containment masks equal its predecessor's would
-relocalize to the same state, so it is not relocalized. When a non-final
-iteration's boxes and saliencies equal its predecessor's, every later
-iteration would repeat it, so the loop stops there
+Both phases ask for best-match vectors: of ``rows_t`` of frame t against
+``rows_u`` of frame u, each proposal's best match confidence. A retrieval
+similarity is one vector's sum, and a saliency adds a key frame's vectors
+against its neighbors. The parent's ``MatchCache`` maps each exact input to
+its vector, so a table is matched once whichever phase asks first. Forked
+tasks receive the vectors they may copy and return those they matched, so
+outputs do not depend on the worker count. A key frame whose boxes did not
+change keeps its containment mask, and an iteration whose graph and masks
+equal its predecessor's would repeat its state, so it is not relocalized.
+When a non-final iteration's boxes and saliencies equal its predecessor's,
+every later iteration would repeat it, so the loop stops there
 (``DiscoveryResult.fixed_point``); every iteration still has its snapshot.
 """
 
@@ -31,6 +29,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+from collections import ChainMap
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -179,10 +178,15 @@ def retrieval_pool(frame: Frame, mask: np.ndarray, saliency_map: dict[int, float
 def frame_similarity(query_frame: Frame, query_rows: np.ndarray,
                      cand_frame: Frame, cand_rows: np.ndarray, config: Config) -> np.ndarray:
     """Best match confidence of each query pool proposal against one candidate
-    frame's pool, both given as rows of their frame, or zeros when a pool is
-    empty; the frames' similarity is its sum."""
-    return (match_confidences(query_rows, cand_rows, query_frame, cand_frame, config)[1].max(axis=1)
-            if len(query_rows) and len(cand_rows) else np.zeros(len(query_rows)))
+    frame's pool, both given as rows of their frame; the frames' similarity is
+    its sum.
+
+    Either side having no usable proposals yields zeros.
+    """
+    if len(query_rows) == 0 or len(cand_rows) == 0:
+        return np.zeros(len(query_rows))
+    _, scores = match_confidences(query_rows, cand_rows, query_frame, cand_frame, config)
+    return scores.max(axis=1)
 
 
 class RunInputs(NamedTuple):
@@ -245,16 +249,23 @@ class MatchCache:
         self.current, self.previous = {}, {}
         self.matched = self.reused = 0
 
-    def get(self, key) -> np.ndarray | None:
-        vector = self.current.get(key, self.previous.get(key))
-        if vector is not None:
-            self.current[key] = vector
-            self.reused += 1
-        return vector
+    def reuse(self, keys) -> dict:
+        """The vectors held for ``keys``, by key; each counts as reused."""
+        held = {}
+        for key in keys:
+            vector = self.current.get(key)
+            if vector is None:
+                vector = self.previous.get(key)
+            if vector is not None:
+                held[key] = vector
+        self.current.update(held)
+        self.reused += len(held)
+        return held
 
-    def __setitem__(self, key, vector: np.ndarray) -> None:
-        self.current[key] = vector
-        self.matched += 1
+    def add(self, vectors: dict) -> None:
+        """Store vectors just matched, by key."""
+        self.current.update(vectors)
+        self.matched += len(vectors)
 
     def take_counts(self) -> tuple[int, int]:
         counts, self.matched, self.reused = (self.matched, self.reused), 0, 0
@@ -291,16 +302,18 @@ def update_network(state: IterationState, contained: dict[FrameRef, np.ndarray],
     cross = videos[:, None] != videos[None, :]  # same-video pairs are never ranked
     similarity = np.where(cross, 0.0, np.nan)
     sized = np.array([pool.size > 0 for pool in pools])
+    pairs = np.argwhere(cross & sized[:, None] & sized[None, :]).tolist()
+    held = cache.reuse((sides[q], sides[c]) for q, c in pairs)
     missing, found = {}, {}  # row -> columns to match; row -> column -> vector
-    for q, c in np.argwhere(cross & sized[:, None] & sized[None, :]).tolist():
-        if (vector := cache.get((sides[q], sides[c]))) is None:
+    for q, c in pairs:
+        if (vector := held.get((sides[q], sides[c]))) is None:
             missing.setdefault(q, []).append(c)
         else:
             found.setdefault(q, {})[c] = vector
     tasks = [(q, cols, refs, pools) for q, cols in missing.items()]
     for (q, cols, *_), vectors in zip(tasks, workers.map(_similarity_row, tasks)):
-        for c, vector in zip(cols, vectors):
-            cache[sides[q], sides[c]] = found.setdefault(q, {})[c] = vector
+        found.setdefault(q, {}).update(zip(cols, vectors))
+        cache.add({(sides[q], sides[c]): vector for c, vector in zip(cols, vectors)})
     for q, row in found.items():  # a row's sums at once: the same as each vector's own sum
         similarity[q, list(row)] = np.array(list(row.values())).sum(axis=1)
     return _rank_neighbors(refs, similarity, config.k_neighbors)
@@ -327,8 +340,10 @@ def motion_scores(video: Video, kfs: list[int]) -> VideoMotion:
     """Motion coherence of every proposal of the given key frames, plus the
     points of the tracks shared by each pair of consecutive key frames."""
     at, shared = VideoTrackIndex(video).scan(kfs)
-    return VideoMotion({kf: motion_coherence_many(video.frames[kf].boxes, tracks)
-                        for kf, tracks in zip(kfs, at)}, dict(zip(zip(kfs, kfs[1:]), shared)))
+    return VideoMotion(
+        {kf: motion_coherence_many(video.frames[kf].boxes, tracks) for kf, tracks in zip(kfs, at)},
+        dict(zip(zip(kfs, kfs[1:]), shared)),
+    )
 
 
 def build_video_trellis(video: Video,
@@ -346,19 +361,30 @@ def build_video_trellis(video: Video,
     kfs = sorted(pools_by_kf)
     if motion is None:
         motion = motion_scores(video, kfs)
-    ids_per_frame, scores_per_frame, saliency_maps = [], [], {}
+    ids_per_frame: list[np.ndarray] = []
+    scores_per_frame: list[np.ndarray] = []
+    saliency_maps: dict[int, dict[int, float]] = {}
     for kf in kfs:
         frame = video.frames[kf]
         phi_a, saliency = appearance_confidence(frame, pools_by_kf[kf], config, vectors)
+        phi = phi_a + config.alpha * motion.coherence[kf]
         ids_per_frame.append(frame.ids)
-        scores_per_frame.append(phi_a + config.alpha * motion.coherence[kf])
+        scores_per_frame.append(phi)
         saliency_maps[kf] = dict(zip(frame.ids.tolist(), saliency.tolist()))
 
     def pairwise(step: int, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
-        frame_a, frame_b = video.frames[kfs[step]], video.frames[kfs[step + 1]]
-        return consistency_matrix(frame_a.descriptors[rows_a], frame_b.descriptors[rows_b],
-                                  frame_a.boxes[rows_a], frame_b.boxes[rows_b],
-                                  *motion.shared[kfs[step], kfs[step + 1]], config.theta)
+        frame_a = video.frames[kfs[step]]
+        frame_b = video.frames[kfs[step + 1]]
+        points_a, points_b = motion.shared[kfs[step], kfs[step + 1]]
+        return consistency_matrix(
+            frame_a.descriptors[rows_a],
+            frame_b.descriptors[rows_b],
+            frame_a.boxes[rows_a],
+            frame_b.boxes[rows_b],
+            points_a,
+            points_b,
+            config.theta,
+        )
 
     trellis = build_trellis(video.video_id, kfs, ids_per_frame, scores_per_frame,
                             config.top_candidates, pairwise)
@@ -368,8 +394,9 @@ def build_video_trellis(video: Video,
 def relocalize_video(video: Video, graph: NeighborGraph,
                      contained: dict[FrameRef, np.ndarray], collection: Collection,
                      config: Config, num_tubes: int, motion: VideoMotion,
-                     vectors: dict | None = None) -> tuple[
-                         list[TubeSolution], dict[int, dict[int, float]], dict[int, list[Box]]]:
+                     vectors: dict | None = None
+                     ) -> tuple[list[TubeSolution], dict[int, dict[int, float]],
+                                dict[int, list[Box]]]:
     """Optimize one video against its neighbors' currently localized regions,
     whose proposals ``contained`` marks per key frame; ``vectors`` is handed to
     ``frame_saliencies``.
@@ -378,43 +405,53 @@ def relocalize_video(video: Video, graph: NeighborGraph,
     frame.
     """
     kfs = key_frames(video, config.keyframe_stride)
-    pools_by_kf = {kf: [(collection.videos[n[0]].frames[n[1]], pool)
-                        for n, _sim in graph.neighbors.get((video.video_id, kf), [])
-                        if (pool := np.flatnonzero(contained[n])).size] for kf in kfs}
+    pools_by_kf: dict[int, list[tuple[Frame, np.ndarray]]] = {}
+    for kf in kfs:
+        pools = []
+        for (nvid, nkf), _sim in graph.neighbors.get((video.video_id, kf), []):
+            pool = np.flatnonzero(contained[nvid, nkf])
+            if pool.size:
+                pools.append((collection.videos[nvid].frames[nkf], pool))
+        pools_by_kf[kf] = pools
 
     trellis, saliency_maps = build_video_trellis(video, pools_by_kf, config, motion, vectors)
     solutions = solve_p_best(trellis, num_tubes, config.lambda_)
-    boxes_by_kf = {kf: [video.frames[kf].proposal_by_id(sol.tube.regions[kf]).box
-                        for sol in solutions] for kf in kfs}
+    boxes_by_kf = {
+        kf: [
+            video.frames[kf].proposal_by_id(sol.tube.regions[kf]).box
+            for sol in solutions
+        ]
+        for kf in kfs
+    }
     return solutions, saliency_maps, boxes_by_kf
 
 
 def _relocalize(inputs: RunInputs, arg):
-    """``relocalize_video`` given ``vectors``: the run's ``MatchCache`` inline, or the
-    vectors a forked task may copy. Returns its result, the vectors a forked task
-    matched (matching only adds entries, so those past the given ones) and, but in
-    the ``last`` iteration, the masks of its boxes."""
-    vid, graph, contained, num_tubes, vectors, last = arg
-    video, given = inputs.collection.videos[vid], len(vectors) if isinstance(vectors, dict) else None
+    """``relocalize_video`` given the ``known`` vectors it may copy, plus those it
+    matched and the masks of the key frames whose boxes differ from ``held``, the
+    boxes of the ``contained`` masks; none when ``held`` is None (last iteration)."""
+    vid, graph, contained, num_tubes, known, held = arg
+    video, matched = inputs.collection.videos[vid], {}
     tubes, saliency, boxes = relocalize_video(video, graph, contained, inputs.collection,
                                               inputs.config, num_tubes, inputs.motion[vid],
-                                              vectors)
-    masks = {} if last else {kf: region_contained(video.frames[kf], regions)
-                             for kf, regions in boxes.items()}
-    matched = {} if given is None else dict(list(vectors.items())[given:])
+                                              ChainMap(matched, known))  # adds go to matched
+    masks = {} if held is None else {kf: region_contained(video.frames[kf], regions)
+                                     for kf, regions in boxes.items() if regions != held[kf]}
     return tubes, saliency, boxes, matched, masks
 
 
 def _known(cache: MatchCache, graph: NeighborGraph, contained: dict[FrameRef, np.ndarray],
            frames: dict[FrameRef, Frame]) -> dict:
-    """Per video, the vectors ``cache`` holds for its saliency tables."""
-    known, pools = {vid: {} for vid, _kf in frames}, {
-        ref: match_side(frame, np.flatnonzero(contained[ref])) for ref, frame in frames.items()}
-    for (vid, kf), frame in frames.items():
-        whole = match_side(frame, np.arange(len(frame.proposals)))
-        known[vid].update({(whole, pools[n]): vector for n, _sim in graph.neighbors[vid, kf]
-                           if (vector := cache.get((whole, pools[n]))) is not None})
-    return known
+    """Per video, the vectors ``cache`` holds for its key frames' saliency tables:
+    every row of the key frame against a neighbor's contained rows."""
+    keys = {vid: [] for vid, _kf in frames}
+    if cache.current or cache.previous:  # as in the first iteration, an empty cache has none
+        pools = {ref: match_side(frame, np.flatnonzero(contained[ref]))
+                 for ref, frame in frames.items()}
+        for (vid, kf), frame in frames.items():
+            whole = match_side(frame, np.arange(len(frame.proposals)))
+            keys[vid] += [(whole, pools[neighbor]) for neighbor, _sim in graph.neighbors[vid, kf]]
+    return {vid: cache.reuse(video_keys) for vid, video_keys in keys.items()}
 
 
 def check_threads(threads: int) -> None:
@@ -462,61 +499,73 @@ def run_discovery(collection: Collection, config: Config, threads: int = 1
     check_threads(threads)
     check_key_frames(collection, config.keyframe_stride)
     check_objective_bound(collection, config)
-    frames = {(vid, kf): collection.videos[vid].frames[kf]
-              for vid, kf in key_frame_refs(collection, config.keyframe_stride)}
-    build_columns(list(frames.values()))  # the workers fork with them built
+    refs = key_frame_refs(collection, config.keyframe_stride)
+    frames = {(vid, kf): collection.videos[vid].frames[kf] for vid, kf in refs}
+    build_columns(frames.values())  # the workers fork with the scorers' columns built
 
     motion = {vid: motion_scores(video, key_frames(video, config.keyframe_stride))
               for vid, video in collection.videos.items()}
-    video_ids, state = list(collection.videos), initialize_state(collection, config)
+    video_ids = list(collection.videos)
+    state = initialize_state(collection, config)
+    # both phases read the proposals inside the previous state's regions
     contained = {ref: region_contained(frame, state.boxes[ref[0]][ref[1]])
                  for ref, frame in frames.items()}
+    snapshots: list[IterationState] = []
     cache = MatchCache()
-    snapshots, counts = [], []
-    repeated = None  # the iteration whose state repeats its predecessor's
+    counts: list[MatchCounts] = []
+    fixed_point = None
+    moved = []  # (mask before, mask after) of each key frame whose boxes last changed
     # no phase has more tasks than key frames, so more workers would sit idle
-    with Workers(RunInputs(collection, config, motion), min(threads, len(frames))) as workers:
+    with Workers(RunInputs(collection, config, motion), min(threads, len(refs))) as workers:
         for iteration in range(1, config.iterations + 1):
-            # both phases read the proposals inside the previous state's regions
             graph = update_network(state, contained, workers, cache)
             retrieval = cache.take_counts()
-            if graph == state.graph and all(np.array_equal(contained[ref], before[ref])
-                                            for ref in frames):
+            if graph == state.graph and all(np.array_equal(a, b) for a, b in moved):
                 # relocalization reads only the graph and the masks, so it would repeat
                 vectors = counts[-1].saliency_matched + counts[-1].saliency_reused
                 counts.append(MatchCounts(iteration, *retrieval, 0, vectors))
-                repeated = iteration
+                fixed_point = iteration if iteration < config.iterations else None
                 break
             last = iteration == config.iterations
-            # inline tasks use the cache itself, forked ones the vectors found for them
-            known = (dict.fromkeys(video_ids, cache) if workers.count == 1
-                     else _known(cache, graph, contained, frames))
-            tubes, saliency, boxes, matched, masks = (
-                dict(zip(video_ids, column)) for column in zip(*workers.map(_relocalize, [
-                    (vid, graph, contained, 1 if last else config.p_tubes, known[vid], last)
-                    for vid in video_ids])))
-            for key, vector in (item for entries in matched.values() for item in entries.items()):
-                cache[key] = vector
+            known = _known(cache, graph, contained, frames)
+            results = workers.map(_relocalize, [
+                (vid, graph, contained, 1 if last else config.p_tubes, known[vid],
+                 None if last else state.boxes[vid])
+                for vid in video_ids])
+            for res in results:
+                cache.add(res[3])
             counts.append(MatchCounts(iteration, *retrieval, *cache.take_counts()))
             cache.next_iteration()
-            before, contained = contained, {(vid, kf): mask for vid, by_kf in masks.items()
-                                            for kf, mask in by_kf.items()}
-            previous, state = state, IterationState(iteration, tubes, boxes, saliency, graph)
+            changed = {(vid, kf): mask for vid, res in zip(video_ids, results)
+                       for kf, mask in res[4].items()}
+            moved = [(contained[ref], mask) for ref, mask in changed.items()]
+            contained = {**contained, **changed}
+            previous, state = state, IterationState(
+                iteration=iteration,
+                tubes={vid: res[0] for vid, res in zip(video_ids, results)},
+                saliency={vid: res[1] for vid, res in zip(video_ids, results)},
+                boxes={vid: res[2] for vid, res in zip(video_ids, results)},
+                graph=graph,
+            )
             snapshots.append(state)
             # state 0 has no saliencies, so a repeat is never of the bootstrap round
-            if not last and state.boxes == previous.boxes and state.saliency == previous.saliency:
-                repeated = iteration
+            if (iteration < config.iterations and state.boxes == previous.boxes
+                    and state.saliency == previous.saliency):
+                fixed_point = iteration
                 break
 
-    if repeated is not None:
+    if len(snapshots) < config.iterations:  # the loop stopped at a repeat
         snapshots += [replace(state, iteration=i)
                       for i in range(len(snapshots) + 1, config.iterations)]
-        state = replace(state, iteration=config.iterations,
-                        tubes={vid: sols[:1] for vid, sols in state.tubes.items()},
-                        boxes={vid: {kf: regions[:1] for kf, regions in by_kf.items()}
-                               for vid, by_kf in state.boxes.items()})
+        state = IterationState(
+            iteration=config.iterations,
+            tubes={vid: sols[:1] for vid, sols in state.tubes.items()},
+            saliency=state.saliency,
+            boxes={vid: {kf: regions[:1] for kf, regions in by_kf.items()}
+                   for vid, by_kf in state.boxes.items()},
+            graph=state.graph,
+        )
         snapshots.append(state)
     final = {vid: state.tubes[vid][0] for vid in collection.videos}
     assert state.graph is not None
-    fixed_point = repeated if repeated != config.iterations else None
     return DiscoveryResult(final, state.graph, snapshots, fixed_point, counts)

@@ -1,7 +1,7 @@
 """Cross-frame region matching: affinity, offset voting, saliency, standout.
 
-All functions are pure, apart from ``frame_saliencies`` filling the vectors
-dict it is given; frame pairs can be matched fully in parallel.
+All functions are pure, apart from ``frame_saliencies`` adding to the
+vectors mapping it is given; frame pairs can be matched fully in parallel.
 Proposals are passed as row indices into each frame's columns, and
 descriptors and box locations are gathered from those rows.
 ``match_confidences(rows_t, rows_u, ...)`` returns the (u, v, s) vote array on
@@ -31,6 +31,7 @@ relative).
 from __future__ import annotations
 
 import math
+
 import numpy as np
 
 from .model import Config, Frame
@@ -61,6 +62,10 @@ LOG_SCALE_CENTERS.setflags(write=False)
 _TRANSLATION_WIDTH = (TRANSLATION_RANGE[1] - TRANSLATION_RANGE[0]) / TRANSLATION_BINS
 BANDWIDTHS = (_TRANSLATION_WIDTH, _TRANSLATION_WIDTH,
               (LOG_SCALE_RANGE[1] - LOG_SCALE_RANGE[0]) / LOG_SCALE_BINS)
+# Every u, v and s bin in one row: the offset axis it reads, center, bandwidth.
+_BIN_AXIS = np.repeat([0, 1, 2], [TRANSLATION_BINS, TRANSLATION_BINS, LOG_SCALE_BINS])
+_BIN_CENTERS = np.concatenate([TRANSLATION_CENTERS, TRANSLATION_CENTERS, LOG_SCALE_CENTERS])
+_BIN_WIDTHS = np.array(BANDWIDTHS)[_BIN_AXIS]
 
 
 def squared_distances(descs_a, descs_b) -> np.ndarray:
@@ -78,11 +83,6 @@ def affinity_matrix(descs_a: np.ndarray, descs_b: np.ndarray, gamma: float) -> n
     return np.exp(-gamma * squared_distances(descs_a, descs_b))
 
 
-def _axis_kernel(values: np.ndarray, centers: np.ndarray, bandwidth: float) -> np.ndarray:
-    z = (values[:, None] - centers[None, :]) / bandwidth
-    return np.exp(-0.5 * z * z)
-
-
 def match_confidences(rows_t, rows_u, frame_t: Frame, frame_u: Frame, config: Config
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Offset votes (u, v, s) of a frame pair, and every proposal pair's score:
@@ -97,11 +97,11 @@ def match_confidences(rows_t, rows_u, frame_t: Frame, frame_u: Frame, config: Co
                           config.affinity_gamma)
     offsets = (frame_t.locations[rows_t][:, None, :]
                - frame_u.locations[rows_u][None, :, :]).reshape(-1, 3)
-    gu = _axis_kernel(offsets[:, 0], TRANSLATION_CENTERS, BANDWIDTHS[0])
-    gv = _axis_kernel(offsets[:, 1], TRANSLATION_CENTERS, BANDWIDTHS[1])
-    gs = _axis_kernel(offsets[:, 2], LOG_SCALE_CENTERS, BANDWIDTHS[2])
-    weights = aff.ravel()
+    z = (offsets[:, _BIN_AXIS] - _BIN_CENTERS) / _BIN_WIDTHS  # all three axes' kernels at once
+    kernels = np.exp(-0.5 * z * z)
     nu, nv, ns = TRANSLATION_BINS, TRANSLATION_BINS, LOG_SCALE_BINS
+    gu, gv, gs = kernels[:, :nu], kernels[:, nu:nu + nv], kernels[:, nu + nv:]
+    weights = aff.ravel()
     gsu = (gs[:, :, None] * gu[:, None, :]).reshape(weights.size, ns * nu)
     votes = gsu.T @ (gv * weights[:, None])
     support = gsu @ votes

@@ -5,10 +5,11 @@ collection has been loaded or generated: a frame's ``proposals`` are complete
 before anything reads its columns, and stay as they are after.
 
 A ``Frame`` keeps its proposals as records (``proposals``) for loading,
-generation and saving, and gives the scorers read-only columns of them, each
-built on first read and kept: ``ids``, ``boxes`` as (n, 4) rows
-``[x_min, y_min, width, height]``, ``descriptors``, ``locations``
-(offset-space position of each box) and ``rows``, the id -> row lookup.
+generation and saving, and gives the scorers read-only columns of them, built
+together on first read, or for many frames at once by ``build_columns``, and
+kept: ``ids``, ``boxes`` as (n, 4) rows ``[x_min, y_min, width, height]``,
+``descriptors``, ``locations`` (offset-space position of each box) and
+``rows``, the id -> row lookup.
 Scorers gather rows from these columns instead of restacking proposals.
 """
 
@@ -18,6 +19,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -91,14 +93,6 @@ def _read_only(column: np.ndarray) -> np.ndarray:
     return column
 
 
-def box_locations(boxes: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Per (n, 4) box row in a frame of (width, height) ``sizes``, (n, 2) or
-    (1, 2): box center over frame size, and half the log area ratio."""
-    wh = boxes[:, 2:]
-    return np.concatenate([(boxes[:, :2] + 0.5 * wh) / sizes, 0.5 * np.log(
-        wh[:, :1] * wh[:, 1:] / (sizes[:, :1] * sizes[:, 1:]))], axis=1)
-
-
 @dataclass(eq=False)
 class Frame:
     """One video frame carrying its proposal set and a frame-level signature."""
@@ -109,28 +103,21 @@ class Frame:
     height: float
     proposals: list[Proposal] = field(default_factory=list)
     signature: np.ndarray | None = None
+    # (ids, boxes, descriptors, locations), built by ``build_columns``
+    _columns: tuple | None = field(default=None, init=False, repr=False)
 
     def bounds_box(self) -> Box:
         return Box(0.0, 0.0, self.width, self.height)
 
-    @cached_property
-    def ids(self) -> np.ndarray:
-        return _read_only(np.array([p.id for p in self.proposals], dtype=int))
+    def _column(self, index: int) -> np.ndarray:
+        if self._columns is None:
+            build_columns([self])
+        return self._columns[index]
 
-    @cached_property
-    def boxes(self) -> np.ndarray:
-        return _read_only(np.array([p.box.as_list() for p in self.proposals],
-                                   dtype=float).reshape(-1, 4))
-
-    @cached_property
-    def descriptors(self) -> np.ndarray:
-        if not self.proposals:
-            return _read_only(np.empty((0, 0)))
-        return _read_only(np.array([p.descriptor for p in self.proposals], dtype=float))
-
-    @cached_property
-    def locations(self) -> np.ndarray:
-        return _read_only(box_locations(self.boxes, np.array([[self.width, self.height]], float)))
+    ids = property(lambda self: self._column(0))
+    boxes = property(lambda self: self._column(1))
+    descriptors = property(lambda self: self._column(2))
+    locations = property(lambda self: self._column(3))
 
     @cached_property
     def _row_of(self) -> dict[int, int]:
@@ -149,14 +136,29 @@ class Frame:
         return self.proposals[self.rows([proposal_id])[0]]
 
 
-def build_columns(frames: list[Frame]) -> None:
-    """Build the scorer columns of ``frames``, all their locations in one pass."""
+def build_columns(frames: Iterable[Frame]) -> None:
+    """Build the columns of the frames that lack them, in one pass over all
+    their proposals: ids, (n, 4) boxes, (n, D) descriptors ((0, 0) when no
+    frame has proposals) and locations, per row the box center over the frame
+    size and half the log area ratio. Each frame's columns are row ranges of
+    the read-only arrays of all of them."""
+    frames = [frame for frame in frames if frame._columns is None]
+    proposals = [p for frame in frames for p in frame.proposals]
     counts = [len(frame.proposals) for frame in frames]
-    sizes = np.repeat([[frame.width, frame.height] for frame in frames], counts, axis=0)
-    locations = box_locations(np.concatenate([frame.boxes for frame in frames]), sizes)
-    for frame, rows in zip(frames, np.split(locations, np.cumsum(counts)[:-1])):
-        frame.__dict__.setdefault("locations", _read_only(rows))  # the cached property's slot
-        _ = frame.ids, frame.descriptors
+    boxes = np.fromiter(chain.from_iterable([p.box.as_list() for p in proposals]), float,
+                        4 * len(proposals)).reshape(-1, 4)
+    size = np.repeat(np.array([[frame.width, frame.height] for frame in frames],
+                              dtype=float).reshape(-1, 2), counts, axis=0)
+    wh = boxes[:, 2:]
+    locations = np.concatenate([(boxes[:, :2] + 0.5 * wh) / size, 0.5 * np.log(
+        wh[:, :1] * wh[:, 1:] / (size[:, :1] * size[:, 1:]))], axis=1)
+    descriptors = (np.array([p.descriptor for p in proposals], dtype=float) if proposals
+                   else np.empty((0, 0)))
+    columns = [_read_only(column) for column in
+               (np.array([p.id for p in proposals], dtype=int), boxes, descriptors, locations)]
+    ends = np.cumsum(counts, dtype=int).tolist()
+    for frame, start, end in zip(frames, [0] + ends, ends):
+        frame._columns = tuple(column[start:end] for column in columns)
 
 
 @dataclass(eq=False)

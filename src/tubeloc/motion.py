@@ -27,12 +27,13 @@ class VideoTrackIndex:
         self.points = np.concatenate([np.empty((0, 2))] + [tr.points for tr in tracks])
 
     def scan(self, frames: list[int]) -> tuple[list, list]:
-        """``at`` of each of ``frames`` and ``shared`` of each consecutive pair."""
+        """``at`` of each of ``frames`` and ``shared`` of each consecutive pair,
+        from one (frames, tracks) mask of the tracks alive at each frame."""
         f = np.asarray(frames, dtype=np.intp)[:, None]
-        alive = (self.start <= f) & (f <= self.end)  # (frames, tracks)
+        alive = (self.start <= f) & (f <= self.end)
         rows = self.offset + (f - self.start)  # each track's point row at each frame
         at = [(self.label[a], self.points[r[a]]) for a, r in zip(alive, rows)]
-        both = alive[:-1] & alive[1:]
+        both = alive[:-1] & alive[1:]  # a track is alive at every frame between
         return at, [(self.points[ra[b]], self.points[rb[b]])
                     for b, ra, rb in zip(both, rows, rows[1:])]
 
@@ -41,7 +42,8 @@ class VideoTrackIndex:
         return self.scan([frame_index])[0][0]
 
     def shared(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """Row-paired (n, 2) points at frames ``a`` and ``b`` of tracks alive at both."""
+        """Row-paired (n, 2) points at frames ``a`` and ``b`` of the tracks
+        alive at both."""
         return self.scan([a, b])[1][0]
 
 

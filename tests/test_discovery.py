@@ -542,13 +542,19 @@ class TestComputeOnce:
         assert lookups == []
 
     def test_containment_once_per_iteration_and_frame(self, small, monkeypatch):
-        # every iteration reads the masks of the previous state's regions;
-        # the final state's regions are read by no one
+        # every iteration reads the masks of the previous state's regions: the
+        # initial regions' masks, then those of each key frame whose regions an
+        # iteration changed; the final state's regions are read by no one
         collection, config, key_frame_count = small
         counts: dict = {}
         self._count_calls(monkeypatch, "region_contained", counts)
-        run_discovery(collection, config, threads=1)
-        assert counts["region_contained"] == config.iterations * key_frame_count
+        result = run_discovery(collection, config, threads=1)
+        states = [initialize_state(collection, config)] + result.snapshots[:-1]
+        changed = sum(after.boxes[vid][kf] != before.boxes[vid][kf]
+                      for before, after in zip(states, states[1:])
+                      for vid, by_kf in after.boxes.items() for kf in by_kf)
+        assert 0 < changed < (config.iterations - 1) * key_frame_count
+        assert counts["region_contained"] == key_frame_count + changed
 
     def test_motion_once_per_run(self, small, monkeypatch):
         collection, config, key_frame_count = small
@@ -740,15 +746,14 @@ class TestMatchCache:
     def test_copied_vectors_equal_a_fresh_match(self, spec, config, monkeypatch):
         collection, _, _ = generate_collection(spec)
         copied = []
-        get = MatchCache.get
+        reuse = MatchCache.reuse
 
-        def recorded_get(cache, key):
-            vector = get(cache, key)
-            if vector is not None:
-                copied.append((key, vector))
-            return vector
+        def recorded_reuse(cache, keys):
+            held = reuse(cache, keys)
+            copied.extend(held.items())
+            return held
 
-        monkeypatch.setattr(MatchCache, "get", recorded_get)
+        monkeypatch.setattr(MatchCache, "reuse", recorded_reuse)
         result = run_discovery(collection, config, threads=1)
         assert len(copied) >= sum(c.retrieval_reused for c in result.match_counts) > 0
         for ((vid_t, kf_t, rows_t), (vid_u, kf_u, rows_u)), vector in copied:
