@@ -15,14 +15,15 @@ Both phases ask for best-match vectors: of ``rows_t`` of frame t against
 ``rows_u`` of frame u, each proposal's best match confidence. A retrieval
 similarity is one vector's sum, and a saliency adds a key frame's vectors
 against its neighbors. The parent's ``MatchCache`` maps each exact input to
-its vector, so a table is matched once whichever phase asks first. Forked
-tasks receive the vectors they may copy and return those they matched, so
-outputs do not depend on the worker count. A key frame whose boxes did not
-change keeps its containment mask, and an iteration whose graph and masks
-equal its predecessor's would repeat its state, so it is not relocalized.
-When a non-final iteration's boxes and saliencies equal its predecessor's,
-every later iteration would repeat it, so the loop stops there
-(``DiscoveryResult.fixed_point``); every iteration still has its snapshot.
+its vector for the whole run, so a table is matched once whichever phase or
+iteration asks first. Forked tasks receive the vectors they may copy and
+return those they matched, so outputs do not depend on the worker count. A
+key frame whose boxes did not change keeps its containment mask.
+Relocalization reads only the graph and the masks, so an iteration whose
+graph and masks equal its predecessor's would repeat its state, and every
+later iteration would repeat it too: the loop stops there without
+relocalizing (``DiscoveryResult.fixed_point``), and every iteration still
+has its snapshot.
 """
 
 from __future__ import annotations
@@ -87,8 +88,9 @@ class MatchCounts(NamedTuple):
 class DiscoveryResult:
     """The final tubes and graph, and one snapshot per iteration.
 
-    ``fixed_point`` is the iteration that repeated its predecessor, after
-    which no iteration was computed (None when none did); ``match_counts``
+    ``fixed_point`` is the first iteration whose graph and masks repeat its
+    predecessor's, after which no iteration was computed; None when no
+    iteration repeats or the repeat is the last iteration. ``match_counts``
     has one entry per computed iteration.
     """
 
@@ -242,37 +244,44 @@ class Workers:
 
 class MatchCache:
     """``match_confidences(rows_t, rows_u, frame_t, frame_u)[1].max(axis=1)`` by
-    (``match_side`` of t, of u), as stored or read in this iteration and the
-    last; counts the vectors ``matched`` and ``reused`` since ``take_counts``."""
+    (``match_side`` of t, of u), for every table the run matched; counts the
+    vectors ``matched`` and ``reused`` since ``take_counts``."""
 
     def __init__(self):
-        self.current, self.previous = {}, {}
+        self.tables = {}
         self.matched = self.reused = 0
 
     def reuse(self, keys) -> dict:
         """The vectors held for ``keys``, by key; each counts as reused."""
-        held = {}
-        for key in keys:
-            vector = self.current.get(key)
-            if vector is None:
-                vector = self.previous.get(key)
-            if vector is not None:
-                held[key] = vector
-        self.current.update(held)
+        held = {key: self.tables[key] for key in keys if key in self.tables}
         self.reused += len(held)
         return held
 
     def add(self, vectors: dict) -> None:
         """Store vectors just matched, by key."""
-        self.current.update(vectors)
+        self.tables.update(vectors)
         self.matched += len(vectors)
+
+    def vectors(self, keys: list, workers: Workers) -> dict:
+        """Every key's vector, by key; ``workers`` match the tables not held,
+        one task per table."""
+        held = self.reuse(keys)
+        missing = [key for key in keys if key not in held]
+        self.add(dict(zip(missing, workers.map(_best_match, missing))))
+        return {key: self.tables[key] for key in keys}
 
     def take_counts(self) -> tuple[int, int]:
         counts, self.matched, self.reused = (self.matched, self.reused), 0, 0
         return counts
 
-    def next_iteration(self) -> None:
-        self.previous, self.current = self.current, {}
+
+def _best_match(inputs: RunInputs, key) -> np.ndarray:
+    """The best-match vector of a ``MatchCache`` key's table."""
+    (vid_t, kf_t, rows_t), (vid_u, kf_u, rows_u) = key
+    videos = inputs.collection.videos
+    return frame_similarity(videos[vid_t].frames[kf_t], np.frombuffer(rows_t, dtype=np.intp),
+                            videos[vid_u].frames[kf_u], np.frombuffer(rows_u, dtype=np.intp),
+                            inputs.config)
 
 
 def update_network(state: IterationState, contained: dict[FrameRef, np.ndarray],
@@ -285,7 +294,7 @@ def update_network(state: IterationState, contained: dict[FrameRef, np.ndarray],
     ``state.boxes``) selects; ``retrieval_pool`` picks each pool and matching
     receives it in row order. An entry's similarity is its best-match vector's
     sum, 0 when a pool is empty; ``cache`` holds the vectors, and ``workers``
-    match the missing ones row by row.
+    match the tables it lacks.
     """
     collection, config, _motion = workers.inputs
     if state.iteration == 0:
@@ -302,30 +311,13 @@ def update_network(state: IterationState, contained: dict[FrameRef, np.ndarray],
     cross = videos[:, None] != videos[None, :]  # same-video pairs are never ranked
     similarity = np.where(cross, 0.0, np.nan)
     sized = np.array([pool.size > 0 for pool in pools])
-    pairs = np.argwhere(cross & sized[:, None] & sized[None, :]).tolist()
-    held = cache.reuse((sides[q], sides[c]) for q, c in pairs)
-    missing, found = {}, {}  # row -> columns to match; row -> column -> vector
-    for q, c in pairs:
-        if (vector := held.get((sides[q], sides[c]))) is None:
-            missing.setdefault(q, []).append(c)
-        else:
-            found.setdefault(q, {})[c] = vector
-    tasks = [(q, cols, refs, pools) for q, cols in missing.items()]
-    for (q, cols, *_), vectors in zip(tasks, workers.map(_similarity_row, tasks)):
-        found.setdefault(q, {}).update(zip(cols, vectors))
-        cache.add({(sides[q], sides[c]): vector for c, vector in zip(cols, vectors)})
-    for q, row in found.items():  # a row's sums at once: the same as each vector's own sum
-        similarity[q, list(row)] = np.array(list(row.values())).sum(axis=1)
+    wanted = cross & sized[:, None] & sized[None, :]
+    found = cache.vectors([(sides[q], sides[c]) for q, c in np.argwhere(wanted).tolist()],
+                          workers)
+    for q, cols in enumerate(map(np.flatnonzero, wanted)):
+        if cols.size:  # a row's sums at once: the same as each vector's own sum
+            similarity[q, cols] = np.array([found[sides[q], sides[c]] for c in cols]).sum(axis=1)
     return _rank_neighbors(refs, similarity, config.k_neighbors)
-
-
-def _similarity_row(inputs: RunInputs, arg) -> np.ndarray:
-    """The best-match vectors of row ``q``'s columns ``cols`` in ``update_network``."""
-    q, cols, refs, pools = arg
-    videos = inputs.collection.videos
-    query = videos[refs[q][0]].frames[refs[q][1]]
-    return np.array([frame_similarity(query, pools[q], videos[refs[c][0]].frames[refs[c][1]],
-                                      pools[c], inputs.config) for c in cols])
 
 
 class VideoMotion(NamedTuple):
@@ -445,7 +437,7 @@ def _known(cache: MatchCache, graph: NeighborGraph, contained: dict[FrameRef, np
     """Per video, the vectors ``cache`` holds for its key frames' saliency tables:
     every row of the key frame against a neighbor's contained rows."""
     keys = {vid: [] for vid, _kf in frames}
-    if cache.current or cache.previous:  # as in the first iteration, an empty cache has none
+    if cache.tables:  # as in the first iteration, an empty cache has none
         pools = {ref: match_side(frame, np.flatnonzero(contained[ref]))
                  for ref, frame in frames.items()}
         for (vid, kf), frame in frames.items():
@@ -489,11 +481,11 @@ def run_discovery(collection: Collection, config: Config, threads: int = 1
     one needs the ``fork`` start method. Deterministic for a given
     (collection, config) regardless of the worker count.
 
-    Match results are computed once, repeating relocalizations are skipped,
-    and the loop stops at a fixed point (see the module docstring). The
-    snapshots after a repeat take its state, and the last one keeps each
-    video's first tube, which ``solve_p_best`` finds the same for any tube
-    count.
+    Each table is matched once per run, and the loop stops at the first
+    iteration that repeats its predecessor (see the module docstring). The
+    snapshots from the repeat on take its predecessor's state, and the last
+    one keeps each video's first tube, which ``solve_p_best`` finds the same
+    for any tube count.
     """
     config.validate()
     check_threads(threads)
@@ -515,7 +507,8 @@ def run_discovery(collection: Collection, config: Config, threads: int = 1
     counts: list[MatchCounts] = []
     fixed_point = None
     moved = []  # (mask before, mask after) of each key frame whose boxes last changed
-    # no phase has more tasks than key frames, so more workers would sit idle
+    # each worker is a process: one per key frame at most bounds them by the
+    # collection's size, and relocalization, one task per video, uses no more
     with Workers(RunInputs(collection, config, motion), min(threads, len(refs))) as workers:
         for iteration in range(1, config.iterations + 1):
             graph = update_network(state, contained, workers, cache)
@@ -535,12 +528,11 @@ def run_discovery(collection: Collection, config: Config, threads: int = 1
             for res in results:
                 cache.add(res[3])
             counts.append(MatchCounts(iteration, *retrieval, *cache.take_counts()))
-            cache.next_iteration()
             changed = {(vid, kf): mask for vid, res in zip(video_ids, results)
                        for kf, mask in res[4].items()}
             moved = [(contained[ref], mask) for ref, mask in changed.items()]
             contained = {**contained, **changed}
-            previous, state = state, IterationState(
+            state = IterationState(
                 iteration=iteration,
                 tubes={vid: res[0] for vid, res in zip(video_ids, results)},
                 saliency={vid: res[1] for vid, res in zip(video_ids, results)},
@@ -548,11 +540,6 @@ def run_discovery(collection: Collection, config: Config, threads: int = 1
                 graph=graph,
             )
             snapshots.append(state)
-            # state 0 has no saliencies, so a repeat is never of the bootstrap round
-            if (iteration < config.iterations and state.boxes == previous.boxes
-                    and state.saliency == previous.saliency):
-                fixed_point = iteration
-                break
 
     if len(snapshots) < config.iterations:  # the loop stopped at a repeat
         snapshots += [replace(state, iteration=i)

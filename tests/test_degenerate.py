@@ -96,7 +96,7 @@ def test_empty_retrieval_pools_score_zero_and_are_not_cached(threads):
     # only the pairs between the two videos with pools were matched and kept
     pairs = 2 * kfs[list(collection.videos)[0]] * kfs[list(collection.videos)[1]]
     assert cache.take_counts() == (pairs, 0)
-    assert len(cache.current) == pairs
-    assert all(side[2] for key in cache.current for side in key)
+    assert len(cache.tables) == pairs
+    assert all(side[2] for key in cache.tables for side in key)
     with Workers(RunInputs(collection, config, {}), 1) as workers:
         assert update_network(state, contained, workers) == graph

@@ -606,7 +606,7 @@ class TestWorkers:
         assert multiprocessing.active_children() == []
 
     def test_no_more_workers_than_key_frames(self, small, forks):
-        # no phase has more tasks than key frames, so extra workers are not forked
+        # a run forks at most one worker per key frame
         collection, config, key_frame_count = small
         assert key_frame_count == 8
         baseline = run_discovery(collection, config, threads=1)
@@ -745,15 +745,17 @@ class TestMatchCache:
     ])
     def test_copied_vectors_equal_a_fresh_match(self, spec, config, monkeypatch):
         collection, _, _ = generate_collection(spec)
-        copied = []
-        reuse = MatchCache.reuse
+        copied = []  # every vector the cache hands out, copied or just matched
 
-        def recorded_reuse(cache, keys):
-            held = reuse(cache, keys)
-            copied.extend(held.items())
-            return held
+        def recorded(method):
+            def handed_out(cache, *args):
+                vectors = method(cache, *args)
+                copied.extend(vectors.items())
+                return vectors
+            return handed_out
 
-        monkeypatch.setattr(MatchCache, "reuse", recorded_reuse)
+        monkeypatch.setattr(MatchCache, "reuse", recorded(MatchCache.reuse))
+        monkeypatch.setattr(MatchCache, "vectors", recorded(MatchCache.vectors))
         result = run_discovery(collection, config, threads=1)
         assert len(copied) >= sum(c.retrieval_reused for c in result.match_counts) > 0
         for ((vid_t, kf_t, rows_t), (vid_u, kf_u, rows_u)), vector in copied:
@@ -763,6 +765,60 @@ class TestMatchCache:
                                       np.frombuffer(rows_u, dtype=np.intp),
                                       frame_t, frame_u, config)[1].max(axis=1)
             assert vector.dtype == fresh.dtype and vector.tobytes() == fresh.tobytes()
+
+    @staticmethod
+    def _record_matches(monkeypatch, record) -> None:
+        """Call ``record(rows_t, rows_u, frame_t, frame_u)`` before every match."""
+        match = matching.match_confidences
+
+        def recorded_match(rows_t, rows_u, frame_t, frame_u, config):
+            record(rows_t, rows_u, frame_t, frame_u)
+            return match(rows_t, rows_u, frame_t, frame_u, config)
+
+        monkeypatch.setattr(discovery, "match_confidences", recorded_match)
+        monkeypatch.setattr(matching, "match_confidences", recorded_match)
+
+    def test_no_table_is_matched_twice_in_a_run(self, monkeypatch):
+        # bench tall at seed 102: a cache that dropped the tables of all but
+        # the current and the previous iteration matched one again in iteration 3
+        collection, _, _ = generate_collection(
+            SynthSpec(videos_per_class=8, frames_per_video=41, descriptor_noise=0.11, seed=102))
+        tables = []
+        self._record_matches(monkeypatch, lambda rows_t, rows_u, frame_t, frame_u: tables.append(
+            (matching.match_side(frame_t, rows_t), matching.match_side(frame_u, rows_u))))
+        result = run_discovery(collection, Config(iterations=3), threads=1)
+        assert len(result.match_counts) == 3
+        assert len(tables) == sum(c.retrieval_matched + c.saliency_matched
+                                  for c in result.match_counts)
+        assert [table for table, n in Counter(tables).items() if n > 1] == []
+
+    @pytest.mark.parametrize("spec, config", [
+        (SMALL_SPEC, SMALL_CONFIG),
+        (replace(RANK_SPEC, seed=101), Config(iterations=3)),
+    ])
+    def test_every_match_runs_inside_a_phase(self, spec, config, monkeypatch):
+        # retrieval matches inside update_network and saliency inside
+        # relocalize_video, the two phases a traced run times by name
+        collection, _, _ = generate_collection(spec)
+        phases: list[str] = []
+        calls: Counter = Counter()
+
+        def in_phase(name, fn):
+            def wrapped(*args, **kwargs):
+                phases.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    phases.pop()
+            return wrapped
+
+        monkeypatch.setattr(discovery, "update_network",
+                            in_phase("retrieval", discovery.update_network))
+        monkeypatch.setattr(discovery, "relocalize_video",
+                            in_phase("relocalization", discovery.relocalize_video))
+        self._record_matches(monkeypatch, lambda *_args: calls.update(phases[-1:] or ["none"]))
+        run_discovery(collection, config, threads=1)
+        assert set(calls) == {"retrieval", "relocalization"}
 
     def test_the_small_run_matches_retrieval_tables(self, small):
         # so a failing frame_similarity reaches a two-worker run's caller
