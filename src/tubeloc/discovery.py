@@ -1,36 +1,37 @@
 """Alternating cross-video neighbor retrieval and within-video relocalization.
 
-Each iteration is two barrier-synchronized phases: retrieval for all key
-frames, then relocalization for all videos. Both phases only read the
-previous iteration's state, so tasks within a phase run in parallel and the
-whole pipeline stays a pure function of (collection, config).
+Each iteration has two phases, as the method splits discovery from tracking:
+``update_network`` matches regions across videos, and ``relocalize_video``
+links the regions of one video. Both only read the previous iteration's
+state, so the whole pipeline stays a pure function of (collection, config).
 
-The tasks are numpy-heavy Python that holds the interpreter lock, so they run
-in processes: ``Workers`` forks its processes once per ``run_discovery`` call.
-They inherit the run's read-only inputs (collection, config, motion evidence),
-and each task sends only its phase's small state and its result. With one
-worker the same task functions run inline.
+Every cross-video match runs in ``update_network``. It asks for best-match
+vectors: of ``rows_t`` of frame t against ``rows_u`` of frame u, each
+proposal's best match confidence. A retrieval similarity is one vector's sum,
+and a saliency adds a key frame's vectors against its neighbors, so after
+ranking the graph ``update_network`` also fetches the saliency vectors that
+graph's relocalization reads. The parent's ``MatchCache`` maps each exact
+input to its vector for the whole run, so a table is matched once whichever
+phase or iteration asks first.
 
-Both phases ask for best-match vectors: of ``rows_t`` of frame t against
-``rows_u`` of frame u, each proposal's best match confidence. A retrieval
-similarity is one vector's sum, and a saliency adds a key frame's vectors
-against its neighbors. The parent's ``MatchCache`` maps each exact input to
-its vector for the whole run, so a table is matched once whichever phase or
-iteration asks first. Forked tasks receive the vectors they may copy and
-return those they matched, so outputs do not depend on the worker count. A
-key frame whose boxes did not change keeps its containment mask.
-Relocalization reads only the graph and the masks, so an iteration whose
-graph and masks equal its predecessor's would repeat its state, and every
-later iteration would repeat it too: the loop stops there without
-relocalizing (``DiscoveryResult.fixed_point``), and every iteration still
-has its snapshot.
+Matching is numpy-heavy Python that holds the interpreter lock, so the
+tables are matched in processes: ``Workers`` forks its processes once per
+``run_discovery`` call. They inherit the run's read-only inputs (collection,
+config), and each task sends one table's key and returns its vector; with
+one worker the same task runs inline. Relocalization runs in the parent and
+reads its vectors from the cache, so it matches nothing and outputs do not
+depend on the worker count. A key frame whose boxes did not change keeps its
+containment mask. Relocalization reads only the graph and the masks, so an
+iteration whose graph and masks equal its predecessor's would repeat its
+state, and every later iteration would repeat it too: the loop stops there
+without relocalizing (``DiscoveryResult.fixed_point``), and every iteration
+still has its snapshot.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
-from collections import ChainMap
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -196,7 +197,6 @@ class RunInputs(NamedTuple):
 
     collection: Collection
     config: Config
-    motion: dict[str, VideoMotion]
 
 
 _worker_inputs: RunInputs | None = None  # set in each forked worker process
@@ -244,35 +244,20 @@ class Workers:
 
 class MatchCache:
     """``match_confidences(rows_t, rows_u, frame_t, frame_u)[1].max(axis=1)`` by
-    (``match_side`` of t, of u), for every table the run matched; counts the
-    vectors ``matched`` and ``reused`` since ``take_counts``."""
+    (``match_side`` of t, of u), for every table the run matched; ``counts``
+    has the (matched, reused) vectors of each ``vectors`` call."""
 
     def __init__(self):
         self.tables = {}
-        self.matched = self.reused = 0
-
-    def reuse(self, keys) -> dict:
-        """The vectors held for ``keys``, by key; each counts as reused."""
-        held = {key: self.tables[key] for key in keys if key in self.tables}
-        self.reused += len(held)
-        return held
-
-    def add(self, vectors: dict) -> None:
-        """Store vectors just matched, by key."""
-        self.tables.update(vectors)
-        self.matched += len(vectors)
+        self.counts: list[tuple[int, int]] = []
 
     def vectors(self, keys: list, workers: Workers) -> dict:
         """Every key's vector, by key; ``workers`` match the tables not held,
         one task per table."""
-        held = self.reuse(keys)
-        missing = [key for key in keys if key not in held]
-        self.add(dict(zip(missing, workers.map(_best_match, missing))))
+        missing = [key for key in keys if key not in self.tables]
+        self.counts.append((len(missing), len(keys) - len(missing)))
+        self.tables.update(zip(missing, workers.map(_best_match, missing)))
         return {key: self.tables[key] for key in keys}
-
-    def take_counts(self) -> tuple[int, int]:
-        counts, self.matched, self.reused = (self.matched, self.reused), 0, 0
-        return counts
 
 
 def _best_match(inputs: RunInputs, key) -> np.ndarray:
@@ -285,39 +270,54 @@ def _best_match(inputs: RunInputs, key) -> np.ndarray:
 
 
 def update_network(state: IterationState, contained: dict[FrameRef, np.ndarray],
-                   workers: Workers, cache: MatchCache | None = None) -> NeighborGraph:
-    """Re-rank each key frame's k matching neighbors among other videos.
+                   workers: Workers, cache: MatchCache) -> NeighborGraph:
+    """Re-rank each key frame's k matching neighbors among other videos, then
+    have ``cache`` hold the saliency vectors of the new graph.
 
-    Iteration 0 falls back to signature-based bootstrap retrieval; later
-    iterations match the localized-region proposal pools of frame pairs, which
-    ``contained`` (the ``region_contained`` mask of each key frame for
-    ``state.boxes``) selects; ``retrieval_pool`` picks each pool and matching
-    receives it in row order. An entry's similarity is its best-match vector's
-    sum, 0 when a pool is empty; ``cache`` holds the vectors, and ``workers``
-    match the tables it lacks.
+    Iteration 0 falls back to signature-based bootstrap retrieval, which
+    matches no table; later iterations match the localized-region proposal
+    pools of frame pairs, which ``contained`` (the ``region_contained`` mask of
+    each key frame for ``state.boxes``) selects; ``retrieval_pool`` picks each
+    pool and matching receives it in row order. An entry's similarity is its
+    best-match vector's sum, 0 when a pool is empty. A saliency table is every
+    row of a key frame against a neighbor's non-empty contained rows, as
+    ``relocalize_video`` reads it. Retrieval and saliency each make one
+    ``cache.vectors`` call, whose ``workers`` match the tables it lacks.
     """
-    collection, config, _motion = workers.inputs
-    if state.iteration == 0:
-        return bootstrap_neighbors(collection, config.k_neighbors, config.keyframe_stride)
-
-    cache = MatchCache() if cache is None else cache
+    collection, config = workers.inputs
     refs = key_frame_refs(collection, config.keyframe_stride)
     frames = [collection.videos[vid].frames[kf] for vid, kf in refs]
-    # in row order: a similarity depends on the pool's set, not its ranking
-    pools = [np.sort(retrieval_pool(frame, contained[ref], state.saliency[ref[0]][ref[1]],
-                                    config.retrieval_proposals)) for ref, frame in zip(refs, frames)]
-    sides = [match_side(frame, pool) for frame, pool in zip(frames, pools)]
-    videos = np.array([vid for vid, _ in refs], dtype=object)
-    cross = videos[:, None] != videos[None, :]  # same-video pairs are never ranked
-    similarity = np.where(cross, 0.0, np.nan)
-    sized = np.array([pool.size > 0 for pool in pools])
-    wanted = cross & sized[:, None] & sized[None, :]
-    found = cache.vectors([(sides[q], sides[c]) for q, c in np.argwhere(wanted).tolist()],
-                          workers)
-    for q, cols in enumerate(map(np.flatnonzero, wanted)):
-        if cols.size:  # a row's sums at once: the same as each vector's own sum
-            similarity[q, cols] = np.array([found[sides[q], sides[c]] for c in cols]).sum(axis=1)
-    return _rank_neighbors(refs, similarity, config.k_neighbors)
+    if state.iteration == 0:
+        cache.vectors([], workers)  # counts retrieval's (0, 0)
+        graph = bootstrap_neighbors(collection, config.k_neighbors, config.keyframe_stride)
+    else:
+        # in row order: a similarity depends on the pool's set, not its ranking
+        pools = [np.sort(retrieval_pool(frame, contained[ref], state.saliency[ref[0]][ref[1]],
+                                        config.retrieval_proposals))
+                 for ref, frame in zip(refs, frames)]
+        sides = [match_side(frame, pool) for frame, pool in zip(frames, pools)]
+        videos = np.array([vid for vid, _ in refs], dtype=object)
+        cross = videos[:, None] != videos[None, :]  # same-video pairs are never ranked
+        similarity = np.where(cross, 0.0, np.nan)
+        sized = np.array([pool.size > 0 for pool in pools])
+        wanted = cross & sized[:, None] & sized[None, :]
+        found = cache.vectors([(sides[q], sides[c]) for q, c in np.argwhere(wanted).tolist()],
+                              workers)
+        for q, cols in enumerate(map(np.flatnonzero, wanted)):
+            if cols.size:  # a row's sums at once: the same as each vector's own sum
+                similarity[q, cols] = np.array([found[sides[q], sides[c]]
+                                                for c in cols]).sum(axis=1)
+        graph = _rank_neighbors(refs, similarity, config.k_neighbors)
+
+    neighbor_sides = {ref: match_side(frame, np.flatnonzero(contained[ref]))
+                      for ref, frame in zip(refs, frames)}
+    keys = []
+    for ref, frame in zip(refs, frames):
+        whole = match_side(frame, np.arange(len(frame.proposals)))
+        keys += [(whole, neighbor_sides[n]) for n, _sim in graph.neighbors[ref]
+                 if contained[n].any()]
+    cache.vectors(keys, workers)
+    return graph
 
 
 class VideoMotion(NamedTuple):
@@ -391,7 +391,8 @@ def relocalize_video(video: Video, graph: NeighborGraph,
                                 dict[int, list[Box]]]:
     """Optimize one video against its neighbors' currently localized regions,
     whose proposals ``contained`` marks per key frame; ``vectors`` is handed to
-    ``frame_saliencies``.
+    ``frame_saliencies``. In a run it is the ``MatchCache`` tables, where
+    ``update_network`` put every saliency table, so nothing is matched here.
 
     Returns the tubes, the saliency maps and the new localized boxes per key
     frame.
@@ -416,34 +417,6 @@ def relocalize_video(video: Video, graph: NeighborGraph,
         for kf in kfs
     }
     return solutions, saliency_maps, boxes_by_kf
-
-
-def _relocalize(inputs: RunInputs, arg):
-    """``relocalize_video`` given the ``known`` vectors it may copy, plus those it
-    matched and the masks of the key frames whose boxes differ from ``held``, the
-    boxes of the ``contained`` masks; none when ``held`` is None (last iteration)."""
-    vid, graph, contained, num_tubes, known, held = arg
-    video, matched = inputs.collection.videos[vid], {}
-    tubes, saliency, boxes = relocalize_video(video, graph, contained, inputs.collection,
-                                              inputs.config, num_tubes, inputs.motion[vid],
-                                              ChainMap(matched, known))  # adds go to matched
-    masks = {} if held is None else {kf: region_contained(video.frames[kf], regions)
-                                     for kf, regions in boxes.items() if regions != held[kf]}
-    return tubes, saliency, boxes, matched, masks
-
-
-def _known(cache: MatchCache, graph: NeighborGraph, contained: dict[FrameRef, np.ndarray],
-           frames: dict[FrameRef, Frame]) -> dict:
-    """Per video, the vectors ``cache`` holds for its key frames' saliency tables:
-    every row of the key frame against a neighbor's contained rows."""
-    keys = {vid: [] for vid, _kf in frames}
-    if cache.tables:  # as in the first iteration, an empty cache has none
-        pools = {ref: match_side(frame, np.flatnonzero(contained[ref]))
-                 for ref, frame in frames.items()}
-        for (vid, kf), frame in frames.items():
-            whole = match_side(frame, np.arange(len(frame.proposals)))
-            keys[vid] += [(whole, pools[neighbor]) for neighbor, _sim in graph.neighbors[vid, kf]]
-    return {vid: cache.reuse(video_keys) for vid, video_keys in keys.items()}
 
 
 def check_threads(threads: int) -> None:
@@ -497,7 +470,6 @@ def run_discovery(collection: Collection, config: Config, threads: int = 1
 
     motion = {vid: motion_scores(video, key_frames(video, config.keyframe_stride))
               for vid, video in collection.videos.items()}
-    video_ids = list(collection.videos)
     state = initialize_state(collection, config)
     # both phases read the proposals inside the previous state's regions
     contained = {ref: region_contained(frame, state.boxes[ref[0]][ref[1]])
@@ -507,36 +479,33 @@ def run_discovery(collection: Collection, config: Config, threads: int = 1
     counts: list[MatchCounts] = []
     fixed_point = None
     moved = []  # (mask before, mask after) of each key frame whose boxes last changed
-    # each worker is a process: one per key frame at most bounds them by the
-    # collection's size, and relocalization, one task per video, uses no more
-    with Workers(RunInputs(collection, config, motion), min(threads, len(refs))) as workers:
+    # each worker is a process: at most one per key frame bounds them by the
+    # collection's size
+    with Workers(RunInputs(collection, config), min(threads, len(refs))) as workers:
         for iteration in range(1, config.iterations + 1):
             graph = update_network(state, contained, workers, cache)
-            retrieval = cache.take_counts()
+            counts.append(MatchCounts(iteration, *cache.counts[-2], *cache.counts[-1]))
             if graph == state.graph and all(np.array_equal(a, b) for a, b in moved):
                 # relocalization reads only the graph and the masks, so it would repeat
-                vectors = counts[-1].saliency_matched + counts[-1].saliency_reused
-                counts.append(MatchCounts(iteration, *retrieval, 0, vectors))
                 fixed_point = iteration if iteration < config.iterations else None
                 break
             last = iteration == config.iterations
-            known = _known(cache, graph, contained, frames)
-            results = workers.map(_relocalize, [
-                (vid, graph, contained, 1 if last else config.p_tubes, known[vid],
-                 None if last else state.boxes[vid])
-                for vid in video_ids])
-            for res in results:
-                cache.add(res[3])
-            counts.append(MatchCounts(iteration, *retrieval, *cache.take_counts()))
-            changed = {(vid, kf): mask for vid, res in zip(video_ids, results)
-                       for kf, mask in res[4].items()}
+            results = {vid: relocalize_video(video, graph, contained, collection, config,
+                                             1 if last else config.p_tubes, motion[vid],
+                                             cache.tables)
+                       for vid, video in collection.videos.items()}
+            # the final iteration's regions are read by no one
+            changed = {} if last else {
+                (vid, kf): region_contained(frames[vid, kf], regions)
+                for vid, res in results.items() for kf, regions in res[2].items()
+                if regions != state.boxes[vid][kf]}
             moved = [(contained[ref], mask) for ref, mask in changed.items()]
             contained = {**contained, **changed}
             state = IterationState(
                 iteration=iteration,
-                tubes={vid: res[0] for vid, res in zip(video_ids, results)},
-                saliency={vid: res[1] for vid, res in zip(video_ids, results)},
-                boxes={vid: res[2] for vid, res in zip(video_ids, results)},
+                tubes={vid: res[0] for vid, res in results.items()},
+                saliency={vid: res[1] for vid, res in results.items()},
+                boxes={vid: res[2] for vid, res in results.items()},
                 graph=graph,
             )
             snapshots.append(state)

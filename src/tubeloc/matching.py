@@ -1,7 +1,6 @@
 """Cross-frame region matching: affinity, offset voting, saliency, standout.
 
-All functions are pure, apart from ``frame_saliencies`` adding to the
-vectors mapping it is given; frame pairs can be matched fully in parallel.
+All functions are pure, so frame pairs can be matched fully in parallel.
 Proposals are passed as row indices into each frame's columns, and
 descriptors and box locations are gathered from those rows.
 ``match_confidences(rows_t, rows_u, ...)`` returns the (u, v, s) vote array on
@@ -80,7 +79,8 @@ def squared_distances(descs_a, descs_b) -> np.ndarray:
 def affinity_matrix(descs_a: np.ndarray, descs_b: np.ndarray, gamma: float) -> np.ndarray:
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
-    return np.exp(-gamma * squared_distances(descs_a, descs_b))
+    with np.errstate(over="ignore"):  # -gamma * d overflows to -inf, whose exp is the limit 0
+        return np.exp(-gamma * squared_distances(descs_a, descs_b))
 
 
 def match_confidences(rows_t, rows_u, frame_t: Frame, frame_u: Frame, config: Config
@@ -122,9 +122,9 @@ def frame_saliencies(frame: Frame, neighbor_pools, config: Config,
     ``neighbor_pools`` is a non-empty list of (neighbor frame, non-empty pool),
     each pool given as rows of the neighbor frame or as its ``Proposal``
     records. ``vectors`` maps (``match_side`` of this frame's rows, of a pool)
-    to that table's best-match vector: a table it holds is not matched, and a
-    matched one is added to it. The vectors are added in neighbor order from
-    zeros, so a copied vector leaves the sum bit for bit the same.
+    to that table's best-match vector: a table it holds is not matched, and
+    one it lacks is matched and not kept. The vectors are added in neighbor
+    order from zeros, so a copied vector leaves the sum bit for bit the same.
     """
     if len(neighbor_pools) == 0:
         raise ValueError("neighbor pool list is empty")
@@ -139,8 +139,7 @@ def frame_saliencies(frame: Frame, neighbor_pools, config: Config,
             pool = neighbor_frame.rows([p.id for p in pool])
         key = side, match_side(neighbor_frame, pool)
         if (best := vectors.get(key)) is None:
-            best = vectors[key] = match_confidences(rows, pool, frame, neighbor_frame,
-                                                    config)[1].max(axis=1)
+            best = match_confidences(rows, pool, frame, neighbor_frame, config)[1].max(axis=1)
         saliency += best
     return saliency
 

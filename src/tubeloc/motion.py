@@ -37,15 +37,6 @@ class VideoTrackIndex:
         return at, [(self.points[ra[b]], self.points[rb[b]])
                     for b, ra, rb in zip(both, rows, rows[1:])]
 
-    def at(self, frame_index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Cluster labels and (n, 2) points of the tracks alive at a frame."""
-        return self.scan([frame_index])[0][0]
-
-    def shared(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """Row-paired (n, 2) points at frames ``a`` and ``b`` of the tracks
-        alive at both."""
-        return self.scan([a, b])[1][0]
-
 
 def motion_coherence_many(boxes: np.ndarray, tracks: tuple[np.ndarray, np.ndarray]
                           ) -> np.ndarray:

@@ -87,12 +87,13 @@ def remove_choice(trellis: Trellis, regions: dict[int, int]) -> Trellis | None:
 
 def recomputing_discovery(collection: Collection, config: Config) -> discovery.DiscoveryResult:
     """``run_discovery``'s loop with every iteration computed in full, at one
-    worker: no match result is carried over from an earlier iteration, and
-    the loop runs all ``config.iterations`` iterations. It looks the
-    discovery functions up on their module, so a test can patch them."""
+    worker: each iteration has a fresh match cache, so no match result is
+    carried over from an earlier iteration, and the loop runs all
+    ``config.iterations`` iterations. It looks the discovery functions up on
+    their module, so a test can patch them."""
     motion = {vid: discovery.motion_scores(video, key_frames(video, config.keyframe_stride))
               for vid, video in collection.videos.items()}
-    workers = discovery.Workers(discovery.RunInputs(collection, config, motion))
+    workers = discovery.Workers(discovery.RunInputs(collection, config))
     state = discovery.initialize_state(collection, config)
     snapshots = []
     for iteration in range(1, config.iterations + 1):
@@ -100,10 +101,11 @@ def recomputing_discovery(collection: Collection, config: Config) -> discovery.D
             (vid, kf): discovery.region_contained(collection.videos[vid].frames[kf], regions)
             for vid, by_kf in state.boxes.items() for kf, regions in by_kf.items()
         }
-        graph = discovery.update_network(state, contained, workers)
+        cache = discovery.MatchCache()
+        graph = discovery.update_network(state, contained, workers, cache)
         num_tubes = 1 if iteration == config.iterations else config.p_tubes
         results = {vid: discovery.relocalize_video(video, graph, contained, collection,
-                                                   config, num_tubes, motion[vid])
+                                                   config, num_tubes, motion[vid], cache.tables)
                    for vid, video in collection.videos.items()}
         state = discovery.IterationState(
             iteration=iteration,

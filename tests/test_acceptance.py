@@ -139,15 +139,15 @@ def test_criterion_4_score_range_invariants(noise_free_bundle):
             pools = _bootstrap_pools(collection, cfg)
             for vid, video in collection.videos.items():
                 kfs = key_frames(video, cfg.keyframe_stride)
-                index = VideoTrackIndex(video)
-                for kf in kfs:
+                tracks_at, _shared = VideoTrackIndex(video).scan(kfs)
+                for kf, tracks in zip(kfs, tracks_at):
                     frame = video.frames[kf]
                     phi_a, _ = appearance_confidence(frame, pools[(vid, kf)], cfg)
                     assert np.all((phi_a >= 0.0) & (phi_a <= 1.0))
                     degenerate = np.all(phi_a == phi_a[0])
                     if not degenerate:
                         assert phi_a.min() == 0.0 and phi_a.max() == 1.0
-                    phi_m = motion_coherence_many(frame.boxes, index.at(kf))
+                    phi_m = motion_coherence_many(frame.boxes, tracks)
                     assert np.all((phi_m >= 0.0) & (phi_m <= 4.0))
                 for a, b in zip(kfs, kfs[1:]):
                     props_a = video.frames[a].proposals

@@ -232,6 +232,13 @@ class TestRunCommand:
         assert manifest["config"]["p_tubes"] == 5
         assert manifest["config"]["iterations"] == 5
 
+    def test_vanishing_affinity_runs(self, tiny_collection, tmp_path):
+        # every affinity between distinct descriptors is exp(-inf) = 0
+        code = main(["run", "--collection", str(tiny_collection / "manifest.jsonl"),
+                     "--out", str(tmp_path / "o"), "--iterations", "2", "--k", "2",
+                     "--threads", "1", "--affinity-gamma", "1e308"])
+        assert code == 0
+
     def test_single_iteration_single_snapshot(self, tiny_collection, tmp_path):
         out = tmp_path / "one"
         code = main(["run", "--collection", str(tiny_collection / "manifest.jsonl"),

@@ -86,17 +86,17 @@ def test_empty_retrieval_pools_score_zero_and_are_not_cached(threads):
                  & (vid != empty)
                  for vid, by_kf in state.boxes.items() for kf, regions in by_kf.items()}
     cache = MatchCache()
-    with Workers(RunInputs(collection, config, {}), threads) as workers:
+    with Workers(RunInputs(collection, config), threads) as workers:
         graph = update_network(state, contained, workers, cache)
     kfs = {vid: len(key_frames(video, config.keyframe_stride))
            for vid, video in collection.videos.items()}
     for (vid, _kf), entries in graph.neighbors.items():
         for (nvid, _nkf), similarity in entries:
             assert (similarity == 0.0) == (empty in (vid, nvid))
-    # only the pairs between the two videos with pools were matched and kept
+    # retrieval matched only the pairs between the two videos with pools, and
+    # the cache keeps no table with an empty side
     pairs = 2 * kfs[list(collection.videos)[0]] * kfs[list(collection.videos)[1]]
-    assert cache.take_counts() == (pairs, 0)
-    assert len(cache.tables) == pairs
+    assert cache.counts[0] == (pairs, 0)  # retrieval's, before saliency's
     assert all(side[2] for key in cache.tables for side in key)
-    with Workers(RunInputs(collection, config, {}), 1) as workers:
-        assert update_network(state, contained, workers) == graph
+    with Workers(RunInputs(collection, config), 1) as workers:
+        assert update_network(state, contained, workers, MatchCache()) == graph

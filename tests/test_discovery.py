@@ -301,8 +301,8 @@ class TestUpdateNetwork:
         collection, _, _ = noise_free_bundle
         cfg = Config()
         state = initialize_state(collection, cfg)
-        # bootstrap reads no masks
-        graph = update_network(state, {}, Workers(RunInputs(collection, cfg, {})))
+        graph = update_network(state, _contained(collection, state),
+                               Workers(RunInputs(collection, cfg)), MatchCache())
         expected = bootstrap_neighbors(collection, cfg.k_neighbors, cfg.keyframe_stride)
         assert graph.neighbors == expected.neighbors
 
@@ -316,8 +316,9 @@ class TestUpdateNetwork:
     def test_k_one_returns_single_neighbor(self, noise_free_bundle):
         collection, _, _ = noise_free_bundle
         cfg = Config(k_neighbors=1)
-        graph = update_network(initialize_state(collection, cfg), {},
-                               Workers(RunInputs(collection, cfg, {})))
+        state = initialize_state(collection, cfg)
+        graph = update_network(state, _contained(collection, state),
+                               Workers(RunInputs(collection, cfg)), MatchCache())
         assert all(len(v) == 1 for v in graph.neighbors.values())
 
     def test_equal_similarities_tie_break(self):
@@ -631,6 +632,22 @@ class TestWorkers:
         assert err.value.locus == "v.frames.jsonl:7"
         assert multiprocessing.active_children() == []
 
+    def test_workers_only_match_tables(self, small, monkeypatch):
+        # tracking runs in the parent: no relocalization crosses the process
+        # boundary, and every cross-video match goes to the workers
+        collection, config, _ = small
+        tasks = []
+        original = Workers.map
+
+        def recorded(workers, task, args):
+            tasks.append(task)
+            return original(workers, task, args)
+
+        monkeypatch.setattr(Workers, "map", recorded)
+        result = run_discovery(collection, config, threads=2)
+        assert len(tasks) == 2 * len(result.match_counts)
+        assert set(tasks) == {discovery._best_match}
+
 
 class TestReuse:
     """``run_discovery`` copies the match results whose inputs did not change
@@ -712,8 +729,9 @@ class TestReuse:
         config = Config(iterations=5)
         recomputing_discovery(collection, config)
         # 40 key frames x 10 neighbors for saliency, 40 x 35 other-video key
-        # frames for retrieval
-        assert calls == {1: 400, 2: 1800, 3: 1800, 4: 1800, 5: 1800}
+        # frames for retrieval; 60 saliency tables are that iteration's
+        # retrieval tables
+        assert calls == {1: 400, 2: 1740, 3: 1740, 4: 1740, 5: 1740}
         calls.clear()
         result = run_discovery(collection, config, threads=1)
         # iteration 2 copies 60 saliency vectors from its own retrieval tables
@@ -754,7 +772,6 @@ class TestMatchCache:
                 return vectors
             return handed_out
 
-        monkeypatch.setattr(MatchCache, "reuse", recorded(MatchCache.reuse))
         monkeypatch.setattr(MatchCache, "vectors", recorded(MatchCache.vectors))
         result = run_discovery(collection, config, threads=1)
         assert len(copied) >= sum(c.retrieval_reused for c in result.match_counts) > 0
@@ -797,8 +814,8 @@ class TestMatchCache:
         (replace(RANK_SPEC, seed=101), Config(iterations=3)),
     ])
     def test_every_match_runs_inside_a_phase(self, spec, config, monkeypatch):
-        # retrieval matches inside update_network and saliency inside
-        # relocalize_video, the two phases a traced run times by name
+        # retrieval and saliency tables are both matched inside update_network,
+        # which a traced run times by name, and relocalization matches none
         collection, _, _ = generate_collection(spec)
         phases: list[str] = []
         calls: Counter = Counter()
@@ -818,7 +835,7 @@ class TestMatchCache:
                             in_phase("relocalization", discovery.relocalize_video))
         self._record_matches(monkeypatch, lambda *_args: calls.update(phases[-1:] or ["none"]))
         run_discovery(collection, config, threads=1)
-        assert set(calls) == {"retrieval", "relocalization"}
+        assert set(calls) == {"retrieval"}
 
     def test_the_small_run_matches_retrieval_tables(self, small):
         # so a failing frame_similarity reaches a two-worker run's caller
@@ -858,13 +875,13 @@ class TestRetrievalReuseKey:
         collection, config, key_frame_count = small
         state = run_discovery(collection, config, threads=1).snapshots[0]
         contained = _contained(collection, state)
-        workers = Workers(RunInputs(collection, config, {}))
+        workers = Workers(RunInputs(collection, config))
         cache = MatchCache()
         update_network(state, contained, workers, cache)
         cross = key_frame_count ** 2 - sum(
             len(key_frames(video, config.keyframe_stride)) ** 2
             for video in collection.videos.values())
-        assert cache.take_counts() == (cross, 0)
+        assert cache.counts[-2] == (cross, 0)  # retrieval's, before saliency's
 
         # reverse the saliencies within each pool: rankings change, sets do not
         pools = self._pools(collection, config, state, contained)
@@ -880,8 +897,8 @@ class TestRetrievalReuseKey:
                    for ref, rows in pools.items())
         assert any(new_pools[ref].tolist() != rows.tolist() for ref, rows in pools.items())
         graph = update_network(reordered, contained, workers, cache)
-        assert cache.take_counts() == (0, cross)
-        assert graph == update_network(reordered, contained, workers)
+        assert cache.counts[-2] == (0, cross)
+        assert graph == update_network(reordered, contained, workers, MatchCache())
 
         # one key frame loses a pool row: its row and column are matched again
         (vid, kf), rows = next((ref, rows) for ref, rows in pools.items() if rows.size > 1)
@@ -891,8 +908,8 @@ class TestRetrievalReuseKey:
         graph = update_network(reordered, shrunk, workers, cache)
         other_video = key_frame_count - len(key_frames(collection.videos[vid],
                                                        config.keyframe_stride))
-        assert cache.take_counts() == (2 * other_video, cross - 2 * other_video)
-        assert graph == update_network(reordered, shrunk, workers)
+        assert cache.counts[-2] == (2 * other_video, cross - 2 * other_video)
+        assert graph == update_network(reordered, shrunk, workers, MatchCache())
 
 
 @pytest.mark.parametrize("seed", range(101, 111))
@@ -912,7 +929,7 @@ def test_row_order_pools_rank_as_rank_order_pools(seed, monkeypatch):
         return rank(refs, similarity, k)
 
     monkeypatch.setattr(discovery, "_rank_neighbors", captured)
-    update_network(state, contained, Workers(RunInputs(collection, config, {})), MatchCache())
+    update_network(state, contained, Workers(RunInputs(collection, config)), MatchCache())
     [similarity] = ranked
     expected = rank_order_similarity(state, contained, collection, config)
     refs = key_frame_refs(collection, config.keyframe_stride)

@@ -22,6 +22,7 @@ from tubeloc.matching import (
     BANDWIDTHS,
     LOG_SCALE_CENTERS,
     TRANSLATION_CENTERS,
+    affinity_matrix,
     appearance_confidence,
     frame_saliencies,
     match_confidences,
@@ -55,6 +56,16 @@ class TestAffinity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             appearance_affinity(np.zeros(3), np.zeros(4), 1.0)
+
+    def test_overflowing_exponent_vanishes(self):
+        # at gamma 1e308 every squared distance above about 1.8 overflows
+        # -gamma * d to -inf, whose exp is the limit 0; the finite products
+        # keep their exp bit for bit
+        descs = np.array([[0.0, 0.0], [1e-154, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        got = affinity_matrix(descs, descs, 1e308)
+        d = ((descs[:, None, :] - descs[None, :, :]) ** 2).sum(axis=2).tolist()
+        assert got.tolist() == [[math.exp(-1e308 * x) for x in row] for row in d]
+        assert got[0, 1] == math.exp(-1e308 * 1e-308) and got[2, 3] == 0.0
 
 
 class TestGeometryLikelihood:

@@ -195,18 +195,17 @@ class TestVideoTrackIndex:
             Track(0, 0, 0, np.array([[1.0, 1.0], [2.0, 2.0]])),
             Track(1, 1, 1, np.array([[5.0, 5.0], [6.0, 6.0]])),
         ]
-        index = VideoTrackIndex(Video("v", 3, {}, tracks))
-        assert [index.at(t)[0].size for t in (0, 1, 2, 99)] == [1, 2, 1, 0]
-        labels, xy = index.at(1)
+        at, _shared = VideoTrackIndex(Video("v", 3, {}, tracks)).scan([0, 1, 2, 99])
+        assert [labels.size for labels, _xy in at] == [1, 2, 1, 0]
+        labels, xy = at[1]
         assert labels.tolist() == [0, 1]
         assert xy.tolist() == [[2.0, 2.0], [5.0, 5.0]]
-        assert index.at(99)[1].shape == (0, 2)
+        assert at[3][1].shape == (0, 2)
 
     def test_no_tracks(self):
-        index = VideoTrackIndex(Video("v", 3, {}, []))
-        labels, xy = index.at(0)
+        [(labels, xy), _], [shared] = VideoTrackIndex(Video("v", 3, {}, [])).scan([0, 2])
         assert labels.size == 0 and xy.shape == (0, 2)
-        assert [p.shape for p in index.shared(0, 2)] == [(0, 2), (0, 2)]
+        assert [p.shape for p in shared] == [(0, 2), (0, 2)]
 
     def test_matches_per_track_loops(self):
         rng = np.random.default_rng(8)
@@ -219,11 +218,13 @@ class TestVideoTrackIndex:
                                 rng.uniform(0, 100, size=(length, 2))))
         video = Video("v", num_frames, {}, tracks)
         index = VideoTrackIndex(video)
-        for a in range(-1, num_frames + 1):
-            labels, xy = index.at(a)
+        frames = list(range(-1, num_frames + 1))
+        at, _shared = index.scan(frames)
+        for a, (labels, xy) in zip(frames, at):
             alive = [tr for tr in tracks if tr.start_frame <= a < tr.start_frame + len(tr.points)]
             assert labels.tolist() == [tr.cluster_label for tr in alive]
             np.testing.assert_array_equal(xy, shared_track_points(video, a, a)[0])
-            for b in range(-1, num_frames + 1):
-                for got, want in zip(index.shared(a, b), shared_track_points(video, a, b)):
+            for b in frames:
+                [shared] = index.scan([a, b])[1]
+                for got, want in zip(shared, shared_track_points(video, a, b)):
                     np.testing.assert_array_equal(got, want)
