@@ -12,20 +12,22 @@ and a saliency adds a key frame's vectors against its neighbors, so after
 ranking the graph ``update_network`` also fetches the saliency vectors that
 graph's relocalization reads. The parent's ``MatchCache`` maps each exact
 input to its vector for the whole run, so a table is matched once whichever
-phase or iteration asks first.
+phase or iteration asks first. A frame pair's two directions are one table:
+swapping the frames transposes its scores up to float reassociation, so the
+table's column maxima answer the reverse key.
 
 Matching is numpy-heavy Python that holds the interpreter lock, so the
 tables are matched in processes: ``Workers`` forks its processes once per
 ``run_discovery`` call. They inherit the run's read-only inputs (collection,
-config), and each task sends one table's key and returns its vector; with
-one worker the same task runs inline. Relocalization runs in the parent and
-reads its vectors from the cache, so it matches nothing and outputs do not
-depend on the worker count. A key frame whose boxes did not change keeps its
-containment mask. Relocalization reads only the graph and the masks, so an
-iteration whose graph and masks equal its predecessor's would repeat its
-state, and every later iteration would repeat it too: the loop stops there
-without relocalizing (``DiscoveryResult.fixed_point``), and every iteration
-still has its snapshot.
+config), and each task sends one table's key and returns its two vectors;
+with one worker the same task runs inline. Relocalization runs in the
+parent and reads its vectors from the cache, so it matches nothing and
+outputs do not depend on the worker count. A key frame whose boxes did not
+change keeps its containment mask. Relocalization reads only the graph and
+the masks, so an iteration whose graph and masks equal its predecessor's
+would repeat its state, and every later iteration would repeat it too: the
+loop stops there without relocalizing (``DiscoveryResult.fixed_point``), and
+every iteration still has its snapshot.
 """
 
 from __future__ import annotations
@@ -75,8 +77,11 @@ class IterationState:
 
 
 class MatchCounts(NamedTuple):
-    """How many best-match vectors one iteration's retrieval and saliency
-    matched and copied from the run's ``MatchCache``; an empty pool is neither."""
+    """How many tables one iteration's retrieval and saliency matched, and how
+    many best-match vectors they copied from the run's ``MatchCache``, which
+    held them before; an empty pool is neither. A table matched for one key
+    also answers its reverse, so matched + reused can fall short of the keys
+    asked for."""
 
     iteration: int
     retrieval_matched: int
@@ -179,17 +184,19 @@ def retrieval_pool(frame: Frame, mask: np.ndarray, saliency_map: dict[int, float
 
 
 def frame_similarity(query_frame: Frame, query_rows: np.ndarray,
-                     cand_frame: Frame, cand_rows: np.ndarray, config: Config) -> np.ndarray:
+                     cand_frame: Frame, cand_rows: np.ndarray, config: Config
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Best match confidence of each query pool proposal against one candidate
-    frame's pool, both given as rows of their frame; the frames' similarity is
-    its sum.
+    frame's pool, and of each candidate pool proposal against the query pool,
+    both pools given as rows of their frame: the row and column maxima of one
+    ``match_confidences`` table. The frames' similarity is the first's sum.
 
     Either side having no usable proposals yields zeros.
     """
     if len(query_rows) == 0 or len(cand_rows) == 0:
-        return np.zeros(len(query_rows))
+        return np.zeros(len(query_rows)), np.zeros(len(cand_rows))
     _, scores = match_confidences(query_rows, cand_rows, query_frame, cand_frame, config)
-    return scores.max(axis=1)
+    return scores.max(axis=1), scores.max(axis=0)
 
 
 class RunInputs(NamedTuple):
@@ -244,8 +251,17 @@ class Workers:
 
 class MatchCache:
     """``match_confidences(rows_t, rows_u, frame_t, frame_u)[1].max(axis=1)`` by
-    (``match_side`` of t, of u), for every table the run matched; ``counts``
-    has the (matched, reused) vectors of each ``vectors`` call."""
+    (``match_side`` of t, of u), for every table the run matched, in both
+    directions; ``counts`` has the (tables matched, vectors reused) of each
+    ``vectors`` call.
+
+    A key and its reverse name one table: swapping the frames negates every
+    offset on a grid symmetric about 0, so the reverse scores are the table's
+    transpose up to the order of the float sums. The smaller key is matched,
+    its row maxima are kept under it and its column maxima under the reverse:
+    its vector equals a fresh match bit for bit, the reverse's up to float
+    reassociation.
+    """
 
     def __init__(self):
         self.tables = {}
@@ -253,15 +269,18 @@ class MatchCache:
 
     def vectors(self, keys: list, workers: Workers) -> dict:
         """Every key's vector, by key; ``workers`` match the tables not held,
-        one task per table."""
+        one task per unordered table. A key held before the call is reused."""
         missing = [key for key in keys if key not in self.tables]
-        self.counts.append((len(missing), len(keys) - len(missing)))
-        self.tables.update(zip(missing, workers.map(_best_match, missing)))
+        tables = list(dict.fromkeys(min(key, key[::-1]) for key in missing))
+        self.counts.append((len(tables), len(keys) - len(missing)))
+        for table, (rows, cols) in zip(tables, workers.map(_best_match, tables)):
+            self.tables[table[::-1]] = cols
+            self.tables[table] = rows  # a key that is its own reverse keeps its rows
         return {key: self.tables[key] for key in keys}
 
 
-def _best_match(inputs: RunInputs, key) -> np.ndarray:
-    """The best-match vector of a ``MatchCache`` key's table."""
+def _best_match(inputs: RunInputs, key) -> tuple[np.ndarray, np.ndarray]:
+    """The row and column best-match vectors of a ``MatchCache`` key's table."""
     (vid_t, kf_t, rows_t), (vid_u, kf_u, rows_u) = key
     videos = inputs.collection.videos
     return frame_similarity(videos[vid_t].frames[kf_t], np.frombuffer(rows_t, dtype=np.intp),
@@ -331,10 +350,11 @@ class VideoMotion(NamedTuple):
 def motion_scores(video: Video, kfs: list[int]) -> VideoMotion:
     """Motion coherence of every proposal of the given key frames, plus the
     points of the tracks shared by each pair of consecutive key frames."""
-    at, shared = VideoTrackIndex(video).scan(kfs)
+    index = VideoTrackIndex(video, kfs)
     return VideoMotion(
-        {kf: motion_coherence_many(video.frames[kf].boxes, tracks) for kf, tracks in zip(kfs, at)},
-        dict(zip(zip(kfs, kfs[1:]), shared)),
+        {kf: motion_coherence_many(video.frames[kf].boxes, tracks)
+         for kf, tracks in zip(kfs, index.at)},
+        dict(zip(zip(kfs, kfs[1:]), index.shared)),
     )
 
 

@@ -10,32 +10,27 @@ GRID_CELLS = 5
 
 
 class VideoTrackIndex:
-    """A video's tracks as one column table, built once and read everywhere.
+    """A video's tracks read at the given frames, in one pass.
 
-    ``points`` concatenates every track's (x, y) rows in track order; track
-    ``i`` has cluster ``label[i]``, lives at frames ``start[i]`` through
-    ``end[i]`` and keeps its first point at row ``offset[i]``.
+    ``at`` holds each frame's ``(labels, xy)`` of the tracks alive there, in
+    track order, and ``shared`` each consecutive pair's points of the tracks
+    alive at both. Both come from one (frames, tracks) mask over the tracks'
+    column table: every track's (x, y) rows concatenated in track order.
     """
 
-    def __init__(self, video: Video):
+    def __init__(self, video: Video, frames: list[int]):
         tracks = video.tracks
         lengths = np.array([len(tr.points) for tr in tracks], dtype=np.intp)
-        self.start = np.array([tr.start_frame for tr in tracks], dtype=np.intp)
-        self.end = self.start + lengths - 1
-        self.offset = np.cumsum(lengths) - lengths
-        self.label = np.array([tr.cluster_label for tr in tracks], dtype=int)
-        self.points = np.concatenate([np.empty((0, 2))] + [tr.points for tr in tracks])
-
-    def scan(self, frames: list[int]) -> tuple[list, list]:
-        """``at`` of each of ``frames`` and ``shared`` of each consecutive pair,
-        from one (frames, tracks) mask of the tracks alive at each frame."""
+        start = np.array([tr.start_frame for tr in tracks], dtype=np.intp)
+        offset = np.cumsum(lengths) - lengths  # each track's first point row
+        label = np.array([tr.cluster_label for tr in tracks], dtype=int)
+        points = np.concatenate([np.empty((0, 2))] + [tr.points for tr in tracks])
         f = np.asarray(frames, dtype=np.intp)[:, None]
-        alive = (self.start <= f) & (f <= self.end)
-        rows = self.offset + (f - self.start)  # each track's point row at each frame
-        at = [(self.label[a], self.points[r[a]]) for a, r in zip(alive, rows)]
+        alive = (start <= f) & (f < start + lengths)
+        rows = offset + (f - start)  # each track's point row at each frame
+        self.at = [(label[a], points[r[a]]) for a, r in zip(alive, rows)]
         both = alive[:-1] & alive[1:]  # a track is alive at every frame between
-        return at, [(self.points[ra[b]], self.points[rb[b]])
-                    for b, ra, rb in zip(both, rows, rows[1:])]
+        self.shared = [(points[ra[b]], points[rb[b]]) for b, ra, rb in zip(both, rows, rows[1:])]
 
 
 def motion_coherence_many(boxes: np.ndarray, tracks: tuple[np.ndarray, np.ndarray]

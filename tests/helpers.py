@@ -85,12 +85,28 @@ def remove_choice(trellis: Trellis, regions: dict[int, int]) -> Trellis | None:
     return Trellis(trellis.video_id, trellis.frame_indices, ids, unary, pairwise)
 
 
-def recomputing_discovery(collection: Collection, config: Config) -> discovery.DiscoveryResult:
+class DirectedMatchCache(discovery.MatchCache):
+    """A ``MatchCache`` that matches every key it lacks as a table of its own:
+    both directions of a frame pair are matched, and each vector is a fresh
+    table's row maxima."""
+
+    def vectors(self, keys: list, workers: discovery.Workers) -> dict:
+        missing = [key for key in keys if key not in self.tables]
+        self.counts.append((len(missing), len(keys) - len(missing)))
+        self.tables.update((key, discovery._best_match(workers.inputs, key)[0])
+                           for key in missing)
+        return {key: self.tables[key] for key in keys}
+
+
+def recomputing_discovery(collection: Collection, config: Config,
+                          directed: bool = False) -> discovery.DiscoveryResult:
     """``run_discovery``'s loop with every iteration computed in full, at one
     worker: each iteration has a fresh match cache, so no match result is
     carried over from an earlier iteration, and the loop runs all
-    ``config.iterations`` iterations. It looks the discovery functions up on
-    their module, so a test can patch them."""
+    ``config.iterations`` iterations. With ``directed`` the cache is a
+    ``DirectedMatchCache``, which matches each direction of a frame pair
+    fresh. It looks the discovery functions up on their module, so a test
+    can patch them."""
     motion = {vid: discovery.motion_scores(video, key_frames(video, config.keyframe_stride))
               for vid, video in collection.videos.items()}
     workers = discovery.Workers(discovery.RunInputs(collection, config))
@@ -101,7 +117,7 @@ def recomputing_discovery(collection: Collection, config: Config) -> discovery.D
             (vid, kf): discovery.region_contained(collection.videos[vid].frames[kf], regions)
             for vid, by_kf in state.boxes.items() for kf, regions in by_kf.items()
         }
-        cache = discovery.MatchCache()
+        cache = DirectedMatchCache() if directed else discovery.MatchCache()
         graph = discovery.update_network(state, contained, workers, cache)
         num_tubes = 1 if iteration == config.iterations else config.p_tubes
         results = {vid: discovery.relocalize_video(video, graph, contained, collection,
@@ -119,6 +135,33 @@ def recomputing_discovery(collection: Collection, config: Config) -> discovery.D
                                      state.graph, snapshots)
 
 
+def recorded_requests(monkeypatch) -> list[list]:
+    """The keys of every ``MatchCache.vectors`` call made from now on, call by
+    call: a run makes two per iteration, retrieval's and then saliency's."""
+    requests: list[list] = []
+    vectors = discovery.MatchCache.vectors
+
+    def recorded(cache, keys, workers):
+        requests.append(list(keys))
+        return vectors(cache, keys, workers)
+
+    monkeypatch.setattr(discovery.MatchCache, "vectors", recorded)
+    return requests
+
+
+def unordered_counts(requests: list[list]) -> list[tuple[int, int]]:
+    """Per request of one match cache, (tables, reused): the distinct unordered
+    keys that no earlier request named in either direction, and the keys that
+    an earlier request did."""
+    held: set[frozenset] = set()
+    counts = []
+    for keys in requests:
+        tables = {frozenset(key) for key in keys} - held
+        counts.append((len(tables), sum(frozenset(key) in held for key in keys)))
+        held |= tables
+    return counts
+
+
 def rank_order_similarity(state: discovery.IterationState, contained: dict,
                           collection: Collection, config: Config) -> np.ndarray:
     """``update_network``'s (F, F) similarity matrix over ``key_frame_refs``,
@@ -133,7 +176,7 @@ def rank_order_similarity(state: discovery.IterationState, contained: dict,
     similarity = np.full((len(refs), len(refs)), np.nan)
     for q, c in np.argwhere([[rq[0] != rc[0] for rc in refs] for rq in refs]):
         similarity[q, c] = discovery.frame_similarity(frames[q], pools[q], frames[c], pools[c],
-                                                      config).sum()
+                                                      config)[0].sum()
     return similarity
 
 

@@ -139,8 +139,7 @@ def test_criterion_4_score_range_invariants(noise_free_bundle):
             pools = _bootstrap_pools(collection, cfg)
             for vid, video in collection.videos.items():
                 kfs = key_frames(video, cfg.keyframe_stride)
-                tracks_at, _shared = VideoTrackIndex(video).scan(kfs)
-                for kf, tracks in zip(kfs, tracks_at):
+                for kf, tracks in zip(kfs, VideoTrackIndex(video, kfs).at):
                     frame = video.frames[kf]
                     phi_a, _ = appearance_confidence(frame, pools[(vid, kf)], cfg)
                     assert np.all((phi_a >= 0.0) & (phi_a <= 1.0))

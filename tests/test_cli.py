@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import tubeloc.cli as cli
+from helpers import recorded_requests, unordered_counts
 from tubeloc.cli import main
 from tubeloc.formats import box_record, load_collection
 
@@ -249,10 +250,11 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("iterations, fixed_point", [(3, None), (5, 3)])
     def test_manifest_records_fixed_point_and_match_counts(self, tiny_collection, tmp_path,
-                                                           iterations, fixed_point):
+                                                           monkeypatch, iterations, fixed_point):
         # the tiny collection repeats iteration 2 in iteration 3, which is a
         # fixed point only when iteration 3 is not the last
         out = tmp_path / "res"
+        requests = recorded_requests(monkeypatch)
         assert main(["run", "--collection", str(tiny_collection / "manifest.jsonl"),
                      "--out", str(out), "--iterations", str(iterations), "--k", "4",
                      "--p", "2", "--threads", "1"]) == 0
@@ -260,9 +262,14 @@ class TestRunCommand:
         assert manifest["fixed_point"] == fixed_point
         counts = manifest["match_counts"]
         assert [c["iteration"] for c in counts] == [1, 2, 3]
-        assert counts[0] == {"iteration": 1, "retrieval_matched": 0, "retrieval_reused": 0,
-                             "saliency_matched": 32, "saliency_reused": 0}
-        assert counts[2]["saliency_matched"] == 0 and counts[2]["saliency_reused"] == 32
+        # tables matched: the distinct unordered keys no earlier request named
+        expected = unordered_counts(requests)
+        assert [tuple(c.values()) for c in counts] == [
+            (i // 2 + 1, *expected[i], *expected[i + 1]) for i in range(0, len(expected), 2)]
+        assert counts[0]["retrieval_matched"] == counts[0]["retrieval_reused"] == 0
+        assert counts[0]["saliency_matched"] > 0
+        assert counts[2]["saliency_matched"] == 0
+        assert counts[2]["saliency_reused"] == len(requests[5]) > 0
 
     def test_missing_manifest_exits_one(self, tmp_path, capsys):
         code = main(["run", "--collection", str(tmp_path / "nope.jsonl"),

@@ -93,9 +93,9 @@ def test_empty_retrieval_pools_score_zero_and_are_not_cached(threads):
     for (vid, _kf), entries in graph.neighbors.items():
         for (nvid, _nkf), similarity in entries:
             assert (similarity == 0.0) == (empty in (vid, nvid))
-    # retrieval matched only the pairs between the two videos with pools, and
-    # the cache keeps no table with an empty side
-    pairs = 2 * kfs[list(collection.videos)[0]] * kfs[list(collection.videos)[1]]
+    # retrieval matched one table per unordered pair of key frames of the two
+    # videos with pools, and the cache keeps no table with an empty side
+    pairs = kfs[list(collection.videos)[0]] * kfs[list(collection.videos)[1]]
     assert cache.counts[0] == (pairs, 0)  # retrieval's, before saliency's
     assert all(side[2] for key in cache.tables for side in key)
     with Workers(RunInputs(collection, config), 1) as workers:

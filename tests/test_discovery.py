@@ -14,9 +14,12 @@ import tubeloc.matching as matching
 from helpers import (
     basis_vec,
     make_frame,
+    rand_frame,
     rank_order_similarity,
     recomputing_discovery,
+    recorded_requests,
     union_area_exact,
+    unordered_counts,
 )
 from tubeloc.discovery import (
     CONTAINMENT_RATIO,
@@ -275,16 +278,34 @@ class TestFrameSimilarity:
         twin = make_frame("t", proposals=[Proposal(0, Box(50, 50, 60, 60), basis_vec(4, 0))])
         ortho = make_frame("o", proposals=[Proposal(0, Box(50, 50, 60, 60), basis_vec(4, 1))])
         row = np.array([0])
-        sim_twin = frame_similarity(query, row, twin, row, cfg).sum()
-        sim_ortho = frame_similarity(query, row, ortho, row, cfg).sum()
+        sim_twin = frame_similarity(query, row, twin, row, cfg)[0].sum()
+        sim_ortho = frame_similarity(query, row, ortho, row, cfg)[0].sum()
         assert sim_twin > sim_ortho > 0
 
     def test_empty_side_scores_zero(self):
         cfg = Config()
         frame = make_frame(proposals=[Proposal(0, Box(0, 0, 10, 10), basis_vec(4, 0))])
         none, row = np.array([], dtype=int), np.array([0])
-        assert frame_similarity(frame, none, frame, row, cfg).tolist() == []
-        assert frame_similarity(frame, row, frame, none, cfg).tolist() == [0.0]
+        for rows_t, rows_u in [(none, row), (row, none)]:
+            best_t, best_u = frame_similarity(frame, rows_t, frame, rows_u, cfg)
+            assert best_t.tolist() == [0.0] * rows_t.size
+            assert best_u.tolist() == [0.0] * rows_u.size
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_column_maxima_are_the_reverse_tables_row_maxima(self, seed):
+        # swapping the frames negates every offset on a grid symmetric about
+        # 0: the same scores, summed in another order
+        rng = np.random.default_rng(seed)
+        frame_t, frame_u = rand_frame(rng, "t", 12), rand_frame(rng, "u", 9)
+        rows_t, rows_u = np.array([0, 3, 4, 7, 11]), np.arange(1, 9)
+        cfg = Config()
+        best_t, best_u = frame_similarity(frame_t, rows_t, frame_u, rows_u, cfg)
+        reverse_u, reverse_t = frame_similarity(frame_u, rows_u, frame_t, rows_t, cfg)
+        _, scores = match_confidences(rows_t, rows_u, frame_t, frame_u, cfg)
+        assert best_t.tobytes() == scores.max(axis=1).tobytes()
+        assert best_u.tobytes() == scores.max(axis=0).tobytes()
+        np.testing.assert_allclose(best_u, reverse_u, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(best_t, reverse_t, rtol=1e-12, atol=0)
 
     def test_outside_proposals_do_not_change_pool(self):
         frame = make_frame(proposals=[
@@ -726,27 +747,33 @@ class TestReuse:
         monkeypatch.setattr(discovery, "update_network", tracked_update)
         monkeypatch.setattr(discovery, "match_confidences", counted_match)
         monkeypatch.setattr(matching, "match_confidences", counted_match)
+        requests = recorded_requests(monkeypatch)
         config = Config(iterations=5)
         recomputing_discovery(collection, config)
-        # 40 key frames x 10 neighbors for saliency, 40 x 35 other-video key
-        # frames for retrieval; 60 saliency tables are that iteration's
-        # retrieval tables
-        assert calls == {1: 400, 2: 1740, 3: 1740, 4: 1740, 5: 1740}
+        # each iteration asks for 40 x 35 other-video key frames for
+        # retrieval (none in iteration 1) and 40 key frames x 10 neighbors for
+        # saliency; its fresh cache matches each unordered key once
+        assert [len(keys) for keys in requests] == [0, 400] + [1400, 400] * 4
+        per_iteration = [requests[i:i + 2] for i in range(0, len(requests), 2)]
+        assert calls == Counter({i: sum(n for n, _ in unordered_counts(pair))
+                                 for i, pair in enumerate(per_iteration, 1)})
         calls.clear()
+        requests.clear()
         result = run_discovery(collection, config, threads=1)
-        # iteration 2 copies 60 saliency vectors from its own retrieval tables
-        # and 13 from iteration 1; iteration 3's retrieval pools equal
-        # iteration 2's as sets, and its graph and masks repeat, so it matches
-        # nothing and is not relocalized
-        assert calls == {1: 400, 2: 1727}
+        # one cache for the run: a table is matched once, whichever
+        # iteration, phase or direction asks first; iteration 3's retrieval
+        # pools equal iteration 2's as sets, and its graph and masks repeat,
+        # so it matches nothing and is not relocalized
+        assert [len(keys) for keys in requests] == [0, 400, 1400, 400, 1400, 400]
+        counts = unordered_counts(requests)
+        assert [(c.retrieval_matched, c.retrieval_reused, c.saliency_matched, c.saliency_reused)
+                for c in result.match_counts] == [
+            (*counts[i], *counts[i + 1]) for i in range(0, len(counts), 2)]
         assert result.fixed_point == 3
         assert [calls[c.iteration] for c in result.match_counts] == [
             c.retrieval_matched + c.saliency_matched for c in result.match_counts]
         last = result.match_counts[-1]
         assert last.iteration == 3 and last.retrieval_matched == last.saliency_matched == 0
-        assert all(c.retrieval_matched + c.retrieval_reused == (0 if c.iteration == 1 else 1400)
-                   and c.saliency_matched + c.saliency_reused == 400
-                   for c in result.match_counts)
 
 
 # tall-shaped: half-margin descriptor noise, short videos, 4 videos per class
@@ -754,8 +781,10 @@ RANK_SPEC = SynthSpec(videos_per_class=4, frames_per_video=41, descriptor_noise=
 
 
 class TestMatchCache:
-    """One cache serves retrieval and saliency: every vector it hands out is
-    the best-match vector its key's table would give if matched again."""
+    """One cache serves retrieval and saliency, and one table both directions
+    of a frame pair: every vector it hands out is the best-match vector its
+    key's table would give if matched again, bit for bit for the direction
+    that was matched and up to float reassociation for the other."""
 
     @pytest.mark.parametrize("spec, config", [
         (SMALL_SPEC, SMALL_CONFIG),
@@ -775,13 +804,25 @@ class TestMatchCache:
         monkeypatch.setattr(MatchCache, "vectors", recorded(MatchCache.vectors))
         result = run_discovery(collection, config, threads=1)
         assert len(copied) >= sum(c.retrieval_reused for c in result.match_counts) > 0
-        for ((vid_t, kf_t, rows_t), (vid_u, kf_u, rows_u)), vector in copied:
-            frame_t = collection.videos[vid_t].frames[kf_t]
-            frame_u = collection.videos[vid_u].frames[kf_u]
-            fresh = match_confidences(np.frombuffer(rows_t, dtype=np.intp),
-                                      np.frombuffer(rows_u, dtype=np.intp),
-                                      frame_t, frame_u, config)[1].max(axis=1)
-            assert vector.dtype == fresh.dtype and vector.tobytes() == fresh.tobytes()
+
+        def scores(key):
+            (vid_t, kf_t, rows_t), (vid_u, kf_u, rows_u) = key
+            return match_confidences(np.frombuffer(rows_t, dtype=np.intp),
+                                     np.frombuffer(rows_u, dtype=np.intp),
+                                     collection.videos[vid_t].frames[kf_t],
+                                     collection.videos[vid_u].frames[kf_u], config)[1]
+
+        reversed_keys = 0
+        for key, vector in copied:
+            fresh = scores(key).max(axis=1)
+            assert vector.dtype == fresh.dtype
+            if key == min(key, key[::-1]):  # the direction that was matched
+                assert vector.tobytes() == fresh.tobytes()
+            else:
+                reversed_keys += 1
+                assert vector.tobytes() == scores(key[::-1]).max(axis=0).tobytes()
+                np.testing.assert_allclose(vector, fresh, rtol=1e-12, atol=0)
+        assert reversed_keys > 0
 
     @staticmethod
     def _record_matches(monkeypatch, record) -> None:
@@ -797,17 +838,21 @@ class TestMatchCache:
 
     def test_no_table_is_matched_twice_in_a_run(self, monkeypatch):
         # bench tall at seed 102: a cache that dropped the tables of all but
-        # the current and the previous iteration matched one again in iteration 3
+        # the current and the previous iteration matched one again in
+        # iteration 3; a frame pair's two directions are one table
         collection, _, _ = generate_collection(
             SynthSpec(videos_per_class=8, frames_per_video=41, descriptor_noise=0.11, seed=102))
         tables = []
         self._record_matches(monkeypatch, lambda rows_t, rows_u, frame_t, frame_u: tables.append(
-            (matching.match_side(frame_t, rows_t), matching.match_side(frame_u, rows_u))))
+            frozenset([matching.match_side(frame_t, rows_t),
+                       matching.match_side(frame_u, rows_u)])))
+        requests = recorded_requests(monkeypatch)
         result = run_discovery(collection, Config(iterations=3), threads=1)
         assert len(result.match_counts) == 3
         assert len(tables) == sum(c.retrieval_matched + c.saliency_matched
                                   for c in result.match_counts)
         assert [table for table, n in Counter(tables).items() if n > 1] == []
+        assert set(tables) == {frozenset(key) for keys in requests for key in keys}
 
     @pytest.mark.parametrize("spec, config", [
         (SMALL_SPEC, SMALL_CONFIG),
@@ -881,7 +926,8 @@ class TestRetrievalReuseKey:
         cross = key_frame_count ** 2 - sum(
             len(key_frames(video, config.keyframe_stride)) ** 2
             for video in collection.videos.values())
-        assert cache.counts[-2] == (cross, 0)  # retrieval's, before saliency's
+        # retrieval's, before saliency's: a pair's two directions are one table
+        assert cache.counts[-2] == (cross // 2, 0)
 
         # reverse the saliencies within each pool: rankings change, sets do not
         pools = self._pools(collection, config, state, contained)
@@ -900,7 +946,8 @@ class TestRetrievalReuseKey:
         assert cache.counts[-2] == (0, cross)
         assert graph == update_network(reordered, contained, workers, MatchCache())
 
-        # one key frame loses a pool row: its row and column are matched again
+        # one key frame loses a pool row: its row and column are matched
+        # again, one table per other-video key frame
         (vid, kf), rows = next((ref, rows) for ref, rows in pools.items() if rows.size > 1)
         shrunk = dict(contained)
         shrunk[vid, kf] = contained[vid, kf].copy()
@@ -908,7 +955,7 @@ class TestRetrievalReuseKey:
         graph = update_network(reordered, shrunk, workers, cache)
         other_video = key_frame_count - len(key_frames(collection.videos[vid],
                                                        config.keyframe_stride))
-        assert cache.counts[-2] == (2 * other_video, cross - 2 * other_video)
+        assert cache.counts[-2] == (other_video, cross - 2 * other_video)
         assert graph == update_network(reordered, shrunk, workers, MatchCache())
 
 
@@ -937,3 +984,29 @@ def test_row_order_pools_rank_as_rank_order_pools(seed, monkeypatch):
         _neighbor_refs(_rank_neighbors(refs, expected, config.k_neighbors))
     assert np.array_equal(np.isnan(similarity), np.isnan(expected))
     assert np.nanmax(np.abs(similarity - expected)) <= 1e-12 * np.nanmax(np.abs(expected))
+
+
+@pytest.mark.parametrize("seed", range(101, 111))
+def test_transposed_tables_rank_as_tables_matched_per_direction(seed):
+    # a reverse key's vector is the column maxima of its frame pair's table,
+    # which reassociates the reverse table's sums; no near tie between
+    # neighbors or proposals may flip
+    collection, _, _ = generate_collection(replace(RANK_SPEC, seed=seed))
+    config = Config(iterations=3)
+    result = run_discovery(collection, config, threads=1)
+    oracle = recomputing_discovery(collection, config, directed=True)
+    assert {vid: sol.tube.regions for vid, sol in result.tubes.items()} == \
+        {vid: sol.tube.regions for vid, sol in oracle.tubes.items()}
+    for got, expected in zip(result.snapshots, oracle.snapshots, strict=True):
+        assert _neighbor_refs(got.graph) == _neighbor_refs(expected.graph)
+        assert got.boxes == expected.boxes
+        assert {vid: [sol.tube.regions for sol in sols] for vid, sols in got.tubes.items()} == \
+            {vid: [sol.tube.regions for sol in sols] for vid, sols in expected.tubes.items()}
+        similarity = [s for entries in got.graph.neighbors.values() for _n, s in entries]
+        reference = [s for entries in expected.graph.neighbors.values() for _n, s in entries]
+        np.testing.assert_allclose(similarity, reference, rtol=1e-12, atol=0)
+        saliency = [s for by_kf in got.saliency.values() for by_id in by_kf.values()
+                    for s in by_id.values()]
+        reference = [s for by_kf in expected.saliency.values() for by_id in by_kf.values()
+                     for s in by_id.values()]
+        np.testing.assert_allclose(saliency, reference, rtol=1e-12, atol=0)

@@ -459,7 +459,9 @@ class TestAnyFieldValue:
         # a loaded frame has a finite, positive size, and every loaded id
         # fits the int64 arrays that scoring reads
         for video in collection.videos.values():
-            assert VideoTrackIndex(video).label.size == len(video.tracks)
+            at = VideoTrackIndex(video, list(range(video.num_frames))).at
+            assert sum(labels.size for labels, _xy in at) == sum(len(tr.points)
+                                                                 for tr in video.tracks)
             for frame in video.frames.values():
                 frame.bounds_box()
                 assert frame.ids.size == len(frame.proposals)

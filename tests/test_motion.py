@@ -195,7 +195,7 @@ class TestVideoTrackIndex:
             Track(0, 0, 0, np.array([[1.0, 1.0], [2.0, 2.0]])),
             Track(1, 1, 1, np.array([[5.0, 5.0], [6.0, 6.0]])),
         ]
-        at, _shared = VideoTrackIndex(Video("v", 3, {}, tracks)).scan([0, 1, 2, 99])
+        at = VideoTrackIndex(Video("v", 3, {}, tracks), [0, 1, 2, 99]).at
         assert [labels.size for labels, _xy in at] == [1, 2, 1, 0]
         labels, xy = at[1]
         assert labels.tolist() == [0, 1]
@@ -203,7 +203,8 @@ class TestVideoTrackIndex:
         assert at[3][1].shape == (0, 2)
 
     def test_no_tracks(self):
-        [(labels, xy), _], [shared] = VideoTrackIndex(Video("v", 3, {}, [])).scan([0, 2])
+        index = VideoTrackIndex(Video("v", 3, {}, []), [0, 2])
+        [(labels, xy), _], [shared] = index.at, index.shared
         assert labels.size == 0 and xy.shape == (0, 2)
         assert [p.shape for p in shared] == [(0, 2), (0, 2)]
 
@@ -217,14 +218,13 @@ class TestVideoTrackIndex:
             tracks.append(Track(tid, int(rng.integers(0, 4)), start,
                                 rng.uniform(0, 100, size=(length, 2))))
         video = Video("v", num_frames, {}, tracks)
-        index = VideoTrackIndex(video)
         frames = list(range(-1, num_frames + 1))
-        at, _shared = index.scan(frames)
+        at = VideoTrackIndex(video, frames).at
         for a, (labels, xy) in zip(frames, at):
             alive = [tr for tr in tracks if tr.start_frame <= a < tr.start_frame + len(tr.points)]
             assert labels.tolist() == [tr.cluster_label for tr in alive]
             np.testing.assert_array_equal(xy, shared_track_points(video, a, a)[0])
             for b in frames:
-                [shared] = index.scan([a, b])[1]
+                [shared] = VideoTrackIndex(video, [a, b]).shared
                 for got, want in zip(shared, shared_track_points(video, a, b)):
                     np.testing.assert_array_equal(got, want)
