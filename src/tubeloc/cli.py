@@ -125,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, help=f"output directory (or ${OUT_DIR_ENV})")
     p_run.add_argument("--config", default=None, help="JSON config file; flags override")
     p_run.add_argument("--threads", type=int, default=1,
-                       help="worker processes for the parallel phases, forked once per "
-                            "run; more than 1 needs a platform with fork (default: 1)")
+                       help="worker threads that match the large tables of proposal "
+                            "pairs; outputs do not depend on it (default: 1)")
     p_run.add_argument("--snapshots", action="store_true",
                        help="write per-iteration tubes and graph snapshots")
     _add_config_flags(p_run)

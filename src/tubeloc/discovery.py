@@ -10,33 +10,32 @@ vectors: of ``rows_t`` of frame t against ``rows_u`` of frame u, each
 proposal's best match confidence. A retrieval similarity is one vector's sum,
 and a saliency adds a key frame's vectors against its neighbors, so after
 ranking the graph ``update_network`` also fetches the saliency vectors that
-graph's relocalization reads. The parent's ``MatchCache`` maps each exact
+graph's relocalization reads. The run's ``MatchCache`` maps each exact
 input to its vector for the whole run, so a table is matched once whichever
 phase or iteration asks first. A frame pair's two directions are one table:
 swapping the frames transposes its scores up to float reassociation, so the
 table's column maxima answer the reverse key.
 
-Matching is numpy-heavy Python that holds the interpreter lock, so the
-tables are matched in processes: ``Workers`` forks its processes once per
-``run_discovery`` call. They inherit the run's read-only inputs (collection,
-config), and each task sends one table's key and returns its two vectors;
-with one worker the same task runs inline. Relocalization runs in the
-parent and reads its vectors from the cache, so it matches nothing and
-outputs do not depend on the worker count. A key frame whose boxes did not
-change keeps its containment mask. Relocalization reads only the graph and
-the masks, so an iteration whose graph and masks equal its predecessor's
-would repeat its state, and every later iteration would repeat it too: the
-loop stops there without relocalizing (``DiscoveryResult.fixed_point``), and
-every iteration still has its snapshot.
+Each table is one pure numpy job. ``Workers`` starts its threads once per
+``run_discovery`` call and hands them the tables of at least
+``THREADED_PAIRS`` proposal pairs; the caller matches the rest inline, since
+a small table holds the interpreter lock for most of its run. Every thread
+reads the run's collection and config, and none writes them.
+Relocalization runs in the caller and reads its vectors from the cache, so
+it matches nothing and outputs do not depend on the worker count. A key
+frame whose boxes did not change keeps its containment mask. Relocalization
+reads only the graph and the masks, so an iteration whose graph and masks
+equal its predecessor's would repeat its state, and every later iteration
+would repeat it too: the loop stops there without relocalizing
+(``DiscoveryResult.fixed_point``), and every iteration still has its
+snapshot.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -63,6 +62,12 @@ from .solver import Trellis, TubeSolution, build_trellis, solve_p_best
 # A proposal counts as lying inside the localized regions when at least this
 # share of its area is covered by their union.
 CONTAINMENT_RATIO = 0.9
+
+# A table of at least this many proposal pairs is matched on a worker thread.
+# A smaller one holds the interpreter lock for most of its run, so it is
+# matched inline: on two cores, threads that take every table made the
+# acceptance collection slower than one worker.
+THREADED_PAIRS = 1000
 
 
 @dataclass
@@ -206,40 +211,27 @@ class RunInputs(NamedTuple):
     config: Config
 
 
-_worker_inputs: RunInputs | None = None  # set in each forked worker process
-
-
-def _inherit_inputs(inputs: RunInputs) -> None:
-    global _worker_inputs
-    _worker_inputs = inputs
-
-
-def _run_in_worker(task, arg):
-    return task(_worker_inputs, arg)
-
-
 class Workers:
-    """Runs a module-level ``task(inputs, arg)`` over a list of args, results in
-    order.
+    """Matches the tables of ``MatchCache`` keys for one run.
 
-    With one worker the tasks run inline. With more, ``count`` processes are
-    forked once, at the first ``map``, and inherit ``inputs``, so a task sends
-    only its arg and result; leaving the ``with`` block ends them. Fork, not
-    spawn, so that the inputs are neither pickled nor loaded again; a worker
-    sees the module's functions as they were at the fork.
+    With ``count`` > 1, ``count`` threads take the tables of at least
+    ``THREADED_PAIRS`` proposal pairs while the caller matches the smaller
+    ones; leaving the ``with`` block ends the threads.
     """
 
     def __init__(self, inputs: RunInputs, count: int = 1):
         self.inputs = inputs
-        self.count = count
-        self._pool = None if count == 1 else ProcessPoolExecutor(
-            count, multiprocessing.get_context("fork"), _inherit_inputs, (inputs,))
+        self._pool = None if count == 1 else ThreadPoolExecutor(count)
 
-    def map(self, task, args: list) -> list:
-        if self._pool is None:
-            return [task(self.inputs, arg) for arg in args]
-        chunk = max(1, -(-len(args) // (4 * self.count)))  # a few per worker balance the load
-        return list(self._pool.map(partial(_run_in_worker, task), args, chunksize=chunk))
+    def match(self, tables: list) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``_best_match`` of each table, in order."""
+        pooled = {} if self._pool is None else {
+            table: self._pool.submit(_best_match, self.inputs, table)
+            for table in tables if _pairs(table) >= THREADED_PAIRS}
+        inline = {table: _best_match(self.inputs, table)
+                  for table in tables if table not in pooled}
+        return [pooled[table].result() if table in pooled else inline[table]
+                for table in tables]
 
     def __enter__(self) -> Workers:
         return self
@@ -273,7 +265,7 @@ class MatchCache:
         missing = [key for key in keys if key not in self.tables]
         tables = list(dict.fromkeys(min(key, key[::-1]) for key in missing))
         self.counts.append((len(tables), len(keys) - len(missing)))
-        for table, (rows, cols) in zip(tables, workers.map(_best_match, tables)):
+        for table, (rows, cols) in zip(tables, workers.match(tables)):
             self.tables[table[::-1]] = cols
             self.tables[table] = rows  # a key that is its own reverse keeps its rows
         return {key: self.tables[key] for key in keys}
@@ -286,6 +278,12 @@ def _best_match(inputs: RunInputs, key) -> tuple[np.ndarray, np.ndarray]:
     return frame_similarity(videos[vid_t].frames[kf_t], np.frombuffer(rows_t, dtype=np.intp),
                             videos[vid_u].frames[kf_u], np.frombuffer(rows_u, dtype=np.intp),
                             inputs.config)
+
+
+def _pairs(key) -> int:
+    """The proposal pairs of a ``MatchCache`` key's table."""
+    (_, _, rows_t), (_, _, rows_u) = key
+    return len(rows_t) * len(rows_u) // np.dtype(np.intp).itemsize ** 2
 
 
 def update_network(state: IterationState, contained: dict[FrameRef, np.ndarray],
@@ -440,11 +438,9 @@ def relocalize_video(video: Video, graph: NeighborGraph,
 
 
 def check_threads(threads: int) -> None:
-    """A worker count ``run_discovery`` accepts: at least 1, and 1 without fork."""
+    """A worker count ``run_discovery`` accepts: at least 1."""
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
-    if threads > 1 and "fork" not in multiprocessing.get_all_start_methods():
-        raise ValidationError(f"threads must be 1 on a platform without fork, got {threads}")
 
 
 def check_objective_bound(collection: Collection, config: Config) -> None:
@@ -470,9 +466,9 @@ def run_discovery(collection: Collection, config: Config, threads: int = 1
 
     Every iteration except the last carries ``p_tubes`` tubes per video for
     robustness; the last keeps a single one. ``threads`` is the number of
-    worker processes (see ``Workers``), at most one per key frame; more than
-    one needs the ``fork`` start method. Deterministic for a given
-    (collection, config) regardless of the worker count.
+    worker threads (see ``Workers``), at most one per key frame.
+    Deterministic for a given (collection, config) regardless of the worker
+    count.
 
     Each table is matched once per run, and the loop stops at the first
     iteration that repeats its predecessor (see the module docstring). The
@@ -486,7 +482,7 @@ def run_discovery(collection: Collection, config: Config, threads: int = 1
     check_objective_bound(collection, config)
     refs = key_frame_refs(collection, config.keyframe_stride)
     frames = {(vid, kf): collection.videos[vid].frames[kf] for vid, kf in refs}
-    build_columns(frames.values())  # the workers fork with the scorers' columns built
+    build_columns(frames.values())  # before the threads, so that none builds a frame's columns
 
     motion = {vid: motion_scores(video, key_frames(video, config.keyframe_stride))
               for vid, video in collection.videos.items()}
@@ -499,8 +495,7 @@ def run_discovery(collection: Collection, config: Config, threads: int = 1
     counts: list[MatchCounts] = []
     fixed_point = None
     moved = []  # (mask before, mask after) of each key frame whose boxes last changed
-    # each worker is a process: at most one per key frame bounds them by the
-    # collection's size
+    # at most one thread per key frame bounds them by the collection's size
     with Workers(RunInputs(collection, config), min(threads, len(refs))) as workers:
         for iteration in range(1, config.iterations + 1):
             graph = update_network(state, contained, workers, cache)

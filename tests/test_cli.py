@@ -2,7 +2,6 @@ import builtins
 import hashlib
 import io
 import json
-import multiprocessing
 import os
 import shutil
 import sys
@@ -529,17 +528,6 @@ class TestRunCommand:
             outputs.append([(out / name).read_bytes()
                             for name in ("tubes.jsonl", "neighbors.jsonl")])
         assert outputs[0] == outputs[1] == outputs[2]
-
-    def test_threads_without_fork_exits_one(self, tiny_collection, tmp_path, capsys,
-                                            monkeypatch):
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        code = main(["run", "--collection", str(tiny_collection / "manifest.jsonl"),
-                     "--out", str(tmp_path / "o"), "--threads", "2"])
-        assert code == 1
-        assert "threads must be 1 on a platform without fork" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-        assert main(["run", "--collection", str(tiny_collection / "manifest.jsonl"),
-                     "--out", str(tmp_path / "o"), "--iterations", "1", "--threads", "1"]) == 0
 
     def test_huge_declared_length_fails_in_bounded_memory(self, tiny_collection, tmp_path,
                                                           capsys):

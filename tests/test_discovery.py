@@ -1,7 +1,10 @@
 import math
 import multiprocessing
 import os
+import sys
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -38,7 +41,7 @@ from tubeloc.discovery import (
     run_discovery,
     update_network,
 )
-from tubeloc.matching import appearance_confidence, match_confidences
+from tubeloc.matching import appearance_confidence, match_confidences, match_side
 from tubeloc.model import (
     Box,
     Collection,
@@ -602,8 +605,23 @@ class TestComputeOnce:
             assert np.array_equal(fresh.unary[t], reused.unary[t])
 
 
+# Its saliency tables of 44 x 44 proposal pairs reach THREADED_PAIRS, while
+# retrieval pools of at most 20 proposals stay below it.
+LARGE_SPEC = SynthSpec(videos_per_class=1, frames_per_video=41, num_distractors=40)
+LARGE_CONFIG = Config(iterations=2)
+
+
+@pytest.fixture(scope="module")
+def large():
+    collection, _, _ = generate_collection(LARGE_SPEC)
+    key_frame_count = sum(len(key_frames(video, LARGE_CONFIG.keyframe_stride))
+                          for video in collection.videos.values())
+    return collection, LARGE_CONFIG, key_frame_count
+
+
 class TestWorkers:
-    """``threads`` > 1 forks one process pool per run."""
+    """``threads`` > 1 starts one thread pool per run, which matches the tables
+    of at least ``THREADED_PAIRS`` proposal pairs; the caller matches the rest."""
 
     @pytest.fixture
     def forks(self, monkeypatch):
@@ -620,30 +638,67 @@ class TestWorkers:
         monkeypatch.setattr(os, "fork", counted_fork)
         return pids
 
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """The threads started while the test runs."""
+        threads = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: threads.append(thread) or start(thread))
+        return threads
+
+    @pytest.fixture
+    def matched_on(self, monkeypatch):
+        """The thread of each ``_best_match`` call while the test runs."""
+        threads = []
+        best_match = discovery._best_match
+
+        def recorded(inputs, key):
+            threads.append(threading.current_thread())
+            return best_match(inputs, key)
+
+        monkeypatch.setattr(discovery, "_best_match", recorded)
+        return threads
+
     @pytest.mark.parametrize("threads,iterations", [(2, 1), (2, 3), (3, 3)])
-    def test_one_fork_per_worker_per_run(self, small, forks, threads, iterations):
+    def test_run_forks_no_process(self, small, forks, threads, iterations):
         collection, config, _ = small
         run_discovery(collection, replace(config, iterations=iterations), threads=threads)
-        assert len(forks) == threads
+        assert forks == []
         assert multiprocessing.active_children() == []
 
-    def test_no_more_workers_than_key_frames(self, small, forks):
-        # a run forks at most one worker per key frame
-        collection, config, key_frame_count = small
-        assert key_frame_count == 8
+    def test_no_more_workers_than_key_frames(self, large, forks, started, matched_on):
+        # a run starts at most one thread per key frame, and none outlives it;
+        # a short switch interval interleaves the threads as densely as it can
+        collection, config, key_frame_count = large
+        assert key_frame_count < 12
         baseline = run_discovery(collection, config, threads=1)
-        result = run_discovery(collection, config, threads=12)
-        assert len(forks) == key_frame_count
-        assert multiprocessing.active_children() == []
+        assert started == []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            result = run_discovery(collection, config, threads=12)
+        finally:
+            sys.setswitchinterval(interval)
+        assert forks == []
+        assert 0 < len(started) <= key_frame_count
+        assert not any(thread.is_alive() for thread in started)
+        assert set(matched_on) - {threading.main_thread()} <= set(started)
         assert result.tubes == baseline.tubes
         assert result.graph == baseline.graph
 
     @pytest.mark.parametrize("task", ["frame_similarity", "relocalize_video"])
-    def test_worker_error_reaches_caller(self, small, monkeypatch, task):
-        # patched before the run, so the forked workers inherit the patch
-        collection, config, _ = small
+    def test_worker_error_reaches_caller(self, large, monkeypatch, started, task):
+        # matching fails on a pool thread, relocalization in the caller
+        collection, config, _ = large
+        original = getattr(discovery, task)
+        failed_on = []
 
-        def fail(*_args, **_kwargs):
+        def fail(*args, **kwargs):
+            on_main = threading.current_thread() is threading.main_thread()
+            if task == "frame_similarity" and on_main:
+                return original(*args, **kwargs)
+            failed_on.append(on_main)
             raise ValidationError("no good", locus="v.frames.jsonl:7")
 
         monkeypatch.setattr(discovery, task, fail)
@@ -651,23 +706,59 @@ class TestWorkers:
             run_discovery(collection, config, threads=2)
         assert str(err.value) == "v.frames.jsonl:7: no good"
         assert err.value.locus == "v.frames.jsonl:7"
-        assert multiprocessing.active_children() == []
+        assert failed_on and set(failed_on) == {task == "relocalize_video"}
+        assert not any(thread.is_alive() for thread in started)
 
-    def test_workers_only_match_tables(self, small, monkeypatch):
-        # tracking runs in the parent: no relocalization crosses the process
-        # boundary, and every cross-video match goes to the workers
-        collection, config, _ = small
+    def test_workers_only_match_tables(self, large, monkeypatch):
+        # tracking runs in the caller: the pool threads run nothing but table
+        # matches
+        collection, config, _ = large
         tasks = []
-        original = Workers.map
+        submit = ThreadPoolExecutor.submit
 
-        def recorded(workers, task, args):
+        def recorded(pool, task, *args):
             tasks.append(task)
-            return original(workers, task, args)
+            return submit(pool, task, *args)
 
-        monkeypatch.setattr(Workers, "map", recorded)
-        result = run_discovery(collection, config, threads=2)
-        assert len(tasks) == 2 * len(result.match_counts)
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", recorded)
+        run_discovery(collection, config, threads=2)
+        assert tasks
         assert set(tasks) == {discovery._best_match}
+
+    def test_mixed_tables_keep_key_order(self, large, matched_on):
+        # pooled and inline tables interleaved in one call come back in order
+        collection, config, _ = large
+        video_a, video_b = collection.videos.values()
+        frame_a, frame_b = video_a.frames[0], video_b.frames[20]
+        whole = match_side(frame_a, np.arange(len(frame_a.proposals)))
+        tables = [(whole, match_side(frame_b, np.arange(n))) for n in (40, 3, 30, 1, 2, 44)]
+        assert [discovery._pairs(t) >= discovery.THREADED_PAIRS for t in tables] == \
+            [True, False, True, False, False, True]
+        expected = Workers(RunInputs(collection, config)).match(tables)
+        matched_on.clear()
+        with Workers(RunInputs(collection, config), 2) as workers:
+            got = workers.match(tables)
+        assert set(matched_on) - {threading.main_thread()}
+        assert threading.main_thread() in matched_on
+        for (rows, cols), (rows_1, cols_1) in zip(got, expected, strict=True):
+            assert np.array_equal(rows, rows_1) and np.array_equal(cols, cols_1)
+
+    def test_same_results_on_both_sides_of_the_cut(self, large, matched_on):
+        collection, config, _ = large
+        baseline = run_discovery(collection, config, threads=1)
+        assert set(matched_on) == {threading.main_thread()}
+        for threads in (2, 3):
+            matched_on.clear()
+            result = run_discovery(collection, config, threads=threads)
+            assert threading.main_thread() in matched_on
+            assert set(matched_on) != {threading.main_thread()}
+            assert result.tubes == baseline.tubes
+            assert result.graph == baseline.graph
+            assert result.match_counts == baseline.match_counts
+            for got, expected in zip(result.snapshots, baseline.snapshots, strict=True):
+                assert got.tubes == expected.tubes
+                assert got.boxes == expected.boxes
+                assert got.saliency == expected.saliency
 
 
 class TestReuse:
