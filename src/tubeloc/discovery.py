@@ -10,19 +10,20 @@ vectors: of ``rows_t`` of frame t against ``rows_u`` of frame u, each
 proposal's best match confidence. A retrieval similarity is one vector's sum,
 and a saliency adds a key frame's vectors against its neighbors, so after
 ranking the graph ``update_network`` also fetches the saliency vectors that
-graph's relocalization reads. The run's ``MatchCache`` maps each exact
-input to its vector for the whole run, so a table is matched once whichever
-phase or iteration asks first. A frame pair's two directions are one table:
-swapping the frames transposes its scores up to float reassociation, so the
-table's column maxima answer the reverse key.
+graph's relocalization reads. The run's ``MatchCache`` is its one match
+service: it maps each exact input to its vector for the whole run, so a
+table is matched once whichever phase or iteration asks first. A frame
+pair's two directions are one table: swapping the frames transposes its
+scores up to float reassociation, so the table's column maxima answer the
+reverse key.
 
-Each table is one pure numpy job. ``Workers`` starts its threads once per
+Each table is one pure numpy job. The cache starts its threads once per
 ``run_discovery`` call and hands them the tables of at least
 ``THREADED_PAIRS`` proposal pairs; the caller matches the rest inline, since
 a small table holds the interpreter lock for most of its run. Every thread
 reads the run's collection and config, and none writes them.
 Relocalization runs in the caller and reads its vectors from the cache, so
-it matches nothing and outputs do not depend on the worker count. A key
+it matches nothing and outputs do not depend on the thread count. A key
 frame whose boxes did not change keeps its containment mask. Relocalization
 reads only the graph and the masks, so an iteration whose graph and masks
 equal its predecessor's would repeat its state, and every later iteration
@@ -41,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .consistency import consistency_matrix
-from .matching import appearance_confidence, match_confidences, match_side
+from .matching import appearance_confidence, match_confidences, match_side, saliency_keys
 from .model import (
     Box,
     Collection,
@@ -53,6 +54,7 @@ from .model import (
     ValidationError,
     Video,
     build_columns,
+    check_integer,
     check_key_frames,
     key_frames,
 )
@@ -204,48 +206,16 @@ def frame_similarity(query_frame: Frame, query_rows: np.ndarray,
     return scores.max(axis=1), scores.max(axis=0)
 
 
-class RunInputs(NamedTuple):
-    """What every task of one ``run_discovery`` call reads and none changes."""
-
-    collection: Collection
-    config: Config
-
-
-class Workers:
-    """Matches the tables of ``MatchCache`` keys for one run.
-
-    With ``count`` > 1, ``count`` threads take the tables of at least
-    ``THREADED_PAIRS`` proposal pairs while the caller matches the smaller
-    ones; leaving the ``with`` block ends the threads.
-    """
-
-    def __init__(self, inputs: RunInputs, count: int = 1):
-        self.inputs = inputs
-        self._pool = None if count == 1 else ThreadPoolExecutor(count)
-
-    def match(self, tables: list) -> list[tuple[np.ndarray, np.ndarray]]:
-        """``_best_match`` of each table, in order."""
-        pooled = {} if self._pool is None else {
-            table: self._pool.submit(_best_match, self.inputs, table)
-            for table in tables if _pairs(table) >= THREADED_PAIRS}
-        inline = {table: _best_match(self.inputs, table)
-                  for table in tables if table not in pooled}
-        return [pooled[table].result() if table in pooled else inline[table]
-                for table in tables]
-
-    def __enter__(self) -> Workers:
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
-
-
 class MatchCache:
-    """``match_confidences(rows_t, rows_u, frame_t, frame_u)[1].max(axis=1)`` by
-    (``match_side`` of t, of u), for every table the run matched, in both
-    directions; ``counts`` has the (tables matched, vectors reused) of each
-    ``vectors`` call.
+    """The run's one match service: ``match_confidences(rows_t, rows_u, frame_t,
+    frame_u)[1].max(axis=1)`` by (``match_side`` of t, of u), for every table
+    the run matched, in both directions; ``counts`` has the (tables matched,
+    vectors reused) of each ``vectors`` call.
+
+    It reads the run's collection and config, and owns its threads: with
+    ``threads`` > 1, that many threads take the tables of at least
+    ``THREADED_PAIRS`` proposal pairs while the caller matches the smaller
+    ones, and leaving the ``with`` block ends them.
 
     A key and its reverse name one table: swapping the frames negates every
     offset on a grid symmetric about 0, so the reverse scores are the table's
@@ -255,29 +225,44 @@ class MatchCache:
     reassociation.
     """
 
-    def __init__(self):
+    def __init__(self, collection: Collection, config: Config, threads: int = 1):
+        self.collection = collection
+        self.config = config
         self.tables = {}
         self.counts: list[tuple[int, int]] = []
+        self._pool = None if threads == 1 else ThreadPoolExecutor(threads)
 
-    def vectors(self, keys: list, workers: Workers) -> dict:
-        """Every key's vector, by key; ``workers`` match the tables not held,
-        one task per unordered table. A key held before the call is reused."""
+    def __enter__(self) -> MatchCache:
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+
+    def vectors(self, keys: list) -> dict:
+        """Every key's vector, by key; the tables not held are matched, one per
+        unordered table, the small ones inline while the threads take the
+        rest. A key held before the call is reused."""
         missing = [key for key in keys if key not in self.tables]
         tables = list(dict.fromkeys(min(key, key[::-1]) for key in missing))
         self.counts.append((len(tables), len(keys) - len(missing)))
-        for table, (rows, cols) in zip(tables, workers.match(tables)):
+        pooled = {} if self._pool is None else {
+            table: self._pool.submit(self._best_match, table)
+            for table in tables if _pairs(table) >= THREADED_PAIRS}
+        matched = [(table, self._best_match(table)) for table in tables if table not in pooled]
+        matched += [(table, future.result()) for table, future in pooled.items()]
+        for table, (rows, cols) in matched:
             self.tables[table[::-1]] = cols
             self.tables[table] = rows  # a key that is its own reverse keeps its rows
         return {key: self.tables[key] for key in keys}
 
-
-def _best_match(inputs: RunInputs, key) -> tuple[np.ndarray, np.ndarray]:
-    """The row and column best-match vectors of a ``MatchCache`` key's table."""
-    (vid_t, kf_t, rows_t), (vid_u, kf_u, rows_u) = key
-    videos = inputs.collection.videos
-    return frame_similarity(videos[vid_t].frames[kf_t], np.frombuffer(rows_t, dtype=np.intp),
-                            videos[vid_u].frames[kf_u], np.frombuffer(rows_u, dtype=np.intp),
-                            inputs.config)
+    def _best_match(self, key) -> tuple[np.ndarray, np.ndarray]:
+        """The row and column best-match vectors of a key's table."""
+        (vid_t, kf_t, rows_t), (vid_u, kf_u, rows_u) = key
+        videos = self.collection.videos
+        return frame_similarity(videos[vid_t].frames[kf_t], np.frombuffer(rows_t, dtype=np.intp),
+                                videos[vid_u].frames[kf_u], np.frombuffer(rows_u, dtype=np.intp),
+                                self.config)
 
 
 def _pairs(key) -> int:
@@ -286,26 +271,40 @@ def _pairs(key) -> int:
     return len(rows_t) * len(rows_u) // np.dtype(np.intp).itemsize ** 2
 
 
+def neighbor_pools(ref: FrameRef, graph: NeighborGraph, contained: dict[FrameRef, np.ndarray],
+                   collection: Collection) -> list[tuple[Frame, np.ndarray]]:
+    """The pools key frame ``ref``'s saliency reads: each neighbor's frame and
+    the rows ``contained`` marks in it, in neighbor order, skipping the
+    neighbors with none."""
+    pools = []
+    for (nvid, nkf), _sim in graph.neighbors.get(ref, []):
+        rows = contained[nvid, nkf].nonzero()[0]  # a mask is 1-D: flatnonzero's rows, faster
+        if rows.size:
+            pools.append((collection.videos[nvid].frames[nkf], rows))
+    return pools
+
+
 def update_network(state: IterationState, contained: dict[FrameRef, np.ndarray],
-                   workers: Workers, cache: MatchCache) -> NeighborGraph:
-    """Re-rank each key frame's k matching neighbors among other videos, then
-    have ``cache`` hold the saliency vectors of the new graph.
+                   cache: MatchCache) -> NeighborGraph:
+    """Re-rank each key frame's k matching neighbors among other videos of the
+    run's collection, then have ``cache`` hold the saliency vectors of the new
+    graph.
 
     Iteration 0 falls back to signature-based bootstrap retrieval, which
     matches no table; later iterations match the localized-region proposal
     pools of frame pairs, which ``contained`` (the ``region_contained`` mask of
     each key frame for ``state.boxes``) selects; ``retrieval_pool`` picks each
     pool and matching receives it in row order. An entry's similarity is its
-    best-match vector's sum, 0 when a pool is empty. A saliency table is every
-    row of a key frame against a neighbor's non-empty contained rows, as
-    ``relocalize_video`` reads it. Retrieval and saliency each make one
-    ``cache.vectors`` call, whose ``workers`` match the tables it lacks.
+    best-match vector's sum, 0 when a pool is empty. The saliency tables are
+    the ``saliency_keys`` of each key frame's ``neighbor_pools``, as
+    ``relocalize_video`` reads them. Retrieval and saliency each make one
+    ``cache.vectors`` call, which matches the tables the cache lacks.
     """
-    collection, config = workers.inputs
+    collection, config = cache.collection, cache.config
     refs = key_frame_refs(collection, config.keyframe_stride)
     frames = [collection.videos[vid].frames[kf] for vid, kf in refs]
     if state.iteration == 0:
-        cache.vectors([], workers)  # counts retrieval's (0, 0)
+        cache.vectors([])  # counts retrieval's (0, 0)
         graph = bootstrap_neighbors(collection, config.k_neighbors, config.keyframe_stride)
     else:
         # in row order: a similarity depends on the pool's set, not its ranking
@@ -318,22 +317,16 @@ def update_network(state: IterationState, contained: dict[FrameRef, np.ndarray],
         similarity = np.where(cross, 0.0, np.nan)
         sized = np.array([pool.size > 0 for pool in pools])
         wanted = cross & sized[:, None] & sized[None, :]
-        found = cache.vectors([(sides[q], sides[c]) for q, c in np.argwhere(wanted).tolist()],
-                              workers)
+        found = cache.vectors([(sides[q], sides[c]) for q, c in np.argwhere(wanted).tolist()])
         for q, cols in enumerate(map(np.flatnonzero, wanted)):
             if cols.size:  # a row's sums at once: the same as each vector's own sum
                 similarity[q, cols] = np.array([found[sides[q], sides[c]]
                                                 for c in cols]).sum(axis=1)
         graph = _rank_neighbors(refs, similarity, config.k_neighbors)
 
-    neighbor_sides = {ref: match_side(frame, np.flatnonzero(contained[ref]))
-                      for ref, frame in zip(refs, frames)}
-    keys = []
-    for ref, frame in zip(refs, frames):
-        whole = match_side(frame, np.arange(len(frame.proposals)))
-        keys += [(whole, neighbor_sides[n]) for n, _sim in graph.neighbors[ref]
-                 if contained[n].any()]
-    cache.vectors(keys, workers)
+    cache.vectors([key for ref, frame in zip(refs, frames)
+                   for key in saliency_keys(frame, neighbor_pools(ref, graph, contained,
+                                                                  collection))])
     return graph
 
 
@@ -416,14 +409,8 @@ def relocalize_video(video: Video, graph: NeighborGraph,
     frame.
     """
     kfs = key_frames(video, config.keyframe_stride)
-    pools_by_kf: dict[int, list[tuple[Frame, np.ndarray]]] = {}
-    for kf in kfs:
-        pools = []
-        for (nvid, nkf), _sim in graph.neighbors.get((video.video_id, kf), []):
-            pool = np.flatnonzero(contained[nvid, nkf])
-            if pool.size:
-                pools.append((collection.videos[nvid].frames[nkf], pool))
-        pools_by_kf[kf] = pools
+    pools_by_kf = {kf: neighbor_pools((video.video_id, kf), graph, contained, collection)
+                   for kf in kfs}
 
     trellis, saliency_maps = build_video_trellis(video, pools_by_kf, config, motion, vectors)
     solutions = solve_p_best(trellis, num_tubes, config.lambda_)
@@ -438,7 +425,8 @@ def relocalize_video(video: Video, graph: NeighborGraph,
 
 
 def check_threads(threads: int) -> None:
-    """A worker count ``run_discovery`` accepts: at least 1."""
+    """A thread count ``run_discovery`` accepts: an integer of at least 1."""
+    check_integer("threads", threads)
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
 
@@ -465,10 +453,10 @@ def run_discovery(collection: Collection, config: Config, threads: int = 1
     """Alternate retrieval and relocalization; keep the best tube per video.
 
     Every iteration except the last carries ``p_tubes`` tubes per video for
-    robustness; the last keeps a single one. ``threads`` is the number of
-    worker threads (see ``Workers``), at most one per key frame.
-    Deterministic for a given (collection, config) regardless of the worker
-    count.
+    robustness; the last keeps a single one. The run's ``MatchCache`` matches
+    every table, on at most ``threads`` threads of its own and at most one
+    per key frame. Deterministic for a given (collection, config) regardless
+    of the thread count.
 
     Each table is matched once per run, and the loop stops at the first
     iteration that repeats its predecessor (see the module docstring). The
@@ -491,14 +479,13 @@ def run_discovery(collection: Collection, config: Config, threads: int = 1
     contained = {ref: region_contained(frame, state.boxes[ref[0]][ref[1]])
                  for ref, frame in frames.items()}
     snapshots: list[IterationState] = []
-    cache = MatchCache()
     counts: list[MatchCounts] = []
     fixed_point = None
     moved = []  # (mask before, mask after) of each key frame whose boxes last changed
     # at most one thread per key frame bounds them by the collection's size
-    with Workers(RunInputs(collection, config), min(threads, len(refs))) as workers:
+    with MatchCache(collection, config, min(threads, len(refs))) as cache:
         for iteration in range(1, config.iterations + 1):
-            graph = update_network(state, contained, workers, cache)
+            graph = update_network(state, contained, cache)
             counts.append(MatchCounts(iteration, *cache.counts[-2], *cache.counts[-1]))
             if graph == state.graph and all(np.array_equal(a, b) for a, b in moved):
                 # relocalization reads only the graph and the masks, so it would repeat

@@ -115,29 +115,35 @@ def match_side(frame: Frame, rows) -> tuple:
     return frame.video_id, frame.frame_index, np.asarray(rows, dtype=np.intp).tobytes()
 
 
+def saliency_keys(frame: Frame, pools) -> list[tuple]:
+    """The key of each table a saliency of ``frame`` adds: every row of the
+    frame against each (neighbor frame, pool rows) of ``pools``, in order."""
+    side = match_side(frame, np.arange(len(frame.proposals)))
+    return [(side, match_side(neighbor_frame, rows)) for neighbor_frame, rows in pools]
+
+
 def frame_saliencies(frame: Frame, neighbor_pools, config: Config,
                      vectors: dict | None = None) -> np.ndarray:
     """Per proposal, the sum over neighbor frames of its best match confidence.
 
     ``neighbor_pools`` is a non-empty list of (neighbor frame, non-empty pool),
     each pool given as rows of the neighbor frame or as its ``Proposal``
-    records. ``vectors`` maps (``match_side`` of this frame's rows, of a pool)
-    to that table's best-match vector: a table it holds is not matched, and
-    one it lacks is matched and not kept. The vectors are added in neighbor
-    order from zeros, so a copied vector leaves the sum bit for bit the same.
+    records. ``vectors`` maps each ``saliency_keys`` key to that table's
+    best-match vector: a table it holds is not matched, and one it lacks is
+    matched and not kept. The vectors are added in neighbor order from zeros,
+    so a copied vector leaves the sum bit for bit the same.
     """
     if len(neighbor_pools) == 0:
         raise ValueError("neighbor pool list is empty")
     vectors = {} if vectors is None else vectors
+    pools = [(neighbor_frame, pool if isinstance(pool, np.ndarray)
+              else neighbor_frame.rows([p.id for p in pool]))
+             for neighbor_frame, pool in neighbor_pools]
+    if any(pool.size == 0 for _, pool in pools):
+        raise ValueError("neighbor proposal pool is empty")
     rows = np.arange(len(frame.proposals))
-    side = match_side(frame, rows)
     saliency = np.zeros(rows.size)
-    for neighbor_frame, pool in neighbor_pools:
-        if len(pool) == 0:
-            raise ValueError("neighbor proposal pool is empty")
-        if not isinstance(pool, np.ndarray):
-            pool = neighbor_frame.rows([p.id for p in pool])
-        key = side, match_side(neighbor_frame, pool)
+    for (neighbor_frame, pool), key in zip(pools, saliency_keys(frame, pools)):
         if (best := vectors.get(key)) is None:
             best = match_confidences(rows, pool, frame, neighbor_frame, config)[1].max(axis=1)
         saliency += best

@@ -225,6 +225,12 @@ class NeighborGraph:
     neighbors: dict[FrameRef, list[tuple[FrameRef, float]]] = field(default_factory=dict)
 
 
+def check_integer(name: str, value) -> None:
+    """Reject a value that is not an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 class Params:
     """Base of the parameter dataclasses: the JSON codec, whose keys are the
     field names with a trailing underscore dropped (``lambda``), and the
@@ -253,8 +259,7 @@ class Params:
             key = name.rstrip("_")
             value = getattr(self, name)
             if isinstance(spec.default, int):
-                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                    raise ValidationError(f"{key} must be an integer, got {value!r}")
+                check_integer(key, value)
             elif isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValidationError(f"{key} must be a number, got {value!r}")
             else:

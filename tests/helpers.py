@@ -9,8 +9,18 @@ from itertools import combinations
 import numpy as np
 
 from tubeloc import discovery
-from tubeloc.model import Box, Collection, Config, Frame, Proposal, Track, Video, key_frames
-from tubeloc.solver import Trellis
+from tubeloc.model import (
+    Box,
+    Collection,
+    Config,
+    Frame,
+    NeighborGraph,
+    Proposal,
+    Track,
+    Video,
+    key_frames,
+)
+from tubeloc.solver import Trellis, solve_p_best
 
 
 def basis_vec(dim: int, axis: int) -> np.ndarray:
@@ -85,16 +95,24 @@ def remove_choice(trellis: Trellis, regions: dict[int, int]) -> Trellis | None:
     return Trellis(trellis.video_id, trellis.frame_indices, ids, unary, pairwise)
 
 
+def move_out_of_frame(video: Video, stride: int) -> None:
+    """Move every key-frame proposal of ``video`` half out of its frame, so
+    the whole-frame regions of the first iteration contain none of them."""
+    for kf in key_frames(video, stride):
+        for proposal in video.frames[kf].proposals:
+            box = proposal.box
+            proposal.box = Box(-box.width / 2, box.y_min, box.width, box.height)
+
+
 class DirectedMatchCache(discovery.MatchCache):
     """A ``MatchCache`` that matches every key it lacks as a table of its own:
     both directions of a frame pair are matched, and each vector is a fresh
     table's row maxima."""
 
-    def vectors(self, keys: list, workers: discovery.Workers) -> dict:
+    def vectors(self, keys: list) -> dict:
         missing = [key for key in keys if key not in self.tables]
         self.counts.append((len(missing), len(keys) - len(missing)))
-        self.tables.update((key, discovery._best_match(workers.inputs, key)[0])
-                           for key in missing)
+        self.tables.update((key, self._best_match(key)[0]) for key in missing)
         return {key: self.tables[key] for key in keys}
 
 
@@ -109,7 +127,6 @@ def recomputing_discovery(collection: Collection, config: Config,
     can patch them."""
     motion = {vid: discovery.motion_scores(video, key_frames(video, config.keyframe_stride))
               for vid, video in collection.videos.items()}
-    workers = discovery.Workers(discovery.RunInputs(collection, config))
     state = discovery.initialize_state(collection, config)
     snapshots = []
     for iteration in range(1, config.iterations + 1):
@@ -117,8 +134,8 @@ def recomputing_discovery(collection: Collection, config: Config,
             (vid, kf): discovery.region_contained(collection.videos[vid].frames[kf], regions)
             for vid, by_kf in state.boxes.items() for kf, regions in by_kf.items()
         }
-        cache = DirectedMatchCache() if directed else discovery.MatchCache()
-        graph = discovery.update_network(state, contained, workers, cache)
+        cache = (DirectedMatchCache if directed else discovery.MatchCache)(collection, config)
+        graph = discovery.update_network(state, contained, cache)
         num_tubes = 1 if iteration == config.iterations else config.p_tubes
         results = {vid: discovery.relocalize_video(video, graph, contained, collection,
                                                    config, num_tubes, motion[vid], cache.tables)
@@ -135,15 +152,91 @@ def recomputing_discovery(collection: Collection, config: Config,
                                      state.graph, snapshots)
 
 
+def reference_discovery(collection: Collection, config: Config
+                        ) -> tuple[list[discovery.IterationState], list[dict]]:
+    """The method of ``run_discovery`` without its shortcuts: no match cache,
+    a retrieval similarity per ordered frame pair on the pools in rank order,
+    containment masks recomputed every iteration, saliencies matched afresh
+    by ``build_video_trellis``, and every iteration computed.
+
+    Returns each iteration's state and its full ranking: per key frame, every
+    key frame of another video with its similarity, in rank order."""
+    stride = config.keyframe_stride
+    refs = discovery.key_frame_refs(collection, stride)
+    frames = {(vid, kf): collection.videos[vid].frames[kf] for vid, kf in refs}
+    state = discovery.initialize_state(collection, config)
+    snapshots, rankings = [], []
+    for iteration in range(1, config.iterations + 1):
+        contained = {ref: discovery.region_contained(frame, state.boxes[ref[0]][ref[1]])
+                     for ref, frame in frames.items()}
+        if iteration == 1:
+            ranking = discovery.bootstrap_neighbors(collection, len(refs), stride).neighbors
+        else:
+            pools = {ref: discovery.retrieval_pool(frame, contained[ref],
+                                                   state.saliency[ref[0]][ref[1]],
+                                                   config.retrieval_proposals)
+                     for ref, frame in frames.items()}
+            ranking = {}
+            for q in refs:
+                scored = [(c, float(discovery.frame_similarity(
+                              frames[q], pools[q], frames[c], pools[c], config)[0].sum()))
+                          for c in refs if c[0] != q[0]]
+                ranking[q] = sorted(scored, key=lambda entry: (-entry[1], entry[0]))
+        rankings.append(ranking)
+        graph = NeighborGraph({q: entries[:config.k_neighbors] for q, entries in ranking.items()})
+        num_tubes = 1 if iteration == config.iterations else config.p_tubes
+        tubes, saliency, boxes = {}, {}, {}
+        for vid, video in collection.videos.items():
+            pools_by_kf = {kf: [(frames[n], np.flatnonzero(contained[n]))
+                                for n, _sim in graph.neighbors[vid, kf] if contained[n].any()]
+                           for kf in key_frames(video, stride)}
+            trellis, saliency[vid] = discovery.build_video_trellis(video, pools_by_kf, config)
+            tubes[vid] = solve_p_best(trellis, num_tubes, config.lambda_)
+            boxes[vid] = {kf: [video.frames[kf].proposal_by_id(sol.tube.regions[kf]).box
+                               for sol in tubes[vid]]
+                          for kf in pools_by_kf}
+        state = discovery.IterationState(iteration=iteration, tubes=tubes, boxes=boxes,
+                                         saliency=saliency, graph=graph)
+        snapshots.append(state)
+    return snapshots, rankings
+
+
+def assert_same_as_reference(result: discovery.DiscoveryResult, reference: tuple,
+                             rtol: float = 1e-12) -> None:
+    """Every snapshot of ``result`` has the tube regions of the
+    ``reference_discovery`` output ``reference``, and its neighbor ranks and
+    saliencies within ``rtol``: at each rank, a neighbor whose similarity ties
+    with the reference's neighbor there within ``rtol`` is accepted in its
+    place."""
+    def close(a: float, b: float) -> bool:
+        return abs(a - b) <= rtol * max(abs(a), abs(b))
+
+    for got, expected, ranking in zip(result.snapshots, *reference, strict=True):
+        assert {vid: [sol.tube.regions for sol in sols] for vid, sols in got.tubes.items()} == \
+            {vid: [sol.tube.regions for sol in sols] for vid, sols in expected.tubes.items()}
+        assert got.graph.neighbors.keys() == ranking.keys()
+        for q, entries in got.graph.neighbors.items():
+            similarity_of = dict(ranking[q])
+            assert len(entries) == len(expected.graph.neighbors[q])
+            for (ref, similarity), (_, expected_similarity) in zip(entries, ranking[q]):
+                assert close(similarity, similarity_of[ref])
+                assert close(similarity_of[ref], expected_similarity)
+        for vid, by_kf in expected.saliency.items():
+            for kf, by_id in by_kf.items():
+                assert got.saliency[vid][kf].keys() == by_id.keys()
+                np.testing.assert_allclose(list(got.saliency[vid][kf].values()),
+                                           list(by_id.values()), rtol=rtol, atol=0)
+
+
 def recorded_requests(monkeypatch) -> list[list]:
     """The keys of every ``MatchCache.vectors`` call made from now on, call by
     call: a run makes two per iteration, retrieval's and then saliency's."""
     requests: list[list] = []
     vectors = discovery.MatchCache.vectors
 
-    def recorded(cache, keys, workers):
+    def recorded(cache, keys):
         requests.append(list(keys))
-        return vectors(cache, keys, workers)
+        return vectors(cache, keys)
 
     monkeypatch.setattr(discovery.MatchCache, "vectors", recorded)
     return requests

@@ -2,15 +2,9 @@
 
 import pytest
 
-from tubeloc.discovery import (
-    MatchCache,
-    RunInputs,
-    Workers,
-    region_contained,
-    run_discovery,
-    update_network,
-)
-from tubeloc.model import Box, Config, key_frames
+from helpers import move_out_of_frame
+from tubeloc.discovery import MatchCache, region_contained, run_discovery, update_network
+from tubeloc.model import Config, key_frames
 from tubeloc.synth import SynthSpec, generate_collection
 
 CASES = {
@@ -52,15 +46,6 @@ def test_degenerate_collection_completes(name):
     assert _outputs(run_discovery(collection, config, threads=2)) == _outputs(result)
 
 
-def _out_of_frame(video, stride: int) -> None:
-    """Move every key-frame proposal of ``video`` half out of its frame, so
-    the whole-frame regions of the first iteration contain none of them."""
-    for kf in key_frames(video, stride):
-        for proposal in video.frames[kf].proposals:
-            box = proposal.box
-            proposal.box = Box(-box.width / 2, box.y_min, box.width, box.height)
-
-
 def test_neighbors_with_empty_pools_complete():
     # two videos: in the first iteration every neighbor of the first video's
     # key frames is a key frame of the second, whose pool is empty
@@ -68,7 +53,7 @@ def test_neighbors_with_empty_pools_complete():
         SynthSpec(num_classes=1, videos_per_class=2, frames_per_video=41))
     config = Config(iterations=3)
     first, second = collection.videos.values()
-    _out_of_frame(second, config.keyframe_stride)
+    move_out_of_frame(second, config.keyframe_stride)
     result = run_discovery(collection, config, threads=1)
     saliency = result.snapshots[0].saliency[first.video_id]
     assert all(value == 0.0 for by_id in saliency.values() for value in by_id.values())
@@ -85,9 +70,8 @@ def test_empty_retrieval_pools_score_zero_and_are_not_cached(threads):
     contained = {(vid, kf): region_contained(collection.videos[vid].frames[kf], regions)
                  & (vid != empty)
                  for vid, by_kf in state.boxes.items() for kf, regions in by_kf.items()}
-    cache = MatchCache()
-    with Workers(RunInputs(collection, config), threads) as workers:
-        graph = update_network(state, contained, workers, cache)
+    with MatchCache(collection, config, threads) as cache:
+        graph = update_network(state, contained, cache)
     kfs = {vid: len(key_frames(video, config.keyframe_stride))
            for vid, video in collection.videos.items()}
     for (vid, _kf), entries in graph.neighbors.items():
@@ -98,5 +82,4 @@ def test_empty_retrieval_pools_score_zero_and_are_not_cached(threads):
     pairs = kfs[list(collection.videos)[0]] * kfs[list(collection.videos)[1]]
     assert cache.counts[0] == (pairs, 0)  # retrieval's, before saliency's
     assert all(side[2] for key in cache.tables for side in key)
-    with Workers(RunInputs(collection, config), 1) as workers:
-        assert update_network(state, contained, workers, MatchCache()) == graph
+    assert update_network(state, contained, MatchCache(collection, config)) == graph

@@ -15,20 +15,21 @@ from hypothesis import strategies as st
 import tubeloc.discovery as discovery
 import tubeloc.matching as matching
 from helpers import (
+    assert_same_as_reference,
     basis_vec,
     make_frame,
+    move_out_of_frame,
     rand_frame,
     rank_order_similarity,
     recomputing_discovery,
     recorded_requests,
+    reference_discovery,
     union_area_exact,
     unordered_counts,
 )
 from tubeloc.discovery import (
     CONTAINMENT_RATIO,
     MatchCache,
-    RunInputs,
-    Workers,
     _rank_neighbors,
     bootstrap_neighbors,
     build_video_trellis,
@@ -325,8 +326,7 @@ class TestUpdateNetwork:
         collection, _, _ = noise_free_bundle
         cfg = Config()
         state = initialize_state(collection, cfg)
-        graph = update_network(state, _contained(collection, state),
-                               Workers(RunInputs(collection, cfg)), MatchCache())
+        graph = update_network(state, _contained(collection, state), MatchCache(collection, cfg))
         expected = bootstrap_neighbors(collection, cfg.k_neighbors, cfg.keyframe_stride)
         assert graph.neighbors == expected.neighbors
 
@@ -341,8 +341,7 @@ class TestUpdateNetwork:
         collection, _, _ = noise_free_bundle
         cfg = Config(k_neighbors=1)
         state = initialize_state(collection, cfg)
-        graph = update_network(state, _contained(collection, state),
-                               Workers(RunInputs(collection, cfg)), MatchCache())
+        graph = update_network(state, _contained(collection, state), MatchCache(collection, cfg))
         assert all(len(v) == 1 for v in graph.neighbors.values())
 
     def test_equal_similarities_tie_break(self):
@@ -529,6 +528,18 @@ class TestPreconditions:
                                                   r"overflow a tube objective over 2 key frames$"):
             run_discovery(collection, replace(config, **weights))
 
+    # the rule of Config's integer fields: no bools, only integers
+    @pytest.mark.parametrize("threads", [None, "2", 2.5, True, 0])
+    def test_threads(self, small, no_scoring, threads):
+        collection, config, _ = small
+        with pytest.raises(ValidationError, match="^threads must be "):
+            run_discovery(collection, config, threads=threads)
+
+    def test_integer_threads_of_any_type(self, small):
+        collection, config, _ = small
+        assert run_discovery(collection, config, threads=np.int64(2)).tubes == \
+            run_discovery(collection, config).tubes
+
     def test_objective_bound_counts_key_frames(self, small):
         # one key frame per video: no pairwise term enters the objective
         collection, config, _ = small
@@ -620,8 +631,9 @@ def large():
 
 
 class TestWorkers:
-    """``threads`` > 1 starts one thread pool per run, which matches the tables
-    of at least ``THREADED_PAIRS`` proposal pairs; the caller matches the rest."""
+    """``threads`` > 1 has the run's ``MatchCache`` start one thread pool,
+    which matches the tables of at least ``THREADED_PAIRS`` proposal pairs;
+    the caller matches the rest."""
 
     @pytest.fixture
     def forks(self, monkeypatch):
@@ -649,15 +661,15 @@ class TestWorkers:
 
     @pytest.fixture
     def matched_on(self, monkeypatch):
-        """The thread of each ``_best_match`` call while the test runs."""
+        """The thread of each ``MatchCache._best_match`` call while the test runs."""
         threads = []
-        best_match = discovery._best_match
+        best_match = MatchCache._best_match
 
-        def recorded(inputs, key):
+        def recorded(cache, key):
             threads.append(threading.current_thread())
-            return best_match(inputs, key)
+            return best_match(cache, key)
 
-        monkeypatch.setattr(discovery, "_best_match", recorded)
+        monkeypatch.setattr(MatchCache, "_best_match", recorded)
         return threads
 
     @pytest.mark.parametrize("threads,iterations", [(2, 1), (2, 3), (3, 3)])
@@ -710,8 +722,8 @@ class TestWorkers:
         assert not any(thread.is_alive() for thread in started)
 
     def test_workers_only_match_tables(self, large, monkeypatch):
-        # tracking runs in the caller: the pool threads run nothing but table
-        # matches
+        # tracking runs in the caller: the pool threads run nothing but the
+        # cache's table matches
         collection, config, _ = large
         tasks = []
         submit = ThreadPoolExecutor.submit
@@ -723,25 +735,39 @@ class TestWorkers:
         monkeypatch.setattr(ThreadPoolExecutor, "submit", recorded)
         run_discovery(collection, config, threads=2)
         assert tasks
-        assert set(tasks) == {discovery._best_match}
+        assert {task.__func__ for task in tasks} == {MatchCache._best_match}
+        assert all(isinstance(task.__self__, MatchCache) for task in tasks)
 
     def test_mixed_tables_keep_key_order(self, large, matched_on):
-        # pooled and inline tables interleaved in one call come back in order
+        # pooled and inline tables interleaved in one vectors call land under
+        # their own keys, in both directions
         collection, config, _ = large
         video_a, video_b = collection.videos.values()
         frame_a, frame_b = video_a.frames[0], video_b.frames[20]
         whole = match_side(frame_a, np.arange(len(frame_a.proposals)))
-        tables = [(whole, match_side(frame_b, np.arange(n))) for n in (40, 3, 30, 1, 2, 44)]
-        assert [discovery._pairs(t) >= discovery.THREADED_PAIRS for t in tables] == \
+        keys = [(whole, match_side(frame_b, np.arange(n))) for n in (40, 3, 30, 1, 2, 44)]
+        assert [discovery._pairs(key) >= discovery.THREADED_PAIRS for key in keys] == \
             [True, False, True, False, False, True]
-        expected = Workers(RunInputs(collection, config)).match(tables)
+        keys += [key[::-1] for key in keys]
+        expected = MatchCache(collection, config).vectors(keys)
         matched_on.clear()
-        with Workers(RunInputs(collection, config), 2) as workers:
-            got = workers.match(tables)
+        with MatchCache(collection, config, 2) as cache:
+            got = cache.vectors(keys)
         assert set(matched_on) - {threading.main_thread()}
         assert threading.main_thread() in matched_on
-        for (rows, cols), (rows_1, cols_1) in zip(got, expected, strict=True):
-            assert np.array_equal(rows, rows_1) and np.array_equal(cols, cols_1)
+        assert list(got) == keys == list(expected)
+        for key in keys:
+            assert got[key].tobytes() == expected[key].tobytes()
+        # each key holds its own table's maxima: the row maxima of the
+        # direction matched, the column maxima under its reverse
+        for table in {min(key, key[::-1]) for key in keys}:
+            (vid_t, kf_t, rows_t), (vid_u, kf_u, rows_u) = table
+            fresh = match_confidences(np.frombuffer(rows_t, dtype=np.intp),
+                                      np.frombuffer(rows_u, dtype=np.intp),
+                                      collection.videos[vid_t].frames[kf_t],
+                                      collection.videos[vid_u].frames[kf_u], config)[1]
+            assert got[table].tobytes() == fresh.max(axis=1).tobytes()
+            assert got[table[::-1]].tobytes() == fresh.max(axis=0).tobytes()
 
     def test_same_results_on_both_sides_of_the_cut(self, large, matched_on):
         collection, config, _ = large
@@ -865,6 +891,60 @@ class TestReuse:
             c.retrieval_matched + c.saliency_matched for c in result.match_counts]
         last = result.match_counts[-1]
         assert last.iteration == 3 and last.retrieval_matched == last.saliency_matched == 0
+
+
+@st.composite
+def _reference_case(draw) -> tuple[SynthSpec, Config, bool]:
+    """2-4 videos of 1-3 key frames with 0-6 distractors each, and
+    k_neighbors, p_tubes, iterations and retrieval_proposals across their
+    ranges: a retrieval pool smaller than a frame's contained rows lets a
+    graph repeat while its masks change. Noise-free signatures tie every
+    bootstrap distance within a class, and the flag moves the last video's
+    proposals half out of frame, which empties its pools in iteration 1."""
+    videos = draw(st.integers(2, 4))
+    classes = draw(st.sampled_from([n for n in range(1, videos + 1) if videos % n == 0]))
+    key_frame_count = draw(st.integers(1, 3))
+    spec = SynthSpec(seed=draw(st.integers(0, 2 ** 16)), num_classes=classes,
+                     videos_per_class=videos // classes,
+                     frames_per_video=20 * (key_frame_count - 1) + draw(st.integers(1, 20)),
+                     num_distractors=draw(st.integers(0, 6)),
+                     descriptor_noise=draw(st.sampled_from([0.0, 0.11])))
+    other_key_frames = (videos - 1) * key_frame_count
+    config = Config(k_neighbors=draw(st.integers(1, other_key_frames + 1)),
+                    p_tubes=draw(st.integers(1, 5)), iterations=draw(st.integers(1, 4)),
+                    retrieval_proposals=draw(st.integers(1, 12)))
+    return spec, config, draw(st.booleans())
+
+
+class TestReference:
+    """``run_discovery`` reaches the outputs of ``reference_discovery``, the
+    loop with no match cache, no mask reuse and no early stop."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @settings(max_examples=40, deadline=None)
+    @given(case=_reference_case())
+    # retrieval pools of one proposal: iteration 3's graph repeats while its
+    # masks change, so the loop must go on
+    @example(case=(SynthSpec(seed=0, num_classes=2, videos_per_class=1, frames_per_video=2,
+                             num_distractors=0),
+                   Config(k_neighbors=1, p_tubes=1, iterations=3, retrieval_proposals=1), False))
+    # the second video's pools are empty in iteration 1
+    @example(case=(SynthSpec(seed=3, num_classes=1, videos_per_class=2, frames_per_video=41,
+                             num_distractors=2),
+                   Config(k_neighbors=2, p_tubes=2, iterations=2), True))
+    def test_same_as_the_cache_free_loop(self, threads, case):
+        spec, config, out_of_frame = case
+        collection, _, _ = generate_collection(spec)
+        if out_of_frame:
+            move_out_of_frame(list(collection.videos.values())[-1], config.keyframe_stride)
+        reference = reference_discovery(collection, config)
+        with pytest.MonkeyPatch.context() as patch:
+            # no table of these collections reaches THREADED_PAIRS; at two
+            # threads, the tables of at least 25 pairs go to them
+            if threads > 1:
+                patch.setattr(discovery, "THREADED_PAIRS", 25)
+            result = run_discovery(collection, config, threads=threads)
+        assert_same_as_reference(result, reference)
 
 
 # tall-shaped: half-margin descriptor noise, short videos, 4 videos per class
@@ -1011,9 +1091,8 @@ class TestRetrievalReuseKey:
         collection, config, key_frame_count = small
         state = run_discovery(collection, config, threads=1).snapshots[0]
         contained = _contained(collection, state)
-        workers = Workers(RunInputs(collection, config))
-        cache = MatchCache()
-        update_network(state, contained, workers, cache)
+        cache = MatchCache(collection, config)
+        update_network(state, contained, cache)
         cross = key_frame_count ** 2 - sum(
             len(key_frames(video, config.keyframe_stride)) ** 2
             for video in collection.videos.values())
@@ -1033,9 +1112,9 @@ class TestRetrievalReuseKey:
         assert all(set(new_pools[ref].tolist()) == set(rows.tolist())
                    for ref, rows in pools.items())
         assert any(new_pools[ref].tolist() != rows.tolist() for ref, rows in pools.items())
-        graph = update_network(reordered, contained, workers, cache)
+        graph = update_network(reordered, contained, cache)
         assert cache.counts[-2] == (0, cross)
-        assert graph == update_network(reordered, contained, workers, MatchCache())
+        assert graph == update_network(reordered, contained, MatchCache(collection, config))
 
         # one key frame loses a pool row: its row and column are matched
         # again, one table per other-video key frame
@@ -1043,11 +1122,11 @@ class TestRetrievalReuseKey:
         shrunk = dict(contained)
         shrunk[vid, kf] = contained[vid, kf].copy()
         shrunk[vid, kf][rows[0]] = False
-        graph = update_network(reordered, shrunk, workers, cache)
+        graph = update_network(reordered, shrunk, cache)
         other_video = key_frame_count - len(key_frames(collection.videos[vid],
                                                        config.keyframe_stride))
         assert cache.counts[-2] == (other_video, cross - 2 * other_video)
-        assert graph == update_network(reordered, shrunk, workers, MatchCache())
+        assert graph == update_network(reordered, shrunk, MatchCache(collection, config))
 
 
 @pytest.mark.parametrize("seed", range(101, 111))
@@ -1067,7 +1146,7 @@ def test_row_order_pools_rank_as_rank_order_pools(seed, monkeypatch):
         return rank(refs, similarity, k)
 
     monkeypatch.setattr(discovery, "_rank_neighbors", captured)
-    update_network(state, contained, Workers(RunInputs(collection, config)), MatchCache())
+    update_network(state, contained, MatchCache(collection, config))
     [similarity] = ranked
     expected = rank_order_similarity(state, contained, collection, config)
     refs = key_frame_refs(collection, config.keyframe_stride)
