@@ -17,19 +17,22 @@ pair's two directions are one table: swapping the frames transposes its
 scores up to float reassociation, so the table's column maxima answer the
 reverse key.
 
-Each table is one pure numpy job. The cache starts its threads once per
-``run_discovery`` call and hands them the tables of at least
-``THREADED_PAIRS`` proposal pairs; the caller matches the rest inline, since
-a small table holds the interpreter lock for most of its run. Every thread
-reads the run's collection and config, and none writes them.
-Relocalization runs in the caller and reads its vectors from the cache, so
-it matches nothing and outputs do not depend on the thread count. A key
-frame whose boxes did not change keeps its containment mask. Relocalization
-reads only the graph and the masks, so an iteration whose graph and masks
-equal its predecessor's would repeat its state, and every later iteration
-would repeat it too: the loop stops there without relocalizing
-(``DiscoveryResult.fixed_point``), and every iteration still has its
-snapshot.
+The cache matches the tables it lacks in chunks: tables of one shape, at
+most ``CHUNK_PAIRS`` proposal pairs a chunk, each chunk one pure numpy pass
+of the stacked ``match_confidences``, which leaves every table's result bit
+for bit its own. It starts its threads once per ``run_discovery`` call and
+hands them the tables of at least ``THREADED_PAIRS`` proposal pairs, each a
+chunk of its own; the caller matches the other chunks inline, since a small
+chunk holds the interpreter lock for most of its run. Every thread reads the
+run's collection, config and stacked key-frame columns, and none writes
+them. Relocalization runs in the caller and reads its vectors from the
+cache, so it matches nothing and outputs do not depend on the thread count.
+A key frame whose boxes did not change keeps its containment mask.
+Relocalization reads only the graph and the masks, so an iteration whose
+graph and masks equal its predecessor's would repeat its state, and every
+later iteration would repeat it too: the loop stops there without
+relocalizing (``DiscoveryResult.fixed_point``), and every iteration still
+has its snapshot.
 """
 
 from __future__ import annotations
@@ -42,10 +45,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .consistency import consistency_matrix
-from .matching import appearance_confidence, match_confidences, match_side, saliency_keys
+from .matching import (
+    LOG_SCALE_BINS,
+    TRANSLATION_BINS,
+    appearance_confidence,
+    match_confidences,
+    match_side,
+    saliency_keys,
+)
 from .model import (
     Box,
     Collection,
+    Columns,
     Config,
     Frame,
     FrameRef,
@@ -70,6 +81,14 @@ CONTAINMENT_RATIO = 0.9
 # matched inline: on two cores, threads that take every table made the
 # acceptance collection slower than one worker.
 THREADED_PAIRS = 1000
+
+# Smaller tables of one shape are matched together, this many proposal pairs
+# at most per stacked pass: one pass pays numpy's per-call overhead once for
+# all of them, and each table's result stays bit for bit its own. A pass
+# needs 896 bytes a pair for its (M, s*u) outer product, so the cache keeps
+# one buffer for it: allocated per pass, glibc handed those pages back and
+# faulted them in again on most passes.
+CHUNK_PAIRS = 512
 
 
 @dataclass
@@ -190,32 +209,43 @@ def retrieval_pool(frame: Frame, mask: np.ndarray, saliency_map: dict[int, float
     return rows[np.lexsort((ids, -saliency))][:limit]
 
 
-def frame_similarity(query_frame: Frame, query_rows: np.ndarray,
-                     cand_frame: Frame, cand_rows: np.ndarray, config: Config
+def frame_similarity(query_frame: Frame | Columns, query_rows, cand_frame: Frame | Columns,
+                     cand_rows, config: Config, out: np.ndarray | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Best match confidence of each query pool proposal against one candidate
     frame's pool, and of each candidate pool proposal against the query pool,
-    both pools given as rows of their frame: the row and column maxima of one
-    ``match_confidences`` table. The frames' similarity is the first's sum.
+    both pools given as rows of what their frame argument is (see
+    ``match_confidences``): the row and column maxima of one
+    ``match_confidences`` table, or of each table of a stacked chunk. The
+    frames' similarity is the first's sum. ``out`` is handed to
+    ``match_confidences``.
 
     Either side having no usable proposals yields zeros.
     """
-    if len(query_rows) == 0 or len(cand_rows) == 0:
-        return np.zeros(len(query_rows)), np.zeros(len(cand_rows))
-    _, scores = match_confidences(query_rows, cand_rows, query_frame, cand_frame, config)
-    return scores.max(axis=1), scores.max(axis=0)
+    query_rows, cand_rows = np.asarray(query_rows), np.asarray(cand_rows)
+    if query_rows.size == 0 or cand_rows.size == 0:
+        return np.zeros(query_rows.shape), np.zeros(cand_rows.shape)
+    _, scores = match_confidences(query_rows, cand_rows, query_frame, cand_frame, config, out)
+    return scores.max(axis=-1), scores.max(axis=-2)
 
 
 class MatchCache:
     """The run's one match service: ``match_confidences(rows_t, rows_u, frame_t,
     frame_u)[1].max(axis=1)`` by (``match_side`` of t, of u), for every table
-    the run matched, in both directions; ``counts`` has the (tables matched,
-    vectors reused) of each ``vectors`` call.
+    the run matched, in both directions; ``tables`` holds each key as (its
+    chunk's stacked vectors, row), which ``get`` reads, so the cache keeps no
+    array per key. ``counts`` has the (tables matched, vectors reused) of each
+    ``vectors`` call.
 
-    It reads the run's collection and config, and owns its threads: with
-    ``threads`` > 1, that many threads take the tables of at least
-    ``THREADED_PAIRS`` proposal pairs while the caller matches the smaller
-    ones, and leaving the ``with`` block ends them.
+    It reads the run's collection and config, and the key frames' ``columns``,
+    one stack that ``build_columns`` shares among them. The tables a
+    ``vectors`` call lacks are grouped by shape and cut into chunks of at most
+    ``CHUNK_PAIRS`` proposal pairs, and each chunk is one stacked
+    ``match_confidences`` pass, whose rows are gathered from the stack with
+    one fancy index a side. A table of at least ``THREADED_PAIRS`` pairs is a
+    chunk of its own: with ``threads`` > 1, that many threads take those
+    chunks while the caller matches the others, and leaving the ``with`` block
+    ends them.
 
     A key and its reverse name one table: swapping the frames negates every
     offset on a grid symmetric about 0, so the reverse scores are the table's
@@ -230,6 +260,13 @@ class MatchCache:
         self.config = config
         self.tables = {}
         self.counts: list[tuple[int, int]] = []
+        # before the threads start, so that none builds a frame's columns
+        self.columns = build_columns(collection.videos[vid].frames[kf]
+                                     for vid, kf in key_frame_refs(collection,
+                                                                   config.keyframe_stride))
+        self._first_row = dict(zip(self.columns.refs, self.columns.starts))
+        # the outer products of the chunks the caller matches (see CHUNK_PAIRS)
+        self._outer = np.empty(CHUNK_PAIRS * LOG_SCALE_BINS * TRANSLATION_BINS)
         self._pool = None if threads == 1 else ThreadPoolExecutor(threads)
 
     def __enter__(self) -> MatchCache:
@@ -241,34 +278,67 @@ class MatchCache:
 
     def vectors(self, keys: list) -> dict:
         """Every key's vector, by key; the tables not held are matched, one per
-        unordered table, the small ones inline while the threads take the
-        rest. A key held before the call is reused."""
+        unordered table, in chunks: the caller matches the small ones while
+        the threads take the rest. A key held before the call is reused."""
         missing = [key for key in keys if key not in self.tables]
         tables = list(dict.fromkeys(min(key, key[::-1]) for key in missing))
         self.counts.append((len(tables), len(keys) - len(missing)))
+        chunks = _chunks(tables)
         pooled = {} if self._pool is None else {
-            table: self._pool.submit(self._best_match, table)
-            for table in tables if _pairs(table) >= THREADED_PAIRS}
-        matched = [(table, self._best_match(table)) for table in tables if table not in pooled]
-        matched += [(table, future.result()) for table, future in pooled.items()]
-        for table, (rows, cols) in matched:
-            self.tables[table[::-1]] = cols
-            self.tables[table] = rows  # a key that is its own reverse keeps its rows
-        return {key: self.tables[key] for key in keys}
+            i: self._pool.submit(self._match, chunk)
+            for i, chunk in enumerate(chunks) if _pairs(chunk[0]) >= THREADED_PAIRS}
+        matched = [(chunk, self._match(chunk, self._outer)) for i, chunk in enumerate(chunks)
+                   if i not in pooled]
+        matched += [(chunks[i], future.result()) for i, future in pooled.items()]
+        for chunk, (rows, cols) in matched:
+            for i, table in enumerate(chunk):
+                self.tables[table[::-1]] = cols, i
+                self.tables[table] = rows, i  # a key that is its own reverse keeps its rows
+        return {key: self.get(key) for key in keys}
 
-    def _best_match(self, key) -> tuple[np.ndarray, np.ndarray]:
-        """The row and column best-match vectors of a key's table."""
-        (vid_t, kf_t, rows_t), (vid_u, kf_u, rows_u) = key
-        videos = self.collection.videos
-        return frame_similarity(videos[vid_t].frames[kf_t], np.frombuffer(rows_t, dtype=np.intp),
-                                videos[vid_u].frames[kf_u], np.frombuffer(rows_u, dtype=np.intp),
-                                self.config)
+    def get(self, key) -> np.ndarray | None:
+        """The vector of a key the cache holds, a view of its chunk's stacked
+        vectors; None for a key it does not hold."""
+        held = self.tables.get(key)
+        return None if held is None else held[0][held[1]]
+
+    def _match(self, chunk: list, outer: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """The row and column best-match vectors of a chunk's same-shape
+        tables, stacked as (T, n_t) and (T, n_u); a chunk of at most
+        ``CHUNK_PAIRS`` pairs builds its outer product in ``outer``."""
+        fits = len(chunk) * _pairs(chunk[0]) <= CHUNK_PAIRS
+        return frame_similarity(self.columns, self._rows([t for t, _ in chunk]),
+                                self.columns, self._rows([u for _, u in chunk]), self.config,
+                                outer if fits else None)
+
+    def _rows(self, sides: list) -> np.ndarray:
+        """The (T, n) rows of same-length ``match_side`` sides in the stack."""
+        starts = np.array([self._first_row[vid, kf] for vid, kf, _ in sides], dtype=np.intp)
+        rows = np.frombuffer(b"".join([rows for _, _, rows in sides]), dtype=np.intp)
+        return rows.reshape(len(sides), -1) + starts[:, None]
 
 
 def _pairs(key) -> int:
     """The proposal pairs of a ``MatchCache`` key's table."""
     (_, _, rows_t), (_, _, rows_u) = key
     return len(rows_t) * len(rows_u) // np.dtype(np.intp).itemsize ** 2
+
+
+def _chunks(tables: list) -> list[list]:
+    """``tables`` grouped by shape, in order of first appearance, and cut into
+    runs of at most ``CHUNK_PAIRS`` proposal pairs; a table of at least
+    ``THREADED_PAIRS`` pairs, or of more than ``CHUNK_PAIRS``, is a run of one."""
+    by_shape: dict[tuple[int, int], list] = {}
+    for table in tables:
+        (_, _, rows_t), (_, _, rows_u) = table
+        by_shape.setdefault((len(rows_t), len(rows_u)), []).append(table)
+    chunks = []
+    for group in by_shape.values():
+        pairs = _pairs(group[0])
+        size = 1 if pairs >= THREADED_PAIRS else max(1, CHUNK_PAIRS // pairs)
+        chunks += [group[i:i + size] for i in range(0, len(group), size)]
+    return chunks
 
 
 def neighbor_pools(ref: FrameRef, graph: NeighborGraph, contained: dict[FrameRef, np.ndarray],
@@ -352,7 +422,8 @@ def motion_scores(video: Video, kfs: list[int]) -> VideoMotion:
 def build_video_trellis(video: Video,
                         pools_by_kf: dict[int, list[tuple[Frame, np.ndarray | list[Proposal]]]],
                         config: Config, motion: VideoMotion | None = None,
-                        vectors: dict | None = None) -> tuple[Trellis, dict[int, dict[int, float]]]:
+                        vectors: dict | MatchCache | None = None
+                        ) -> tuple[Trellis, dict[int, dict[int, float]]]:
     """Score all proposals of a video's key frames and assemble the DP trellis.
 
     Each neighbor pool is a row array or a ``Proposal`` list of its frame (see
@@ -397,12 +468,12 @@ def build_video_trellis(video: Video,
 def relocalize_video(video: Video, graph: NeighborGraph,
                      contained: dict[FrameRef, np.ndarray], collection: Collection,
                      config: Config, num_tubes: int, motion: VideoMotion,
-                     vectors: dict | None = None
+                     vectors: dict | MatchCache | None = None
                      ) -> tuple[list[TubeSolution], dict[int, dict[int, float]],
                                 dict[int, list[Box]]]:
     """Optimize one video against its neighbors' currently localized regions,
     whose proposals ``contained`` marks per key frame; ``vectors`` is handed to
-    ``frame_saliencies``. In a run it is the ``MatchCache`` tables, where
+    ``frame_saliencies``. In a run it is the ``MatchCache``, where
     ``update_network`` put every saliency table, so nothing is matched here.
 
     Returns the tubes, the saliency maps and the new localized boxes per key
@@ -470,8 +541,9 @@ def run_discovery(collection: Collection, config: Config, threads: int = 1
     check_objective_bound(collection, config)
     refs = key_frame_refs(collection, config.keyframe_stride)
     frames = {(vid, kf): collection.videos[vid].frames[kf] for vid, kf in refs}
-    build_columns(frames.values())  # before the threads, so that none builds a frame's columns
-
+    # stacks the key frames' columns before anything reads them; at most one
+    # thread per key frame bounds the threads by the collection's size
+    cache = MatchCache(collection, config, min(threads, len(refs)))
     motion = {vid: motion_scores(video, key_frames(video, config.keyframe_stride))
               for vid, video in collection.videos.items()}
     state = initialize_state(collection, config)
@@ -482,8 +554,7 @@ def run_discovery(collection: Collection, config: Config, threads: int = 1
     counts: list[MatchCounts] = []
     fixed_point = None
     moved = []  # (mask before, mask after) of each key frame whose boxes last changed
-    # at most one thread per key frame bounds them by the collection's size
-    with MatchCache(collection, config, min(threads, len(refs))) as cache:
+    with cache:
         for iteration in range(1, config.iterations + 1):
             graph = update_network(state, contained, cache)
             counts.append(MatchCounts(iteration, *cache.counts[-2], *cache.counts[-1]))
@@ -494,7 +565,7 @@ def run_discovery(collection: Collection, config: Config, threads: int = 1
             last = iteration == config.iterations
             results = {vid: relocalize_video(video, graph, contained, collection, config,
                                              1 if last else config.p_tubes, motion[vid],
-                                             cache.tables)
+                                             cache)
                        for vid, video in collection.videos.items()}
             # the final iteration's regions are read by no one
             changed = {} if last else {

@@ -32,7 +32,9 @@ from .model import (
     Tube,
     ValidationError,
     Video,
+    build_columns,
     check_key_frames,
+    key_frames,
     unit_normalized,
 )
 
@@ -425,9 +427,10 @@ def load_collection(manifest_path: Path, keyframe_stride: int | None = None,
     """Load and fully validate a collection; descriptors come back unit-norm.
 
     When ``keyframe_stride`` is given, additionally checks what a run needs of
-    the key frames (``check_key_frames``). A hashlib object ``digest`` is
-    updated with every byte parsed, in reading order: the manifest, then each
-    video's frames, tracks and truth files.
+    the key frames (``check_key_frames``) and stacks their columns
+    (``build_columns``), the one stack a run's matching gathers rows from. A
+    hashlib object ``digest`` is updated with every byte parsed, in reading
+    order: the manifest, then each video's frames, tracks and truth files.
     """
     manifest_path = Path(manifest_path)
     records = list(read_jsonl(manifest_path, "collection", "video", digest=digest))
@@ -474,6 +477,8 @@ def load_collection(manifest_path: Path, keyframe_stride: int | None = None,
             check_key_frames(collection, keyframe_stride)
         except ValidationError as exc:
             raise ValidationError(str(exc), locus=str(manifest_path)) from None
+        build_columns(video.frames[kf] for video in collection.videos.values()
+                      for kf in key_frames(video, keyframe_stride))
     return collection
 
 

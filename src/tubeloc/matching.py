@@ -6,7 +6,9 @@ descriptors and box locations are gathered from those rows.
 ``match_confidences(rows_t, rows_u, ...)`` returns the (u, v, s) vote array on
 the one fixed offset grid, whose bin centers and bandwidths are module
 constants built once at import, and the (len(rows_t), len(rows_u)) score
-matrix.
+matrix. Given (T, n_t) and (T, n_u) rows into a ``Columns`` stack of many
+frames, it matches T tables of one shape in one pass, and each array gains a
+leading table axis.
 
 Probabilistic Hough matching of a frame pair runs over proposal pairs
 m = (i, j). Each pair has an appearance affinity a(m) and an offset between
@@ -19,9 +21,13 @@ contractions are matrix products:
     support[m]       = rowsum((g_su @ votes) * g_v)[m]
     score[m]         = a(m) * support[m]
 
-Each frame pair takes one pass over its table: g_su is built once and both
-products run once over all M pairs, so g_su is the one (M, s*u) array of a
-table. Votes and scores are byte-identical under one and two BLAS threads.
+Each table takes one pass: g_su is built once and both products run once
+over all M pairs, so g_su is the one (M, s*u) array of a table. A stacked
+pass does the same for each of its tables at once: every elementwise step is
+the same per element, the descriptor sum reduces the same contiguous axis,
+and each product is one GEMM per table with that table's shapes, so every
+table's votes and scores are bit for bit those of its own pass. Votes and
+scores are byte-identical under one and two BLAS threads.
 ``synth.brute_force_matching`` evaluates the full 3-D likelihood pair by
 pair; it is the oracle for both the votes and the scores (within 1e-12
 relative).
@@ -33,7 +39,7 @@ import math
 
 import numpy as np
 
-from .model import Config, Frame
+from .model import Columns, Config, Frame
 
 TRANSLATION_RANGE = (-1.0, 1.0)
 LOG_SCALE_RANGE = (-math.log(4.0), math.log(4.0))
@@ -68,12 +74,13 @@ _BIN_WIDTHS = np.array(BANDWIDTHS)[_BIN_AXIS]
 
 
 def squared_distances(descs_a, descs_b) -> np.ndarray:
-    """(len(descs_a), len(descs_b)) squared Euclidean distances between rows."""
+    """(..., len(a), len(b)) squared Euclidean distances between the rows of
+    (..., len(a), D) and (..., len(b), D) descriptors."""
     descs_a = np.asarray(descs_a, dtype=float)
     descs_b = np.asarray(descs_b, dtype=float)
-    if descs_a.shape[1] != descs_b.shape[1]:
+    if descs_a.shape[-1] != descs_b.shape[-1]:
         raise ValueError("descriptor dimensions differ")
-    return ((descs_a[:, None, :] - descs_b[None, :, :]) ** 2).sum(axis=2)
+    return ((descs_a[..., :, None, :] - descs_b[..., None, :, :]) ** 2).sum(axis=-1)
 
 
 def affinity_matrix(descs_a: np.ndarray, descs_b: np.ndarray, gamma: float) -> np.ndarray:
@@ -83,31 +90,44 @@ def affinity_matrix(descs_a: np.ndarray, descs_b: np.ndarray, gamma: float) -> n
         return np.exp(-gamma * squared_distances(descs_a, descs_b))
 
 
-def match_confidences(rows_t, rows_u, frame_t: Frame, frame_u: Frame, config: Config
+def match_confidences(rows_t, rows_u, frame_t: Frame | Columns, frame_u: Frame | Columns,
+                      config: Config, out: np.ndarray | None = None
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Offset votes (u, v, s) of a frame pair, and every proposal pair's score:
     its appearance affinity times its vote support.
 
     Pairs m = (i, j) run over ``rows_t`` x ``rows_u`` in row-major order; the
-    two products are described in the module docstring.
+    two products are described in the module docstring. ``frame_t`` and
+    ``frame_u`` are what the rows index: a ``Frame``, or the ``Columns``
+    stack of many frames. Rows of shape (T, n_t) and (T, n_u) match T tables
+    of the same shape at once, and every output gains a leading table axis;
+    each table's votes and scores are bit for bit those of its own 1-D rows.
+    ``out``, a float array of at least M * s * u elements for the M pairs of
+    all the tables, receives g_su in place of a new array, so that a caller
+    matching many chunks can reuse one.
     """
-    if len(rows_t) == 0 or len(rows_u) == 0:
+    rows_t, rows_u = np.asarray(rows_t), np.asarray(rows_u)
+    if rows_t.shape[-1] == 0 or rows_u.shape[-1] == 0:
         raise ValueError("proposal sets must be non-empty")
+    tables = rows_t.shape[:-1]
     aff = affinity_matrix(frame_t.descriptors[rows_t], frame_u.descriptors[rows_u],
                           config.affinity_gamma)
-    offsets = (frame_t.locations[rows_t][:, None, :]
-               - frame_u.locations[rows_u][None, :, :]).reshape(-1, 3)
-    z = (offsets[:, _BIN_AXIS] - _BIN_CENTERS) / _BIN_WIDTHS  # all three axes' kernels at once
+    offsets = (frame_t.locations[rows_t][..., :, None, :]
+               - frame_u.locations[rows_u][..., None, :, :]).reshape(*tables, -1, 3)
+    z = (offsets[..., _BIN_AXIS] - _BIN_CENTERS) / _BIN_WIDTHS  # all three axes' kernels at once
     kernels = np.exp(-0.5 * z * z)
     nu, nv, ns = TRANSLATION_BINS, TRANSLATION_BINS, LOG_SCALE_BINS
-    gu, gv, gs = kernels[:, :nu], kernels[:, nu:nu + nv], kernels[:, nu + nv:]
-    weights = aff.ravel()
-    gsu = (gs[:, :, None] * gu[:, None, :]).reshape(weights.size, ns * nu)
-    votes = gsu.T @ (gv * weights[:, None])
+    gu, gv, gs = kernels[..., :nu], kernels[..., nu:nu + nv], kernels[..., nu + nv:]
+    weights = aff.reshape(*tables, -1)
+    products = (*weights.shape, ns, nu)
+    gsu = np.multiply(gs[..., :, None], gu[..., None, :],
+                      out=None if out is None else out[:math.prod(products)].reshape(products))
+    gsu = gsu.reshape(*weights.shape, ns * nu)
+    votes = np.swapaxes(gsu, -1, -2) @ (gv * weights[..., None])  # one GEMM per table
     support = gsu @ votes
-    support *= gv  # in place on (M, v): g_su stays the table's one (M, s*u) array
-    return (votes.reshape(ns, nu, nv).transpose(1, 2, 0),
-            aff * support.sum(axis=1).reshape(aff.shape))
+    support *= gv  # in place on (M, v): g_su stays a table's one (M, s*u) array
+    return (votes.reshape(*tables, ns, nu, nv).transpose(*range(len(tables)), -2, -1, -3),
+            aff * support.sum(axis=-1).reshape(aff.shape))
 
 
 def match_side(frame: Frame, rows) -> tuple:
@@ -123,15 +143,16 @@ def saliency_keys(frame: Frame, pools) -> list[tuple]:
 
 
 def frame_saliencies(frame: Frame, neighbor_pools, config: Config,
-                     vectors: dict | None = None) -> np.ndarray:
+                     vectors=None) -> np.ndarray:
     """Per proposal, the sum over neighbor frames of its best match confidence.
 
     ``neighbor_pools`` is a non-empty list of (neighbor frame, non-empty pool),
     each pool given as rows of the neighbor frame or as its ``Proposal``
     records. ``vectors`` maps each ``saliency_keys`` key to that table's
-    best-match vector: a table it holds is not matched, and one it lacks is
-    matched and not kept. The vectors are added in neighbor order from zeros,
-    so a copied vector leaves the sum bit for bit the same.
+    best-match vector by ``get``, as a dict or the run's ``MatchCache`` does:
+    a table it holds is not matched, and one it lacks is matched and not
+    kept. The vectors are added in neighbor order from zeros, so a copied
+    vector leaves the sum bit for bit the same.
     """
     if len(neighbor_pools) == 0:
         raise ValueError("neighbor pool list is empty")
@@ -184,7 +205,7 @@ def rescale_unit(values: np.ndarray) -> np.ndarray:
 
 
 def appearance_confidence(frame: Frame, neighbor_pools, config: Config,
-                          vectors: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+                          vectors=None) -> tuple[np.ndarray, np.ndarray]:
     """Rescaled standout scores in [0, 1] plus raw saliencies, per proposal;
     ``vectors`` is handed to ``frame_saliencies``.
 

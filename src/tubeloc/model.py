@@ -6,10 +6,10 @@ before anything reads its columns, and stay as they are after.
 
 A ``Frame`` keeps its proposals as records (``proposals``) for loading,
 generation and saving, and gives the scorers read-only columns of them, built
-together on first read, or for many frames at once by ``build_columns``, and
-kept: ``ids``, ``boxes`` as (n, 4) rows ``[x_min, y_min, width, height]``,
-``descriptors``, ``locations`` (offset-space position of each box) and
-``rows``, the id -> row lookup.
+together on first read, or for many frames at once by ``build_columns`` as row
+ranges of one stack, and kept: ``ids``, ``boxes`` as (n, 4) rows
+``[x_min, y_min, width, height]``, ``descriptors``, ``locations``
+(offset-space position of each box) and ``rows``, the id -> row lookup.
 Scorers gather rows from these columns instead of restacking proposals.
 """
 
@@ -20,7 +20,7 @@ import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -103,8 +103,9 @@ class Frame:
     height: float
     proposals: list[Proposal] = field(default_factory=list)
     signature: np.ndarray | None = None
-    # (ids, boxes, descriptors, locations), built by ``build_columns``
+    # (ids, boxes, descriptors, locations), row ranges of ``_stack``; see ``build_columns``
     _columns: tuple | None = field(default=None, init=False, repr=False)
+    _stack: Columns | None = field(default=None, init=False, repr=False)
 
     def bounds_box(self) -> Box:
         return Box(0.0, 0.0, self.width, self.height)
@@ -136,13 +137,29 @@ class Frame:
         return self.proposals[self.rows([proposal_id])[0]]
 
 
-def build_columns(frames: Iterable[Frame]) -> None:
-    """Build the columns of the frames that lack them, in one pass over all
-    their proposals: ids, (n, 4) boxes, (n, D) descriptors ((0, 0) when no
-    frame has proposals) and locations, per row the box center over the frame
-    size and half the log area ratio. Each frame's columns are row ranges of
-    the read-only arrays of all of them."""
-    frames = [frame for frame in frames if frame._columns is None]
+class Columns(NamedTuple):
+    """The proposal columns of many frames, stacked: frame ``refs[i]`` (video
+    id, frame index) owns the rows from ``starts[i]`` on. Read-only."""
+
+    refs: tuple[tuple[str, int], ...]
+    starts: tuple[int, ...]
+    ids: np.ndarray
+    boxes: np.ndarray
+    descriptors: np.ndarray
+    locations: np.ndarray
+
+
+def build_columns(frames: Iterable[Frame]) -> Columns:
+    """Stack the columns of ``frames`` in one pass over all their proposals:
+    ids, (n, 4) boxes, (n, D) descriptors ((0, 0) when no frame has
+    proposals) and locations, per row the box center over the frame size and
+    half the log area ratio. Each frame's columns are its row range of the
+    stack, which is returned. Frames that already share one stack keep it,
+    and that stack is returned as it is."""
+    frames = list(frames)
+    if frames and frames[0]._stack is not None and all(
+            frame._stack is frames[0]._stack for frame in frames):
+        return frames[0]._stack
     proposals = [p for frame in frames for p in frame.proposals]
     counts = [len(frame.proposals) for frame in frames]
     boxes = np.fromiter(chain.from_iterable([p.box.as_list() for p in proposals]), float,
@@ -157,8 +174,13 @@ def build_columns(frames: Iterable[Frame]) -> None:
     columns = [_read_only(column) for column in
                (np.array([p.id for p in proposals], dtype=int), boxes, descriptors, locations)]
     ends = np.cumsum(counts, dtype=int).tolist()
-    for frame, start, end in zip(frames, [0] + ends, ends):
+    starts = [end - count for end, count in zip(ends, counts)]
+    stack = Columns(tuple((frame.video_id, frame.frame_index) for frame in frames),
+                    tuple(starts), *columns)
+    for frame, start, end in zip(frames, starts, ends):
         frame._columns = tuple(column[start:end] for column in columns)
+        frame._stack = stack
+    return stack
 
 
 @dataclass(eq=False)

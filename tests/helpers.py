@@ -9,6 +9,7 @@ from itertools import combinations
 import numpy as np
 
 from tubeloc import discovery
+from tubeloc.matching import match_side
 from tubeloc.model import (
     Box,
     Collection,
@@ -112,8 +113,8 @@ class DirectedMatchCache(discovery.MatchCache):
     def vectors(self, keys: list) -> dict:
         missing = [key for key in keys if key not in self.tables]
         self.counts.append((len(missing), len(keys) - len(missing)))
-        self.tables.update((key, self._best_match(key)[0]) for key in missing)
-        return {key: self.tables[key] for key in keys}
+        self.tables.update((key, (self._match([key])[0], 0)) for key in missing)
+        return {key: self.get(key) for key in keys}
 
 
 def recomputing_discovery(collection: Collection, config: Config,
@@ -138,7 +139,7 @@ def recomputing_discovery(collection: Collection, config: Config,
         graph = discovery.update_network(state, contained, cache)
         num_tubes = 1 if iteration == config.iterations else config.p_tubes
         results = {vid: discovery.relocalize_video(video, graph, contained, collection,
-                                                   config, num_tubes, motion[vid], cache.tables)
+                                                   config, num_tubes, motion[vid], cache)
                    for vid, video in collection.videos.items()}
         state = discovery.IterationState(
             iteration=iteration,
@@ -240,6 +241,22 @@ def recorded_requests(monkeypatch) -> list[list]:
 
     monkeypatch.setattr(discovery.MatchCache, "vectors", recorded)
     return requests
+
+
+def match_keys(rows_t, rows_u, frame_t, frame_u) -> list[tuple]:
+    """The (``match_side`` of t, of u) key of each table one
+    ``match_confidences`` call matches: its own for 1-D rows of two frames,
+    and for a chunk's (T, n) rows into a ``Columns`` stack, each row's frame
+    and its rows there."""
+    if isinstance(frame_t, Frame):
+        return [(match_side(frame_t, rows_t), match_side(frame_u, rows_u))]
+
+    def side(columns, rows):
+        i = np.searchsorted(columns.starts, rows[0], side="right") - 1
+        vid, kf = columns.refs[i]
+        return vid, kf, np.asarray(rows - columns.starts[i], dtype=np.intp).tobytes()
+
+    return [(side(frame_t, t), side(frame_u, u)) for t, u in zip(rows_t, rows_u)]
 
 
 def unordered_counts(requests: list[list]) -> list[tuple[int, int]]:

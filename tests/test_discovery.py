@@ -18,6 +18,7 @@ from helpers import (
     assert_same_as_reference,
     basis_vec,
     make_frame,
+    match_keys,
     move_out_of_frame,
     rand_frame,
     rank_order_similarity,
@@ -632,8 +633,8 @@ def large():
 
 class TestWorkers:
     """``threads`` > 1 has the run's ``MatchCache`` start one thread pool,
-    which matches the tables of at least ``THREADED_PAIRS`` proposal pairs;
-    the caller matches the rest."""
+    which matches the chunks of one table of at least ``THREADED_PAIRS``
+    proposal pairs; the caller matches the other chunks."""
 
     @pytest.fixture
     def forks(self, monkeypatch):
@@ -661,15 +662,15 @@ class TestWorkers:
 
     @pytest.fixture
     def matched_on(self, monkeypatch):
-        """The thread of each ``MatchCache._best_match`` call while the test runs."""
+        """The thread of each chunk ``MatchCache._match`` matches while the test runs."""
         threads = []
-        best_match = MatchCache._best_match
+        match = MatchCache._match
 
-        def recorded(cache, key):
+        def recorded(cache, chunk, *args):
             threads.append(threading.current_thread())
-            return best_match(cache, key)
+            return match(cache, chunk, *args)
 
-        monkeypatch.setattr(MatchCache, "_best_match", recorded)
+        monkeypatch.setattr(MatchCache, "_match", recorded)
         return threads
 
     @pytest.mark.parametrize("threads,iterations", [(2, 1), (2, 3), (3, 3)])
@@ -723,20 +724,23 @@ class TestWorkers:
 
     def test_workers_only_match_tables(self, large, monkeypatch):
         # tracking runs in the caller: the pool threads run nothing but the
-        # cache's table matches
+        # cache's chunk matches, each a chunk of one table that reaches the cut
         collection, config, _ = large
         tasks = []
         submit = ThreadPoolExecutor.submit
 
         def recorded(pool, task, *args):
-            tasks.append(task)
+            tasks.append((task, *args))
             return submit(pool, task, *args)
 
         monkeypatch.setattr(ThreadPoolExecutor, "submit", recorded)
         run_discovery(collection, config, threads=2)
         assert tasks
-        assert {task.__func__ for task in tasks} == {MatchCache._best_match}
-        assert all(isinstance(task.__self__, MatchCache) for task in tasks)
+        assert {task.__func__ for task, *_ in tasks} == {MatchCache._match}
+        assert all(isinstance(task.__self__, MatchCache) for task, *_ in tasks)
+        chunks = [chunk for _task, chunk in tasks]
+        assert all(len(chunk) == 1 for chunk in chunks)
+        assert all(discovery._pairs(chunk[0]) >= discovery.THREADED_PAIRS for chunk in chunks)
 
     def test_mixed_tables_keep_key_order(self, large, matched_on):
         # pooled and inline tables interleaved in one vectors call land under
@@ -858,7 +862,7 @@ class TestReuse:
             return update(state, *args, **kwargs)
 
         def counted_match(*args, **kwargs):
-            calls[iteration[0]] += 1
+            calls[iteration[0]] += len(match_keys(*args[:4]))  # a chunk matches many tables
             return match(*args, **kwargs)
 
         monkeypatch.setattr(discovery, "update_network", tracked_update)
@@ -939,10 +943,13 @@ class TestReference:
             move_out_of_frame(list(collection.videos.values())[-1], config.keyframe_stride)
         reference = reference_discovery(collection, config)
         with pytest.MonkeyPatch.context() as patch:
-            # no table of these collections reaches THREADED_PAIRS; at two
-            # threads, the tables of at least 25 pairs go to them
+            # no table of these collections reaches THREADED_PAIRS, and one
+            # chunk holds many of them; at two threads, the tables of at
+            # least 25 pairs are chunks of one on the threads, and a chunk of
+            # the others holds at most 40 pairs, so a shape spans many chunks
             if threads > 1:
                 patch.setattr(discovery, "THREADED_PAIRS", 25)
+                patch.setattr(discovery, "CHUNK_PAIRS", 40)
             result = run_discovery(collection, config, threads=threads)
         assert_same_as_reference(result, reference)
 
@@ -1000,9 +1007,9 @@ class TestMatchCache:
         """Call ``record(rows_t, rows_u, frame_t, frame_u)`` before every match."""
         match = matching.match_confidences
 
-        def recorded_match(rows_t, rows_u, frame_t, frame_u, config):
+        def recorded_match(rows_t, rows_u, frame_t, frame_u, config, *args):
             record(rows_t, rows_u, frame_t, frame_u)
-            return match(rows_t, rows_u, frame_t, frame_u, config)
+            return match(rows_t, rows_u, frame_t, frame_u, config, *args)
 
         monkeypatch.setattr(discovery, "match_confidences", recorded_match)
         monkeypatch.setattr(matching, "match_confidences", recorded_match)
@@ -1014,9 +1021,8 @@ class TestMatchCache:
         collection, _, _ = generate_collection(
             SynthSpec(videos_per_class=8, frames_per_video=41, descriptor_noise=0.11, seed=102))
         tables = []
-        self._record_matches(monkeypatch, lambda rows_t, rows_u, frame_t, frame_u: tables.append(
-            frozenset([matching.match_side(frame_t, rows_t),
-                       matching.match_side(frame_u, rows_u)])))
+        self._record_matches(monkeypatch, lambda *args: tables.extend(
+            frozenset(key) for key in match_keys(*args)))
         requests = recorded_requests(monkeypatch)
         result = run_discovery(collection, Config(iterations=3), threads=1)
         assert len(result.match_counts) == 3
@@ -1024,6 +1030,84 @@ class TestMatchCache:
                                   for c in result.match_counts)
         assert [table for table, n in Counter(tables).items() if n > 1] == []
         assert set(tables) == {frozenset(key) for keys in requests for key in keys}
+
+    def test_every_table_is_matched_under_discoverys_name(self, monkeypatch):
+        # a tracer times matching by wrapping the name match_confidences in
+        # discovery, so every table a run counts passes through that name
+        collection, _, _ = generate_collection(replace(RANK_SPEC, seed=101))
+        tables = []
+        match = discovery.match_confidences
+
+        def recorded(*args):
+            tables.extend(frozenset(key) for key in match_keys(*args[:4]))
+            return match(*args)
+
+        monkeypatch.setattr(discovery, "match_confidences", recorded)
+        result = run_discovery(collection, Config(iterations=3), threads=1)
+        assert len(tables) == sum(c.retrieval_matched + c.saliency_matched
+                                  for c in result.match_counts) > 0
+        assert len(set(tables)) == len(tables)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_chunked_tables_equal_a_fresh_match(self, large, monkeypatch, threads):
+        # one vectors call of mixed shapes: a shape of more tables than one
+        # chunk holds, keys beside their reverses, a key that is its own
+        # reverse, and tables that reach a lowered THREADED_PAIRS
+        collection, config, _ = large
+        monkeypatch.setattr(discovery, "THREADED_PAIRS", 100)
+        chunks = []
+        match = MatchCache._match
+
+        def recorded(cache, chunk, *args):
+            chunks.append((threading.current_thread(), chunk))
+            return match(cache, chunk, *args)
+
+        monkeypatch.setattr(MatchCache, "_match", recorded)
+        frames = {ref: collection.videos[ref[0]].frames[ref[1]]
+                  for ref in key_frame_refs(collection, config.keyframe_stride)}
+        rng = np.random.default_rng(5)
+
+        def side(n):
+            frame = list(frames.values())[rng.integers(len(frames))]
+            return match_side(frame, np.sort(rng.choice(len(frame.proposals), n, replace=False)))
+
+        square = [(side(4), side(4)) for _ in range(40)]  # 16 pairs a table
+        mixed = [(side(n_t), side(n_u)) for n_t, n_u in [(1, 1), (5, 7), (44, 44), (12, 20),
+                                                         (7, 5), (1, 30)]]
+        # two 110-pair tables, matched in this direction, would share a chunk
+        # but for the lowered cut
+        first, last = min(frames), max(frames)
+        mixed += [(match_side(frames[first], np.arange(n, n + 10)),
+                   match_side(frames[last], np.arange(11))) for n in (0, 1)]
+        whole = side(44)
+        keys = list(dict.fromkeys(square + mixed + [(whole, whole)]
+                                  + [key[::-1] for key in square[::3] + mixed[1:4]]))
+        tables = {min(key, key[::-1]) for key in keys}
+        with MatchCache(collection, config, threads) as cache:
+            got = cache.vectors(keys)
+        assert list(got) == keys
+        assert cache.counts == [(len(tables), 0)]
+        assert sorted(table for _, chunk in chunks for table in chunk) == sorted(tables)
+        for thread, chunk in chunks:
+            pairs = discovery._pairs(chunk[0])
+            assert {discovery._pairs(table) for table in chunk} == {pairs}
+            if pairs >= discovery.THREADED_PAIRS:
+                assert len(chunk) == 1
+            else:
+                assert len(chunk) <= discovery.CHUNK_PAIRS // pairs
+                assert thread is threading.main_thread()
+        square_chunks = [len(chunk) for _, chunk in chunks if discovery._pairs(chunk[0]) == 16]
+        assert len(square_chunks) > 1 and max(square_chunks) == discovery.CHUNK_PAIRS // 16
+        assert {thread is threading.main_thread() for thread, _ in chunks} == \
+            ({True, False} if threads > 1 else {True})
+        for key in keys:
+            table = min(key, key[::-1])
+            (vid_t, kf_t, rows_t), (vid_u, kf_u, rows_u) = table
+            fresh = match_confidences(np.frombuffer(rows_t, dtype=np.intp),
+                                      np.frombuffer(rows_u, dtype=np.intp),
+                                      frames[vid_t, kf_t], frames[vid_u, kf_u], config)[1]
+            expected = fresh.max(axis=1) if key == table else fresh.max(axis=0)
+            assert got[key].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("spec, config", [
         (SMALL_SPEC, SMALL_CONFIG),

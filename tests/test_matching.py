@@ -3,10 +3,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     all_rows,
@@ -30,7 +33,7 @@ from tubeloc.matching import (
     standout_scores,
     strict_containers,
 )
-from tubeloc.model import Box, Config, Proposal
+from tubeloc.model import Box, Config, Proposal, build_columns
 from tubeloc.synth import brute_force_matching
 
 CFG = Config()
@@ -381,6 +384,41 @@ class TestBlockedKernel:
             tracemalloc.stop()
         outer_product = 104 * 104 * len(LOG_SCALE_CENTERS) * len(TRANSLATION_CENTERS) * 8
         assert peak < 2 * outer_product
+
+
+class TestStackedKernel:
+    """(T, n_t) and (T, n_u) rows into a ``Columns`` stack match T tables in
+    one pass, and each table's votes and scores are bit for bit those of its
+    own 1-D rows, with or without a buffer for the outer product."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tables=st.integers(1, 6), n_t=st.integers(1, 12), n_u=st.integers(1, 12),
+           gamma=st.sampled_from([0.0, 1.0, 1e308]), seed=st.integers(0, 2 ** 16))
+    def test_each_table_is_its_own_match(self, tables, n_t, n_u, gamma, seed):
+        rng = np.random.default_rng(seed)
+        frames = [rand_frame(rng, f"v{i}", 12, dim=8) for i in range(4)]
+        columns = build_columns(frames)
+        config = Config(affinity_gamma=gamma)
+        picks = [(rng.integers(4), rng.choice(12, n_t, replace=False),
+                  rng.integers(4), rng.choice(12, n_u, replace=False)) for _ in range(tables)]
+        rows_t = np.array([columns.starts[f] + rows for f, rows, _, _ in picks])
+        rows_u = np.array([columns.starts[f] + rows for _, _, f, rows in picks])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflowing exponent warns nothing
+            votes, scores = match_confidences(rows_t, rows_u, columns, columns, config)
+            # a reused buffer for the outer product, larger than needed and dirty
+            out = np.full(tables * n_t * n_u * len(LOG_SCALE_CENTERS)
+                          * len(TRANSLATION_CENTERS) + 7, np.nan)
+            in_out = match_confidences(rows_t, rows_u, columns, columns, config, out)
+            singles = [match_confidences(t, u, frames[f_t], frames[f_u], config)
+                       for f_t, t, f_u, u in picks]
+        assert votes.shape == (tables, len(TRANSLATION_CENTERS), len(TRANSLATION_CENTERS),
+                               len(LOG_SCALE_CENTERS))
+        assert scores.shape == (tables, n_t, n_u)
+        assert in_out[0].tobytes() == votes.tobytes() and in_out[1].tobytes() == scores.tobytes()
+        for i, (one_votes, one_scores) in enumerate(singles):
+            assert votes[i].tobytes() == one_votes.tobytes()
+            assert scores[i].tobytes() == one_scores.tobytes()
 
 
 _THREADED_MATCH = """
