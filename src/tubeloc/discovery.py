@@ -13,9 +13,9 @@ ranking the graph ``update_network`` also fetches the saliency vectors that
 graph's relocalization reads. The run's ``MatchCache`` is its one match
 service: it maps each exact input to its vector for the whole run, so a
 table is matched once whichever phase or iteration asks first. A frame
-pair's two directions are one table: swapping the frames transposes its
-scores up to float reassociation, so the table's column maxima answer the
-reverse key.
+pair's two directions are one table, their ``answering_table``, as swapping
+the frames transposes its scores up to float reassociation; cached or not, a
+key's vector is read from that table, so each key has one vector.
 
 The cache matches the tables it lacks in chunks: tables of one shape, at
 most ``CHUNK_PAIRS`` proposal pairs a chunk, each chunk one pure numpy pass
@@ -48,6 +48,7 @@ from .consistency import consistency_matrix
 from .matching import (
     LOG_SCALE_BINS,
     TRANSLATION_BINS,
+    answering_table,
     appearance_confidence,
     match_confidences,
     match_side,
@@ -218,24 +219,21 @@ def frame_similarity(query_frame: Frame | Columns, query_rows, cand_frame: Frame
     ``match_confidences``): the row and column maxima of one
     ``match_confidences`` table, or of each table of a stacked chunk. The
     frames' similarity is the first's sum. ``out`` is handed to
-    ``match_confidences``.
-
-    Either side having no usable proposals yields zeros.
+    ``match_confidences``, which rejects an empty pool.
     """
-    query_rows, cand_rows = np.asarray(query_rows), np.asarray(cand_rows)
-    if query_rows.size == 0 or cand_rows.size == 0:
-        return np.zeros(query_rows.shape), np.zeros(cand_rows.shape)
     _, scores = match_confidences(query_rows, cand_rows, query_frame, cand_frame, config, out)
     return scores.max(axis=-1), scores.max(axis=-2)
 
 
 class MatchCache:
-    """The run's one match service: ``match_confidences(rows_t, rows_u, frame_t,
-    frame_u)[1].max(axis=1)`` by (``match_side`` of t, of u), for every table
-    the run matched, in both directions; ``tables`` holds each key as (its
-    chunk's stacked vectors, row), which ``get`` reads, so the cache keeps no
-    array per key. ``counts`` has the (tables matched, vectors reused) of each
-    ``vectors`` call.
+    """The run's one match service: the best-match vectors of both directions
+    of every table the run matched, by (``match_side`` of t, of u). A key and
+    its reverse name one table, their ``answering_table``, matched once: its
+    row maxima are kept under it and its column maxima under the reverse, so
+    every vector is bit for bit that rule's fresh match. ``tables`` holds each
+    key as (its chunk's stacked vectors, row), which ``get`` reads, so the
+    cache keeps no array per key. ``counts`` has the (tables matched, vectors
+    reused) of each ``vectors`` call.
 
     It reads the run's collection and config, and the key frames' ``columns``,
     one stack that ``build_columns`` shares among them. The tables a
@@ -246,13 +244,6 @@ class MatchCache:
     chunk of its own: with ``threads`` > 1, that many threads take those
     chunks while the caller matches the others, and leaving the ``with`` block
     ends them.
-
-    A key and its reverse name one table: swapping the frames negates every
-    offset on a grid symmetric about 0, so the reverse scores are the table's
-    transpose up to the order of the float sums. The smaller key is matched,
-    its row maxima are kept under it and its column maxima under the reverse:
-    its vector equals a fresh match bit for bit, the reverse's up to float
-    reassociation.
     """
 
     def __init__(self, collection: Collection, config: Config, threads: int = 1):
@@ -281,7 +272,7 @@ class MatchCache:
         unordered table, in chunks: the caller matches the small ones while
         the threads take the rest. A key held before the call is reused."""
         missing = [key for key in keys if key not in self.tables]
-        tables = list(dict.fromkeys(min(key, key[::-1]) for key in missing))
+        tables = list(dict.fromkeys(answering_table(key) for key in missing))
         self.counts.append((len(tables), len(keys) - len(missing)))
         chunks = _chunks(tables)
         pooled = {} if self._pool is None else {
@@ -467,14 +458,13 @@ def build_video_trellis(video: Video,
 
 def relocalize_video(video: Video, graph: NeighborGraph,
                      contained: dict[FrameRef, np.ndarray], collection: Collection,
-                     config: Config, num_tubes: int, motion: VideoMotion,
-                     vectors: dict | MatchCache | None = None
+                     config: Config, num_tubes: int, motion: VideoMotion, vectors: MatchCache
                      ) -> tuple[list[TubeSolution], dict[int, dict[int, float]],
                                 dict[int, list[Box]]]:
     """Optimize one video against its neighbors' currently localized regions,
-    whose proposals ``contained`` marks per key frame; ``vectors`` is handed to
-    ``frame_saliencies``. In a run it is the ``MatchCache``, where
-    ``update_network`` put every saliency table, so nothing is matched here.
+    whose proposals ``contained`` marks per key frame. ``vectors`` is the run's
+    ``MatchCache``, where ``update_network`` put every saliency table, so
+    ``frame_saliencies`` matches nothing here.
 
     Returns the tubes, the saliency maps and the new localized boxes per key
     frame.

@@ -27,7 +27,8 @@ pass does the same for each of its tables at once: every elementwise step is
 the same per element, the descriptor sum reduces the same contiguous axis,
 and each product is one GEMM per table with that table's shapes, so every
 table's votes and scores are bit for bit those of its own pass. Votes and
-scores are byte-identical under one and two BLAS threads.
+scores are byte-identical under one and two BLAS threads. Each best-match
+key has one vector on every path, read from its ``answering_table``.
 ``synth.brute_force_matching`` evaluates the full 3-D likelihood pair by
 pair; it is the oracle for both the votes and the scores (within 1e-12
 relative).
@@ -135,6 +136,13 @@ def match_side(frame: Frame, rows) -> tuple:
     return frame.video_id, frame.frame_index, np.asarray(rows, dtype=np.intp).tobytes()
 
 
+def answering_table(key: tuple) -> tuple:
+    """The table that answers a best-match key (``match_side`` of t, of u), the
+    smaller of it and its reverse: read by its row maxima when it is the key,
+    by its column maxima otherwise, with or without the run's cache."""
+    return min(key, key[::-1])
+
+
 def saliency_keys(frame: Frame, pools) -> list[tuple]:
     """The key of each table a saliency of ``frame`` adds: every row of the
     frame against each (neighbor frame, pool rows) of ``pools``, in order."""
@@ -150,9 +158,9 @@ def frame_saliencies(frame: Frame, neighbor_pools, config: Config,
     each pool given as rows of the neighbor frame or as its ``Proposal``
     records. ``vectors`` maps each ``saliency_keys`` key to that table's
     best-match vector by ``get``, as a dict or the run's ``MatchCache`` does:
-    a table it holds is not matched, and one it lacks is matched and not
-    kept. The vectors are added in neighbor order from zeros, so a copied
-    vector leaves the sum bit for bit the same.
+    a table it holds is not matched, and one it lacks is matched as its
+    ``answering_table`` and not kept. The vectors are added in neighbor order
+    from zeros, so a copied vector leaves the sum bit for bit the same.
     """
     if len(neighbor_pools) == 0:
         raise ValueError("neighbor pool list is empty")
@@ -160,13 +168,14 @@ def frame_saliencies(frame: Frame, neighbor_pools, config: Config,
     pools = [(neighbor_frame, pool if isinstance(pool, np.ndarray)
               else neighbor_frame.rows([p.id for p in pool]))
              for neighbor_frame, pool in neighbor_pools]
-    if any(pool.size == 0 for _, pool in pools):
-        raise ValueError("neighbor proposal pool is empty")
     rows = np.arange(len(frame.proposals))
     saliency = np.zeros(rows.size)
     for (neighbor_frame, pool), key in zip(pools, saliency_keys(frame, pools)):
         if (best := vectors.get(key)) is None:
-            best = match_confidences(rows, pool, frame, neighbor_frame, config)[1].max(axis=1)
+            if answering_table(key) == key:
+                best = match_confidences(rows, pool, frame, neighbor_frame, config)[1].max(axis=1)
+            else:
+                best = match_confidences(pool, rows, neighbor_frame, frame, config)[1].max(axis=0)
         saliency += best
     return saliency
 

@@ -9,7 +9,7 @@ from itertools import combinations
 import numpy as np
 
 from tubeloc import discovery
-from tubeloc.matching import match_side
+from tubeloc.matching import answering_table, match_confidences, match_side
 from tubeloc.model import (
     Box,
     Collection,
@@ -117,6 +117,19 @@ class DirectedMatchCache(discovery.MatchCache):
         return {key: self.get(key) for key in keys}
 
 
+def fresh_vector(key: tuple, collection: Collection, config: Config) -> np.ndarray:
+    """A best-match key's vector, matched afresh from its ``answering_table``:
+    the table's row maxima when the key is that table, its column maxima
+    otherwise."""
+    table = answering_table(key)
+    (vid_t, kf_t, rows_t), (vid_u, kf_u, rows_u) = table
+    _, scores = match_confidences(np.frombuffer(rows_t, dtype=np.intp),
+                                  np.frombuffer(rows_u, dtype=np.intp),
+                                  collection.videos[vid_t].frames[kf_t],
+                                  collection.videos[vid_u].frames[kf_u], config)
+    return scores.max(axis=1 if key == table else 0)
+
+
 def recomputing_discovery(collection: Collection, config: Config,
                           directed: bool = False) -> discovery.DiscoveryResult:
     """``run_discovery``'s loop with every iteration computed in full, at one
@@ -154,36 +167,38 @@ def recomputing_discovery(collection: Collection, config: Config,
 
 
 def reference_discovery(collection: Collection, config: Config
-                        ) -> tuple[list[discovery.IterationState], list[dict]]:
-    """The method of ``run_discovery`` without its shortcuts: no match cache,
-    a retrieval similarity per ordered frame pair on the pools in rank order,
-    containment masks recomputed every iteration, saliencies matched afresh
-    by ``build_video_trellis``, and every iteration computed.
-
-    Returns each iteration's state and its full ranking: per key frame, every
-    key frame of another video with its similarity, in rank order."""
+                        ) -> list[discovery.IterationState]:
+    """The method of ``run_discovery`` without its shortcuts, one state per
+    iteration: no match cache, a retrieval similarity per ordered frame pair
+    (its pools in row order, as ``update_network`` matches them, and 0 when
+    either is empty) from a ``fresh_vector``, a full sort for each key frame's
+    neighbors, containment masks recomputed every iteration, saliencies
+    matched afresh by ``build_video_trellis``, and every iteration computed."""
     stride = config.keyframe_stride
     refs = discovery.key_frame_refs(collection, stride)
     frames = {(vid, kf): collection.videos[vid].frames[kf] for vid, kf in refs}
     state = discovery.initialize_state(collection, config)
-    snapshots, rankings = [], []
+    snapshots = []
     for iteration in range(1, config.iterations + 1):
         contained = {ref: discovery.region_contained(frame, state.boxes[ref[0]][ref[1]])
                      for ref, frame in frames.items()}
         if iteration == 1:
             ranking = discovery.bootstrap_neighbors(collection, len(refs), stride).neighbors
         else:
-            pools = {ref: discovery.retrieval_pool(frame, contained[ref],
-                                                   state.saliency[ref[0]][ref[1]],
-                                                   config.retrieval_proposals)
+            pools = {ref: np.sort(discovery.retrieval_pool(frame, contained[ref],
+                                                           state.saliency[ref[0]][ref[1]],
+                                                           config.retrieval_proposals))
                      for ref, frame in frames.items()}
-            ranking = {}
-            for q in refs:
-                scored = [(c, float(discovery.frame_similarity(
-                              frames[q], pools[q], frames[c], pools[c], config)[0].sum()))
-                          for c in refs if c[0] != q[0]]
-                ranking[q] = sorted(scored, key=lambda entry: (-entry[1], entry[0]))
-        rankings.append(ranking)
+
+            def similarity(q, c) -> float:
+                if pools[q].size == 0 or pools[c].size == 0:
+                    return 0.0
+                key = (match_side(frames[q], pools[q]), match_side(frames[c], pools[c]))
+                return float(fresh_vector(key, collection, config).sum())
+
+            ranking = {q: sorted([(c, similarity(q, c)) for c in refs if c[0] != q[0]],
+                                 key=lambda entry: (-entry[1], entry[0]))
+                       for q in refs}
         graph = NeighborGraph({q: entries[:config.k_neighbors] for q, entries in ranking.items()})
         num_tubes = 1 if iteration == config.iterations else config.p_tubes
         tubes, saliency, boxes = {}, {}, {}
@@ -199,34 +214,19 @@ def reference_discovery(collection: Collection, config: Config
         state = discovery.IterationState(iteration=iteration, tubes=tubes, boxes=boxes,
                                          saliency=saliency, graph=graph)
         snapshots.append(state)
-    return snapshots, rankings
+    return snapshots
 
 
-def assert_same_as_reference(result: discovery.DiscoveryResult, reference: tuple,
-                             rtol: float = 1e-12) -> None:
-    """Every snapshot of ``result`` has the tube regions of the
-    ``reference_discovery`` output ``reference``, and its neighbor ranks and
-    saliencies within ``rtol``: at each rank, a neighbor whose similarity ties
-    with the reference's neighbor there within ``rtol`` is accepted in its
-    place."""
-    def close(a: float, b: float) -> bool:
-        return abs(a - b) <= rtol * max(abs(a), abs(b))
-
-    for got, expected, ranking in zip(result.snapshots, *reference, strict=True):
+def assert_same_as_reference(result: discovery.DiscoveryResult,
+                             reference: list[discovery.IterationState]) -> None:
+    """Every snapshot of ``result`` equals the ``reference_discovery`` state
+    of its iteration exactly: tube regions, neighbor lists with their
+    similarities, and saliencies."""
+    for got, expected in zip(result.snapshots, reference, strict=True):
         assert {vid: [sol.tube.regions for sol in sols] for vid, sols in got.tubes.items()} == \
             {vid: [sol.tube.regions for sol in sols] for vid, sols in expected.tubes.items()}
-        assert got.graph.neighbors.keys() == ranking.keys()
-        for q, entries in got.graph.neighbors.items():
-            similarity_of = dict(ranking[q])
-            assert len(entries) == len(expected.graph.neighbors[q])
-            for (ref, similarity), (_, expected_similarity) in zip(entries, ranking[q]):
-                assert close(similarity, similarity_of[ref])
-                assert close(similarity_of[ref], expected_similarity)
-        for vid, by_kf in expected.saliency.items():
-            for kf, by_id in by_kf.items():
-                assert got.saliency[vid][kf].keys() == by_id.keys()
-                np.testing.assert_allclose(list(got.saliency[vid][kf].values()),
-                                           list(by_id.values()), rtol=rtol, atol=0)
+        assert got.graph.neighbors == expected.graph.neighbors
+        assert got.saliency == expected.saliency
 
 
 def recorded_requests(monkeypatch) -> list[list]:
@@ -277,7 +277,8 @@ def rank_order_similarity(state: discovery.IterationState, contained: dict,
     """``update_network``'s (F, F) similarity matrix over ``key_frame_refs``,
     with each retrieval pool matched in ``retrieval_pool``'s rank order
     instead of row order: the same sums, associated in another order. Entries
-    between key frames of one video are NaN."""
+    between key frames of one video are NaN, and an entry whose query or
+    candidate pool is empty is 0."""
     refs = discovery.key_frame_refs(collection, config.keyframe_stride)
     frames = [collection.videos[vid].frames[kf] for vid, kf in refs]
     pools = [discovery.retrieval_pool(frame, contained[ref], state.saliency[ref[0]][ref[1]],
@@ -285,8 +286,8 @@ def rank_order_similarity(state: discovery.IterationState, contained: dict,
              for ref, frame in zip(refs, frames)]
     similarity = np.full((len(refs), len(refs)), np.nan)
     for q, c in np.argwhere([[rq[0] != rc[0] for rc in refs] for rq in refs]):
-        similarity[q, c] = discovery.frame_similarity(frames[q], pools[q], frames[c], pools[c],
-                                                      config)[0].sum()
+        similarity[q, c] = 0.0 if pools[q].size == 0 or pools[c].size == 0 else \
+            discovery.frame_similarity(frames[q], pools[q], frames[c], pools[c], config)[0].sum()
     return similarity
 
 

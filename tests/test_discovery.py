@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 import tubeloc.discovery as discovery
 import tubeloc.matching as matching
 from helpers import (
+    all_rows,
     assert_same_as_reference,
     basis_vec,
+    fresh_vector,
     make_frame,
     match_keys,
     move_out_of_frame,
@@ -43,7 +45,13 @@ from tubeloc.discovery import (
     run_discovery,
     update_network,
 )
-from tubeloc.matching import appearance_confidence, match_confidences, match_side
+from tubeloc.matching import (
+    answering_table,
+    appearance_confidence,
+    frame_saliencies,
+    match_confidences,
+    match_side,
+)
 from tubeloc.model import (
     Box,
     Collection,
@@ -286,15 +294,6 @@ class TestFrameSimilarity:
         sim_twin = frame_similarity(query, row, twin, row, cfg)[0].sum()
         sim_ortho = frame_similarity(query, row, ortho, row, cfg)[0].sum()
         assert sim_twin > sim_ortho > 0
-
-    def test_empty_side_scores_zero(self):
-        cfg = Config()
-        frame = make_frame(proposals=[Proposal(0, Box(0, 0, 10, 10), basis_vec(4, 0))])
-        none, row = np.array([], dtype=int), np.array([0])
-        for rows_t, rows_u in [(none, row), (row, none)]:
-            best_t, best_u = frame_similarity(frame, rows_t, frame, rows_u, cfg)
-            assert best_t.tolist() == [0.0] * rows_t.size
-            assert best_u.tolist() == [0.0] * rows_u.size
 
     @pytest.mark.parametrize("seed", range(5))
     def test_column_maxima_are_the_reverse_tables_row_maxima(self, seed):
@@ -762,16 +761,10 @@ class TestWorkers:
         assert list(got) == keys == list(expected)
         for key in keys:
             assert got[key].tobytes() == expected[key].tobytes()
-        # each key holds its own table's maxima: the row maxima of the
-        # direction matched, the column maxima under its reverse
-        for table in {min(key, key[::-1]) for key in keys}:
-            (vid_t, kf_t, rows_t), (vid_u, kf_u, rows_u) = table
-            fresh = match_confidences(np.frombuffer(rows_t, dtype=np.intp),
-                                      np.frombuffer(rows_u, dtype=np.intp),
-                                      collection.videos[vid_t].frames[kf_t],
-                                      collection.videos[vid_u].frames[kf_u], config)[1]
-            assert got[table].tobytes() == fresh.max(axis=1).tobytes()
-            assert got[table[::-1]].tobytes() == fresh.max(axis=0).tobytes()
+        # each key, and its reverse, holds its answering table's maxima
+        assert {key[::-1] for key in keys} == set(keys)
+        for key in keys:
+            assert got[key].tobytes() == fresh_vector(key, collection, config).tobytes()
 
     def test_same_results_on_both_sides_of_the_cut(self, large, matched_on):
         collection, config, _ = large
@@ -922,7 +915,7 @@ def _reference_case(draw) -> tuple[SynthSpec, Config, bool]:
 
 class TestReference:
     """``run_discovery`` reaches the outputs of ``reference_discovery``, the
-    loop with no match cache, no mask reuse and no early stop."""
+    loop with no match cache, no mask reuse and no early stop, bit for bit."""
 
     @pytest.mark.parametrize("threads", [1, 2])
     @settings(max_examples=40, deadline=None)
@@ -936,6 +929,15 @@ class TestReference:
     @example(case=(SynthSpec(seed=3, num_classes=1, videos_per_class=2, frames_per_video=41,
                              num_distractors=2),
                    Config(k_neighbors=2, p_tubes=2, iterations=2), True))
+    # noise-free: frames 0 and 20 of class0_v00 tie exactly for the third
+    # neighbor of ('class2_v00', 0) in iteration 3, so a key read from
+    # another table than the reference's flips the tie and moves saliencies
+    @example(case=(SynthSpec(seed=104, num_classes=4, videos_per_class=1, frames_per_video=21,
+                             keyframe_stride=20, num_distractors=4,
+                             prototype_separation_deg=90.0, descriptor_noise=0.0,
+                             signature_noise=0.0),
+                   Config(k_neighbors=3, p_tubes=2, iterations=3, keyframe_stride=20,
+                          retrieval_proposals=2), True))
     def test_same_as_the_cache_free_loop(self, threads, case):
         spec, config, out_of_frame = case
         collection, _, _ = generate_collection(spec)
@@ -960,9 +962,9 @@ RANK_SPEC = SynthSpec(videos_per_class=4, frames_per_video=41, descriptor_noise=
 
 class TestMatchCache:
     """One cache serves retrieval and saliency, and one table both directions
-    of a frame pair: every vector it hands out is the best-match vector its
-    key's table would give if matched again, bit for bit for the direction
-    that was matched and up to float reassociation for the other."""
+    of a frame pair: every vector it hands out is, bit for bit, the vector
+    its key's ``answering_table`` gives when matched again, as the cache-free
+    path matches it."""
 
     @pytest.mark.parametrize("spec, config", [
         (SMALL_SPEC, SMALL_CONFIG),
@@ -983,24 +985,40 @@ class TestMatchCache:
         result = run_discovery(collection, config, threads=1)
         assert len(copied) >= sum(c.retrieval_reused for c in result.match_counts) > 0
 
-        def scores(key):
-            (vid_t, kf_t, rows_t), (vid_u, kf_u, rows_u) = key
-            return match_confidences(np.frombuffer(rows_t, dtype=np.intp),
-                                     np.frombuffer(rows_u, dtype=np.intp),
-                                     collection.videos[vid_t].frames[kf_t],
-                                     collection.videos[vid_u].frames[kf_u], config)[1]
-
         reversed_keys = 0
         for key, vector in copied:
-            fresh = scores(key).max(axis=1)
+            fresh = fresh_vector(key, collection, config)
             assert vector.dtype == fresh.dtype
-            if key == min(key, key[::-1]):  # the direction that was matched
-                assert vector.tobytes() == fresh.tobytes()
-            else:
-                reversed_keys += 1
-                assert vector.tobytes() == scores(key[::-1]).max(axis=0).tobytes()
-                np.testing.assert_allclose(vector, fresh, rtol=1e-12, atol=0)
+            assert vector.tobytes() == fresh.tobytes()
+            reversed_keys += key != answering_table(key)  # read by column maxima
         assert reversed_keys > 0
+
+    @pytest.mark.parametrize("spec, config", [
+        *[(SynthSpec(seed=seed), Config()) for seed in (1, 101)],  # default-shaped
+        *[(replace(RANK_SPEC, seed=seed), Config(iterations=3)) for seed in (1, 101)],
+    ])
+    def test_the_cache_free_path_reads_the_held_vectors(self, spec, config, monkeypatch):
+        # build_video_trellis without vectors, as checks and oracles call it,
+        # gives a saliency key the bytes the run's cache holds for it, and a
+        # retrieval key's fresh match is the same rule's
+        collection, _, _ = generate_collection(spec)
+        caches = []
+        enter = MatchCache.__enter__
+        monkeypatch.setattr(MatchCache, "__enter__",
+                            lambda cache: caches.append(cache) or enter(cache))
+        run_discovery(collection, config, threads=1)
+        [cache] = caches
+        reversed_saliency_keys = 0
+        for key in cache.tables:
+            held = cache.get(key)
+            assert held.tobytes() == fresh_vector(key, collection, config).tobytes()
+            (vid_t, kf_t, rows_t), (vid_u, kf_u, rows_u) = key
+            frame = collection.videos[vid_t].frames[kf_t]
+            if rows_t == match_side(frame, all_rows(frame))[2]:  # a saliency key
+                pool = (collection.videos[vid_u].frames[kf_u], np.frombuffer(rows_u, dtype=np.intp))
+                assert held.tobytes() == frame_saliencies(frame, [pool], config).tobytes()
+                reversed_saliency_keys += key != answering_table(key)
+        assert reversed_saliency_keys > 0
 
     @staticmethod
     def _record_matches(monkeypatch, record) -> None:
@@ -1101,13 +1119,7 @@ class TestMatchCache:
         assert {thread is threading.main_thread() for thread, _ in chunks} == \
             ({True, False} if threads > 1 else {True})
         for key in keys:
-            table = min(key, key[::-1])
-            (vid_t, kf_t, rows_t), (vid_u, kf_u, rows_u) = table
-            fresh = match_confidences(np.frombuffer(rows_t, dtype=np.intp),
-                                      np.frombuffer(rows_u, dtype=np.intp),
-                                      frames[vid_t, kf_t], frames[vid_u, kf_u], config)[1]
-            expected = fresh.max(axis=1) if key == table else fresh.max(axis=0)
-            assert got[key].tobytes() == expected.tobytes()
+            assert got[key].tobytes() == fresh_vector(key, collection, config).tobytes()
 
     @pytest.mark.parametrize("spec, config", [
         (SMALL_SPEC, SMALL_CONFIG),

@@ -222,3 +222,20 @@ class TestEvaluate:
         text = report.table()
         assert "CorLoc" in text and "class0" in text
         assert len(report.to_records()) == 5
+
+    @pytest.mark.parametrize("neighbors", [
+        {("a1", 0): []},  # a one-video collection retrieves nothing
+        {("a1", 0): [("zz", 0, 1.0)], ("zz", 0): [("a1", 0, 1.0)]},  # only unlabeled neighbors
+    ])
+    def test_no_labeled_neighbor_scores_no_retrieval(self, neighbors):
+        # with no query key frame to score, a retrieval score is undefined,
+        # not 0 % correct and 0 % error
+        box = Box(10, 10, 100, 100)
+        collection, tubes = _single_frame_collection(
+            {vid: box for vid, _kf in neighbors}, {"a1": (box, "cat")})
+        report = evaluate(collection, tubes=tubes, graph=_graph(neighbors))
+        assert [(name, average) for name, _label, _per_class, average in report.rows] == [
+            ("corloc", 100.0)]
+        assert report.confusion is None
+        assert [record["type"] for record in report.to_records()] == ["metric"]
+        assert "confusion" not in report.table()
