@@ -41,6 +41,7 @@ EXIT_INVALID = 1
 EXIT_RUNTIME = 2
 
 OUT_DIR_ENV = "TUBELOC_OUT"
+PREVIEW_RECORDS = 3  # records ``inspect`` previews per type
 
 
 class _ArgsError(Exception):
@@ -84,27 +85,20 @@ _CONFIG_FLAGS = [
 ]
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    for flag, dest, kind, help_text in _CONFIG_FLAGS:
-        parser.add_argument(flag, dest=dest, type=kind, default=None, help=help_text)
-
-
-def _read_object(path: str | None, what: str) -> dict:
-    """The JSON object in ``path``, or an empty one when no file is given."""
+def _resolve_params(cls, args, what: str):
+    """The ``Config`` or ``SynthSpec`` of a command: the JSON object in the file
+    that option ``what`` names, if any, then each field's flag given (its dest
+    is the field name), then ``validate()``."""
+    path = getattr(args, what)
     raw = read_json(path, what) if path else {}
     if not isinstance(raw, dict):
         raise ValidationError(f"{what} file {path} must hold a JSON object")
-    return raw
-
-
-def _resolve_config(args) -> Config:
-    config = Config.from_dict(_read_object(args.config, "config"))
-    for _flag, dest, _kind, _help in _CONFIG_FLAGS:
-        value = getattr(args, dest)
-        if value is not None:
-            setattr(config, dest, value)
-    config.validate()
-    return config
+    params = cls.from_dict(raw)
+    for name in cls.__dataclass_fields__:
+        if getattr(args, name) is not None:
+            setattr(params, name, getattr(args, name))
+    params.validate()
+    return params
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--spec", default=None, help="JSON file with generator fields")
     for name, field in SynthSpec.__dataclass_fields__.items():
         flag = "--" + name.replace("_", "-")
-        p_synth.add_argument(flag, dest=f"spec_{name}", type=type(field.default), default=None)
+        p_synth.add_argument(flag, dest=name, type=type(field.default), default=None)
     p_synth.set_defaults(func=cmd_synth)
 
     p_run = sub.add_parser("run", help="run discovery and tracking on a collection")
@@ -129,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "pairs; outputs do not depend on it (default: 1)")
     p_run.add_argument("--snapshots", action="store_true",
                        help="write per-iteration tubes and graph snapshots")
-    _add_config_flags(p_run)
+    for flag, dest, kind, help_text in _CONFIG_FLAGS:
+        p_run.add_argument(flag, dest=dest, type=kind, default=None, help=help_text)
     p_run.set_defaults(func=cmd_run)
 
     p_eval = sub.add_parser("eval", help="score results against ground truth")
@@ -142,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_inspect = sub.add_parser("inspect", help="summarize any artifact file")
     p_inspect.add_argument("path")
-    p_inspect.add_argument("--head", type=int, default=3, help="records to preview per type")
     p_inspect.set_defaults(func=cmd_inspect)
     return parser
 
@@ -152,11 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_synth(args) -> int:
-    spec = SynthSpec.from_dict(_read_object(args.spec, "spec"))
-    for name in SynthSpec.__dataclass_fields__:
-        value = getattr(args, f"spec_{name}")
-        if value is not None:
-            setattr(spec, name, value)
+    spec = _resolve_params(SynthSpec, args, "spec")
     out = _resolve_out(args)
     collection, planted, _truths = generate_collection(spec)
     manifest = save_collection(collection, out)
@@ -167,7 +157,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = _resolve_config(args)
+    config = _resolve_params(Config, args, "config")
     check_threads(args.threads)
     out = _resolve_out(args)
     make_dir(out)  # an unusable --out fails before the run, not after it
@@ -226,11 +216,14 @@ def cmd_eval(args) -> int:
             raise ValidationError(
                 f"{snapshots_root} not found; run with --snapshots to enable --per-iteration"
             )
-        _say("")
-        _say("iteration  CorLoc")
+        if collection.ground_truths:  # else CorLoc is undefined, as in ``evaluate``
+            _say("\niteration  CorLoc")
         for iteration, snap in sorted((snapshot_iteration(entry), entry)
                                       for entry in snapshots_root.iterdir()):
-            per_class, average = corloc(_best_tubes(snap, collection)[0], collection)
+            snap_tubes = _best_tubes(snap, collection)[0]  # every snapshot is read and checked
+            if not collection.ground_truths:
+                continue
+            per_class, average = corloc(snap_tubes, collection)
             iteration_rows.append({"type": "iteration_corloc", "iteration": iteration,
                                    "average": round(average, 6),
                                    "per_class": {k: round(v, 6) for k, v in per_class.items()}})
@@ -254,7 +247,7 @@ def cmd_inspect(args) -> int:
     for _locus, record in read_jsonl(path):
         kind = record["type"]
         counts[kind] += 1
-        if len(previews.setdefault(kind, [])) < args.head:
+        if len(previews.setdefault(kind, [])) < PREVIEW_RECORDS:
             previews[kind].append(record)
     _say(f"{path}: {sum(counts.values())} records")
     for kind in sorted(counts):

@@ -235,15 +235,16 @@ class MatchCache:
     cache keeps no array per key. ``counts`` has the (tables matched, vectors
     reused) of each ``vectors`` call.
 
-    It reads the run's collection and config, and the key frames' ``columns``,
-    one stack that ``build_columns`` shares among them. The tables a
-    ``vectors`` call lacks are grouped by shape and cut into chunks of at most
-    ``CHUNK_PAIRS`` proposal pairs, and each chunk is one stacked
+    Both discovery phases read the run from it: its collection and config, its
+    key ``frames`` (ref -> ``Frame``, in ``key_frame_refs`` order) and their
+    ``columns``, one stack that ``build_columns`` shares among them. The
+    tables a ``vectors`` call lacks are grouped by shape and cut into chunks
+    of at most ``CHUNK_PAIRS`` proposal pairs, and each chunk is one stacked
     ``match_confidences`` pass, whose rows are gathered from the stack with
     one fancy index a side. A table of at least ``THREADED_PAIRS`` pairs is a
-    chunk of its own: with ``threads`` > 1, that many threads take those
-    chunks while the caller matches the others, and leaving the ``with`` block
-    ends them.
+    chunk of its own: with ``threads`` > 1, that many threads, at most one per
+    key frame, take those chunks while the caller matches the others, and
+    leaving the ``with`` block ends them.
     """
 
     def __init__(self, collection: Collection, config: Config, threads: int = 1):
@@ -251,13 +252,14 @@ class MatchCache:
         self.config = config
         self.tables = {}
         self.counts: list[tuple[int, int]] = []
+        self.frames = {(vid, kf): collection.videos[vid].frames[kf]
+                       for vid, kf in key_frame_refs(collection, config.keyframe_stride)}
         # before the threads start, so that none builds a frame's columns
-        self.columns = build_columns(collection.videos[vid].frames[kf]
-                                     for vid, kf in key_frame_refs(collection,
-                                                                   config.keyframe_stride))
+        self.columns = build_columns(self.frames.values())
         self._first_row = dict(zip(self.columns.refs, self.columns.starts))
         # the outer products of the chunks the caller matches (see CHUNK_PAIRS)
         self._outer = np.empty(CHUNK_PAIRS * LOG_SCALE_BINS * TRANSLATION_BINS)
+        threads = min(threads, len(self.frames))  # bounded by the collection's size
         self._pool = None if threads == 1 else ThreadPoolExecutor(threads)
 
     def __enter__(self) -> MatchCache:
@@ -333,15 +335,15 @@ def _chunks(tables: list) -> list[list]:
 
 
 def neighbor_pools(ref: FrameRef, graph: NeighborGraph, contained: dict[FrameRef, np.ndarray],
-                   collection: Collection) -> list[tuple[Frame, np.ndarray]]:
-    """The pools key frame ``ref``'s saliency reads: each neighbor's frame and
-    the rows ``contained`` marks in it, in neighbor order, skipping the
-    neighbors with none."""
+                   frames: dict[FrameRef, Frame]) -> list[tuple[Frame, np.ndarray]]:
+    """The pools key frame ``ref``'s saliency reads: each neighbor's frame, from
+    the run's key ``frames``, and the rows ``contained`` marks in it, in
+    neighbor order, skipping the neighbors with none."""
     pools = []
-    for (nvid, nkf), _sim in graph.neighbors.get(ref, []):
-        rows = contained[nvid, nkf].nonzero()[0]  # a mask is 1-D: flatnonzero's rows, faster
+    for neighbor, _sim in graph.neighbors.get(ref, []):
+        rows = contained[neighbor].nonzero()[0]  # a mask is 1-D: flatnonzero's rows, faster
         if rows.size:
-            pools.append((collection.videos[nvid].frames[nkf], rows))
+            pools.append((frames[neighbor], rows))
     return pools
 
 
@@ -361,18 +363,17 @@ def update_network(state: IterationState, contained: dict[FrameRef, np.ndarray],
     ``relocalize_video`` reads them. Retrieval and saliency each make one
     ``cache.vectors`` call, which matches the tables the cache lacks.
     """
-    collection, config = cache.collection, cache.config
-    refs = key_frame_refs(collection, config.keyframe_stride)
-    frames = [collection.videos[vid].frames[kf] for vid, kf in refs]
+    config, frames = cache.config, cache.frames
     if state.iteration == 0:
         cache.vectors([])  # counts retrieval's (0, 0)
-        graph = bootstrap_neighbors(collection, config.k_neighbors, config.keyframe_stride)
+        graph = bootstrap_neighbors(cache.collection, config.k_neighbors, config.keyframe_stride)
     else:
+        refs = list(frames)
         # in row order: a similarity depends on the pool's set, not its ranking
         pools = [np.sort(retrieval_pool(frame, contained[ref], state.saliency[ref[0]][ref[1]],
                                         config.retrieval_proposals))
-                 for ref, frame in zip(refs, frames)]
-        sides = [match_side(frame, pool) for frame, pool in zip(frames, pools)]
+                 for ref, frame in frames.items()]
+        sides = [match_side(frame, pool) for frame, pool in zip(frames.values(), pools)]
         videos = np.array([vid for vid, _ in refs], dtype=object)
         cross = videos[:, None] != videos[None, :]  # same-video pairs are never ranked
         similarity = np.where(cross, 0.0, np.nan)
@@ -385,9 +386,8 @@ def update_network(state: IterationState, contained: dict[FrameRef, np.ndarray],
                                                 for c in cols]).sum(axis=1)
         graph = _rank_neighbors(refs, similarity, config.k_neighbors)
 
-    cache.vectors([key for ref, frame in zip(refs, frames)
-                   for key in saliency_keys(frame, neighbor_pools(ref, graph, contained,
-                                                                  collection))])
+    cache.vectors([key for ref, frame in frames.items()
+                   for key in saliency_keys(frame, neighbor_pools(ref, graph, contained, frames))])
     return graph
 
 
@@ -457,23 +457,25 @@ def build_video_trellis(video: Video,
 
 
 def relocalize_video(video: Video, graph: NeighborGraph,
-                     contained: dict[FrameRef, np.ndarray], collection: Collection,
-                     config: Config, num_tubes: int, motion: VideoMotion, vectors: MatchCache
+                     contained: dict[FrameRef, np.ndarray], num_tubes: int,
+                     motion: VideoMotion, cache: MatchCache
                      ) -> tuple[list[TubeSolution], dict[int, dict[int, float]],
                                 dict[int, list[Box]]]:
     """Optimize one video against its neighbors' currently localized regions,
-    whose proposals ``contained`` marks per key frame. ``vectors`` is the run's
-    ``MatchCache``, where ``update_network`` put every saliency table, so
+    whose proposals ``contained`` marks per key frame. ``cache`` is the run's
+    ``MatchCache``: it holds the run's config and key frames, and
+    ``update_network`` put every saliency table in it, so
     ``frame_saliencies`` matches nothing here.
 
     Returns the tubes, the saliency maps and the new localized boxes per key
     frame.
     """
+    config = cache.config
     kfs = key_frames(video, config.keyframe_stride)
-    pools_by_kf = {kf: neighbor_pools((video.video_id, kf), graph, contained, collection)
+    pools_by_kf = {kf: neighbor_pools((video.video_id, kf), graph, contained, cache.frames)
                    for kf in kfs}
 
-    trellis, saliency_maps = build_video_trellis(video, pools_by_kf, config, motion, vectors)
+    trellis, saliency_maps = build_video_trellis(video, pools_by_kf, config, motion, cache)
     solutions = solve_p_best(trellis, num_tubes, config.lambda_)
     boxes_by_kf = {
         kf: [
@@ -529,17 +531,13 @@ def run_discovery(collection: Collection, config: Config, threads: int = 1
     check_threads(threads)
     check_key_frames(collection, config.keyframe_stride)
     check_objective_bound(collection, config)
-    refs = key_frame_refs(collection, config.keyframe_stride)
-    frames = {(vid, kf): collection.videos[vid].frames[kf] for vid, kf in refs}
-    # stacks the key frames' columns before anything reads them; at most one
-    # thread per key frame bounds the threads by the collection's size
-    cache = MatchCache(collection, config, min(threads, len(refs)))
+    cache = MatchCache(collection, config, threads)  # stacks the key frames' columns
     motion = {vid: motion_scores(video, key_frames(video, config.keyframe_stride))
               for vid, video in collection.videos.items()}
     state = initialize_state(collection, config)
     # both phases read the proposals inside the previous state's regions
     contained = {ref: region_contained(frame, state.boxes[ref[0]][ref[1]])
-                 for ref, frame in frames.items()}
+                 for ref, frame in cache.frames.items()}
     snapshots: list[IterationState] = []
     counts: list[MatchCounts] = []
     fixed_point = None
@@ -553,13 +551,12 @@ def run_discovery(collection: Collection, config: Config, threads: int = 1
                 fixed_point = iteration if iteration < config.iterations else None
                 break
             last = iteration == config.iterations
-            results = {vid: relocalize_video(video, graph, contained, collection, config,
-                                             1 if last else config.p_tubes, motion[vid],
-                                             cache)
+            results = {vid: relocalize_video(video, graph, contained,
+                                             1 if last else config.p_tubes, motion[vid], cache)
                        for vid, video in collection.videos.items()}
             # the final iteration's regions are read by no one
             changed = {} if last else {
-                (vid, kf): region_contained(frames[vid, kf], regions)
+                (vid, kf): region_contained(cache.frames[vid, kf], regions)
                 for vid, res in results.items() for kf, regions in res[2].items()
                 if regions != state.boxes[vid][kf]}
             moved = [(contained[ref], mask) for ref, mask in changed.items()]

@@ -171,11 +171,12 @@ class EvalReport:
 
 
 def evaluate(collection: Collection, tubes: dict[str, Tube], graph: NeighborGraph) -> EvalReport:
-    """Score localization, and retrieval when a query key frame of a labeled
-    video has a labeled neighbor: with none, a retrieval score is undefined."""
+    """Score localization when a video is annotated, and retrieval when a
+    query key frame of a labeled video has a labeled neighbor: with none, a
+    score is undefined."""
     labels = video_labels(collection)
     report = EvalReport(sorted(set(labels.values())),
-                        [("corloc", "CorLoc", *corloc(tubes, collection))])
+                        [("corloc", "CorLoc", *corloc(tubes, collection))] if labels else [])
     if next(_frame_fractions(graph, labels), None):
         report.rows += [
             ("corret", "CorRet", *corret(graph, labels)),

@@ -335,7 +335,8 @@ def key_frames(video: Video, stride: int) -> list[int]:
 
 def check_key_frames(collection: Collection, stride: int) -> None:
     """What a run needs of a collection: at least one video, and at every key
-    frame a frame with proposals and a signature."""
+    frame a frame with proposals and a signature whose largest entry M keeps
+    D (2M)^2 finite, which bounds every bootstrap distance's square."""
     if not collection.videos:
         raise ValidationError("collection has no videos")
     for vid, video in collection.videos.items():
@@ -345,6 +346,10 @@ def check_key_frames(collection: Collection, stride: int) -> None:
                 raise ValidationError(f"key frame {kf} of video {vid} has no proposals")
             if frame.signature is None:
                 raise ValidationError(f"key frame {kf} of video {vid} has no signature")
+            largest = 2.0 * float(np.abs(frame.signature).max(initial=0.0))
+            if not math.isfinite(np.size(frame.signature) * largest * largest):
+                raise ValidationError(f"key frame {kf} of video {vid} has a signature entry "
+                                      "so large that its squared distances can overflow")
 
 
 def _lerp_box(a: Box, b: Box, w: float) -> Box:
@@ -384,12 +389,21 @@ def interpolate_tube(tube: Tube, video: Video) -> dict[int, Box]:
     return out
 
 
+# The least norm whose square is a normal float, so computed without underflow.
+_NORMAL_NORM = math.sqrt(np.finfo(float).tiny)
+
+
 def unit_normalized(vector: Iterable[float], locus: str | None = None) -> np.ndarray:
-    """Return the L2-normalized copy of a finite, nonzero vector."""
+    """Return the L2-normalized copy of a finite, nonzero vector, divided first by
+    its largest entry magnitude when its squared norm overflows or underflows."""
     arr = np.asarray(vector, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValidationError("vector has non-finite entries", locus=locus)
-    norm = float(np.linalg.norm(arr))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(arr))
+    if not _NORMAL_NORM <= norm < math.inf and arr.any():
+        arr = arr / np.abs(arr).max()
+        norm = float(np.linalg.norm(arr))
     if norm == 0.0:
         raise ValidationError("vector has zero norm", locus=locus)
     return arr / norm

@@ -45,9 +45,12 @@ _PART_RECTS = [
     (0.55, 0.05, 0.40, 0.35),
 ]
 
-# Object-track grid margins inside the planted box: endpoints stay slightly
-# off the border so that quantization never pushes a point outside.
+# The planted object carries a grid of this many tracks a side, at margins
+# inside its box: endpoints stay slightly off the border so that quantization
+# never pushes a point outside. The background has this many static clusters.
+_OBJECT_TRACK_GRID = 4
 _REL_MARGIN = 0.02
+_BACKGROUND_CLUSTERS = 2
 
 _PART_MIX = 0.35  # weight of the part direction mixed into the class prototype
 
@@ -74,8 +77,6 @@ class SynthSpec(Params):
     signature_noise: float = 0.0
     num_distractors: int = 5
     num_parts: int = 2
-    object_track_grid: int = 4
-    background_clusters: int = 2
     tracks_per_background_cluster: int = 12
     frame_width: float = 320.0
     frame_height: float = 240.0
@@ -95,10 +96,8 @@ class SynthSpec(Params):
             raise ValidationError("distractor and part counts must be >= 0")
         if self.num_parts > len(_PART_RECTS):
             raise ValidationError(f"at most {len(_PART_RECTS)} parts are supported")
-        if self.object_track_grid < 2:
-            raise ValidationError("object_track_grid must be >= 2")
-        if self.background_clusters < 0 or self.tracks_per_background_cluster < 1:
-            raise ValidationError("invalid background cluster layout")
+        if self.tracks_per_background_cluster < 1:
+            raise ValidationError("tracks_per_background_cluster must be >= 1")
         if not 0.0 < self.prototype_separation_deg <= 90.0:
             raise ValidationError("prototype separation must be in (0, 90] degrees")
         if not (self.frame_width > 0 < self.frame_height
@@ -161,7 +160,7 @@ def generate_collection(spec: SynthSpec) -> tuple[Collection, PlantedTruth, list
     height = canon_float(spec.frame_height)
     T = spec.frames_per_video
     kfs = set(range(0, T, spec.keyframe_stride))
-    rel = np.linspace(_REL_MARGIN, 1.0 - _REL_MARGIN, spec.object_track_grid)
+    rel = np.linspace(_REL_MARGIN, 1.0 - _REL_MARGIN, _OBJECT_TRACK_GRID)
     n_props = 1 + spec.num_parts + 1 + spec.num_distractors
 
     collection = Collection(spec.descriptor_dim, spec.signature_dim)
@@ -207,7 +206,7 @@ def generate_collection(spec: SynthSpec) -> tuple[Collection, PlantedTruth, list
                     ])
                     tracks.append(Track(tid, 0, 0, points))
                     tid += 1
-            for b in range(spec.background_clusters if T >= 2 else 0):
+            for b in range(_BACKGROUND_CLUSTERS if T >= 2 else 0):
                 center = rng.uniform([0.1 * width, 0.1 * height],
                                      [0.9 * width, 0.9 * height])
                 for _ in range(spec.tracks_per_background_cluster):

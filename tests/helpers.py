@@ -151,8 +151,8 @@ def recomputing_discovery(collection: Collection, config: Config,
         cache = (DirectedMatchCache if directed else discovery.MatchCache)(collection, config)
         graph = discovery.update_network(state, contained, cache)
         num_tubes = 1 if iteration == config.iterations else config.p_tubes
-        results = {vid: discovery.relocalize_video(video, graph, contained, collection,
-                                                   config, num_tubes, motion[vid], cache)
+        results = {vid: discovery.relocalize_video(video, graph, contained, num_tubes,
+                                                   motion[vid], cache)
                    for vid, video in collection.videos.items()}
         state = discovery.IterationState(
             iteration=iteration,

@@ -118,6 +118,40 @@ class TestSynthCommand:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("fields,flags,expected", [
+        ({"num_distractors": 2}, ["--num-distractors", "4"], {"num_distractors": 4}),
+        ({"object_scale": 2.0}, ["--object-scale", "0.25"], {"object_scale": 0.25}),
+        ({"object_scale": 0.25}, ["--object-scale", "2.0"], None),
+    ], ids=["flag_overrides", "flag_mends_the_file", "flag_is_validated"])
+    def test_spec_file_with_flag_override(self, tmp_path, capsys, fields, flags, expected):
+        # as with run's --config: the file first, each flag given over it,
+        # and then the result is validated
+        spec_path = tmp_path / "s.json"
+        spec_path.write_text(json.dumps({"videos_per_class": 1, **fields}))
+        out = tmp_path / "o"
+        code = main(["synth", "--out", str(out), "--spec", str(spec_path),
+                     "--frames-per-video", "21"] + flags)
+        if expected is None:
+            assert code == 1
+            assert "error: object larger than frame" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert code == 0
+            written = json.loads((out / "synth_spec.json").read_text())
+            assert (written["videos_per_class"], written["frames_per_video"]) == (1, 21)
+            assert {key: written[key] for key in expected} == expected
+
+    @pytest.mark.parametrize("name,value", [("object_track_grid", 4), ("background_clusters", 2)])
+    def test_fixed_track_layout_is_not_a_field(self, tmp_path, capsys, name, value):
+        spec_path = tmp_path / "s.json"
+        spec_path.write_text(json.dumps({name: value}))
+        assert main(["synth", "--out", str(tmp_path / "o"), "--spec", str(spec_path)]) == 1
+        assert f"error: unknown generator field '{name}'" in capsys.readouterr().err
+        flag = "--" + name.replace("_", "-")
+        assert main(["synth", "--out", str(tmp_path / "o"), flag, str(value)]) == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_out_exits_one(self, monkeypatch, capsys):
         monkeypatch.delenv("TUBELOC_OUT", raising=False)
         assert main(["synth"]) == 1
@@ -458,6 +492,28 @@ class TestRunCommand:
         assert (f"{manifest}: key frame 20 of video {video_id} has no proposals"
                 in capsys.readouterr().err)
 
+    def test_signature_whose_distances_overflow_exits_one(self, tiny_collection, tmp_path,
+                                                          capsys):
+        # bootstrap distances of 1e300 entries overflow: the run names the key
+        # frame at the manifest and writes nothing, rather than ranking -inf
+        target = tmp_path / "collection"
+        shutil.copytree(tiny_collection, target)
+        frames_file = sorted(target.glob("*.frames.jsonl"))[0]
+        records = [json.loads(line) for line in frames_file.read_text().splitlines()]
+        key_frame = next(r for r in records if r["type"] == "frame" and r["frame_index"] == 20)
+        key_frame["signature"] = [1e300] * len(key_frame["signature"])
+        frames_file.write_text("".join(json.dumps(r) + "\n" for r in records))
+        manifest = target / "manifest.jsonl"
+        out = tmp_path / "o"
+        code = main(["run", "--collection", str(manifest), "--out", str(out), "--iterations",
+                     "1", "--snapshots"])
+        assert code == 1
+        video_id = frames_file.name.removesuffix(".frames.jsonl")
+        assert (f"error: {manifest}: key frame 20 of video {video_id} has a signature entry "
+                "so large that its squared distances can overflow") in capsys.readouterr().err
+        assert not (out / "tubes.jsonl").exists()
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("change", ["edit", "delete"])
     def test_input_hash_is_of_the_loaded_bytes(self, tiny_collection, tmp_path, monkeypatch,
                                                change):
@@ -704,6 +760,36 @@ class TestEvalCommand:
         assert (f"{path}:1: tube for video {records[0]['video_id']} selects no region at "
                 "key frame 20") in capsys.readouterr().err
 
+    def test_unannotated_collection_reports_no_corloc(self, tiny_collection, tmp_path,
+                                                       capsys):
+        # with no annotated video, CorLoc is undefined: no row, no per-iteration
+        # line or record, while every snapshot is still read and validated
+        target = tmp_path / "collection"
+        shutil.copytree(tiny_collection, target)
+        manifest = target / "manifest.jsonl"
+        records = [json.loads(line) for line in manifest.read_text().splitlines()]
+        for record in records:
+            record.pop("truth_file", None)
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in records))
+        for truth_file in target.glob("*.truth.jsonl"):
+            truth_file.unlink()
+        out = tmp_path / "res"
+        assert main(["run", "--collection", str(manifest), "--out", str(out), "--iterations",
+                     "2", "--k", "2", "--threads", "1", "--snapshots"]) == 0
+        capsys.readouterr()
+        report_dir = tmp_path / "report"
+        assert main(["eval", "--collection", str(manifest), "--results", str(out),
+                     "--per-iteration", "--out", str(report_dir)]) == 0
+        assert "CorLoc" not in capsys.readouterr().err
+        assert (report_dir / "report.jsonl").read_text() == ""
+        assert "CorLoc" not in (report_dir / "report.txt").read_text()
+
+        tubes = out / "snapshots" / "iter_001" / "tubes.jsonl"
+        tubes.write_text("{not json\n")
+        assert main(["eval", "--collection", str(manifest), "--results", str(out),
+                     "--per-iteration"]) == 1
+        assert f"{tubes}:1:" in capsys.readouterr().err
+
     def test_per_iteration_requires_snapshots(self, tiny_collection, tmp_path, capsys):
         out = tmp_path / "nosnap"
         assert main(["run", "--collection", str(tiny_collection / "manifest.jsonl"),
@@ -733,6 +819,14 @@ class TestInspectCommand:
         err = capsys.readouterr().err
         assert "collection: 1" in err
         assert "video: 4" in err
+
+    def test_previews_three_records_per_type(self, tmp_path, capsys):
+        path = tmp_path / "many.jsonl"
+        path.write_text("".join(json.dumps({"type": "a", "n": n}) + "\n" for n in range(5)))
+        assert main(["inspect", str(path)]) == 0
+        err = capsys.readouterr().err
+        assert "a: 5" in err
+        assert [n for n in range(5) if f'"n": {n}}}' in err] == [0, 1, 2]
 
     def test_reads_json(self, tiny_collection, capsys):
         assert main(["inspect", str(tiny_collection / "synth_spec.json")]) == 0

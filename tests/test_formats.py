@@ -103,6 +103,28 @@ class TestLoadCollection:
         # descriptors are normalized at ingestion
         np.testing.assert_allclose(video.frames[0].proposals[0].descriptor, [0.6, 0.8])
 
+    @pytest.mark.parametrize("descriptor,expected", [
+        ([1e200, 1e200], [2 ** -0.5, 2 ** -0.5]),
+        ([1e-320, 0.0], [1.0, 0.0]),
+    ], ids=["squared_norm_overflows", "subnormal"])
+    def test_finite_nonzero_descriptor_loads_unit_norm(self, tmp_path, descriptor, expected):
+        # neither a squared norm that overflows nor one that underflows to 0
+        # makes the descriptor zero or rejects it
+        (tmp_path / "manifest.jsonl").write_text(
+            '{"type": "collection", "format_version": 1, "descriptor_dim": 2, "signature_dim": 2}\n'
+            '{"type": "video", "video_id": "v0", "num_frames": 1,'
+            ' "frames_file": "v0.frames.jsonl", "tracks_file": "v0.tracks.jsonl"}\n'
+        )
+        write_jsonl(tmp_path / "v0.frames.jsonl", [
+            {"type": "frame", "frame_index": 0, "width": 100.0, "height": 100.0,
+             "signature": [1.0, 0.0]},
+            {"type": "proposal", "frame_index": 0, "id": 0, "box": [10, 10, 20, 20],
+             "descriptor": descriptor}])
+        (tmp_path / "v0.tracks.jsonl").write_text("")
+        loaded = load_collection(tmp_path / "manifest.jsonl", keyframe_stride=1)
+        got = loaded.videos["v0"].frames[0].proposals[0].descriptor
+        np.testing.assert_allclose(got, expected, rtol=1e-15)
+
     @staticmethod
     def _write_tracked_video(root: Path, sizes, tracks) -> Path:
         """One video with frames of the given (width, height) and the given

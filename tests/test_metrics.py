@@ -239,3 +239,14 @@ class TestEvaluate:
         assert report.confusion is None
         assert [record["type"] for record in report.to_records()] == ["metric"]
         assert "confusion" not in report.table()
+
+    def test_no_annotated_video_scores_no_localization(self):
+        # with no annotation, CorLoc is undefined, not 0 %; nor is retrieval
+        # scored, as no video has a label
+        box = Box(10, 10, 100, 100)
+        collection, tubes = _single_frame_collection({"a1": box, "b1": box}, {})
+        graph = _graph({("a1", 0): [("b1", 0, 1.0)], ("b1", 0): [("a1", 0, 1.0)]})
+        report = evaluate(collection, tubes=tubes, graph=graph)
+        assert report.rows == [] and report.confusion is None
+        assert report.to_records() == []
+        assert "CorLoc" not in report.table()

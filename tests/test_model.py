@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import make_frame
+from tubeloc.discovery import bootstrap_neighbors
 from tubeloc.model import (
     Box,
     Collection,
@@ -16,6 +19,7 @@ from tubeloc.model import (
     check_key_frames,
     interpolate_tube,
     key_frames,
+    unit_normalized,
 )
 from tubeloc.synth import SynthSpec
 
@@ -127,6 +131,61 @@ class TestCheckKeyFrames:
 
     def test_only_key_frames_checked(self):
         check_key_frames(_key_frame_collection(41, {10: make_frame("v", 10)}), 20)
+
+    def test_signature_whose_distances_overflow_rejected(self):
+        # for D = 4, D (2M)^2 reaches the largest float at M = sqrt(max float) / 4
+        big = math.sqrt(np.finfo(float).max) / 2
+        proposals = [Proposal(0, Box(0, 0, 8, 8), np.ones(2))]
+        frame = make_frame("v", 20, proposals=proposals, signature=np.array([0, 0, -big, 0]))
+        with pytest.raises(ValidationError, match="^key frame 20 of video v has a signature "
+                                                  "entry so large that its squared distances "
+                                                  "can overflow$"):
+            check_key_frames(_key_frame_collection(41, {20: frame}), 20)
+
+    def test_largest_accepted_signatures_give_finite_distances(self):
+        # the signatures farthest apart that the bound accepts: M and -M in every entry
+        big = np.nextafter(math.sqrt(np.finfo(float).max) / 4, 0)
+        collection = Collection(2, 4)
+        for vid, sign in (("a", 1.0), ("b", -1.0)):
+            proposals = [Proposal(0, Box(0, 0, 8, 8), np.ones(2))]
+            frame = make_frame(vid, 0, proposals=proposals, signature=np.full(4, sign * big))
+            collection.videos[vid] = Video(vid, 1, {0: frame})
+        check_key_frames(collection, 20)
+        graph = bootstrap_neighbors(collection, 1, 20)
+        similarities = [sim for entries in graph.neighbors.values() for _ref, sim in entries]
+        assert len(similarities) == 2 and all(math.isfinite(sim) for sim in similarities)
+
+
+_MAX = float(np.finfo(float).max)
+
+
+class TestUnitNormalized:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12)
+           .filter(any))
+    @example([1e200] * 4)
+    @example([1e-320, 0.0])
+    @example([1e-160, 1e-160])
+    @example([_MAX, -_MAX, _MAX])
+    @example([5e-324])
+    def test_unit_norm_and_same_bits_where_the_norm_is_exact(self, vector):
+        # the normalized copy is unit-norm even when the squared norm overflows
+        # or underflows, and is arr / norm, bit for bit, when it does neither
+        arr = np.array(vector)
+        got = unit_normalized(arr)
+        assert abs(np.linalg.norm(got) - 1.0) <= 1e-12
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(arr)
+        if math.sqrt(np.finfo(float).tiny) <= norm < math.inf:
+            assert got.tobytes() == (arr / norm).tobytes()
+
+    @pytest.mark.parametrize("vector,message", [
+        ([0.0, -0.0], "vector has zero norm"),
+        ([1.0, math.inf], "vector has non-finite entries"),
+    ], ids=["zero", "infinite"])
+    def test_zero_or_non_finite_rejected(self, vector, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            unit_normalized(vector)
 
 
 def _tube_video(boxes_by_kf: dict[int, Box], length: int) -> tuple[Tube, Video]:
