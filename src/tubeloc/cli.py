@@ -27,7 +27,7 @@ from .formats import (
     save_collection,
     save_results,
     save_run_manifest,
-    snapshot_dir,
+    save_snapshots,
     snapshot_iteration,
     write_jsonl,
     write_text,
@@ -169,13 +169,9 @@ def cmd_run(args) -> int:
 
     save_results({vid: [sol.tube] for vid, sol in result.tubes.items()},
                  result.graph, collection, out)
-    if args.snapshots:
-        for state in result.snapshots:
-            target = snapshot_dir(out, state.iteration)
-            save_results(
-                {vid: [sol.tube for sol in sols] for vid, sols in state.tubes.items()},
-                state.graph, collection, target,
-            )
+    save_snapshots(out, {state.iteration: ({vid: [sol.tube for sol in sols]
+                                            for vid, sols in state.tubes.items()}, state.graph)
+                         for state in result.snapshots if args.snapshots}, collection)
     save_run_manifest(
         out / "run_manifest.json",
         version=__version__,

@@ -24,9 +24,9 @@ for bit its own. It starts its threads once per ``run_discovery`` call and
 hands them the tables of at least ``THREADED_PAIRS`` proposal pairs, each a
 chunk of its own; the caller matches the other chunks inline, since a small
 chunk holds the interpreter lock for most of its run. Every thread reads the
-run's collection, config and stacked key-frame columns, and none writes
-them. Relocalization runs in the caller and reads its vectors from the
-cache, so it matches nothing and outputs do not depend on the thread count.
+run's config and stacked key-frame columns, and none writes them.
+Relocalization runs in the caller and reads its vectors from the cache, so it
+matches nothing and outputs do not depend on the thread count.
 A key frame whose boxes did not change keeps its containment mask.
 Relocalization reads only the graph and the masks, so an iteration whose
 graph and masks equal its predecessor's would repeat its state, and every
@@ -167,12 +167,6 @@ def region_contained(frame: Frame, regions: list[Box]) -> np.ndarray:
     return area >= CONTAINMENT_RATIO * (w * h)[:, 0]
 
 
-def key_frame_refs(collection: Collection, stride: int) -> list[FrameRef]:
-    """Every key frame of the collection, video by video in collection order."""
-    return [(vid, kf) for vid, video in collection.videos.items()
-            for kf in key_frames(video, stride)]
-
-
 def _rank_neighbors(refs: list[FrameRef], similarity: np.ndarray, k: int) -> NeighborGraph:
     """Each key frame's k most similar key frames of other videos, read from
     row and column ``refs`` of an (F, F) ``similarity``; exact ties order by
@@ -187,12 +181,11 @@ def _rank_neighbors(refs: list[FrameRef], similarity: np.ndarray, k: int) -> Nei
     return graph
 
 
-def bootstrap_neighbors(collection: Collection, k: int, stride: int) -> NeighborGraph:
-    """First-round retrieval by L2 distance between frame signatures; the
-    similarity is the negated distance."""
-    refs = key_frame_refs(collection, stride)
-    stacked = np.stack([np.asarray(collection.videos[vid].frames[kf].signature, dtype=float)
-                        for vid, kf in refs])
+def bootstrap_neighbors(frames: dict[FrameRef, Frame], k: int) -> NeighborGraph:
+    """First-round retrieval among the key ``frames`` (ref -> ``Frame``) by L2
+    distance between frame signatures; the similarity is the negated distance."""
+    refs = list(frames)
+    stacked = np.stack([np.asarray(frame.signature, dtype=float) for frame in frames.values()])
     # one row at a time: O(F * D) scratch instead of an (F, F, D) difference
     dist = np.array([np.sqrt(((stacked - row) ** 2).sum(axis=1)) for row in stacked])
     return _rank_neighbors(refs, -dist, k)
@@ -230,14 +223,14 @@ class MatchCache:
     of every table the run matched, by (``match_side`` of t, of u). A key and
     its reverse name one table, their ``answering_table``, matched once: its
     row maxima are kept under it and its column maxima under the reverse, so
-    every vector is bit for bit that rule's fresh match. ``tables`` holds each
-    key as (its chunk's stacked vectors, row), which ``get`` reads, so the
-    cache keeps no array per key. ``counts`` has the (tables matched, vectors
-    reused) of each ``vectors`` call.
+    every vector is bit for bit that rule's fresh match. ``tables`` maps each
+    key to its vector, a view of its chunk's stacked vectors made once when
+    the chunk is stored. ``counts`` has the (tables matched, vectors reused)
+    of each ``vectors`` call.
 
-    Both discovery phases read the run from it: its collection and config, its
-    key ``frames`` (ref -> ``Frame``, in ``key_frame_refs`` order) and their
-    ``columns``, one stack that ``build_columns`` shares among them. The
+    Both discovery phases read the run from it: its config, its key
+    ``frames`` (ref -> ``Frame``, video by video in collection order) and
+    their ``columns``, one stack that ``build_columns`` shares among them. The
     tables a ``vectors`` call lacks are grouped by shape and cut into chunks
     of at most ``CHUNK_PAIRS`` proposal pairs, and each chunk is one stacked
     ``match_confidences`` pass, whose rows are gathered from the stack with
@@ -248,12 +241,11 @@ class MatchCache:
     """
 
     def __init__(self, collection: Collection, config: Config, threads: int = 1):
-        self.collection = collection
         self.config = config
-        self.tables = {}
+        self.tables: dict[tuple, np.ndarray] = {}
         self.counts: list[tuple[int, int]] = []
-        self.frames = {(vid, kf): collection.videos[vid].frames[kf]
-                       for vid, kf in key_frame_refs(collection, config.keyframe_stride)}
+        self.frames = {(vid, kf): video.frames[kf] for vid, video in collection.videos.items()
+                       for kf in key_frames(video, config.keyframe_stride)}
         # before the threads start, so that none builds a frame's columns
         self.columns = build_columns(self.frames.values())
         self._first_row = dict(zip(self.columns.refs, self.columns.starts))
@@ -269,10 +261,10 @@ class MatchCache:
         if self._pool is not None:
             self._pool.shutdown(cancel_futures=True)
 
-    def vectors(self, keys: list) -> dict:
-        """Every key's vector, by key; the tables not held are matched, one per
-        unordered table, in chunks: the caller matches the small ones while
-        the threads take the rest. A key held before the call is reused."""
+    def vectors(self, keys: list) -> None:
+        """Have every key held in ``tables``: the tables not held are matched,
+        one per unordered table, in chunks, the caller matching the small ones
+        while the threads take the rest. A key held before the call is reused."""
         missing = [key for key in keys if key not in self.tables]
         tables = list(dict.fromkeys(answering_table(key) for key in missing))
         self.counts.append((len(tables), len(keys) - len(missing)))
@@ -284,16 +276,9 @@ class MatchCache:
                    if i not in pooled]
         matched += [(chunks[i], future.result()) for i, future in pooled.items()]
         for chunk, (rows, cols) in matched:
-            for i, table in enumerate(chunk):
-                self.tables[table[::-1]] = cols, i
-                self.tables[table] = rows, i  # a key that is its own reverse keeps its rows
-        return {key: self.get(key) for key in keys}
-
-    def get(self, key) -> np.ndarray | None:
-        """The vector of a key the cache holds, a view of its chunk's stacked
-        vectors; None for a key it does not hold."""
-        held = self.tables.get(key)
-        return None if held is None else held[0][held[1]]
+            for table, row, col in zip(chunk, rows, cols):
+                self.tables[table[::-1]] = col
+                self.tables[table] = row  # a key that is its own reverse keeps its rows
 
     def _match(self, chunk: list, outer: np.ndarray | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
@@ -349,9 +334,9 @@ def neighbor_pools(ref: FrameRef, graph: NeighborGraph, contained: dict[FrameRef
 
 def update_network(state: IterationState, contained: dict[FrameRef, np.ndarray],
                    cache: MatchCache) -> NeighborGraph:
-    """Re-rank each key frame's k matching neighbors among other videos of the
-    run's collection, then have ``cache`` hold the saliency vectors of the new
-    graph.
+    """Re-rank each key frame's k matching neighbors among the run's key
+    frames of other videos, then have ``cache`` hold the saliency vectors of
+    the new graph.
 
     Iteration 0 falls back to signature-based bootstrap retrieval, which
     matches no table; later iterations match the localized-region proposal
@@ -361,12 +346,13 @@ def update_network(state: IterationState, contained: dict[FrameRef, np.ndarray],
     best-match vector's sum, 0 when a pool is empty. The saliency tables are
     the ``saliency_keys`` of each key frame's ``neighbor_pools``, as
     ``relocalize_video`` reads them. Retrieval and saliency each make one
-    ``cache.vectors`` call, which matches the tables the cache lacks.
+    ``cache.vectors`` call, which matches the tables the cache lacks, and
+    similarities are read from ``cache.tables``.
     """
     config, frames = cache.config, cache.frames
     if state.iteration == 0:
         cache.vectors([])  # counts retrieval's (0, 0)
-        graph = bootstrap_neighbors(cache.collection, config.k_neighbors, config.keyframe_stride)
+        graph = bootstrap_neighbors(frames, config.k_neighbors)
     else:
         refs = list(frames)
         # in row order: a similarity depends on the pool's set, not its ranking
@@ -379,10 +365,10 @@ def update_network(state: IterationState, contained: dict[FrameRef, np.ndarray],
         similarity = np.where(cross, 0.0, np.nan)
         sized = np.array([pool.size > 0 for pool in pools])
         wanted = cross & sized[:, None] & sized[None, :]
-        found = cache.vectors([(sides[q], sides[c]) for q, c in np.argwhere(wanted).tolist()])
+        cache.vectors([(sides[q], sides[c]) for q, c in np.argwhere(wanted).tolist()])
         for q, cols in enumerate(map(np.flatnonzero, wanted)):
             if cols.size:  # a row's sums at once: the same as each vector's own sum
-                similarity[q, cols] = np.array([found[sides[q], sides[c]]
+                similarity[q, cols] = np.array([cache.tables[sides[q], sides[c]]
                                                 for c in cols]).sum(axis=1)
         graph = _rank_neighbors(refs, similarity, config.k_neighbors)
 
@@ -413,7 +399,7 @@ def motion_scores(video: Video, kfs: list[int]) -> VideoMotion:
 def build_video_trellis(video: Video,
                         pools_by_kf: dict[int, list[tuple[Frame, np.ndarray | list[Proposal]]]],
                         config: Config, motion: VideoMotion | None = None,
-                        vectors: dict | MatchCache | None = None
+                        vectors: dict | None = None
                         ) -> tuple[Trellis, dict[int, dict[int, float]]]:
     """Score all proposals of a video's key frames and assemble the DP trellis.
 
@@ -475,7 +461,7 @@ def relocalize_video(video: Video, graph: NeighborGraph,
     pools_by_kf = {kf: neighbor_pools((video.video_id, kf), graph, contained, cache.frames)
                    for kf in kfs}
 
-    trellis, saliency_maps = build_video_trellis(video, pools_by_kf, config, motion, cache)
+    trellis, saliency_maps = build_video_trellis(video, pools_by_kf, config, motion, cache.tables)
     solutions = solve_p_best(trellis, num_tubes, config.lambda_)
     boxes_by_kf = {
         kf: [

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, TextIO
 
@@ -42,6 +42,7 @@ FORMAT_VERSION = 1
 FLOAT_DIGITS = 9
 
 _SAFE_ID = re.compile(r"^[A-Za-z0-9._-]+$")
+_SNAPSHOT_NAME = re.compile(r"iter_([0-9]+)")
 
 # Relative slack when checking that geometry sits inside frame bounds.
 _BOUNDS_EPS = 1e-6
@@ -363,6 +364,9 @@ def _load_frames(path: Path, video_id: str, num_frames: int, descriptor_dim: int
                 f"proposal {pid} box exceeds frame bounds in frame {t} of video {video_id}",
                 locus=locus,
             )
+        if not (box.width * box.height) / (frame.width * frame.height) > 0:  # build_columns' log
+            raise ValidationError(f"proposal {pid} box area underflows against frame {t} of "
+                                  f"video {video_id}", locus=locus)
         descriptor = _load_vector(record, "descriptor", descriptor_dim, locus)
         descriptor = unit_normalized(descriptor, locus=locus)
         frame.proposals.append(Proposal(pid, box, descriptor))
@@ -623,10 +627,27 @@ def snapshot_dir(out_dir: Path, iteration: int) -> Path:
 
 def snapshot_iteration(path: Path) -> int:
     """The iteration whose ``snapshot_dir`` is ``path``."""
-    match = re.fullmatch(r"iter_([0-9]+)", Path(path).name)
+    match = _SNAPSHOT_NAME.fullmatch(Path(path).name)
     if match is None:
         raise ValidationError("snapshot entry is not named iter_<n>", locus=str(path))
     return int(match.group(1))
+
+
+def save_snapshots(out_dir: Path, snapshots: dict[int, tuple], collection: Collection) -> None:
+    """Write each iteration's (tubes by video, graph) to its ``snapshot_dir`` and
+    remove the results in every other one, then each directory left empty:
+    ``snapshots/`` holds these iterations alone, and nothing else goes."""
+    for iteration, (tubes_by_video, graph) in snapshots.items():
+        save_results(tubes_by_video, graph, collection, snapshot_dir(out_dir, iteration))
+    root, kept = Path(out_dir) / "snapshots", {snapshot_dir(out_dir, i) for i in snapshots}
+    stale = [entry for entry in (root.iterdir() if root.is_dir() else [])
+             if entry not in kept and _SNAPSHOT_NAME.fullmatch(entry.name)
+             and entry.is_dir() and not entry.is_symlink()]
+    for path in [entry / name for entry in stale for name in ("tubes.jsonl", "neighbors.jsonl")]:
+        path.unlink(missing_ok=True)
+    for directory in [*stale, root]:
+        with suppress(OSError):  # a directory still holding other files stays
+            directory.rmdir()
 
 
 # ---------------------------------------------------------------------------

@@ -154,16 +154,15 @@ def frame_saliencies(frame: Frame, neighbor_pools, config: Config,
                      vectors=None) -> np.ndarray:
     """Per proposal, the sum over neighbor frames of its best match confidence.
 
-    ``neighbor_pools`` is a non-empty list of (neighbor frame, non-empty pool),
-    each pool given as rows of the neighbor frame or as its ``Proposal``
-    records. ``vectors`` maps each ``saliency_keys`` key to that table's
-    best-match vector by ``get``, as a dict or the run's ``MatchCache`` does:
-    a table it holds is not matched, and one it lacks is matched as its
-    ``answering_table`` and not kept. The vectors are added in neighbor order
-    from zeros, so a copied vector leaves the sum bit for bit the same.
+    ``neighbor_pools`` is a list of (neighbor frame, non-empty pool), each
+    pool given as rows of the neighbor frame or as its ``Proposal`` records.
+    ``vectors`` maps each ``saliency_keys`` key to that table's best-match
+    vector, as the run's ``MatchCache.tables`` does: a table it holds is not
+    matched, and one it lacks is matched as its ``answering_table`` and not
+    kept. The vectors are added in neighbor order from zeros, so a copied
+    vector leaves the sum bit for bit the same, and an empty list sums to
+    zeros: a frame with no usable neighbors carries no appearance evidence.
     """
-    if len(neighbor_pools) == 0:
-        raise ValueError("neighbor pool list is empty")
     vectors = {} if vectors is None else vectors
     pools = [(neighbor_frame, pool if isinstance(pool, np.ndarray)
               else neighbor_frame.rows([p.id for p in pool]))
@@ -216,14 +215,7 @@ def rescale_unit(values: np.ndarray) -> np.ndarray:
 def appearance_confidence(frame: Frame, neighbor_pools, config: Config,
                           vectors=None) -> tuple[np.ndarray, np.ndarray]:
     """Rescaled standout scores in [0, 1] plus raw saliencies, per proposal;
-    ``vectors`` is handed to ``frame_saliencies``.
-
-    An empty pool list yields all-zero confidences: a frame with no usable
-    neighbors carries no appearance evidence.
-    """
-    if neighbor_pools:
-        saliency = frame_saliencies(frame, neighbor_pools, config, vectors)
-    else:
-        saliency = np.zeros(len(frame.proposals))
+    ``vectors`` is handed to ``frame_saliencies``. No pools give all zeros."""
+    saliency = frame_saliencies(frame, neighbor_pools, config, vectors)
     raw = standout_scores(frame.boxes, saliency)
     return rescale_unit(raw), saliency

@@ -105,16 +105,22 @@ def move_out_of_frame(video: Video, stride: int) -> None:
             proposal.box = Box(-box.width / 2, box.y_min, box.width, box.height)
 
 
+def key_frame_map(collection: Collection, stride: int) -> dict[tuple[str, int], Frame]:
+    """Every key frame of the collection, ref -> ``Frame``, video by video in
+    collection order, as ``MatchCache.frames`` holds them."""
+    return {(vid, kf): video.frames[kf] for vid, video in collection.videos.items()
+            for kf in key_frames(video, stride)}
+
+
 class DirectedMatchCache(discovery.MatchCache):
     """A ``MatchCache`` that matches every key it lacks as a table of its own:
     both directions of a frame pair are matched, and each vector is a fresh
     table's row maxima."""
 
-    def vectors(self, keys: list) -> dict:
+    def vectors(self, keys: list) -> None:
         missing = [key for key in keys if key not in self.tables]
         self.counts.append((len(missing), len(keys) - len(missing)))
-        self.tables.update((key, (self._match([key])[0], 0)) for key in missing)
-        return {key: self.get(key) for key in keys}
+        self.tables.update((key, self._match([key])[0][0]) for key in missing)
 
 
 def fresh_vector(key: tuple, collection: Collection, config: Config) -> np.ndarray:
@@ -175,7 +181,8 @@ def reference_discovery(collection: Collection, config: Config
     neighbors, containment masks recomputed every iteration, saliencies
     matched afresh by ``build_video_trellis``, and every iteration computed."""
     stride = config.keyframe_stride
-    refs = discovery.key_frame_refs(collection, stride)
+    refs = [(vid, kf) for vid, video in collection.videos.items()
+            for kf in key_frames(video, stride)]
     frames = {(vid, kf): collection.videos[vid].frames[kf] for vid, kf in refs}
     state = discovery.initialize_state(collection, config)
     snapshots = []
@@ -183,7 +190,7 @@ def reference_discovery(collection: Collection, config: Config
         contained = {ref: discovery.region_contained(frame, state.boxes[ref[0]][ref[1]])
                      for ref, frame in frames.items()}
         if iteration == 1:
-            ranking = discovery.bootstrap_neighbors(collection, len(refs), stride).neighbors
+            ranking = discovery.bootstrap_neighbors(frames, len(refs)).neighbors
         else:
             pools = {ref: np.sort(discovery.retrieval_pool(frame, contained[ref],
                                                            state.saliency[ref[0]][ref[1]],
@@ -237,7 +244,7 @@ def recorded_requests(monkeypatch) -> list[list]:
 
     def recorded(cache, keys):
         requests.append(list(keys))
-        return vectors(cache, keys)
+        vectors(cache, keys)
 
     monkeypatch.setattr(discovery.MatchCache, "vectors", recorded)
     return requests
@@ -274,13 +281,13 @@ def unordered_counts(requests: list[list]) -> list[tuple[int, int]]:
 
 def rank_order_similarity(state: discovery.IterationState, contained: dict,
                           collection: Collection, config: Config) -> np.ndarray:
-    """``update_network``'s (F, F) similarity matrix over ``key_frame_refs``,
+    """``update_network``'s (F, F) similarity matrix over the key frames,
     with each retrieval pool matched in ``retrieval_pool``'s rank order
     instead of row order: the same sums, associated in another order. Entries
     between key frames of one video are NaN, and an entry whose query or
     candidate pool is empty is 0."""
-    refs = discovery.key_frame_refs(collection, config.keyframe_stride)
-    frames = [collection.videos[vid].frames[kf] for vid, kf in refs]
+    by_ref = key_frame_map(collection, config.keyframe_stride)
+    refs, frames = list(by_ref), list(by_ref.values())
     pools = [discovery.retrieval_pool(frame, contained[ref], state.saliency[ref[0]][ref[1]],
                                       config.retrieval_proposals)
              for ref, frame in zip(refs, frames)]

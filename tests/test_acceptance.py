@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import appearance_affinity, remove_choice, shared_track_points
+from helpers import appearance_affinity, key_frame_map, remove_choice, shared_track_points
 from tubeloc.cli import main as cli_main
 from tubeloc.consistency import (
     appearance_consistency_matrix,
@@ -118,7 +118,8 @@ def test_criterion_3_matching_oracle_equivalence():
 
 def _bootstrap_pools(collection, config):
     """Iteration-1 neighbor pools: whole-frame localizations, all proposals."""
-    graph = bootstrap_neighbors(collection, config.k_neighbors, config.keyframe_stride)
+    graph = bootstrap_neighbors(key_frame_map(collection, config.keyframe_stride),
+                                config.k_neighbors)
     pools = {}
     for vid, video in collection.videos.items():
         for kf in key_frames(video, config.keyframe_stride):

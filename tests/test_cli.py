@@ -514,6 +514,30 @@ class TestRunCommand:
         assert not (out / "tubes.jsonl").exists()
         assert list(out.iterdir()) == []
 
+    def test_box_area_underflow_exits_one(self, tmp_path, capsys):
+        # the log-area location of a box whose area ratio to its frame is 0
+        # would be -inf and turn votes, scores and the DP into NaN: the run
+        # names the proposal at its file and line before any compute
+        collection = tmp_path / "collection"
+        assert main(["synth", "--videos-per-class", "2", "--frames-per-video", "41",
+                     "--object-scale", "1e-200", "--out", str(collection)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "o"
+        code = main(["run", "--collection", str(collection / "manifest.jsonl"), "--out",
+                     str(out), "--iterations", "1", "--snapshots"])
+        assert code == 1
+        err = capsys.readouterr().err
+        frames_file = sorted(collection.glob("*.frames.jsonl"))[0]
+        video_id = frames_file.name.removesuffix(".frames.jsonl")
+        records = [json.loads(line) for line in frames_file.read_text().splitlines()]
+        line, record = next((i, r) for i, r in enumerate(records, start=1)
+                            if r["type"] == "proposal" and r["box"][2] * r["box"][3] == 0)
+        assert err == (f"error: {frames_file}:{line}: proposal {record['id']} box area "
+                       f"underflows against frame {record['frame_index']} of video "
+                       f"{video_id}\n")
+        assert not (out / "tubes.jsonl").exists()
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("change", ["edit", "delete"])
     def test_input_hash_is_of_the_loaded_bytes(self, tiny_collection, tmp_path, monkeypatch,
                                                change):
@@ -799,6 +823,54 @@ class TestEvalCommand:
                      "--results", str(out), "--per-iteration"])
         assert code == 1
         assert "--snapshots" in capsys.readouterr().err
+
+    def _run(self, tiny_collection, out, iterations, *flags):
+        assert main(["run", "--collection", str(tiny_collection / "manifest.jsonl"),
+                     "--out", str(out), "--iterations", str(iterations), "--k", "2",
+                     "--threads", "1", *flags]) == 0
+
+    def test_a_shorter_run_drops_the_longer_runs_snapshots(self, tiny_collection, tmp_path,
+                                                          capsys):
+        out = tmp_path / "res"
+        self._run(tiny_collection, out, 4, "--snapshots")
+        self._run(tiny_collection, out, 2, "--snapshots")
+        assert sorted(p.name for p in (out / "snapshots").iterdir()) == ["iter_001", "iter_002"]
+        capsys.readouterr()
+        assert main(["eval", "--collection", str(tiny_collection / "manifest.jsonl"),
+                     "--results", str(out), "--per-iteration", "--out", str(tmp_path / "r")]) == 0
+        rows = capsys.readouterr().err.split("iteration  CorLoc\n")[1].splitlines()
+        assert [int(row.split()[0]) for row in rows] == [1, 2]
+        records = [json.loads(line) for line in (tmp_path / "r" / "report.jsonl").open()]
+        assert [r["iteration"] for r in records if r["type"] == "iteration_corloc"] == [1, 2]
+
+    def test_a_run_without_snapshots_drops_every_snapshot(self, tiny_collection, tmp_path,
+                                                          capsys):
+        out = tmp_path / "res"
+        self._run(tiny_collection, out, 2, "--snapshots")
+        self._run(tiny_collection, out, 2)
+        assert not (out / "snapshots").exists()
+        code = main(["eval", "--collection", str(tiny_collection / "manifest.jsonl"),
+                     "--results", str(out), "--per-iteration"])
+        assert code == 1
+        assert "--snapshots" in capsys.readouterr().err
+
+    def test_snapshot_pruning_removes_only_run_artifacts(self, tiny_collection, tmp_path):
+        out = tmp_path / "res"
+        self._run(tiny_collection, out, 3, "--snapshots")
+        snapshots = out / "snapshots"
+        (snapshots / "iter_003" / "notes.txt").write_text("kept\n")
+        (snapshots / "iter_01").mkdir()  # also iteration 1 to eval, but not this run's name
+        (snapshots / "iter_01" / "tubes.jsonl").write_text("")
+        (snapshots / "latest").mkdir()
+        (snapshots / "latest" / "tubes.jsonl").write_text("kept\n")
+        self._run(tiny_collection, out, 1, "--snapshots")
+        assert sorted(p.name for p in snapshots.iterdir()) == ["iter_001", "iter_003", "latest"]
+        assert sorted(p.name for p in (snapshots / "iter_001").iterdir()) == \
+            ["neighbors.jsonl", "tubes.jsonl"]
+        assert [p.name for p in (snapshots / "iter_003").iterdir()] == ["notes.txt"]
+        assert (snapshots / "latest" / "tubes.jsonl").read_text() == "kept\n"
+        self._run(tiny_collection, out, 1)
+        assert sorted(p.name for p in snapshots.iterdir()) == ["iter_003", "latest"]
 
     def test_stray_snapshot_entry_exits_one(self, tiny_collection, tmp_path, capsys):
         out = tmp_path / "res"

@@ -19,6 +19,7 @@ from helpers import (
     assert_same_as_reference,
     basis_vec,
     fresh_vector,
+    key_frame_map,
     make_frame,
     match_keys,
     move_out_of_frame,
@@ -39,7 +40,6 @@ from tubeloc.discovery import (
     check_objective_bound,
     frame_similarity,
     initialize_state,
-    key_frame_refs,
     region_contained,
     retrieval_pool,
     run_discovery,
@@ -103,7 +103,7 @@ class TestBootstrap:
             "b": [_signature_frame("b", 0, [1, 0, 0, 0])],
             "c": [_signature_frame("c", 0, [0, 1, 0, 0])],
         }
-        graph = bootstrap_neighbors(_collection_of_frames(frames), k=2, stride=20)
+        graph = bootstrap_neighbors(key_frame_map(_collection_of_frames(frames), 20), k=2)
         assert graph.neighbors[("a", 0)][0] == (("b", 0), 0.0)
 
     def test_saturation_returns_all_other_frames(self):
@@ -111,12 +111,12 @@ class TestBootstrap:
             "a": [_signature_frame("a", 0, [1, 0, 0, 0])],
             "b": [_signature_frame("b", 0, [0, 1, 0, 0])],
         }
-        graph = bootstrap_neighbors(_collection_of_frames(frames), k=10, stride=20)
+        graph = bootstrap_neighbors(key_frame_map(_collection_of_frames(frames), 20), k=10)
         assert len(graph.neighbors[("a", 0)]) == 1
 
     def test_self_video_never_retrieved(self, noise_free_bundle):
         collection, _, _ = noise_free_bundle
-        graph = bootstrap_neighbors(collection, k=10, stride=20)
+        graph = bootstrap_neighbors(key_frame_map(collection, 20), k=10)
         for (vid, _t), entries in graph.neighbors.items():
             assert entries, "every key frame should retrieve someone"
             assert all(nvid != vid for (nvid, _nt), _s in entries)
@@ -139,7 +139,7 @@ class TestBootstrap:
             ]
         collection = _collection_of_frames(frames)
         k = data.draw(st.integers(1, 12), label="k")
-        graph = bootstrap_neighbors(collection, k=k, stride=stride)
+        graph = bootstrap_neighbors(key_frame_map(collection, stride), k=k)
 
         refs = [(vid, t) for vid, video in collection.videos.items()
                 for t in range(0, video.num_frames, stride)]
@@ -327,7 +327,8 @@ class TestUpdateNetwork:
         cfg = Config()
         state = initialize_state(collection, cfg)
         graph = update_network(state, _contained(collection, state), MatchCache(collection, cfg))
-        expected = bootstrap_neighbors(collection, cfg.k_neighbors, cfg.keyframe_stride)
+        expected = bootstrap_neighbors(key_frame_map(collection, cfg.keyframe_stride),
+                                       cfg.k_neighbors)
         assert graph.neighbors == expected.neighbors
 
     def test_orthogonal_classes_retrieve_same_class(self, noise_free_run, noise_free_bundle):
@@ -351,7 +352,7 @@ class TestUpdateNetwork:
             vid: [_signature_frame(vid, 0, [1, 0, 0, 0])]
             for vid in ("a", "b", "c", "d")
         }
-        graph = bootstrap_neighbors(_collection_of_frames(frames), k=2, stride=20)
+        graph = bootstrap_neighbors(key_frame_map(_collection_of_frames(frames), 20), k=2)
         assert [ref for ref, _ in graph.neighbors[("c", 0)]] == [("a", 0), ("b", 0)]
 
 
@@ -752,15 +753,17 @@ class TestWorkers:
         assert [discovery._pairs(key) >= discovery.THREADED_PAIRS for key in keys] == \
             [True, False, True, False, False, True]
         keys += [key[::-1] for key in keys]
-        expected = MatchCache(collection, config).vectors(keys)
+        expected = MatchCache(collection, config)
+        expected.vectors(keys)
         matched_on.clear()
         with MatchCache(collection, config, 2) as cache:
-            got = cache.vectors(keys)
+            cache.vectors(keys)
         assert set(matched_on) - {threading.main_thread()}
         assert threading.main_thread() in matched_on
-        assert list(got) == keys == list(expected)
+        got = cache.tables
+        assert set(got) == set(keys) == set(expected.tables)
         for key in keys:
-            assert got[key].tobytes() == expected[key].tobytes()
+            assert got[key].tobytes() == expected.tables[key].tobytes()
         # each key, and its reverse, holds its answering table's maxima
         assert {key[::-1] for key in keys} == set(keys)
         for key in keys:
@@ -975,10 +978,9 @@ class TestMatchCache:
         copied = []  # every vector the cache hands out, copied or just matched
 
         def recorded(method):
-            def handed_out(cache, *args):
-                vectors = method(cache, *args)
-                copied.extend(vectors.items())
-                return vectors
+            def handed_out(cache, keys):
+                method(cache, keys)
+                copied.extend((key, cache.tables[key]) for key in keys)
             return handed_out
 
         monkeypatch.setattr(MatchCache, "vectors", recorded(MatchCache.vectors))
@@ -1009,8 +1011,7 @@ class TestMatchCache:
         run_discovery(collection, config, threads=1)
         [cache] = caches
         reversed_saliency_keys = 0
-        for key in cache.tables:
-            held = cache.get(key)
+        for key, held in cache.tables.items():
             assert held.tobytes() == fresh_vector(key, collection, config).tobytes()
             (vid_t, kf_t, rows_t), (vid_u, kf_u, rows_u) = key
             frame = collection.videos[vid_t].frames[kf_t]
@@ -1081,8 +1082,7 @@ class TestMatchCache:
             return match(cache, chunk, *args)
 
         monkeypatch.setattr(MatchCache, "_match", recorded)
-        frames = {ref: collection.videos[ref[0]].frames[ref[1]]
-                  for ref in key_frame_refs(collection, config.keyframe_stride)}
+        frames = key_frame_map(collection, config.keyframe_stride)
         rng = np.random.default_rng(5)
 
         def side(n):
@@ -1102,8 +1102,9 @@ class TestMatchCache:
                                   + [key[::-1] for key in square[::3] + mixed[1:4]]))
         tables = {min(key, key[::-1]) for key in keys}
         with MatchCache(collection, config, threads) as cache:
-            got = cache.vectors(keys)
-        assert list(got) == keys
+            cache.vectors(keys)
+        got = cache.tables
+        assert set(got) == {key for table in tables for key in (table, table[::-1])}
         assert cache.counts == [(len(tables), 0)]
         assert sorted(table for _, chunk in chunks for table in chunk) == sorted(tables)
         for thread, chunk in chunks:
@@ -1179,9 +1180,9 @@ class TestRetrievalReuseKey:
 
     @staticmethod
     def _pools(collection, config, state, contained) -> dict:
-        return {ref: retrieval_pool(collection.videos[ref[0]].frames[ref[1]], contained[ref],
-                                    state.saliency[ref[0]][ref[1]], config.retrieval_proposals)
-                for ref in key_frame_refs(collection, config.keyframe_stride)}
+        return {ref: retrieval_pool(frame, contained[ref], state.saliency[ref[0]][ref[1]],
+                                    config.retrieval_proposals)
+                for ref, frame in key_frame_map(collection, config.keyframe_stride).items()}
 
     def test_a_reordered_pool_is_not_matched_again(self, small):
         collection, config, key_frame_count = small
@@ -1245,7 +1246,7 @@ def test_row_order_pools_rank_as_rank_order_pools(seed, monkeypatch):
     update_network(state, contained, MatchCache(collection, config))
     [similarity] = ranked
     expected = rank_order_similarity(state, contained, collection, config)
-    refs = key_frame_refs(collection, config.keyframe_stride)
+    refs = list(key_frame_map(collection, config.keyframe_stride))
     assert _neighbor_refs(_rank_neighbors(refs, similarity, config.k_neighbors)) == \
         _neighbor_refs(_rank_neighbors(refs, expected, config.k_neighbors))
     assert np.array_equal(np.isnan(similarity), np.isnan(expected))

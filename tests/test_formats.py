@@ -22,7 +22,16 @@ from tubeloc.formats import (
     write_jsonl,
     write_text,
 )
-from tubeloc.model import Collection, Config, Frame, NeighborGraph, Tube, ValidationError, Video
+from tubeloc.model import (
+    Collection,
+    Config,
+    Frame,
+    NeighborGraph,
+    Tube,
+    ValidationError,
+    Video,
+    build_columns,
+)
 from tubeloc.motion import VideoTrackIndex
 from tubeloc.synth import SynthSpec, generate_collection
 
@@ -193,6 +202,32 @@ class TestLoadCollection:
         assert frames_file.name in message
         assert f"proposal {pid}" in message
         assert f"frame {fidx}" in message
+
+    @pytest.mark.parametrize("side, loads", [(1e-150, True), (1e-160, False), (1e-200, False)])
+    def test_box_area_must_not_underflow_against_its_frame(self, tmp_path, tiny_dir, side,
+                                                           loads):
+        # build_columns takes the log of (w * h) / (W * H) as a box's scale: at
+        # 1e-160 the box area is a positive subnormal but its ratio to the
+        # frame's is 0, and at 1e-200 the area itself is 0
+        out, collection = tiny_dir
+        [video] = collection.videos.values()
+        target = tmp_path / "bad"
+        shutil.copytree(out, target)
+        frames_file = next(target.glob("*.frames.jsonl"))
+        records = [json.loads(line) for line in frames_file.read_text().splitlines()]
+        line, record = next((i, r) for i, r in enumerate(records, start=1)
+                            if r["type"] == "proposal")
+        record["box"] = [10.0, 10.0, side, side]
+        frames_file.write_text("".join(json.dumps(r) + "\n" for r in records))
+        if loads:
+            [video] = load_collection(target / "manifest.jsonl").videos.values()
+            assert np.isfinite(build_columns(video.frames.values()).locations).all()
+            return
+        with pytest.raises(ValidationError) as err:
+            load_collection(target / "manifest.jsonl")
+        assert str(err.value) == (
+            f"{frames_file}:{line}: proposal {record['id']} box area underflows against "
+            f"frame {record['frame_index']} of video {video.video_id}")
 
     def test_wrong_descriptor_dimension(self, tmp_path, tiny_dir):
         out, _ = tiny_dir

@@ -234,11 +234,13 @@ class TestSaliency:
         g3 = frame_saliencies(frame, pools, CFG)
         assert np.all(g3 >= g2)
 
-    def test_empty_neighbor_list_rejected(self):
+    def test_empty_neighbor_list_sums_to_zeros(self):
+        # the bits appearance_confidence's own empty-list branch once returned
         rng = np.random.default_rng(10)
         frame = rand_frame(rng, "a", 2)
-        with pytest.raises(ValueError):
-            frame_saliencies(frame, [], CFG)
+        saliency = frame_saliencies(frame, [], CFG)
+        assert saliency.dtype == np.float64
+        assert saliency.tobytes() == np.zeros(len(frame.proposals)).tobytes()
 
 
 def _rows(boxes) -> np.ndarray:

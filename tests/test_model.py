@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import make_frame
+from helpers import key_frame_map, make_frame
 from tubeloc.discovery import bootstrap_neighbors
 from tubeloc.model import (
     Box,
@@ -151,7 +151,7 @@ class TestCheckKeyFrames:
             frame = make_frame(vid, 0, proposals=proposals, signature=np.full(4, sign * big))
             collection.videos[vid] = Video(vid, 1, {0: frame})
         check_key_frames(collection, 20)
-        graph = bootstrap_neighbors(collection, 1, 20)
+        graph = bootstrap_neighbors(key_frame_map(collection, 20), 1)
         similarities = [sim for entries in graph.neighbors.values() for _ref, sim in entries]
         assert len(similarities) == 2 and all(math.isfinite(sim) for sim in similarities)
 
