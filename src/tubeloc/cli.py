@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from collections import Counter
+from contextlib import suppress
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -161,6 +162,12 @@ def cmd_run(args) -> int:
     check_threads(args.threads)
     out = _resolve_out(args)
     make_dir(out)  # an unusable --out fails before the run, not after it
+    # and so does an OUT/snapshots that --snapshots cannot create; an empty one
+    # goes again, so that a run that fails leaves OUT as it was
+    if args.snapshots:
+        make_dir(out / "snapshots")
+        with suppress(OSError):  # it holds an earlier run's snapshots
+            (out / "snapshots").rmdir()
     started = _utc_now()
     digest = hashlib.sha256()
     collection = load_collection(args.collection, keyframe_stride=config.keyframe_stride,

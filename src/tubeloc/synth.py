@@ -41,18 +41,32 @@ from .solver import Trellis, TubeSolution, tube_solution
 _PART_RECTS = [
     (0.05, 0.05, 0.45, 0.45),
     (0.50, 0.45, 0.45, 0.50),
-    (0.10, 0.50, 0.35, 0.45),
-    (0.55, 0.05, 0.40, 0.35),
 ]
 
 # The planted object carries a grid of this many tracks a side, at margins
 # inside its box: endpoints stay slightly off the border so that quantization
-# never pushes a point outside. The background has this many static clusters.
+# never pushes a point outside. The background has this many static clusters
+# of this many tracks each.
 _OBJECT_TRACK_GRID = 4
 _REL_MARGIN = 0.02
 _BACKGROUND_CLUSTERS = 2
+_TRACKS_PER_BACKGROUND_CLUSTER = 12
+
+# Every frame is this size, and the planted object's sides are at most this
+# share of the frame's. Each class has its own signature axis, and its own
+# descriptor axis beside one per part and one common axis: the signature
+# dimension bounds the number of classes at 16, and the descriptor's at 29.
+_FRAME_WIDTH = 320.0
+_FRAME_HEIGHT = 240.0
+_OBJECT_SCALE = 0.3
+_DESCRIPTOR_DIM = 32
+_SIGNATURE_DIM = 16
 
 _PART_MIX = 0.35  # weight of the part direction mixed into the class prototype
+
+# A noise level scales standard normal draws, which numpy's sampler keeps
+# below 15 in magnitude: up to this level every noisy entry stays finite.
+_MAX_NOISE = 1e300
 
 BRUTE_FORCE_MAX_FRAMES = 8
 BRUTE_FORCE_MAX_CANDIDATES = 10
@@ -70,47 +84,27 @@ class SynthSpec(Params):
     videos_per_class: int = 4
     frames_per_video: int = 100
     keyframe_stride: int = 20
-    descriptor_dim: int = 32
-    signature_dim: int = 16
     prototype_separation_deg: float = 90.0
     descriptor_noise: float = 0.0
     signature_noise: float = 0.0
     num_distractors: int = 5
-    num_parts: int = 2
-    tracks_per_background_cluster: int = 12
-    frame_width: float = 320.0
-    frame_height: float = 240.0
-    object_scale: float = 0.3
 
     def validate(self):
         self.check_field_types()
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
-        for name in ("num_classes", "videos_per_class", "frames_per_video",
-                     "keyframe_stride", "descriptor_dim", "signature_dim"):
+        for name in ("num_classes", "videos_per_class", "frames_per_video", "keyframe_stride"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
-        if self.descriptor_noise < 0 or self.signature_noise < 0:
-            raise ValidationError("noise levels must be >= 0")
-        if self.num_distractors < 0 or self.num_parts < 0:
-            raise ValidationError("distractor and part counts must be >= 0")
-        if self.num_parts > len(_PART_RECTS):
-            raise ValidationError(f"at most {len(_PART_RECTS)} parts are supported")
-        if self.tracks_per_background_cluster < 1:
-            raise ValidationError("tracks_per_background_cluster must be >= 1")
+        if self.num_classes > _SIGNATURE_DIM:
+            raise ValidationError(f"num_classes must be <= {_SIGNATURE_DIM}")
+        for name in ("descriptor_noise", "signature_noise"):
+            if not 0 <= getattr(self, name) <= _MAX_NOISE:
+                raise ValidationError(f"{name} must be >= 0 and <= 1e300")
+        if self.num_distractors < 0:
+            raise ValidationError("num_distractors must be >= 0")
         if not 0.0 < self.prototype_separation_deg <= 90.0:
             raise ValidationError("prototype separation must be in (0, 90] degrees")
-        if not (self.frame_width > 0 < self.frame_height
-                and 0 < float(self.frame_width) * float(self.frame_height) < math.inf):
-            raise ValidationError("frame size must be positive and finite, and so must its area")
-        if not 0.0 < self.object_scale < 0.95:
-            raise ValidationError("object larger than frame: object_scale must be < 0.95")
-        if self.descriptor_dim < self.num_classes + self.num_parts + 1:
-            raise ValidationError(
-                "descriptor_dim too small for the class and part prototypes"
-            )
-        if self.signature_dim < self.num_classes:
-            raise ValidationError("signature_dim must be >= num_classes")
 
 
 @dataclass
@@ -130,11 +124,10 @@ def _unit(rng: np.random.Generator, base: np.ndarray, noise: float) -> np.ndarra
 
 def _prototypes(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
     """Class prototypes with the requested pairwise angle, plus part prototypes."""
-    d = spec.descriptor_dim
-    basis = np.eye(d)
+    basis = np.eye(_DESCRIPTOR_DIM)
     sep = math.radians(spec.prototype_separation_deg)
     mix = math.acos(math.sqrt(math.cos(sep)))  # pairwise angle equals sep
-    common = basis[spec.num_classes + spec.num_parts]
+    common = basis[spec.num_classes + len(_PART_RECTS)]
     protos = np.stack([
         math.cos(mix) * common + math.sin(mix) * basis[c]
         for c in range(spec.num_classes)
@@ -142,8 +135,8 @@ def _prototypes(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
     parts = np.stack([
         np.stack([
             unit_normalized(protos[c] + _PART_MIX * basis[spec.num_classes + k])
-            for k in range(spec.num_parts)
-        ]) if spec.num_parts else np.empty((0, d))
+            for k in range(len(_PART_RECTS))
+        ])
         for c in range(spec.num_classes)
     ])
     return protos, parts
@@ -154,16 +147,15 @@ def generate_collection(spec: SynthSpec) -> tuple[Collection, PlantedTruth, list
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     protos, part_protos = _prototypes(spec)
-    sig_protos = np.eye(spec.signature_dim)[: spec.num_classes]
+    sig_protos = np.eye(_SIGNATURE_DIM)[: spec.num_classes]
 
-    width = canon_float(spec.frame_width)
-    height = canon_float(spec.frame_height)
+    width, height = _FRAME_WIDTH, _FRAME_HEIGHT
     T = spec.frames_per_video
     kfs = set(range(0, T, spec.keyframe_stride))
     rel = np.linspace(_REL_MARGIN, 1.0 - _REL_MARGIN, _OBJECT_TRACK_GRID)
-    n_props = 1 + spec.num_parts + 1 + spec.num_distractors
+    n_props = 1 + len(_PART_RECTS) + 1 + spec.num_distractors
 
-    collection = Collection(spec.descriptor_dim, spec.signature_dim)
+    collection = Collection(_DESCRIPTOR_DIM, _SIGNATURE_DIM)
     planted = PlantedTruth()
     truths: list[GroundTruth] = []
 
@@ -171,8 +163,8 @@ def generate_collection(spec: SynthSpec) -> tuple[Collection, PlantedTruth, list
         label = f"class{c}"
         for j in range(spec.videos_per_class):
             vid = f"{label}_v{j:02d}"
-            obj_w = spec.object_scale * width * rng.uniform(0.85, 1.0)
-            obj_h = spec.object_scale * height * rng.uniform(0.85, 1.0)
+            obj_w = _OBJECT_SCALE * width * rng.uniform(0.85, 1.0)
+            obj_h = _OBJECT_SCALE * height * rng.uniform(0.85, 1.0)
             x0, x1 = rng.uniform(0.0, width - obj_w, size=2)
             y0, y1 = rng.uniform(0.0, height - obj_h, size=2)
 
@@ -188,7 +180,7 @@ def generate_collection(spec: SynthSpec) -> tuple[Collection, PlantedTruth, list
                 dx = rng.uniform(0.0, width - dw)
                 dy = rng.uniform(0.0, height - dh)
                 distractor_boxes.append(Box(*canon_list([dx, dy, dw, dh])))
-                distractor_descs.append(_unit(rng, rng.standard_normal(spec.descriptor_dim), 0.0))
+                distractor_descs.append(_unit(rng, rng.standard_normal(_DESCRIPTOR_DIM), 0.0))
 
             tracks: list[Track] = []
             tid = 0
@@ -209,7 +201,7 @@ def generate_collection(spec: SynthSpec) -> tuple[Collection, PlantedTruth, list
             for b in range(_BACKGROUND_CLUSTERS if T >= 2 else 0):
                 center = rng.uniform([0.1 * width, 0.1 * height],
                                      [0.9 * width, 0.9 * height])
-                for _ in range(spec.tracks_per_background_cluster):
+                for _ in range(_TRACKS_PER_BACKGROUND_CLUSTER):
                     pt = center + rng.normal(0.0, 0.08, size=2) * np.array([width, height])
                     pt = np.clip(pt, [0.005 * width, 0.005 * height],
                                  [0.995 * width, 0.995 * height])
@@ -226,18 +218,17 @@ def generate_collection(spec: SynthSpec) -> tuple[Collection, PlantedTruth, list
                     entries: list[tuple[Box, np.ndarray]] = [
                         (obox, _unit(rng, protos[c].copy(), spec.descriptor_noise))
                     ]
-                    for k in range(spec.num_parts):
-                        px, py, pw, ph = _PART_RECTS[k]
+                    for (px, py, pw, ph), part in zip(_PART_RECTS, part_protos[c]):
                         part_box = Box(*canon_list([
                             obox.x_min + px * obox.width, obox.y_min + py * obox.height,
                             pw * obox.width, ph * obox.height,
                         ]))
                         entries.append(
-                            (part_box, _unit(rng, part_protos[c][k].copy(), spec.descriptor_noise))
+                            (part_box, _unit(rng, part.copy(), spec.descriptor_noise))
                         )
                     entries.append(
                         (Box(0.0, 0.0, width, height),
-                         _unit(rng, rng.standard_normal(spec.descriptor_dim), 0.0))
+                         _unit(rng, rng.standard_normal(_DESCRIPTOR_DIM), 0.0))
                     )
                     for box, desc in zip(distractor_boxes, distractor_descs):
                         entries.append((box, desc))

@@ -76,14 +76,14 @@ class TestSynthCommand:
         assert any(name.endswith(".frames.jsonl") for name in names)
 
     def test_invalid_spec_exits_one(self, tmp_path, capsys):
-        code = main(["synth", "--out", str(tmp_path), "--object-scale", "2.0"])
+        code = main(["synth", "--out", str(tmp_path), "--prototype-separation-deg", "120"])
         assert code == 1
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text,message", [
         ('{"videos_per_class": 2.5}', "videos_per_class must be an integer"),
-        ('{"frame_width": "320"}', "frame_width must be a number"),
-        ('{"object_scale": NaN}', "object_scale must be finite"),
+        ('{"descriptor_noise": "0.1"}', "descriptor_noise must be a number"),
+        ('{"signature_noise": NaN}', "signature_noise must be finite"),
     ])
     def test_mistyped_spec_file_exits_one(self, tmp_path, capsys, text, message):
         spec_path = tmp_path / "s.json"
@@ -94,14 +94,14 @@ class TestSynthCommand:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("digits,message", [
-        (400, "object_scale must be finite"),
+        (400, "descriptor_noise must be finite"),
         # past the integer digit limit of Pythons that have one
         (5000, "not valid JSON" if hasattr(sys, "get_int_max_str_digits")
-         else "object_scale must be finite"),
+         else "descriptor_noise must be finite"),
     ])
     def test_integer_too_large_for_a_float_exits_one(self, tmp_path, capsys, digits, message):
         spec_path = tmp_path / "s.json"
-        spec_path.write_text('{"object_scale": 1' + "0" * digits + "}")
+        spec_path.write_text('{"descriptor_noise": 1' + "0" * digits + "}")
         code = main(["synth", "--out", str(tmp_path / "o"), "--spec", str(spec_path)])
         assert code == 1
         assert message in capsys.readouterr().err
@@ -109,9 +109,10 @@ class TestSynthCommand:
 
     @pytest.mark.parametrize("argv,message", [
         (["--seed=-1"], "seed must be >= 0"),
-        (["--frame-width", "1e308"], AREA_MESSAGE),
-        (["--frame-width", "1e-200", "--frame-height", "1e-200"], AREA_MESSAGE),
-    ], ids=["negative_seed", "area_overflow", "area_underflow"])
+        # noise times a normal draw would overflow to inf
+        (["--descriptor-noise", "1e308"], "descriptor_noise must be >= 0 and <= 1e300"),
+        (["--signature-noise", "1e308"], "signature_noise must be >= 0 and <= 1e300"),
+    ], ids=["negative_seed", "descriptor_noise_overflow", "signature_noise_overflow"])
     def test_invalid_spec_value_exits_one(self, tmp_path, capsys, argv, message):
         code = main(TINY_SYNTH + ["--out", str(tmp_path / "o")] + argv)
         assert code == 1
@@ -120,8 +121,9 @@ class TestSynthCommand:
 
     @pytest.mark.parametrize("fields,flags,expected", [
         ({"num_distractors": 2}, ["--num-distractors", "4"], {"num_distractors": 4}),
-        ({"object_scale": 2.0}, ["--object-scale", "0.25"], {"object_scale": 0.25}),
-        ({"object_scale": 0.25}, ["--object-scale", "2.0"], None),
+        ({"prototype_separation_deg": 120.0}, ["--prototype-separation-deg", "45"],
+         {"prototype_separation_deg": 45.0}),
+        ({"prototype_separation_deg": 45.0}, ["--prototype-separation-deg", "120"], None),
     ], ids=["flag_overrides", "flag_mends_the_file", "flag_is_validated"])
     def test_spec_file_with_flag_override(self, tmp_path, capsys, fields, flags, expected):
         # as with run's --config: the file first, each flag given over it,
@@ -133,7 +135,7 @@ class TestSynthCommand:
                      "--frames-per-video", "21"] + flags)
         if expected is None:
             assert code == 1
-            assert "error: object larger than frame" in capsys.readouterr().err
+            assert "error: prototype separation must be in" in capsys.readouterr().err
             assert not out.exists()
         else:
             assert code == 0
@@ -141,7 +143,11 @@ class TestSynthCommand:
             assert (written["videos_per_class"], written["frames_per_video"]) == (1, 21)
             assert {key: written[key] for key in expected} == expected
 
-    @pytest.mark.parametrize("name,value", [("object_track_grid", 4), ("background_clusters", 2)])
+    @pytest.mark.parametrize("name,value", [
+        ("object_track_grid", 4), ("background_clusters", 2), ("descriptor_dim", 32),
+        ("signature_dim", 16), ("frame_width", 320.0), ("frame_height", 240.0),
+        ("num_parts", 2), ("tracks_per_background_cluster", 12), ("object_scale", 0.3),
+    ])
     def test_fixed_track_layout_is_not_a_field(self, tmp_path, capsys, name, value):
         spec_path = tmp_path / "s.json"
         spec_path.write_text(json.dumps({name: value}))
@@ -216,6 +222,14 @@ class TestRunCommand:
         assert main(["run", "--collection", str(tiny_collection / "manifest.jsonl"),
                      "--out", str(blocker / "x")]) == 1
         assert f"{blocker / 'x'}: cannot create directory" in capsys.readouterr().err
+        # with --snapshots, a regular file at OUT/snapshots fails as early
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "snapshots").write_text("")
+        assert main(["run", "--collection", str(tiny_collection / "manifest.jsonl"),
+                     "--out", str(out), "--snapshots"]) == 1
+        assert f"{out / 'snapshots'}: cannot create directory" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["snapshots"]
 
     def test_missing_out_fails_before_loading(self, tiny_collection, monkeypatch, capsys,
                                               no_load):
@@ -520,8 +534,13 @@ class TestRunCommand:
         # names the proposal at its file and line before any compute
         collection = tmp_path / "collection"
         assert main(["synth", "--videos-per-class", "2", "--frames-per-video", "41",
-                     "--object-scale", "1e-200", "--out", str(collection)]) == 0
+                     "--out", str(collection)]) == 0
         capsys.readouterr()
+        frames_file = sorted(collection.glob("*.frames.jsonl"))[0]
+        records = [json.loads(line) for line in frames_file.read_text().splitlines()]
+        box = next(r for r in records if r["type"] == "proposal")["box"]
+        box[2:] = [1e-200, 1e-200]
+        frames_file.write_text("".join(json.dumps(r) + "\n" for r in records))
         out = tmp_path / "o"
         code = main(["run", "--collection", str(collection / "manifest.jsonl"), "--out",
                      str(out), "--iterations", "1", "--snapshots"])

@@ -70,10 +70,9 @@ def _frames_only(frames_by_video: dict[str, list[int]]) -> Collection:
 
 @pytest.fixture(scope="module")
 def tiny_dir(tmp_path_factory):
-    """A hand-sized collection on disk: 1 video, 1 frame, 1 proposal."""
+    """A hand-sized collection on disk: 1 video, 1 frame, 4 proposals."""
     out = tmp_path_factory.mktemp("tiny")
-    spec = SynthSpec(num_classes=1, videos_per_class=1, frames_per_video=1,
-                     num_distractors=0, num_parts=0)
+    spec = SynthSpec(num_classes=1, videos_per_class=1, frames_per_video=1, num_distractors=0)
     collection, _planted, _truths = generate_collection(spec)
     save_collection(collection, out)
     return out, collection
@@ -465,8 +464,7 @@ def record_files(tmp_path_factory):
     tubes and neighbor lists."""
     out = tmp_path_factory.mktemp("records")
     spec = SynthSpec(num_classes=1, videos_per_class=2, frames_per_video=3,
-                     keyframe_stride=2, num_distractors=1, num_parts=0,
-                     tracks_per_background_cluster=1)
+                     keyframe_stride=2, num_distractors=1)
     collection, planted, _truths = generate_collection(spec)
     save_collection(collection, out)
     tubes = {vid: [Tube(vid, regions, 1.5)] for vid, regions in planted.tubes.items()}

@@ -325,5 +325,5 @@ def test_any_json_fields_give_valid_params_or_validation_error(params, data):
 def test_integer_beyond_float_range_rejected(value):
     with pytest.raises(ValidationError, match="alpha must be finite"):
         Config(alpha=value).validate()
-    with pytest.raises(ValidationError, match="object_scale must be finite"):
-        SynthSpec(object_scale=value).validate()
+    with pytest.raises(ValidationError, match="descriptor_noise must be finite"):
+        SynthSpec(descriptor_noise=value).validate()

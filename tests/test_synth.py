@@ -1,5 +1,11 @@
+import sys
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tubeloc.discovery import build_video_trellis
 from tubeloc.formats import load_collection, save_collection
@@ -64,9 +70,36 @@ class TestGenerator:
         loaded = load_collection(tmp_path / "manifest.jsonl", keyframe_stride=20)
         assert sorted(loaded.videos) == sorted(collection.videos)
 
+    @settings(max_examples=100, deadline=None)
+    @given(spec=st.builds(
+        SynthSpec,
+        seed=st.integers(0, 2 ** 16),
+        num_classes=st.integers(1, 17),
+        videos_per_class=st.integers(1, 2),
+        frames_per_video=st.integers(1, 6),
+        keyframe_stride=st.integers(1, 4),
+        prototype_separation_deg=st.floats(0.0, 90.0),
+        descriptor_noise=st.floats(0.0, sys.float_info.max),
+        signature_noise=st.floats(0.0, sys.float_info.max),
+        num_distractors=st.integers(0, 2),
+    ))
+    @example(spec=SynthSpec(num_classes=16, videos_per_class=1, frames_per_video=3,
+                            descriptor_noise=1e300, signature_noise=1e300))
+    def test_every_accepted_spec_generates_a_loadable_collection(self, spec):
+        try:
+            spec.validate()
+        except ValidationError:
+            return
+        collection, _, _ = generate_collection(spec)
+        with tempfile.TemporaryDirectory() as tmp:
+            manifest = save_collection(collection, Path(tmp))
+            loaded = load_collection(manifest, keyframe_stride=spec.keyframe_stride)
+        assert sorted(loaded.videos) == sorted(collection.videos)
+
     def test_infeasible_geometry_rejected(self):
-        with pytest.raises(ValidationError, match="object larger than frame"):
-            generate_collection(SynthSpec(object_scale=1.2))
+        # 17 classes need 17 orthogonal signature prototypes in 16 dimensions
+        with pytest.raises(ValidationError, match="num_classes must be <= 16"):
+            generate_collection(SynthSpec(num_classes=17))
 
     def test_annotated_frame_between_key_frames(self, noise_free_bundle):
         collection, _, _ = noise_free_bundle
