@@ -10,6 +10,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 from collections import Counter
 from contextlib import suppress
@@ -50,6 +51,11 @@ class _ArgsError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # subparsers are made of this class too
+        super().__init__(*args, **kwargs)
+        # argparse 3.11's own pattern has no exponent form: it took "-1e3" for an option
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):  # argparse would exit(2); bad usage is exit 1 here
         raise _ArgsError(message)
 
@@ -176,9 +182,9 @@ def cmd_run(args) -> int:
 
     save_results({vid: [sol.tube] for vid, sol in result.tubes.items()},
                  result.graph, collection, out)
-    save_snapshots(out, {state.iteration: ({vid: [sol.tube for sol in sols]
-                                            for vid, sols in state.tubes.items()}, state.graph)
-                         for state in result.snapshots if args.snapshots}, collection)
+    states = map(result.state, range(1, config.iterations + 1) if args.snapshots else ())
+    save_snapshots(out, {i: ({vid: [sol.tube for sol in sols] for vid, sols in s.tubes.items()},
+                             s.graph) for i, s in enumerate(states, 1)}, collection)
     save_run_manifest(
         out / "run_manifest.json",
         version=__version__,

@@ -31,8 +31,8 @@ A key frame whose boxes did not change keeps its containment mask.
 Relocalization reads only the graph and the masks, so an iteration whose
 graph and masks equal its predecessor's would repeat its state, and every
 later iteration would repeat it too: the loop stops there without
-relocalizing (``DiscoveryResult.fixed_point``), and every iteration still
-has its snapshot.
+relocalizing (``DiscoveryResult.fixed_point``), and no state is kept for the
+repeats (``DiscoveryResult.state``).
 """
 
 from __future__ import annotations
@@ -119,12 +119,13 @@ class MatchCounts(NamedTuple):
 
 @dataclass
 class DiscoveryResult:
-    """The final tubes and graph, and one snapshot per iteration.
+    """The final tubes and graph, and the state of each relocalized iteration
+    and of the final one (``snapshots``), from which ``state`` reads any.
 
     ``fixed_point`` is the first iteration whose graph and masks repeat its
     predecessor's, after which no iteration was computed; None when no
     iteration repeats or the repeat is the last iteration. ``match_counts``
-    has one entry per computed iteration.
+    has one entry per computed iteration, the repeat included.
     """
 
     tubes: dict[str, TubeSolution]
@@ -132,6 +133,10 @@ class DiscoveryResult:
     snapshots: list[IterationState]
     fixed_point: int | None = None
     match_counts: list[MatchCounts] = field(default_factory=list)
+
+    def state(self, iteration: int) -> IterationState:
+        """The state of ``iteration``: the last snapshot at or before it."""
+        return [s for s in self.snapshots if s.iteration <= iteration][-1]
 
 
 def initialize_state(collection: Collection, config: Config) -> IterationState:
@@ -508,10 +513,10 @@ def run_discovery(collection: Collection, config: Config, threads: int = 1
     of the thread count.
 
     Each table is matched once per run, and the loop stops at the first
-    iteration that repeats its predecessor (see the module docstring). The
-    snapshots from the repeat on take its predecessor's state, and the last
-    one keeps each video's first tube, which ``solve_p_best`` finds the same
-    for any tube count.
+    iteration that repeats its predecessor (see the module docstring). Of
+    the iterations from there on, only the final one is kept: the last
+    state with each video's first tube, which ``solve_p_best`` finds the
+    same for any tube count.
     """
     config.validate()
     check_threads(threads)
@@ -556,17 +561,11 @@ def run_discovery(collection: Collection, config: Config, threads: int = 1
             )
             snapshots.append(state)
 
-    if len(snapshots) < config.iterations:  # the loop stopped at a repeat
-        snapshots += [replace(state, iteration=i)
-                      for i in range(len(snapshots) + 1, config.iterations)]
-        state = IterationState(
-            iteration=config.iterations,
-            tubes={vid: sols[:1] for vid, sols in state.tubes.items()},
-            saliency=state.saliency,
-            boxes={vid: {kf: regions[:1] for kf, regions in by_kf.items()}
-                   for vid, by_kf in state.boxes.items()},
-            graph=state.graph,
-        )
+    if state.iteration < config.iterations:  # the loop stopped at a repeat
+        state = replace(state, iteration=config.iterations,
+                        tubes={vid: sols[:1] for vid, sols in state.tubes.items()},
+                        boxes={vid: {kf: regions[:1] for kf, regions in by_kf.items()}
+                               for vid, by_kf in state.boxes.items()})
         snapshots.append(state)
     final = {vid: state.tubes[vid][0] for vid in collection.videos}
     assert state.graph is not None

@@ -226,10 +226,12 @@ def reference_discovery(collection: Collection, config: Config
 
 def assert_same_as_reference(result: discovery.DiscoveryResult,
                              reference: list[discovery.IterationState]) -> None:
-    """Every snapshot of ``result`` equals the ``reference_discovery`` state
-    of its iteration exactly: tube regions, neighbor lists with their
-    similarities, and saliencies."""
-    for got, expected in zip(result.snapshots, reference, strict=True):
+    """The state of every iteration of ``result`` equals the
+    ``reference_discovery`` state of that iteration exactly: tube regions,
+    neighbor lists with their similarities, and saliencies."""
+    states = [result.state(i) for i in range(1, len(reference) + 1)]
+    assert result.snapshots[-1].iteration == len(reference)
+    for got, expected in zip(states, reference, strict=True):
         assert {vid: [sol.tube.regions for sol in sols] for vid, sols in got.tubes.items()} == \
             {vid: [sol.tube.regions for sol in sols] for vid, sols in expected.tubes.items()}
         assert got.graph.neighbors == expected.graph.neighbors

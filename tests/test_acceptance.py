@@ -226,7 +226,8 @@ def test_criterion_6_iteration_monotonicity(noise_free_bundle, noise_free_run):
         collection, planted, _ = noise_free_bundle
         result, _ = noise_free_run
         curve = []
-        for state in result.snapshots:
+        for iteration in range(1, Config().iterations + 1):
+            state = result.state(iteration)
             total, count = 0.0, 0
             for vid, sols in state.tubes.items():
                 boxes = interpolate_tube(sols[0].tube, collection.videos[vid])

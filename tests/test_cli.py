@@ -318,6 +318,27 @@ class TestRunCommand:
         assert counts[2]["saliency_matched"] == 0
         assert counts[2]["saliency_reused"] == len(requests[5]) > 0
 
+    def test_snapshots_after_a_fixed_point(self, tiny_collection, tmp_path):
+        # the tiny collection repeats iteration 2 in iteration 3: iterations 3
+        # and 4 are written with iteration 2's state, and the final one with
+        # its first tubes, the run's results
+        out = tmp_path / "res"
+        assert main(["run", "--collection", str(tiny_collection / "manifest.jsonl"),
+                     "--out", str(out), "--iterations", "5", "--k", "4", "--p", "2",
+                     "--threads", "1", "--snapshots"]) == 0
+        snapshots = out / "snapshots"
+        assert sorted(p.name for p in snapshots.iterdir()) == [f"iter_00{i}" for i in range(1, 6)]
+
+        def read(i, name):
+            return (snapshots / f"iter_00{i}" / name).read_bytes()
+
+        for name in ("tubes.jsonl", "neighbors.jsonl"):
+            assert read(3, name) == read(4, name) == read(2, name)
+        assert read(5, "tubes.jsonl") == (out / "tubes.jsonl").read_bytes() != \
+            read(2, "tubes.jsonl")
+        assert read(5, "neighbors.jsonl") == (out / "neighbors.jsonl").read_bytes() == \
+            read(2, "neighbors.jsonl")
+
     def test_missing_manifest_exits_one(self, tmp_path, capsys):
         code = main(["run", "--collection", str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "o")])
@@ -329,6 +350,26 @@ class TestRunCommand:
                      "--out", str(tmp_path / "o"), "--theta", "0.5"])
         assert code == 1
         assert "theta" in capsys.readouterr().err
+
+    def test_negative_number_in_exponent_form_is_a_value(self, tiny_collection, tmp_path):
+        # "--theta -1e3" gives --theta its value, as "--theta=-1e3" does
+        for name, theta in [("spaced", ["--theta", "-1e3"]), ("joined", ["--theta=-1e3"])]:
+            assert main(["run", "--collection", str(tiny_collection / "manifest.jsonl"),
+                         "--out", str(tmp_path / name), "--iterations", "2", "--k", "2",
+                         "--threads", "1", *theta]) == 0
+        manifest = json.loads((tmp_path / "spaced" / "run_manifest.json").read_text())
+        assert manifest["config"]["theta"] == -1000.0
+        for name in ("tubes.jsonl", "neighbors.jsonl"):
+            assert (tmp_path / "spaced" / name).read_bytes() == \
+                (tmp_path / "joined" / name).read_bytes()
+
+    def test_negative_number_in_exponent_form_is_validated(self, tiny_collection, tmp_path,
+                                                           capsys):
+        code = main(["run", "--collection", str(tiny_collection / "manifest.jsonl"),
+                     "--out", str(tmp_path / "o"), "--alpha", "-1e3"])
+        assert code == 1
+        assert "error: alpha must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag,value", [("--theta", "nan"), ("--lambda", "inf")])
     def test_non_finite_flag_exits_one(self, tiny_collection, tmp_path, capsys, flag, value):

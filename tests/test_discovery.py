@@ -811,8 +811,10 @@ class TestReuse:
         result = run_discovery(collection, config, threads=threads)
         assert result.tubes == oracle.tubes
         assert result.graph == oracle.graph
-        assert [s.iteration for s in result.snapshots] == list(range(1, config.iterations + 1))
-        for got, expected in zip(result.snapshots, oracle.snapshots, strict=True):
+        assert [s.iteration for s in result.snapshots] == \
+            [*range(1, len(result.match_counts)), config.iterations]
+        states = [result.state(i) for i in range(1, config.iterations + 1)]
+        for got, expected in zip(states, oracle.snapshots, strict=True):
             assert got.tubes == expected.tubes
             assert got.boxes == expected.boxes
             assert got.saliency == expected.saliency
@@ -843,9 +845,21 @@ class TestReuse:
         skipped = result.match_counts[-1].iteration
         assert calls[skipped] == 0
         assert all(calls[i] == len(collection.videos) for i in range(1, skipped))
-        got, expected = result.snapshots[skipped - 1], oracle.snapshots[skipped - 1]
+        got, expected = result.state(skipped), oracle.snapshots[skipped - 1]
         assert (got.tubes, got.boxes, got.saliency, got.graph) == \
             (expected.tubes, expected.boxes, expected.saliency, expected.graph)
+
+    def test_no_state_is_kept_after_the_fixed_point(self):
+        # the iterations from the fixed point on repeat its predecessor's
+        # state, so none of them costs a snapshot but the final one
+        collection, _, _ = generate_collection(SMALL_SPEC)
+        result = run_discovery(collection, replace(SMALL_CONFIG, iterations=100_000), threads=1)
+        assert result.fixed_point == 3
+        assert len(result.snapshots) == result.fixed_point
+        assert result.state(99_999) == result.state(result.fixed_point - 1)
+        assert result.snapshots[-1].iteration == 100_000
+        assert {vid: len(sols) for vid, sols in result.snapshots[-1].tubes.items()} == \
+            dict.fromkeys(collection.videos, 1)
 
     def test_no_matching_after_the_fixed_point(self, noise_free_bundle, monkeypatch):
         collection, _, _ = noise_free_bundle
