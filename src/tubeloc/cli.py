@@ -53,8 +53,8 @@ class _ArgsError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):  # subparsers are made of this class too
         super().__init__(*args, **kwargs)
-        # argparse 3.11's own pattern has no exponent form: it took "-1e3" for an option
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # argparse 3.11's own pattern took the values "-1e3" and "-inf" for options
+        self._negative_number_matcher = re.compile(r"-(\.?\d|(inf|infinity|nan)$)", re.I)
 
     def error(self, message):  # argparse would exit(2); bad usage is exit 1 here
         raise _ArgsError(message)

@@ -58,9 +58,17 @@ def motion_consistency_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray, points_a
 
 def consistency_matrix(descs_a: np.ndarray, descs_b: np.ndarray, boxes_a: np.ndarray,
                        boxes_b: np.ndarray, points_a: np.ndarray, points_b: np.ndarray,
-                       theta: float) -> np.ndarray:
-    """Combined appearance + motion consistency for one key-frame transition."""
-    return (
-        appearance_consistency_matrix(descs_a, descs_b)
-        + motion_consistency_matrix(boxes_a, boxes_b, points_a, points_b, theta)
-    )
+                       theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """One key-frame transition's negative descriptor distances, which
+    ``appearance_consistency_matrix`` rescales, and motion consistencies: each
+    entry is its pair's alone, so ``kept_consistency`` gathers any kept set's."""
+    return (-np.sqrt(squared_distances(descs_a, descs_b)),
+            motion_consistency_matrix(boxes_a, boxes_b, points_a, points_b, theta))
+
+
+def kept_consistency(parts: tuple[np.ndarray, np.ndarray], rows_a: np.ndarray,
+                     rows_b: np.ndarray) -> np.ndarray:
+    """Appearance + motion consistency of candidates ``rows_a`` x ``rows_b`` from a
+    transition's ``consistency_matrix`` parts; appearance is rescaled over these pairs."""
+    appearance, motion = (part[np.ix_(rows_a, rows_b)] for part in parts)
+    return rescale_unit(appearance) + motion

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .consistency import consistency_matrix
+from .consistency import consistency_matrix, kept_consistency
 from .matching import (
     LOG_SCALE_BINS,
     TRANSLATION_BINS,
@@ -53,6 +53,7 @@ from .matching import (
     match_confidences,
     match_side,
     saliency_keys,
+    strict_containers,
 )
 from .model import (
     Box,
@@ -86,7 +87,7 @@ THREADED_PAIRS = 1000
 # Smaller tables of one shape are matched together, this many proposal pairs
 # at most per stacked pass: one pass pays numpy's per-call overhead once for
 # all of them, and each table's result stays bit for bit its own. A pass
-# needs 896 bytes a pair for its (M, s*u) outer product, so the cache keeps
+# needs 896 bytes a pair for its (s*u, M) outer product, so the cache keeps
 # one buffer for it: allocated per pass, glibc handed those pages back and
 # faulted them in again on most passes.
 CHUNK_PAIRS = 512
@@ -383,21 +384,25 @@ def update_network(state: IterationState, contained: dict[FrameRef, np.ndarray],
 
 
 class VideoMotion(NamedTuple):
-    """Motion evidence of a video's key frames; tracks and boxes never change
-    during a run, so ``motion_scores`` computes it once per video."""
+    """What tracking reads of a video's key frames in every iteration; proposals
+    and tracks never change during a run, so ``motion_scores`` computes it once."""
 
     coherence: dict[int, np.ndarray]  # key frame -> motion coherence per proposal row
-    shared: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]  # (a, b) -> shared points
+    containers: dict[int, np.ndarray]  # key frame -> its proposals' strict_containers
+    consistency: list[tuple[np.ndarray, np.ndarray]]  # transition -> consistency_matrix parts
 
 
-def motion_scores(video: Video, kfs: list[int]) -> VideoMotion:
-    """Motion coherence of every proposal of the given key frames, plus the
-    points of the tracks shared by each pair of consecutive key frames."""
+def motion_scores(video: Video, kfs: list[int], theta: float) -> VideoMotion:
+    """Motion coherence and strict containers of each proposal of the given key
+    frames, and each transition's consistency parts over all their proposals."""
     index = VideoTrackIndex(video, kfs)
+    frames = [video.frames[kf] for kf in kfs]
     return VideoMotion(
-        {kf: motion_coherence_many(video.frames[kf].boxes, tracks)
-         for kf, tracks in zip(kfs, index.at)},
-        dict(zip(zip(kfs, kfs[1:]), index.shared)),
+        {kf: motion_coherence_many(frame.boxes, tracks)
+         for kf, frame, tracks in zip(kfs, frames, index.at)},
+        {kf: strict_containers(frame.boxes) for kf, frame in zip(kfs, frames)},
+        [consistency_matrix(a.descriptors, b.descriptors, a.boxes, b.boxes, *points, theta)
+         for a, b, points in zip(frames, frames[1:], index.shared)],
     )
 
 
@@ -410,71 +415,53 @@ def build_video_trellis(video: Video,
 
     Each neighbor pool is a row array or a ``Proposal`` list of its frame (see
     ``frame_saliencies``). ``motion`` holds the ``motion_scores`` of the key
-    frames; it is computed here when not given. ``vectors`` is handed to
-    ``frame_saliencies``. Returns the trellis plus the per-frame raw saliency
-    maps needed by the next retrieval round.
+    frames, computed here when not given; the kept candidates' consistency is
+    gathered from its parts. ``vectors`` is handed to ``frame_saliencies``.
+    Returns the trellis plus the per-frame raw saliency maps needed by the
+    next retrieval round.
     """
     kfs = sorted(pools_by_kf)
     if motion is None:
-        motion = motion_scores(video, kfs)
-    ids_per_frame: list[np.ndarray] = []
-    scores_per_frame: list[np.ndarray] = []
-    saliency_maps: dict[int, dict[int, float]] = {}
-    for kf in kfs:
-        frame = video.frames[kf]
-        phi_a, saliency = appearance_confidence(frame, pools_by_kf[kf], config, vectors)
-        phi = phi_a + config.alpha * motion.coherence[kf]
-        ids_per_frame.append(frame.ids)
-        scores_per_frame.append(phi)
+        motion = motion_scores(video, kfs, config.theta)
+    frames = [video.frames[kf] for kf in kfs]
+    scores_per_frame, saliency_maps = [], {}
+    for kf, frame in zip(kfs, frames):
+        phi_a, saliency = appearance_confidence(frame, motion.containers[kf], pools_by_kf[kf],
+                                                config, vectors)
+        scores_per_frame.append(phi_a + config.alpha * motion.coherence[kf])
         saliency_maps[kf] = dict(zip(frame.ids.tolist(), saliency.tolist()))
-
-    def pairwise(step: int, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
-        frame_a = video.frames[kfs[step]]
-        frame_b = video.frames[kfs[step + 1]]
-        points_a, points_b = motion.shared[kfs[step], kfs[step + 1]]
-        return consistency_matrix(
-            frame_a.descriptors[rows_a],
-            frame_b.descriptors[rows_b],
-            frame_a.boxes[rows_a],
-            frame_b.boxes[rows_b],
-            points_a,
-            points_b,
-            config.theta,
-        )
-
-    trellis = build_trellis(video.video_id, kfs, ids_per_frame, scores_per_frame,
-                            config.top_candidates, pairwise)
+    trellis = build_trellis(video.video_id, kfs, [frame.ids for frame in frames],
+                            scores_per_frame, config.top_candidates,
+                            lambda t, rows_a, rows_b: kept_consistency(motion.consistency[t],
+                                                                       rows_a, rows_b))
     return trellis, saliency_maps
 
 
 def relocalize_video(video: Video, graph: NeighborGraph,
                      contained: dict[FrameRef, np.ndarray], num_tubes: int,
-                     motion: VideoMotion, cache: MatchCache
+                     motion: dict[str, VideoMotion], cache: MatchCache
                      ) -> tuple[list[TubeSolution], dict[int, dict[int, float]],
                                 dict[int, list[Box]]]:
     """Optimize one video against its neighbors' currently localized regions,
-    whose proposals ``contained`` marks per key frame. ``cache`` is the run's
-    ``MatchCache``: it holds the run's config and key frames, and
-    ``update_network`` put every saliency table in it, so
+    whose proposals ``contained`` marks per key frame. ``motion`` holds the
+    run's ``motion_scores`` by video: a video's first relocalization adds its
+    own. ``cache`` is the run's ``MatchCache``: it holds the run's config and
+    key frames, and ``update_network`` put every saliency table in it, so
     ``frame_saliencies`` matches nothing here.
 
-    Returns the tubes, the saliency maps and the new localized boxes per key
-    frame.
+    Returns the tubes, saliency maps and new localized boxes per key frame.
     """
     config = cache.config
     kfs = key_frames(video, config.keyframe_stride)
+    if video.video_id not in motion:
+        motion[video.video_id] = motion_scores(video, kfs, config.theta)
     pools_by_kf = {kf: neighbor_pools((video.video_id, kf), graph, contained, cache.frames)
                    for kf in kfs}
-
-    trellis, saliency_maps = build_video_trellis(video, pools_by_kf, config, motion, cache.tables)
+    trellis, saliency_maps = build_video_trellis(video, pools_by_kf, config,
+                                                 motion[video.video_id], cache.tables)
     solutions = solve_p_best(trellis, num_tubes, config.lambda_)
-    boxes_by_kf = {
-        kf: [
-            video.frames[kf].proposal_by_id(sol.tube.regions[kf]).box
-            for sol in solutions
-        ]
-        for kf in kfs
-    }
+    boxes_by_kf = {kf: [video.frames[kf].proposal_by_id(sol.tube.regions[kf]).box
+                        for sol in solutions] for kf in kfs}
     return solutions, saliency_maps, boxes_by_kf
 
 
@@ -523,8 +510,7 @@ def run_discovery(collection: Collection, config: Config, threads: int = 1
     check_key_frames(collection, config.keyframe_stride)
     check_objective_bound(collection, config)
     cache = MatchCache(collection, config, threads)  # stacks the key frames' columns
-    motion = {vid: motion_scores(video, key_frames(video, config.keyframe_stride))
-              for vid, video in collection.videos.items()}
+    motion: dict[str, VideoMotion] = {}  # filled by each video's first relocalization
     state = initialize_state(collection, config)
     # both phases read the proposals inside the previous state's regions
     contained = {ref: region_contained(frame, state.boxes[ref[0]][ref[1]])
@@ -543,7 +529,7 @@ def run_discovery(collection: Collection, config: Config, threads: int = 1
                 break
             last = iteration == config.iterations
             results = {vid: relocalize_video(video, graph, contained,
-                                             1 if last else config.p_tubes, motion[vid], cache)
+                                             1 if last else config.p_tubes, motion, cache)
                        for vid, video in collection.videos.items()}
             # the final iteration's regions are read by no one
             changed = {} if last else {

@@ -13,16 +13,17 @@ leading table axis.
 Probabilistic Hough matching of a frame pair runs over proposal pairs
 m = (i, j). Each pair has an appearance affinity a(m) and an offset between
 the two box locations, which votes into a grid of (u, v, s) bins with the
-separable Gaussian likelihood g_u(m, u) g_v(m, v) g_s(m, s). With g_su the
-row-wise outer product of the s- and u-kernels, an (M, s*u) matrix, both
-contractions are matrix products:
+separable Gaussian likelihood g_u(u, m) g_v(v, m) g_s(s, m). The kernels are
+built bin-major, each bin a row over all M pairs, so every elementwise pass
+runs over M. With g_su the outer product of the s- and u-kernels, an
+(s*u, M) matrix, both contractions are matrix products:
 
-    votes[(s, u), v] = (g_su^T @ (g_v * a))[(s, u), v]
-    support[m]       = rowsum((g_su @ votes) * g_v)[m]
+    votes[(s, u), v] = (g_su @ (g_v * a)^T)[(s, u), v]
+    support[m]       = rowsum((g_su^T @ votes) * g_v^T)[m]
     score[m]         = a(m) * support[m]
 
 Each table takes one pass: g_su is built once and both products run once
-over all M pairs, so g_su is the one (M, s*u) array of a table. A stacked
+over all M pairs, so g_su is the one (s*u, M) array of a table. A stacked
 pass does the same for each of its tables at once: every elementwise step is
 the same per element, the descriptor sum reduces the same contiguous axis,
 and each product is one GEMM per table with that table's shapes, so every
@@ -113,20 +114,23 @@ def match_confidences(rows_t, rows_u, frame_t: Frame | Columns, frame_u: Frame |
     tables = rows_t.shape[:-1]
     aff = affinity_matrix(frame_t.descriptors[rows_t], frame_u.descriptors[rows_u],
                           config.affinity_gamma)
-    offsets = (frame_t.locations[rows_t][..., :, None, :]
-               - frame_u.locations[rows_u][..., None, :, :]).reshape(*tables, -1, 3)
-    z = (offsets[..., _BIN_AXIS] - _BIN_CENTERS) / _BIN_WIDTHS  # all three axes' kernels at once
-    kernels = np.exp(-0.5 * z * z)
+    loc_t = np.swapaxes(frame_t.locations[rows_t], -1, -2)  # (3, n_t) a table
+    loc_u = np.swapaxes(frame_u.locations[rows_u], -1, -2)
+    offsets = (loc_t[..., :, None] - loc_u[..., None, :]).reshape(*tables, 3, -1)  # (3, M)
+    z = offsets[..., _BIN_AXIS, :] - _BIN_CENTERS[:, None]  # bin-major: (39, M)
+    z /= _BIN_WIDTHS[:, None]
+    z *= -0.5 * z
+    kernels = np.exp(z, out=z)  # all three axes' at once, in place: no z is left for g_su
     nu, nv, ns = TRANSLATION_BINS, TRANSLATION_BINS, LOG_SCALE_BINS
-    gu, gv, gs = kernels[..., :nu], kernels[..., nu:nu + nv], kernels[..., nu + nv:]
-    weights = aff.reshape(*tables, -1)
-    products = (*weights.shape, ns, nu)
-    gsu = np.multiply(gs[..., :, None], gu[..., None, :],
+    gu, gv, gs = kernels[..., :nu, :], kernels[..., nu:nu + nv, :], kernels[..., nu + nv:, :]
+    weights = aff.reshape(*tables, 1, -1)
+    products = (*tables, ns, nu, weights.shape[-1])
+    gsu = np.multiply(gs[..., :, None, :], gu[..., None, :, :],
                       out=None if out is None else out[:math.prod(products)].reshape(products))
-    gsu = gsu.reshape(*weights.shape, ns * nu)
-    votes = np.swapaxes(gsu, -1, -2) @ (gv * weights[..., None])  # one GEMM per table
-    support = gsu @ votes
-    support *= gv  # in place on (M, v): g_su stays a table's one (M, s*u) array
+    gsu = gsu.reshape(*tables, ns * nu, -1)
+    votes = gsu @ np.swapaxes(gv * weights, -1, -2)  # one GEMM per table
+    support = np.swapaxes(gsu, -1, -2) @ votes
+    support *= np.swapaxes(gv, -1, -2)  # in place on (M, v): g_su stays a table's one array
     return (votes.reshape(*tables, ns, nu, nv).transpose(*range(len(tables)), -2, -1, -3),
             aff * support.sum(axis=-1).reshape(aff.shape))
 
@@ -195,9 +199,9 @@ def strict_containers(boxes: np.ndarray) -> np.ndarray:
             & (area[None, :] > area[:, None] * CONTAIN_GROWTH))
 
 
-def standout_scores(boxes: np.ndarray, saliencies: np.ndarray) -> np.ndarray:
-    """Saliency minus the best saliency among strict containers (0 when none)."""
-    contains = strict_containers(boxes)
+def standout_scores(contains: np.ndarray, saliencies: np.ndarray) -> np.ndarray:
+    """Saliency minus the best saliency among strict containers (0 when none),
+    which ``contains``, the boxes' ``strict_containers``, marks."""
     background = np.where(contains, saliencies[None, :], -np.inf).max(axis=1, initial=-np.inf)
     return saliencies - np.where(contains.any(axis=1), background, 0.0)
 
@@ -212,10 +216,12 @@ def rescale_unit(values: np.ndarray) -> np.ndarray:
     return (values - lo) / span
 
 
-def appearance_confidence(frame: Frame, neighbor_pools, config: Config,
+def appearance_confidence(frame: Frame, contains: np.ndarray, neighbor_pools, config: Config,
                           vectors=None) -> tuple[np.ndarray, np.ndarray]:
     """Rescaled standout scores in [0, 1] plus raw saliencies, per proposal;
-    ``vectors`` is handed to ``frame_saliencies``. No pools give all zeros."""
+    ``contains`` is the frame's ``strict_containers``, which do not change
+    during a run, and ``vectors`` is handed to ``frame_saliencies``. No pools
+    give all zeros."""
     saliency = frame_saliencies(frame, neighbor_pools, config, vectors)
-    raw = standout_scores(frame.boxes, saliency)
+    raw = standout_scores(contains, saliency)
     return rescale_unit(raw), saliency

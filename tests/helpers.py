@@ -145,8 +145,7 @@ def recomputing_discovery(collection: Collection, config: Config,
     ``DirectedMatchCache``, which matches each direction of a frame pair
     fresh. It looks the discovery functions up on their module, so a test
     can patch them."""
-    motion = {vid: discovery.motion_scores(video, key_frames(video, config.keyframe_stride))
-              for vid, video in collection.videos.items()}
+    motion: dict = {}  # relocalize_video adds each video's motion_scores
     state = discovery.initialize_state(collection, config)
     snapshots = []
     for iteration in range(1, config.iterations + 1):
@@ -158,7 +157,7 @@ def recomputing_discovery(collection: Collection, config: Config,
         graph = discovery.update_network(state, contained, cache)
         num_tubes = 1 if iteration == config.iterations else config.p_tubes
         results = {vid: discovery.relocalize_video(video, graph, contained, num_tubes,
-                                                   motion[vid], cache)
+                                                   motion, cache)
                    for vid, video in collection.videos.items()}
         state = discovery.IterationState(
             iteration=iteration,

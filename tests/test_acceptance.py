@@ -22,6 +22,7 @@ from tubeloc.formats import save_collection
 from tubeloc.matching import (
     appearance_confidence,
     match_confidences,
+    strict_containers,
 )
 from tubeloc.metrics import corloc, corret, iou, retrieval_confusion, topk_error, video_labels
 from tubeloc.model import Box, Config, NeighborGraph, interpolate_tube, key_frames
@@ -142,7 +143,8 @@ def test_criterion_4_score_range_invariants(noise_free_bundle):
                 kfs = key_frames(video, cfg.keyframe_stride)
                 for kf, tracks in zip(kfs, VideoTrackIndex(video, kfs).at):
                     frame = video.frames[kf]
-                    phi_a, _ = appearance_confidence(frame, pools[(vid, kf)], cfg)
+                    phi_a, _ = appearance_confidence(frame, strict_containers(frame.boxes),
+                                                     pools[(vid, kf)], cfg)
                     assert np.all((phi_a >= 0.0) & (phi_a <= 1.0))
                     degenerate = np.all(phi_a == phi_a[0])
                     if not degenerate:

@@ -379,6 +379,21 @@ class TestRunCommand:
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", ["-inf", "-INF", "-Infinity", "-nan", "-NaN"])
+    @pytest.mark.parametrize("joined", [False, True], ids=["spaced", "joined"])
+    def test_negative_non_finite_is_a_value(self, tiny_collection, tmp_path, capsys,
+                                            value, joined):
+        # "--theta -inf" gives --theta its value, as "--theta=-inf" does, so
+        # both fail validation rather than parsing
+        theta = [f"--theta={value}"] if joined else ["--theta", value]
+        code = main(["run", "--collection", str(tiny_collection / "manifest.jsonl"),
+                     "--out", str(tmp_path / "o"), *theta])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "theta must be finite" in err
+        assert "expected one argument" not in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_non_positive_threads_exits_one(self, tiny_collection, tmp_path, capsys, threads):
         code = main(["run", "--collection", str(tiny_collection / "manifest.jsonl"),

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import motion_consistency, rand_unit
 from tubeloc.consistency import (
     appearance_consistency_matrix,
     consistency_matrix,
+    kept_consistency,
     motion_consistency_matrix,
 )
 from tubeloc.model import Box
@@ -136,7 +139,33 @@ class TestCombined:
         descs_a = np.stack([rand_unit(rng, 6) for _ in range(2)])
         descs_b = np.stack([rand_unit(rng, 6)])
         pts = np.array([[2.0, 2.0], [8.0, 8.0]])
-        total = consistency_matrix(descs_a, descs_b, boxes_a, boxes_b, pts, pts, THETA)
+        parts = consistency_matrix(descs_a, descs_b, boxes_a, boxes_b, pts, pts, THETA)
+        total = kept_consistency(parts, np.arange(2), np.arange(1))
         expected = appearance_consistency_matrix(descs_a, descs_b) + \
             motion_consistency_matrix(boxes_a, boxes_b, pts, pts, THETA)
         np.testing.assert_array_equal(total, expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_a=st.integers(1, 12), n_b=st.integers(1, 12), tracks=st.integers(0, 300),
+           seed=st.integers(0, 2 ** 16))
+    def test_kept_rows_gather_bit_for_bit(self, n_a, n_b, tracks, seed):
+        # any kept subset, in any order, equals both matrices of those rows
+        # computed afresh; over 256 tracks the drift sum runs in chunks. A
+        # lone pair is the exception: computed alone, numpy sums its tracks
+        # pairwise instead of in track order, which can move the last bits
+        rng = np.random.default_rng(seed)
+        boxes_a = np.column_stack([rng.uniform(0, 40, (n_a, 2)), rng.uniform(10, 50, (n_a, 2))])
+        boxes_b = np.column_stack([rng.uniform(0, 40, (n_b, 2)), rng.uniform(10, 50, (n_b, 2))])
+        descs_a, descs_b = rng.normal(size=(n_a, 6)), rng.normal(size=(n_b, 6))
+        pts_a = rng.uniform(0, 90, (tracks, 2))
+        pts_b = pts_a + rng.normal(0, 3, size=pts_a.shape)
+        parts = consistency_matrix(descs_a, descs_b, boxes_a, boxes_b, pts_a, pts_b, THETA)
+        rows_a = rng.permutation(n_a)[:rng.integers(1, n_a + 1)]
+        rows_b = rng.permutation(n_b)[:rng.integers(1, n_b + 1)]
+        expected = (appearance_consistency_matrix(descs_a[rows_a], descs_b[rows_b])
+                    + motion_consistency_matrix(boxes_a[rows_a], boxes_b[rows_b],
+                                                pts_a, pts_b, THETA))
+        kept = kept_consistency(parts, rows_a, rows_b)
+        if kept.size > 1:
+            assert kept.tobytes() == expected.tobytes()
+        np.testing.assert_allclose(kept, expected, rtol=1e-12, atol=0)

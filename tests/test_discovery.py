@@ -28,9 +28,11 @@ from helpers import (
     recomputing_discovery,
     recorded_requests,
     reference_discovery,
+    shared_track_points,
     union_area_exact,
     unordered_counts,
 )
+from tubeloc.consistency import appearance_consistency_matrix, motion_consistency_matrix
 from tubeloc.discovery import (
     CONTAINMENT_RATIO,
     MatchCache,
@@ -51,6 +53,7 @@ from tubeloc.matching import (
     frame_saliencies,
     match_confidences,
     match_side,
+    strict_containers,
 )
 from tubeloc.model import (
     Box,
@@ -398,7 +401,7 @@ class TestRelocalization:
             for w in same_class for kf in key_frames(collection.videos[w], 20)
         ][: cfg.k_neighbors]
         frame = video.frames[0]
-        phi_a, _ = appearance_confidence(frame, pools, cfg)
+        phi_a, _ = appearance_confidence(frame, strict_containers(frame.boxes), pools, cfg)
         best = frame.proposals[int(np.argmax(phi_a))]
         assert best.id == planted.tubes[vid][0]
         assert phi_a.max() == 1.0
@@ -417,7 +420,8 @@ class TestRelocalization:
         trellis, _ = build_video_trellis(video, pools_by_kf, cfg)
         for t, kf in enumerate(key_frames(video, 20)):
             frame = video.frames[kf]
-            phi_a, _ = appearance_confidence(frame, pools_by_kf[kf], cfg)
+            phi_a, _ = appearance_confidence(frame, strict_containers(frame.boxes),
+                                             pools_by_kf[kf], cfg)
             order = sorted(range(len(frame.proposals)),
                            key=lambda i: (-phi_a[i], frame.proposals[i].id))
             expected = [frame.proposals[i].id for i in order]
@@ -432,11 +436,12 @@ class TestRelocalization:
         pools = [(wrong.frames[kf], list(wrong.frames[kf].proposals))
                  for kf in key_frames(wrong, 20)]
         frame = video.frames[0]
-        phi_a, saliency = appearance_confidence(frame, pools, cfg)
+        contains = strict_containers(frame.boxes)
+        phi_a, saliency = appearance_confidence(frame, contains, pools, cfg)
         # cross-class saliencies are far below the same-class level
         same = [(collection.videos["class0_v01"].frames[0],
                  list(collection.videos["class0_v01"].frames[0].proposals))]
-        _, same_sal = appearance_confidence(frame, same, cfg)
+        _, same_sal = appearance_confidence(frame, contains, same, cfg)
         planted_idx = [p.id for p in frame.proposals].index(planted.tubes[vid][0])
         assert saliency[planted_idx] < same_sal[planted_idx]
 
@@ -598,9 +603,14 @@ class TestComputeOnce:
         counts: dict = {}
         self._count_calls(monkeypatch, "VideoTrackIndex", counts)
         self._count_calls(monkeypatch, "motion_coherence_many", counts)
+        self._count_calls(monkeypatch, "strict_containers", counts)
+        self._count_calls(monkeypatch, "consistency_matrix", counts)
         run_discovery(collection, config, threads=1)
+        assert config.iterations > 1
         assert counts["VideoTrackIndex"] == len(collection.videos)
         assert counts["motion_coherence_many"] == key_frame_count
+        assert counts["strict_containers"] == key_frame_count
+        assert counts["consistency_matrix"] == key_frame_count - len(collection.videos)
 
     def test_precomputed_motion_gives_the_same_trellis(self, small):
         collection, config, _ = small
@@ -611,10 +621,45 @@ class TestComputeOnce:
                        for kf in kfs}
         fresh, _ = build_video_trellis(video, pools_by_kf, config)
         reused, _ = build_video_trellis(video, pools_by_kf, config,
-                                        discovery.motion_scores(video, kfs))
+                                        discovery.motion_scores(video, kfs, config.theta))
         for t in range(fresh.num_frames):
             assert np.array_equal(fresh.candidate_ids[t], reused.candidate_ids[t])
             assert np.array_equal(fresh.unary[t], reused.unary[t])
+        for fresh_pairwise, reused_pairwise in zip(fresh.pairwise, reused.pairwise):
+            assert fresh_pairwise.tobytes() == reused_pairwise.tobytes()
+
+    def test_kept_candidates_consistency_is_their_own(self, monkeypatch):
+        # 28 proposals a key frame, 10 kept: every transition's matrix is
+        # gathered from the once-per-run parts, and must equal both matrices
+        # of the kept rows computed afresh, bit for bit
+        collection, _, _ = generate_collection(SynthSpec(
+            videos_per_class=1, frames_per_video=41, num_distractors=24))
+        config = Config(iterations=2, top_candidates=10)
+        trellises = []
+        original = discovery.build_trellis
+
+        def recorded(*args, **kwargs):
+            trellises.append(original(*args, **kwargs))
+            return trellises[-1]
+
+        monkeypatch.setattr(discovery, "build_trellis", recorded)
+        run_discovery(collection, config)
+        assert len(trellises) == config.iterations * len(collection.videos)
+        for trellis in trellises:
+            video = collection.videos[trellis.video_id]
+            kfs = trellis.frame_indices
+            for t, (a, b) in enumerate(zip(kfs, kfs[1:])):
+                frame_a, frame_b = video.frames[a], video.frames[b]
+                assert len(frame_a.proposals) > config.top_candidates
+                rows_a = frame_a.rows(trellis.candidate_ids[t].tolist())
+                rows_b = frame_b.rows(trellis.candidate_ids[t + 1].tolist())
+                expected = (appearance_consistency_matrix(frame_a.descriptors[rows_a],
+                                                          frame_b.descriptors[rows_b])
+                            + motion_consistency_matrix(frame_a.boxes[rows_a],
+                                                        frame_b.boxes[rows_b],
+                                                        *shared_track_points(video, a, b),
+                                                        config.theta))
+                assert trellis.pairwise[t].tobytes() == expected.tobytes()
 
 
 # Its saliency tables of 44 x 44 proposal pairs reach THREADED_PAIRS, while

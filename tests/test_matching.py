@@ -280,7 +280,7 @@ class TestContainment:
                             and outer.area > inner.area * 1.01)
                 assert contains[i, j] == expected
         saliency = rng.uniform(0.0, 5.0, len(boxes))
-        raw = standout_scores(_rows(boxes), saliency)
+        raw = standout_scores(contains, saliency)
         for i in range(len(boxes)):
             background = max((saliency[j] for j in np.flatnonzero(contains[i])), default=0.0)
             assert raw[i] == saliency[i] - background
@@ -296,12 +296,12 @@ class TestContainment:
 class TestStandout:
     def test_no_container_keeps_saliency(self):
         boxes = _rows([Box(0, 0, 10, 10), Box(50, 50, 10, 10)])
-        raw = standout_scores(boxes, np.array([3.0, 1.5]))
+        raw = standout_scores(strict_containers(boxes), np.array([3.0, 1.5]))
         np.testing.assert_allclose(raw, [3.0, 1.5])
 
     def test_container_can_push_negative(self):
         boxes = _rows([Box(0, 0, 100, 100), Box(10, 10, 20, 20)])
-        raw = standout_scores(boxes, np.array([5.0, 2.0]))
+        raw = standout_scores(strict_containers(boxes), np.array([5.0, 2.0]))
         assert raw[1] == -3.0
         assert raw[0] == 5.0
 
@@ -313,7 +313,8 @@ class TestStandout:
         rng = np.random.default_rng(11)
         frame = rand_frame(rng, "a", 6)
         neighbor = rand_frame(rng, "b", 6)
-        phi_a, saliency = appearance_confidence(frame, [(neighbor, neighbor.proposals)], CFG)
+        phi_a, saliency = appearance_confidence(frame, strict_containers(frame.boxes),
+                                                [(neighbor, neighbor.proposals)], CFG)
         assert phi_a.min() == 0.0
         assert phi_a.max() == 1.0
         assert np.all(saliency >= 0)
@@ -321,7 +322,7 @@ class TestStandout:
     def test_no_neighbors_all_zero(self):
         rng = np.random.default_rng(12)
         frame = rand_frame(rng, "a", 3)
-        phi_a, saliency = appearance_confidence(frame, [], CFG)
+        phi_a, saliency = appearance_confidence(frame, strict_containers(frame.boxes), [], CFG)
         assert np.all(phi_a == 0) and np.all(saliency == 0)
 
 
@@ -373,7 +374,7 @@ class TestBlockedKernel:
 
     def test_paper_scale_table_peak_memory(self):
         # 104 proposals a side, the paper's count: the traced peak stays below
-        # two (M, s*u) float64 arrays, so g_su is the only one a table holds
+        # two (s*u, M) float64 arrays, so g_su is the only one a table holds
         rng = np.random.default_rng(26)
         a, b = rand_frame(rng, "a", 104), rand_frame(rng, "b", 104)
         rows_a, rows_b = all_rows(a), all_rows(b)
