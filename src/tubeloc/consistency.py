@@ -51,7 +51,7 @@ def motion_consistency_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray, points_a
         mask = in_a[lo:hi, :, None] & in_b[lo:hi, None, :]
         du = np.abs(ua[lo:hi, :, None] - ub[lo:hi, None, :])
         dv = np.abs(va[lo:hi, :, None] - vb[lo:hi, None, :])
-        drift += ((du + dv) * mask).sum(axis=0)
+        drift += np.cumsum((du + dv) * mask, axis=0, out=du)[-1]  # in track order, any shape
     safe = np.where(counts > 0, counts, 1.0)
     return np.where(counts > 0, -drift / (2.0 * safe), float(theta))
 

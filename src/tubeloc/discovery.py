@@ -27,12 +27,16 @@ chunk holds the interpreter lock for most of its run. Every thread reads the
 run's config and stacked key-frame columns, and none writes them.
 Relocalization runs in the caller and reads its vectors from the cache, so it
 matches nothing and outputs do not depend on the thread count.
+Tracking pays numpy's per-call cost once per video: motion coherence,
+strict containers, standouts and containment masks are each one pass over a
+video's key frames, bit for bit per frame; consistency stays per transition.
 A key frame whose boxes did not change keeps its containment mask.
 Relocalization reads only the graph and the masks, so an iteration whose
 graph and masks equal its predecessor's would repeat its state, and every
 later iteration would repeat it too: the loop stops there without
 relocalizing (``DiscoveryResult.fixed_point``), and no state is kept for the
-repeats (``DiscoveryResult.state``).
+repeats (``DiscoveryResult.state``). Its retrieval returns the last graph
+when its pools and masks repeat (``update_network``).
 """
 
 from __future__ import annotations
@@ -70,6 +74,7 @@ from .model import (
     check_integer,
     check_key_frames,
     key_frames,
+    padded_rows,
 )
 from .motion import VideoTrackIndex, motion_coherence_many
 from .solver import Trellis, TubeSolution, build_trellis, solve_p_best
@@ -150,27 +155,46 @@ def initialize_state(collection: Collection, config: Config) -> IterationState:
     return IterationState(iteration=0, boxes=boxes)
 
 
-def region_contained(frame: Frame, regions: list[Box]) -> np.ndarray:
-    """Which proposals of ``frame`` have at least ``CONTAINMENT_RATIO`` of their
-    area inside the union of ``regions``.
+def region_contained(frames: tuple[Frame, ...], regions: list[list[Box]]) -> list[np.ndarray]:
+    """Which proposals of each of a video's key ``frames`` have at least
+    ``CONTAINMENT_RATIO`` of their area inside the union of its ``regions``.
 
     The union area is exact (coordinate compression): the regions clipped to a
     proposal cut it at their sorted x and y edges into cells, and a cell counts
     when a clipped region covers it. A region missing the proposal clips to an
-    empty interval, which covers only cells of zero width or height.
+    empty interval, which covers only cells of zero width or height. The key
+    frames with as many regions are one pass, each proposal against its own
+    frame's regions, so each mask is bit for bit its frame's alone.
     """
-    x, y, w, h = (column[:, None] for column in frame.boxes.T)  # (n, 1) each
-    r = np.array([b.as_list() for b in regions], dtype=float).reshape(-1, 4)
-    x0, x1 = np.maximum(x, r[:, 0]), np.minimum(x + w, r[:, 0] + r[:, 2])  # (n, p)
-    y0, y1 = np.maximum(y, r[:, 1]), np.minimum(y + h, r[:, 1] + r[:, 3])
-    xs = np.sort(np.concatenate([x0, x1], axis=1), axis=1)  # (n, 2p) cell edges
-    ys = np.sort(np.concatenate([y0, y1], axis=1), axis=1)
-    in_x = (x0[:, None, :] <= xs[:, :-1, None]) & (xs[:, 1:, None] <= x1[:, None, :])
-    in_y = (y0[:, None, :] <= ys[:, :-1, None]) & (ys[:, 1:, None] <= y1[:, None, :])
-    covered = (in_x[:, :, None, :] & in_y[:, None, :, :]).any(axis=3)  # (n, cx, cy)
-    cells = np.diff(xs, axis=1)[:, :, None] * np.diff(ys, axis=1)[:, None, :]
-    area = np.where(covered, cells, 0.0).sum(axis=(1, 2))
-    return area >= CONTAINMENT_RATIO * (w * h)[:, 0]
+    masks = [np.empty(0, dtype=bool)] * len(frames)
+    for p in set(map(len, regions)):
+        group = [f for f, frame_regions in enumerate(regions) if len(frame_regions) == p]
+        sizes = [len(frames[f].boxes) for f in group]
+        x, y, w, h = (column[:, None] for column in  # (n, 1) each
+                      np.concatenate([frames[f].boxes for f in group]).T)
+        r = np.array([[b.as_list() for b in regions[f]] for f in group], dtype=float)
+        r = r.reshape(len(group), p, 4)[np.repeat(np.arange(len(group)), sizes)]  # (n, p, 4)
+        x0, x1 = np.maximum(x, r[..., 0]), np.minimum(x + w, r[..., 0] + r[..., 2])  # (n, p)
+        y0, y1 = np.maximum(y, r[..., 1]), np.minimum(y + h, r[..., 1] + r[..., 3])
+        xs = np.sort(np.concatenate([x0, x1], axis=1), axis=1)  # (n, 2p) cell edges
+        ys = np.sort(np.concatenate([y0, y1], axis=1), axis=1)
+        in_x = (x0[:, None, :] <= xs[:, :-1, None]) & (xs[:, 1:, None] <= x1[:, None, :])
+        in_y = (y0[:, None, :] <= ys[:, :-1, None]) & (ys[:, 1:, None] <= y1[:, None, :])
+        covered = (in_x[:, :, None, :] & in_y[:, None, :, :]).any(axis=3)  # (n, cx, cy)
+        cells = np.diff(xs, axis=1)[:, :, None] * np.diff(ys, axis=1)[:, None, :]
+        area = np.where(covered, cells, 0.0).sum(axis=(1, 2))
+        inside = area >= CONTAINMENT_RATIO * (w * h)[:, 0]
+        for f, mask in zip(group, np.split(inside, np.cumsum(sizes)[:-1])):
+            masks[f] = mask
+    return masks
+
+
+def video_masks(frames: dict[FrameRef, Frame], boxes: dict) -> dict[FrameRef, np.ndarray]:
+    """The ``region_contained`` mask of each key frame in ``boxes`` (video ->
+    key frame -> regions), one call per video on its ``frames`` (ref -> Frame)."""
+    return {(vid, kf): mask for vid, by_kf in boxes.items() if by_kf
+            for kf, mask in zip(by_kf, region_contained(tuple(frames[vid, kf] for kf in by_kf),
+                                                        list(by_kf.values())))}
 
 
 def _rank_neighbors(refs: list[FrameRef], similarity: np.ndarray, k: int) -> NeighborGraph:
@@ -250,6 +274,7 @@ class MatchCache:
         self.config = config
         self.tables: dict[tuple, np.ndarray] = {}
         self.counts: list[tuple[int, int]] = []
+        self.retrieval: tuple | None = None  # inputs, graph, counts of the last pool retrieval
         self.frames = {(vid, kf): video.frames[kf] for vid, video in collection.videos.items()
                        for kf in key_frames(video, config.keyframe_stride)}
         # before the threads start, so that none builds a frame's columns
@@ -354,6 +379,11 @@ def update_network(state: IterationState, contained: dict[FrameRef, np.ndarray],
     ``relocalize_video`` reads them. Retrieval and saliency each make one
     ``cache.vectors`` call, which matches the tables the cache lacks, and
     similarities are read from ``cache.tables``.
+
+    The graph and saliency keys read only the pools and the masks: when both
+    repeat those of the last retrieval from pools (``cache.retrieval``), its
+    graph is returned, and the ``cache.counts`` a full call would add (no
+    table matched, every key reused), without building a key or similarity.
     """
     config, frames = cache.config, cache.frames
     if state.iteration == 0:
@@ -366,20 +396,28 @@ def update_network(state: IterationState, contained: dict[FrameRef, np.ndarray],
                                         config.retrieval_proposals))
                  for ref, frame in frames.items()]
         sides = [match_side(frame, pool) for frame, pool in zip(frames.values(), pools)]
+        inputs = (sides, [contained[ref].tobytes() for ref in refs])  # what graph and keys read
+        if cache.retrieval is not None and cache.retrieval[0] == inputs:
+            cache.counts += cache.retrieval[2]
+            return cache.retrieval[1]
         videos = np.array([vid for vid, _ in refs], dtype=object)
         cross = videos[:, None] != videos[None, :]  # same-video pairs are never ranked
         similarity = np.where(cross, 0.0, np.nan)
         sized = np.array([pool.size > 0 for pool in pools])
         wanted = cross & sized[:, None] & sized[None, :]
-        cache.vectors([(sides[q], sides[c]) for q, c in np.argwhere(wanted).tolist()])
+        keys = [(sides[q], sides[c]) for q, c in np.argwhere(wanted).tolist()]
+        cache.vectors(keys)
         for q, cols in enumerate(map(np.flatnonzero, wanted)):
             if cols.size:  # a row's sums at once: the same as each vector's own sum
                 similarity[q, cols] = np.array([cache.tables[sides[q], sides[c]]
                                                 for c in cols]).sum(axis=1)
         graph = _rank_neighbors(refs, similarity, config.k_neighbors)
 
-    cache.vectors([key for ref, frame in frames.items()
-                   for key in saliency_keys(frame, neighbor_pools(ref, graph, contained, frames))])
+    salient = [key for ref, frame in frames.items()
+               for key in saliency_keys(frame, neighbor_pools(ref, graph, contained, frames))]
+    cache.vectors(salient)
+    if state.iteration > 0:  # a bootstrap reads no pool
+        cache.retrieval = (inputs, graph, [(0, len(keys)), (0, len(salient))])
     return graph
 
 
@@ -387,20 +425,22 @@ class VideoMotion(NamedTuple):
     """What tracking reads of a video's key frames in every iteration; proposals
     and tracks never change during a run, so ``motion_scores`` computes it once."""
 
-    coherence: dict[int, np.ndarray]  # key frame -> motion coherence per proposal row
-    containers: dict[int, np.ndarray]  # key frame -> its proposals' strict_containers
+    coherence: list[np.ndarray]  # per key frame, motion coherence per proposal row
+    containers: np.ndarray  # the key frames' strict_containers over their padded_rows
     consistency: list[tuple[np.ndarray, np.ndarray]]  # transition -> consistency_matrix parts
 
 
 def motion_scores(video: Video, kfs: list[int], theta: float) -> VideoMotion:
-    """Motion coherence and strict containers of each proposal of the given key
-    frames, and each transition's consistency parts over all their proposals."""
+    """Motion coherence and strict containers of the proposals of the given
+    key frames, each one pass over all of them, and each transition's
+    consistency parts over all their proposals."""
     index = VideoTrackIndex(video, kfs)
     frames = [video.frames[kf] for kf in kfs]
+    sizes = [len(frame.boxes) for frame in frames]
+    boxes = np.concatenate([frame.boxes for frame in frames])
     return VideoMotion(
-        {kf: motion_coherence_many(frame.boxes, tracks)
-         for kf, frame, tracks in zip(kfs, frames, index.at)},
-        {kf: strict_containers(frame.boxes) for kf, frame in zip(kfs, frames)},
+        np.split(motion_coherence_many(boxes, sizes, index.at), np.cumsum(sizes)[:-1]),
+        strict_containers(boxes[padded_rows(sizes)]),
         [consistency_matrix(a.descriptors, b.descriptors, a.boxes, b.boxes, *points, theta)
          for a, b, points in zip(frames, frames[1:], index.shared)],
     )
@@ -416,25 +456,22 @@ def build_video_trellis(video: Video,
     Each neighbor pool is a row array or a ``Proposal`` list of its frame (see
     ``frame_saliencies``). ``motion`` holds the ``motion_scores`` of the key
     frames, computed here when not given; the kept candidates' consistency is
-    gathered from its parts. ``vectors`` is handed to ``frame_saliencies``.
-    Returns the trellis plus the per-frame raw saliency maps needed by the
-    next retrieval round.
+    gathered from its parts. All key frames' standouts are one
+    ``appearance_confidence`` pass, handed ``vectors``. Returns the trellis
+    plus the per-frame raw saliency maps needed by the next retrieval round.
     """
     kfs = sorted(pools_by_kf)
     if motion is None:
         motion = motion_scores(video, kfs, config.theta)
     frames = [video.frames[kf] for kf in kfs]
-    scores_per_frame, saliency_maps = [], {}
-    for kf, frame in zip(kfs, frames):
-        phi_a, saliency = appearance_confidence(frame, motion.containers[kf], pools_by_kf[kf],
-                                                config, vectors)
-        scores_per_frame.append(phi_a + config.alpha * motion.coherence[kf])
-        saliency_maps[kf] = dict(zip(frame.ids.tolist(), saliency.tolist()))
-    trellis = build_trellis(video.video_id, kfs, [frame.ids for frame in frames],
-                            scores_per_frame, config.top_candidates,
-                            lambda t, rows_a, rows_b: kept_consistency(motion.consistency[t],
-                                                                       rows_a, rows_b))
-    return trellis, saliency_maps
+    phi_a, saliency = appearance_confidence(frames, motion.containers,
+                                            [pools_by_kf[kf] for kf in kfs], config, vectors)
+    unary = [phi + config.alpha * phi_m for phi, phi_m in zip(phi_a, motion.coherence)]
+    trellis = build_trellis(video.video_id, kfs, [frame.ids for frame in frames], unary,
+                            config.top_candidates,
+                            lambda t, *rows: kept_consistency(motion.consistency[t], *rows))
+    return trellis, {kf: dict(zip(frame.ids.tolist(), row.tolist()))
+                     for kf, frame, row in zip(kfs, frames, saliency)}
 
 
 def relocalize_video(video: Video, graph: NeighborGraph,
@@ -513,8 +550,7 @@ def run_discovery(collection: Collection, config: Config, threads: int = 1
     motion: dict[str, VideoMotion] = {}  # filled by each video's first relocalization
     state = initialize_state(collection, config)
     # both phases read the proposals inside the previous state's regions
-    contained = {ref: region_contained(frame, state.boxes[ref[0]][ref[1]])
-                 for ref, frame in cache.frames.items()}
+    contained = video_masks(cache.frames, state.boxes)
     snapshots: list[IterationState] = []
     counts: list[MatchCounts] = []
     fixed_point = None
@@ -532,10 +568,9 @@ def run_discovery(collection: Collection, config: Config, threads: int = 1
                                              1 if last else config.p_tubes, motion, cache)
                        for vid, video in collection.videos.items()}
             # the final iteration's regions are read by no one
-            changed = {} if last else {
-                (vid, kf): region_contained(cache.frames[vid, kf], regions)
-                for vid, res in results.items() for kf, regions in res[2].items()
-                if regions != state.boxes[vid][kf]}
+            changed = {} if last else video_masks(cache.frames, {
+                vid: {kf: regions for kf, regions in res[2].items()
+                      if regions != state.boxes[vid][kf]} for vid, res in results.items()})
             moved = [(contained[ref], mask) for ref, mask in changed.items()]
             contained = {**contained, **changed}
             state = IterationState(

@@ -27,9 +27,10 @@ over all M pairs, so g_su is the one (s*u, M) array of a table. A stacked
 pass does the same for each of its tables at once: every elementwise step is
 the same per element, the descriptor sum reduces the same contiguous axis,
 and each product is one GEMM per table with that table's shapes, so every
-table's votes and scores are bit for bit those of its own pass. Votes and
-scores are byte-identical under one and two BLAS threads. Each best-match
-key has one vector on every path, read from its ``answering_table``.
+table's votes and scores are bit for bit those of its own pass. Under one
+and two BLAS threads they may differ in the last bit, as a GEMM may sum in
+another order; the bench panel's outputs did not. Each best-match key has
+one vector on every path, read from its ``answering_table``.
 ``synth.brute_force_matching`` evaluates the full 3-D likelihood pair by
 pair; it is the oracle for both the votes and the scores (within 1e-12
 relative).
@@ -41,7 +42,7 @@ import math
 
 import numpy as np
 
-from .model import Columns, Config, Frame
+from .model import Columns, Config, Frame, padded_rows
 
 TRANSLATION_RANGE = (-1.0, 1.0)
 LOG_SCALE_RANGE = (-math.log(4.0), math.log(4.0))
@@ -184,44 +185,46 @@ def frame_saliencies(frame: Frame, neighbor_pools, config: Config,
 
 
 def strict_containers(boxes: np.ndarray) -> np.ndarray:
-    """contains[i, j]: box j strictly contains box i, for (n, 4) box rows.
+    """contains[..., i, j]: box j strictly contains box i, for (..., n, 4) box
+    rows: one frame's, or a stack of frames' padded by ``padded_rows``.
 
     The container must cover at least ``CONTAIN_AREA_RATIO`` of box i and
     exceed its area by more than ``CONTAIN_GROWTH``, so no box contains itself.
     """
-    x0, y0, w, h = np.asarray(boxes, dtype=float).reshape(-1, 4).T
-    x1, y1 = x0 + w, y0 + h
-    area = w * h
-    iw = np.minimum.outer(x1, x1) - np.maximum.outer(x0, x0)
-    ih = np.minimum.outer(y1, y1) - np.maximum.outer(y0, y0)
+    x0, y0, w, h = np.moveaxis(np.asarray(boxes, dtype=float)[..., None], -2, 0)  # (..., n, 1)
+    x1, y1, area = x0 + w, y0 + h, w * h
+    iw = np.minimum(x1, x1.swapaxes(-1, -2)) - np.maximum(x0, x0.swapaxes(-1, -2))
+    ih = np.minimum(y1, y1.swapaxes(-1, -2)) - np.maximum(y0, y0.swapaxes(-1, -2))
     inter = np.where((iw > 0) & (ih > 0), iw * ih, 0.0)
-    return ((inter >= CONTAIN_AREA_RATIO * area[:, None])
-            & (area[None, :] > area[:, None] * CONTAIN_GROWTH))
+    return (inter >= CONTAIN_AREA_RATIO * area) & (area.swapaxes(-1, -2) > area * CONTAIN_GROWTH)
 
 
 def standout_scores(contains: np.ndarray, saliencies: np.ndarray) -> np.ndarray:
     """Saliency minus the best saliency among strict containers (0 when none),
-    which ``contains``, the boxes' ``strict_containers``, marks."""
-    background = np.where(contains, saliencies[None, :], -np.inf).max(axis=1, initial=-np.inf)
-    return saliencies - np.where(contains.any(axis=1), background, 0.0)
+    which ``contains``, the boxes' (..., n, n) ``strict_containers``, marks
+    for the (..., n) ``saliencies``."""
+    background = np.where(contains, saliencies[..., None, :], -np.inf).max(axis=-1,
+                                                                           initial=-np.inf)
+    return saliencies - np.where(contains.any(axis=-1), background, 0.0)
 
 
-def rescale_unit(values: np.ndarray) -> np.ndarray:
-    """Min-max rescale to [0, 1]; a constant input collapses to all zeros."""
+def rescale_unit(values: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """Min-max rescale to [0, 1] over all values or along ``axis``; a constant is all 0."""
     values = np.asarray(values, dtype=float)
-    lo = values.min()
-    span = values.max() - lo
-    if span <= 0:
-        return np.zeros_like(values)
-    return (values - lo) / span
+    lo = values.min(axis=axis, keepdims=True)
+    span = values.max(axis=axis, keepdims=True) - lo
+    return (values - lo) / np.where(span > 0, span, np.inf)  # a constant's 0 / inf is 0
 
 
-def appearance_confidence(frame: Frame, contains: np.ndarray, neighbor_pools, config: Config,
-                          vectors=None) -> tuple[np.ndarray, np.ndarray]:
-    """Rescaled standout scores in [0, 1] plus raw saliencies, per proposal;
-    ``contains`` is the frame's ``strict_containers``, which do not change
-    during a run, and ``vectors`` is handed to ``frame_saliencies``. No pools
-    give all zeros."""
-    saliency = frame_saliencies(frame, neighbor_pools, config, vectors)
-    raw = standout_scores(contains, saliency)
-    return rescale_unit(raw), saliency
+def appearance_confidence(frames, contains: np.ndarray, pools, config: Config,
+                          vectors=None) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per frame, its proposals' standouts rescaled to [0, 1] over the frame
+    (all zeros with no pools) and their raw saliencies, in one pass whose
+    arrays are bit for bit each frame's own: ``pools[f]`` are frame f's,
+    ``contains`` the frames' ``strict_containers`` over ``padded_rows``, and
+    ``vectors`` is handed to ``frame_saliencies``."""
+    saliency = [frame_saliencies(frame, frame_pools, config, vectors)
+                for frame, frame_pools in zip(frames, pools)]
+    padded = np.concatenate(saliency)[padded_rows([row.size for row in saliency])]
+    phi_a = rescale_unit(standout_scores(contains, padded), axis=-1)
+    return [scores[:row.size] for scores, row in zip(phi_a, saliency)], saliency

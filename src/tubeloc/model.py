@@ -183,6 +183,13 @@ def build_columns(frames: Iterable[Frame]) -> Columns:
     return stack
 
 
+def padded_rows(sizes) -> np.ndarray:
+    """(F, max size) rows into frames of ``sizes`` rows each, stacked: each
+    frame's own rows, its last one repeated to fill the width."""
+    ends = np.cumsum(sizes)[:, None]
+    return np.minimum(ends - np.asarray(sizes)[:, None] + np.arange(max(sizes)), ends - 1)
+
+
 @dataclass(eq=False)
 class Track:
     """Long-term point track with a motion-cluster label.

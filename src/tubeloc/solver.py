@@ -95,12 +95,13 @@ def build_trellis(video_id: str, frame_indices: Sequence[int],
 
 
 def _min_id_position(positions: np.ndarray, ids: np.ndarray) -> int:
-    return int(positions[np.argmin(ids[positions])])
+    return int(positions[0] if positions.size == 1 else positions[np.argmin(ids[positions])])
 
 
-def _best_indices(trellis: Trellis, unary: list[np.ndarray], lam: float) -> list[int]:
+def _best_indices(trellis: Trellis, unary: list[np.ndarray], weighted: list) -> list[int]:
     """Backward pass plus forward reconstruction with exact-tie id ordering,
-    over ``unary`` in place of the trellis' own (-inf marks a taken candidate).
+    over ``unary`` in place of the trellis' own (-inf marks a taken candidate)
+    and ``weighted``, each transition's lambda * pairwise.
 
     Ties (exact float equality of partial objectives) resolve to the
     lexicographically smallest proposal-id sequence.
@@ -110,18 +111,18 @@ def _best_indices(trellis: Trellis, unary: list[np.ndarray], lam: float) -> list
     cont: list[np.ndarray] = [np.empty(0)] * max(T - 1, 0)
     suffix[T - 1] = unary[T - 1]
     for t in range(T - 2, -1, -1):
-        scored = lam * trellis.pairwise[t] + suffix[t + 1][None, :]
+        scored = weighted[t] + suffix[t + 1][None, :]
         cont[t] = scored.max(axis=1)
         suffix[t] = unary[t] + cont[t]
 
     best = suffix[0].max()
-    indices = [_min_id_position(np.flatnonzero(suffix[0] == best), trellis.candidate_ids[0])]
+    indices = [_min_id_position((suffix[0] == best).nonzero()[0], trellis.candidate_ids[0])]
     for t in range(T - 1):
         i = indices[-1]
         # identical elementwise arithmetic to the backward pass, so the exact
         # equality test against cont[t][i] is guaranteed to match
-        row = lam * trellis.pairwise[t][i, :] + suffix[t + 1]
-        ties = np.flatnonzero(row == cont[t][i])
+        row = weighted[t][i, :] + suffix[t + 1]
+        ties = (row == cont[t][i]).nonzero()[0]
         indices.append(_min_id_position(ties, trellis.candidate_ids[t + 1]))
     return indices
 
@@ -155,10 +156,11 @@ def solve_p_best(trellis: Trellis, p: int, lam: float) -> list[TubeSolution]:
     if p < 1:
         raise ValueError("p must be >= 1")
     unary = [u.astype(float, copy=True) for u in trellis.unary]
+    weighted = [lam * pairwise for pairwise in trellis.pairwise]  # once for all extractions
     capacity = min(trellis.candidate_count(t) for t in range(trellis.num_frames))
     solutions: list[TubeSolution] = []
     for _ in range(min(p, capacity)):
-        indices = _best_indices(trellis, unary, lam)
+        indices = _best_indices(trellis, unary, weighted)
         solutions.append(tube_solution(trellis, indices, lam))
         for u, i in zip(unary, indices):
             u[i] = -np.inf

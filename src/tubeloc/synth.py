@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discovery import build_video_trellis
 from .formats import box_record, canon_float, canon_list, read_jsonl, write_jsonl
 from .matching import BANDWIDTHS, LOG_SCALE_CENTERS, TRANSLATION_CENTERS
 from .model import (
@@ -31,7 +30,6 @@ from .model import (
     Track,
     ValidationError,
     Video,
-    key_frames,
     unit_normalized,
 )
 from .solver import Trellis, TubeSolution, tube_solution
@@ -384,39 +382,6 @@ def brute_force_matching(props_t, props_u, frame_t: Frame, frame_u: Frame,
             support = float(np.sum(likelihood(locs_t[i], locs_u[j]) * votes))
             scores[i, j] = affinities[i, j] * support
     return votes, scores
-
-
-def verify_planted_optimal(collection: Collection, planted: PlantedTruth,
-                           config: Config) -> bool:
-    """Check that under ideal same-class neighbors every planted tube is the
-    unique objective maximizer, by exhaustive enumeration.
-
-    Neighbor lists take the first ``k_neighbors`` same-class key frames in
-    (video id, frame index) order, which is exactly what bootstrap retrieval
-    selects on a noise-free collection.
-    """
-    for vid, video in collection.videos.items():
-        label = planted.class_labels[vid]
-        same_class = sorted(
-            w for w in collection.videos
-            if w != vid and planted.class_labels[w] == label
-        )
-        refs = [
-            (w, u)
-            for w in same_class
-            for u in key_frames(collection.videos[w], config.keyframe_stride)
-        ][: config.k_neighbors]
-        pools = [
-            (collection.videos[w].frames[u], list(collection.videos[w].frames[u].proposals))
-            for w, u in refs
-        ]
-        pools_by_kf = {kf: pools for kf in key_frames(video, config.keyframe_stride)}
-        trellis, _ = build_video_trellis(video, pools_by_kf, config)
-        positions, ties = _enumerate_best(trellis, config.lambda_)
-        found = tube_solution(trellis, positions, config.lambda_).tube.regions
-        if ties != 1 or found != planted.tubes[vid]:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,13 @@ from itertools import combinations
 import numpy as np
 
 from tubeloc import discovery
-from tubeloc.matching import answering_table, match_confidences, match_side
+from tubeloc.matching import (
+    answering_table,
+    appearance_confidence,
+    match_confidences,
+    match_side,
+    strict_containers,
+)
 from tubeloc.model import (
     Box,
     Collection,
@@ -21,7 +27,8 @@ from tubeloc.model import (
     Video,
     key_frames,
 )
-from tubeloc.solver import Trellis, solve_p_best
+from tubeloc.solver import Trellis, solve_p_best, tube_solution
+from tubeloc.synth import PlantedTruth, _enumerate_best
 
 
 def basis_vec(dim: int, axis: int) -> np.ndarray:
@@ -136,6 +143,52 @@ def fresh_vector(key: tuple, collection: Collection, config: Config) -> np.ndarr
     return scores.max(axis=1 if key == table else 0)
 
 
+def frame_contained(frame: Frame, regions: list[Box]) -> np.ndarray:
+    """``region_contained`` of one frame: the one-frame case of a video's call."""
+    return discovery.region_contained((frame,), [regions])[0]
+
+
+def frame_appearance(frame: Frame, pools, config: Config) -> tuple[np.ndarray, np.ndarray]:
+    """``appearance_confidence`` of one frame against its neighbor ``pools``:
+    its rescaled standouts and raw saliencies."""
+    (phi_a,), (saliency,) = appearance_confidence([frame], strict_containers(frame.boxes)[None],
+                                                  [pools], config)
+    return phi_a, saliency
+
+
+def verify_planted_optimal(collection: Collection, planted: PlantedTruth,
+                           config: Config) -> bool:
+    """Check that under ideal same-class neighbors every planted tube is the
+    unique objective maximizer, by exhaustive enumeration.
+
+    Neighbor lists take the first ``k_neighbors`` same-class key frames in
+    (video id, frame index) order, which is exactly what bootstrap retrieval
+    selects on a noise-free collection.
+    """
+    for vid, video in collection.videos.items():
+        label = planted.class_labels[vid]
+        same_class = sorted(
+            w for w in collection.videos
+            if w != vid and planted.class_labels[w] == label
+        )
+        refs = [
+            (w, u)
+            for w in same_class
+            for u in key_frames(collection.videos[w], config.keyframe_stride)
+        ][: config.k_neighbors]
+        pools = [
+            (collection.videos[w].frames[u], list(collection.videos[w].frames[u].proposals))
+            for w, u in refs
+        ]
+        pools_by_kf = {kf: pools for kf in key_frames(video, config.keyframe_stride)}
+        trellis, _ = discovery.build_video_trellis(video, pools_by_kf, config)
+        positions, ties = _enumerate_best(trellis, config.lambda_)
+        found = tube_solution(trellis, positions, config.lambda_).tube.regions
+        if ties != 1 or found != planted.tubes[vid]:
+            return False
+    return True
+
+
 def recomputing_discovery(collection: Collection, config: Config,
                           directed: bool = False) -> discovery.DiscoveryResult:
     """``run_discovery``'s loop with every iteration computed in full, at one
@@ -150,7 +203,7 @@ def recomputing_discovery(collection: Collection, config: Config,
     snapshots = []
     for iteration in range(1, config.iterations + 1):
         contained = {
-            (vid, kf): discovery.region_contained(collection.videos[vid].frames[kf], regions)
+            (vid, kf): frame_contained(collection.videos[vid].frames[kf], regions)
             for vid, by_kf in state.boxes.items() for kf, regions in by_kf.items()
         }
         cache = (DirectedMatchCache if directed else discovery.MatchCache)(collection, config)
@@ -186,7 +239,7 @@ def reference_discovery(collection: Collection, config: Config
     state = discovery.initialize_state(collection, config)
     snapshots = []
     for iteration in range(1, config.iterations + 1):
-        contained = {ref: discovery.region_contained(frame, state.boxes[ref[0]][ref[1]])
+        contained = {ref: frame_contained(frame, state.boxes[ref[0]][ref[1]])
                      for ref, frame in frames.items()}
         if iteration == 1:
             ranking = discovery.bootstrap_neighbors(frames, len(refs)).neighbors

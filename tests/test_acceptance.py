@@ -11,7 +11,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import appearance_affinity, key_frame_map, remove_choice, shared_track_points
+from helpers import (
+    appearance_affinity,
+    frame_appearance,
+    key_frame_map,
+    remove_choice,
+    shared_track_points,
+    verify_planted_optimal,
+)
 from tubeloc.cli import main as cli_main
 from tubeloc.consistency import (
     appearance_consistency_matrix,
@@ -19,11 +26,7 @@ from tubeloc.consistency import (
 )
 from tubeloc.discovery import bootstrap_neighbors, run_discovery
 from tubeloc.formats import save_collection
-from tubeloc.matching import (
-    appearance_confidence,
-    match_confidences,
-    strict_containers,
-)
+from tubeloc.matching import match_confidences
 from tubeloc.metrics import corloc, corret, iou, retrieval_confusion, topk_error, video_labels
 from tubeloc.model import Box, Config, NeighborGraph, interpolate_tube, key_frames
 from tubeloc.motion import VideoTrackIndex, motion_coherence_many
@@ -33,7 +36,6 @@ from tubeloc.synth import (
     brute_force_matching,
     brute_force_tube,
     generate_collection,
-    verify_planted_optimal,
 )
 
 # Descriptor noise at which the planted-vs-background affinity margin is
@@ -143,13 +145,12 @@ def test_criterion_4_score_range_invariants(noise_free_bundle):
                 kfs = key_frames(video, cfg.keyframe_stride)
                 for kf, tracks in zip(kfs, VideoTrackIndex(video, kfs).at):
                     frame = video.frames[kf]
-                    phi_a, _ = appearance_confidence(frame, strict_containers(frame.boxes),
-                                                     pools[(vid, kf)], cfg)
+                    phi_a, _ = frame_appearance(frame, pools[(vid, kf)], cfg)
                     assert np.all((phi_a >= 0.0) & (phi_a <= 1.0))
                     degenerate = np.all(phi_a == phi_a[0])
                     if not degenerate:
                         assert phi_a.min() == 0.0 and phi_a.max() == 1.0
-                    phi_m = motion_coherence_many(frame.boxes, tracks)
+                    phi_m = motion_coherence_many(frame.boxes, [len(frame.boxes)], [tracks])
                     assert np.all((phi_m >= 0.0) & (phi_m <= 4.0))
                 for a, b in zip(kfs, kfs[1:]):
                     props_a = video.frames[a].proposals

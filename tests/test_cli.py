@@ -309,14 +309,17 @@ class TestRunCommand:
         assert manifest["fixed_point"] == fixed_point
         counts = manifest["match_counts"]
         assert [c["iteration"] for c in counts] == [1, 2, 3]
-        # tables matched: the distinct unordered keys no earlier request named
-        expected = unordered_counts(requests)
+        # tables matched: the distinct unordered keys no earlier request
+        # named; the repeat's pools and masks are iteration 2's, so it asks
+        # for nothing and counts each of iteration 2's keys reused
+        assert len(requests) == 4
+        expected = unordered_counts(requests) + [(0, len(keys)) for keys in requests[2:]]
         assert [tuple(c.values()) for c in counts] == [
             (i // 2 + 1, *expected[i], *expected[i + 1]) for i in range(0, len(expected), 2)]
         assert counts[0]["retrieval_matched"] == counts[0]["retrieval_reused"] == 0
         assert counts[0]["saliency_matched"] > 0
         assert counts[2]["saliency_matched"] == 0
-        assert counts[2]["saliency_reused"] == len(requests[5]) > 0
+        assert counts[2]["saliency_reused"] == len(requests[3]) > 0
 
     def test_snapshots_after_a_fixed_point(self, tiny_collection, tmp_path):
         # the tiny collection repeats iteration 2 in iteration 3: iterations 3

@@ -2,8 +2,8 @@
 
 import pytest
 
-from helpers import move_out_of_frame
-from tubeloc.discovery import MatchCache, region_contained, run_discovery, update_network
+from helpers import frame_contained, move_out_of_frame
+from tubeloc.discovery import MatchCache, run_discovery, update_network
 from tubeloc.model import Config, key_frames
 from tubeloc.synth import SynthSpec, generate_collection
 
@@ -67,7 +67,7 @@ def test_empty_retrieval_pools_score_zero_and_are_not_cached(threads):
     config = Config(iterations=1)
     state = run_discovery(collection, config, threads=1).snapshots[0]
     empty = list(collection.videos)[-1]
-    contained = {(vid, kf): region_contained(collection.videos[vid].frames[kf], regions)
+    contained = {(vid, kf): frame_contained(collection.videos[vid].frames[kf], regions)
                  & (vid != empty)
                  for vid, by_kf in state.boxes.items() for kf, regions in by_kf.items()}
     with MatchCache(collection, config, threads) as cache:

@@ -18,12 +18,15 @@ from helpers import (
     all_rows,
     assert_same_as_reference,
     basis_vec,
+    frame_appearance,
+    frame_contained,
     fresh_vector,
     key_frame_map,
     make_frame,
     match_keys,
     move_out_of_frame,
     rand_frame,
+    rand_unit,
     rank_order_similarity,
     recomputing_discovery,
     recorded_requests,
@@ -55,6 +58,7 @@ from tubeloc.matching import (
     match_side,
     strict_containers,
 )
+from tubeloc.motion import motion_coherence_many
 from tubeloc.model import (
     Box,
     Collection,
@@ -64,6 +68,7 @@ from tubeloc.model import (
     ValidationError,
     Video,
     key_frames,
+    padded_rows,
 )
 from tubeloc.synth import SynthSpec, generate_collection
 
@@ -209,20 +214,20 @@ class TestContainment:
         # each region covers 60% of the box, their union all of it
         boxes = [Box(0, 0, 10, 10)]
         left, right = Box(0, 0, 6, 10), Box(4, 0, 6, 10)
-        assert region_contained(_frame_of(boxes), [left, right]).tolist() == [True]
-        assert region_contained(_frame_of(boxes), [left]).tolist() == [False]
-        assert region_contained(_frame_of(boxes), [right]).tolist() == [False]
+        assert frame_contained(_frame_of(boxes), [left, right]).tolist() == [True]
+        assert frame_contained(_frame_of(boxes), [left]).tolist() == [False]
+        assert frame_contained(_frame_of(boxes), [right]).tolist() == [False]
 
     def test_ratio_threshold(self):
         frame = _frame_of([Box(0, 0, 10, 10)] * 3)
-        assert region_contained(frame, [Box(0, 0, 10, 9.5)]).all()  # 95% covered
-        assert region_contained(frame, [Box(0, 0, 10, 9.0)]).all()  # 90%: inclusive
-        assert not region_contained(frame, [Box(0, 0, 10, 8.0)]).any()  # 80% covered
+        assert frame_contained(frame, [Box(0, 0, 10, 9.5)]).all()  # 95% covered
+        assert frame_contained(frame, [Box(0, 0, 10, 9.0)]).all()  # 90%: inclusive
+        assert not frame_contained(frame, [Box(0, 0, 10, 8.0)]).any()  # 80% covered
 
     def test_growing_region_grows_pool(self):
         frame = _frame_of([Box(0, 0, 10, 10), Box(2, 2, 4, 4), Box(20, 20, 5, 5)])
-        small = region_contained(frame, [Box(0, 0, 8, 8)])
-        large = region_contained(frame, [Box(0, 0, 12, 12)])
+        small = frame_contained(frame, [Box(0, 0, 8, 8)])
+        large = frame_contained(frame, [Box(0, 0, 12, 12)])
         assert small.tolist() == [False, True, False]
         assert large.tolist() == [True, True, False]
 
@@ -235,7 +240,7 @@ class TestContainment:
     @example(([Box(0, 0, 10, 10)], [Box(0, 0, 10, 10), Box(2, 2, 2, 2)]))  # nested
     def test_matches_exact_union_area(self, case):
         boxes, regions = case
-        mask = region_contained(_frame_of(boxes), regions)
+        mask = frame_contained(_frame_of(boxes), regions)
         assert mask.tolist() == [union_area_exact(b, regions) >= CONTAINMENT_RATIO * b.area
                                  for b in boxes]
 
@@ -243,7 +248,7 @@ class TestContainment:
     @given(st.lists(_real_box(0.0, 100.0), min_size=1, max_size=4),
            st.lists(_real_box(-50.0, 150.0), min_size=1, max_size=5))
     def test_matches_exact_union_area_real_edges(self, boxes, regions):
-        mask = region_contained(_frame_of(boxes), regions)
+        mask = frame_contained(_frame_of(boxes), regions)
         for got, b in zip(mask.tolist(), boxes):
             gap = union_area_exact(b, regions) - CONTAINMENT_RATIO * b.area
             if abs(gap) > 1e-9 * b.area:  # rounding decides only at the threshold
@@ -257,7 +262,7 @@ class TestRetrievalPool:
             Proposal(1, Box(10, 10, 20, 20), basis_vec(4, 1)),
             Proposal(2, Box(200, 200, 50, 40), basis_vec(4, 2)),
         ])
-        mask = region_contained(frame, [Box(0, 0, 60, 60)])
+        mask = frame_contained(frame, [Box(0, 0, 60, 60)])
         pool = retrieval_pool(frame, mask, {0: 0.2, 1: 0.9, 2: 5.0}, limit=10)
         assert pool.tolist() == [1, 0]  # proposal 2 lies outside
 
@@ -265,7 +270,7 @@ class TestRetrievalPool:
         frame = make_frame(proposals=[
             Proposal(i, Box(1 + i, 1, 20, 20), basis_vec(4, i % 4)) for i in range(5)
         ])
-        mask = region_contained(frame, [Box(0, 0, 320, 240)])
+        mask = frame_contained(frame, [Box(0, 0, 320, 240)])
         pool = retrieval_pool(frame, mask, {}, limit=3)
         assert pool.tolist() == [0, 1, 2]
 
@@ -319,7 +324,7 @@ class TestFrameSimilarity:
             Proposal(0, Box(10, 10, 40, 40), basis_vec(4, 0)),
             Proposal(1, Box(250, 180, 60, 50), basis_vec(4, 1)),
         ])
-        mask = region_contained(frame, [Box(0, 0, 60, 60)])
+        mask = frame_contained(frame, [Box(0, 0, 60, 60)])
         pool = retrieval_pool(frame, mask, {0: 1.0, 1: 9.0}, limit=10)
         assert pool.tolist() == [0]
 
@@ -401,7 +406,7 @@ class TestRelocalization:
             for w in same_class for kf in key_frames(collection.videos[w], 20)
         ][: cfg.k_neighbors]
         frame = video.frames[0]
-        phi_a, _ = appearance_confidence(frame, strict_containers(frame.boxes), pools, cfg)
+        phi_a, _ = frame_appearance(frame, pools, cfg)
         best = frame.proposals[int(np.argmax(phi_a))]
         assert best.id == planted.tubes[vid][0]
         assert phi_a.max() == 1.0
@@ -420,8 +425,7 @@ class TestRelocalization:
         trellis, _ = build_video_trellis(video, pools_by_kf, cfg)
         for t, kf in enumerate(key_frames(video, 20)):
             frame = video.frames[kf]
-            phi_a, _ = appearance_confidence(frame, strict_containers(frame.boxes),
-                                             pools_by_kf[kf], cfg)
+            phi_a, _ = frame_appearance(frame, pools_by_kf[kf], cfg)
             order = sorted(range(len(frame.proposals)),
                            key=lambda i: (-phi_a[i], frame.proposals[i].id))
             expected = [frame.proposals[i].id for i in order]
@@ -436,12 +440,11 @@ class TestRelocalization:
         pools = [(wrong.frames[kf], list(wrong.frames[kf].proposals))
                  for kf in key_frames(wrong, 20)]
         frame = video.frames[0]
-        contains = strict_containers(frame.boxes)
-        phi_a, saliency = appearance_confidence(frame, contains, pools, cfg)
+        phi_a, saliency = frame_appearance(frame, pools, cfg)
         # cross-class saliencies are far below the same-class level
         same = [(collection.videos["class0_v01"].frames[0],
                  list(collection.videos["class0_v01"].frames[0].proposals))]
-        _, same_sal = appearance_confidence(frame, contains, same, cfg)
+        _, same_sal = frame_appearance(frame, same, cfg)
         planted_idx = [p.id for p in frame.proposals].index(planted.tubes[vid][0])
         assert saliency[planted_idx] < same_sal[planted_idx]
 
@@ -557,6 +560,83 @@ class TestPreconditions:
             check_objective_bound(collection, replace(config, **weights))
 
 
+@st.composite
+def _ragged_video(draw):
+    """1-4 key frames of 1-4 proposals and 1-5 regions each (see
+    ``_containment_case``), so key frames differ in both counts, with random
+    unit descriptors, 0-12 track points on the same grid or between its
+    lines, which may all be moved past every box, and 0-2 neighbor pools,
+    rows of two 5-proposal neighbor frames. Returns the frames, their
+    regions, tracks and pools."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    neighbors = [rand_frame(rng, f"n{i}", 5, dim=4) for i in range(2)]
+    frames, regions, tracks, pools = [], [], [], []
+    for f in range(draw(st.integers(1, 4))):
+        boxes, frame_regions = draw(_containment_case())
+        frames.append(make_frame("v", f, proposals=[Proposal(i, box, rand_unit(rng, 4))
+                                                    for i, box in enumerate(boxes)]))
+        regions.append(frame_regions)
+        coordinate = st.one_of(st.integers(0, 24), st.floats(0, 24))  # edges, and between
+        points = draw(st.lists(st.tuples(coordinate, coordinate, st.integers(0, 3)),
+                               max_size=12))
+        away = 100.0 if draw(st.booleans()) else 0.0  # no point in any box
+        tracks.append((np.array([label for _, _, label in points], dtype=int),
+                       np.array([[x + away, y] for x, y, _ in points], dtype=float).reshape(-1, 2)))
+        pools.append([(neighbor, np.flatnonzero(rng.random(5) < 0.6) if i else np.arange(5))
+                      for i, neighbor in enumerate(neighbors[:draw(st.integers(0, 2))])])
+        pools[-1] = [(neighbor, rows) for neighbor, rows in pools[-1] if rows.size]
+    return frames, regions, tracks, pools
+
+
+class TestPerVideoPasses:
+    """A video's key frames are one call of each tracking pass: the call
+    returns, bit for bit, the arrays of one call per key frame."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_ragged_video())
+    def test_containment(self, video):
+        frames, regions, _, _ = video
+        masks = region_contained(tuple(frames), regions)
+        assert [(m.dtype, m.tobytes()) for m in masks] == [
+            (m.dtype, m.tobytes()) for frame, frame_regions in zip(frames, regions)
+            for m in region_contained((frame,), [frame_regions])]
+
+    @settings(max_examples=100, deadline=None)
+    @given(_ragged_video())
+    def test_motion_coherence(self, video):
+        frames, _, tracks, _ = video
+        sizes = [len(frame.boxes) for frame in frames]
+        coherence = motion_coherence_many(np.concatenate([frame.boxes for frame in frames]),
+                                          sizes, tracks)
+        expected = [motion_coherence_many(frame.boxes, [size], [frame_tracks])
+                    for frame, size, frame_tracks in zip(frames, sizes, tracks)]
+        assert coherence.tobytes() == np.concatenate(expected).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_ragged_video())
+    def test_strict_containers(self, video):
+        frames = video[0]
+        sizes = [len(frame.boxes) for frame in frames]
+        contains = strict_containers(np.concatenate([frame.boxes for frame in frames])
+                                     [padded_rows(sizes)])
+        assert contains.shape == (len(frames), max(sizes), max(sizes))
+        for f, (frame, size) in enumerate(zip(frames, sizes)):
+            assert contains[f, :size, :size].tobytes() == strict_containers(frame.boxes).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(_ragged_video())
+    def test_appearance_confidence(self, video):
+        frames, _, _, pools = video
+        contains = strict_containers(np.concatenate([frame.boxes for frame in frames])
+                                     [padded_rows([len(frame.boxes) for frame in frames])])
+        phi_a, saliency = appearance_confidence(frames, contains, pools, Config())
+        for f, frame in enumerate(frames):
+            (own_phi,), (own_saliency,) = appearance_confidence(
+                [frame], strict_containers(frame.boxes)[None], [pools[f]], Config())
+            assert phi_a[f].tobytes() == own_phi.tobytes()
+            assert saliency[f].tobytes() == own_saliency.tobytes()
+
+
 class TestComputeOnce:
     """Per-run and per-iteration work is not repeated across its readers."""
 
@@ -586,17 +666,27 @@ class TestComputeOnce:
     def test_containment_once_per_iteration_and_frame(self, small, monkeypatch):
         # every iteration reads the masks of the previous state's regions: the
         # initial regions' masks, then those of each key frame whose regions an
-        # iteration changed; the final state's regions are read by no one
+        # iteration changed; the final state's regions are read by no one.
+        # Each video's key frames are one call
         collection, config, key_frame_count = small
-        counts: dict = {}
-        self._count_calls(monkeypatch, "region_contained", counts)
+        calls = []
+        original = discovery.region_contained
+
+        def recorded(frames, regions):
+            calls.append(frames)
+            return original(frames, regions)
+
+        monkeypatch.setattr(discovery, "region_contained", recorded)
         result = run_discovery(collection, config, threads=1)
         states = [initialize_state(collection, config)] + result.snapshots[:-1]
-        changed = sum(after.boxes[vid][kf] != before.boxes[vid][kf]
-                      for before, after in zip(states, states[1:])
-                      for vid, by_kf in after.boxes.items() for kf in by_kf)
-        assert 0 < changed < (config.iterations - 1) * key_frame_count
-        assert counts["region_contained"] == key_frame_count + changed
+        changed = [{(vid, kf) for vid, by_kf in after.boxes.items() for kf in by_kf
+                    if after.boxes[vid][kf] != before.boxes[vid][kf]}
+                   for before, after in zip(states, states[1:])]
+        assert 0 < sum(map(len, changed)) < (config.iterations - 1) * key_frame_count
+        assert len(calls) == len(collection.videos) + sum(
+            len({vid for vid, _ in refs}) for refs in changed)
+        assert sum(map(len, calls)) == key_frame_count + sum(map(len, changed))
+        assert all(len({frame.video_id for frame in frames}) == 1 for frames in calls)
 
     def test_motion_once_per_run(self, small, monkeypatch):
         collection, config, key_frame_count = small
@@ -608,8 +698,8 @@ class TestComputeOnce:
         run_discovery(collection, config, threads=1)
         assert config.iterations > 1
         assert counts["VideoTrackIndex"] == len(collection.videos)
-        assert counts["motion_coherence_many"] == key_frame_count
-        assert counts["strict_containers"] == key_frame_count
+        assert counts["motion_coherence_many"] == len(collection.videos)
+        assert counts["strict_containers"] == len(collection.videos)
         assert counts["consistency_matrix"] == key_frame_count - len(collection.videos)
 
     def test_precomputed_motion_gives_the_same_trellis(self, small):
@@ -906,6 +996,55 @@ class TestReuse:
         assert {vid: len(sols) for vid, sols in result.snapshots[-1].tubes.items()} == \
             dict.fromkeys(collection.videos, 1)
 
+    def test_the_repeat_reads_the_last_retrieval(self, monkeypatch):
+        # small at five iterations repeats iteration 2 in iteration 3: the
+        # pools and masks are iteration 2's, so update_network returns that
+        # retrieval's graph and counts, and asks the cache for no key
+        collection, _, _ = generate_collection(SMALL_SPEC)
+        calls = []
+        update = discovery.update_network
+
+        def recorded(state, contained, cache):
+            graph = update(state, contained, cache)
+            calls.append((state, contained, cache, graph, cache.counts[-2:]))
+            return graph
+
+        monkeypatch.setattr(discovery, "update_network", recorded)
+        requests = recorded_requests(monkeypatch)
+        result = run_discovery(collection, replace(SMALL_CONFIG, iterations=5), threads=1)
+        assert result.fixed_point == 3 and len(calls) == 3
+        assert len(requests) == 4
+        state, contained, cache, graph, counts = calls[-1]
+        # a full call ranks the similarities it reads from cache.tables and
+        # asks for every key again: all held
+        cache.retrieval = None
+        assert update(state, contained, cache) == graph == state.graph
+        assert [len(keys) for keys in requests[4:]] == [len(keys) for keys in requests[2:4]]
+        assert counts == cache.counts[-2:] == [(0, len(keys)) for keys in requests[4:]]
+        assert result.match_counts[-1] == (3, *counts[0], *counts[1])
+
+    def test_a_moved_mask_is_no_repeat(self, monkeypatch):
+        # a retrieval pool keeps only a mask's most salient rows, so a mask
+        # that drops a row outside its pool leaves every pool as it was; the
+        # neighbor pools that saliency reads change, so retrieval is redone
+        collection, _, _ = generate_collection(SMALL_SPEC)
+        config = replace(SMALL_CONFIG, iterations=1, retrieval_proposals=2)
+        state = run_discovery(collection, config, threads=1).snapshots[0]
+        requests = recorded_requests(monkeypatch)
+        with MatchCache(collection, config) as cache:
+            full = {ref: np.ones(len(frame.proposals), dtype=bool)
+                    for ref, frame in cache.frames.items()}
+            graph = update_network(state, full, cache)
+            moved = {ref: mask.copy() for ref, mask in full.items()}
+            for ref, mask in moved.items():
+                pool = retrieval_pool(cache.frames[ref], mask, state.saliency[ref[0]][ref[1]], 2)
+                mask[np.setdiff1d(np.flatnonzero(mask), pool)[0]] = False
+            assert update_network(state, moved, cache) == graph
+            assert update_network(state, moved, cache) == graph  # a repeat
+        # the repeat asks for no key and counts the moved masks' keys reused
+        assert len(requests) == 4 and requests[2] == requests[0] and requests[3] != requests[1]
+        assert cache.counts[-2:] == [(0, len(requests[2])), (0, len(requests[3]))]
+
     def test_no_matching_after_the_fixed_point(self, noise_free_bundle, monkeypatch):
         collection, _, _ = noise_free_bundle
         calls: Counter = Counter()
@@ -938,10 +1077,11 @@ class TestReuse:
         result = run_discovery(collection, config, threads=1)
         # one cache for the run: a table is matched once, whichever
         # iteration, phase or direction asks first; iteration 3's retrieval
-        # pools equal iteration 2's as sets, and its graph and masks repeat,
-        # so it matches nothing and is not relocalized
-        assert [len(keys) for keys in requests] == [0, 400, 1400, 400, 1400, 400]
-        counts = unordered_counts(requests)
+        # pools equal iteration 2's as sets and its masks repeat, so it asks
+        # for nothing, counts each of iteration 2's keys reused, and is not
+        # relocalized
+        assert [len(keys) for keys in requests] == [0, 400, 1400, 400]
+        counts = unordered_counts(requests) + [(0, 1400), (0, 400)]
         assert [(c.retrieval_matched, c.retrieval_reused, c.saliency_matched, c.saliency_reused)
                 for c in result.match_counts] == [
             (*counts[i], *counts[i + 1]) for i in range(0, len(counts), 2)]
@@ -1225,7 +1365,7 @@ class TestMatchCache:
 
 
 def _contained(collection: Collection, state) -> dict:
-    return {(vid, kf): region_contained(collection.videos[vid].frames[kf], regions)
+    return {(vid, kf): frame_contained(collection.videos[vid].frames[kf], regions)
             for vid, by_kf in state.boxes.items() for kf, regions in by_kf.items()}
 
 

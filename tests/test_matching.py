@@ -16,6 +16,7 @@ from helpers import (
     appearance_affinity,
     basis_vec,
     box_location,
+    frame_appearance,
     geometry_likelihood,
     make_frame,
     rand_frame,
@@ -26,7 +27,6 @@ from tubeloc.matching import (
     LOG_SCALE_CENTERS,
     TRANSLATION_CENTERS,
     affinity_matrix,
-    appearance_confidence,
     frame_saliencies,
     match_confidences,
     rescale_unit,
@@ -313,8 +313,7 @@ class TestStandout:
         rng = np.random.default_rng(11)
         frame = rand_frame(rng, "a", 6)
         neighbor = rand_frame(rng, "b", 6)
-        phi_a, saliency = appearance_confidence(frame, strict_containers(frame.boxes),
-                                                [(neighbor, neighbor.proposals)], CFG)
+        phi_a, saliency = frame_appearance(frame, [(neighbor, neighbor.proposals)], CFG)
         assert phi_a.min() == 0.0
         assert phi_a.max() == 1.0
         assert np.all(saliency >= 0)
@@ -322,7 +321,7 @@ class TestStandout:
     def test_no_neighbors_all_zero(self):
         rng = np.random.default_rng(12)
         frame = rand_frame(rng, "a", 3)
-        phi_a, saliency = appearance_confidence(frame, strict_containers(frame.boxes), [], CFG)
+        phi_a, saliency = frame_appearance(frame, [], CFG)
         assert np.all(phi_a == 0) and np.all(saliency == 0)
 
 

@@ -21,8 +21,8 @@ def frame_tracks(points_with_labels):
 
 def phi(box: Box, points_with_labels) -> float:
     """Motion coherence of one box."""
-    return float(motion_coherence_many(np.array([box.as_list()]),
-                                       frame_tracks(points_with_labels))[0])
+    return float(motion_coherence_many(np.array([box.as_list()]), [1],
+                                       [frame_tracks(points_with_labels)])[0])
 
 
 def grid_cluster(box: Box, label: int, side: int = 4):
@@ -99,8 +99,9 @@ class TestMotionCoherence:
 
     def test_no_tracks_scores_zero(self):
         boxes = np.array([[0.0, 0.0, 10.0, 10.0], [5.0, 5.0, 1.0, 2.0]])
-        np.testing.assert_array_equal(motion_coherence_many(boxes, NO_TRACKS), [0.0, 0.0])
-        assert motion_coherence_many(np.empty((0, 4)), frame_tracks([(1, 1, 0)])).shape == (0,)
+        np.testing.assert_array_equal(motion_coherence_many(boxes, [2], [NO_TRACKS]), [0.0, 0.0])
+        assert motion_coherence_many(np.empty((0, 4)), [0],
+                                     [frame_tracks([(1, 1, 0)])]).shape == (0,)
 
     def test_half_cluster_on_all_edges_scores_two(self):
         box = Box(0, 0, 10, 10)
@@ -148,7 +149,7 @@ class TestMotionCoherence:
                for _ in range(30)]
         boxes = [Box(10, 10, 40, 40), Box(0, 0, 99, 99)]
         np.testing.assert_array_equal(
-            motion_coherence_many(np.array([b.as_list() for b in boxes]), frame_tracks(pts)),
+            motion_coherence_many(np.array([b.as_list() for b in boxes]), [2], [frame_tracks(pts)]),
             [phi(b, pts) for b in boxes],
         )
 
@@ -174,7 +175,7 @@ def test_motion_coherence_many_equals_scalar_reference(frame):
     labels, xy = frame_tracks(points)
     rows = np.array([b.as_list() for b in boxes], dtype=float).reshape(-1, 4)
     expected = [motion_coherence(b, labels, xy) for b in boxes]
-    assert motion_coherence_many(rows, (labels, xy)).tolist() == expected
+    assert motion_coherence_many(rows, [len(rows)], [(labels, xy)]).tolist() == expected
 
 
 def test_motion_coherence_many_equals_scalar_reference_on_real_coordinates():
@@ -185,7 +186,7 @@ def test_motion_coherence_many_equals_scalar_reference_on_real_coordinates():
         boxes = [Box(*rng.uniform(0, 200, 2), *rng.uniform(1, 150, 2))
                  for _ in range(int(rng.integers(1, 10)))]
         rows = np.array([b.as_list() for b in boxes])
-        assert motion_coherence_many(rows, (labels, xy)).tolist() == \
+        assert motion_coherence_many(rows, [len(rows)], [(labels, xy)]).tolist() == \
             [motion_coherence(b, labels, xy) for b in boxes]
 
 

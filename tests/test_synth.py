@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import verify_planted_optimal
 from tubeloc.discovery import build_video_trellis
 from tubeloc.formats import load_collection, save_collection
 from tubeloc.model import ValidationError, key_frames
@@ -15,7 +16,6 @@ from tubeloc.synth import (
     generate_collection,
     load_planted,
     save_planted,
-    verify_planted_optimal,
 )
 
 
